@@ -33,6 +33,7 @@ let catalogue : D.catalogue =
     ("P014", D.Warning, "stream variable bound more than once in the LHS pattern");
     ("P015", D.Error, "helper function is not registered");
     ("P016", D.Warning, "descriptor name collides with an implicit stream descriptor");
+    ("P017", D.Error, "literal does not match the assigned property's declared type");
     ("P020", D.Error, "COST property assigned outside an I-rule post section");
     ("P021", D.Warning, "COST property read in a rule test");
     ("P022", D.Error, "I-rule never assigns a cost to its output descriptor");
@@ -318,6 +319,9 @@ let check_declarations (spec : Ast.spec) =
 let check_bindings ?helpers (spec : Ast.spec) =
   let ds = ref [] in
   let emit d = ds := d :: !ds in
+  let declared_ty p =
+    Option.bind (List.assoc_opt p (Ast.properties spec)) Value.ty_of_string
+  in
   List.iter
     (fun (kind, r) ->
       let name = r.Ast.rb_name in
@@ -447,6 +451,23 @@ let check_bindings ?helpers (spec : Ast.spec) =
                    ~hint:"register it in the helper environment"
                    (Printf.sprintf "helper function %s is not registered" h)))
           (helpers_of_rule r));
+      (* P017: a literal of the wrong kind elaborates silently — a STRING
+         stored in a PREDICATE property is not the predicate it spells *)
+      List.iter
+        (function
+          | Action.Assign_prop (d, p, Action.Const v) -> (
+            match declared_ty p with
+            | Some ty when not (Value.has_ty v ty) ->
+              emit
+                (D.error ~code:"P017" ~rule:name ?span
+                   ~hint:
+                     "use a literal of the declared type (TRUE_PRED is the \
+                      always-true PREDICATE, DONT_CARE the unconstrained ORDER)"
+                   (Printf.sprintf "%s.%s is declared %s but assigned %s" d p
+                      (Value.ty_to_string ty) (Value.to_repr v)))
+            | Some _ | None -> ())
+          | Action.Assign_prop _ | Action.Assign_desc _ -> ())
+        (rule_stmts r);
       ignore kind)
     (Ast.rules spec);
   !ds

@@ -8,10 +8,11 @@
       properties and operations, arity mismatches, duplicate
       declarations, duplicate and shadowed rules, operators that no
       I-rule can ever implement;
-    - {b binding analysis} (P010–P016): descriptors read before they are
+    - {b binding analysis} (P010–P017): descriptors read before they are
       bound, unused named descriptors, stream variables that do not line
       up across the rewrite, unregistered helper functions, descriptor
-      names that alias implicit stream descriptors;
+      names that alias implicit stream descriptors, literals assigned to
+      properties of another declared type;
     - {b classification conflicts} (P020–P023): COST properties assigned
       outside I-rule post sections or read in tests, I-rules that never
       cost their output, physical properties assigned on logical

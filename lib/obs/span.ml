@@ -83,7 +83,7 @@ type t = {
   agg : (string, agg) Hashtbl.t;  (* keyed by phase_label ^ "/" ^ rule *)
   mutex : Mutex.t;
       (* guards every field above: a sink may be shared by concurrent
-         emitters (service worker domains, parallel search), and the agg
+         emitters (service worker domains, the telemetry domain), and the agg
          table in particular corrupts under unsynchronized writes.  Handle
          trees stay single-domain — only sink state is protected. *)
 }

@@ -4,8 +4,8 @@
     per-(phase, rule) aggregate table that survives ring wrap-around.
     Parents are explicit handles threaded by the caller — there is no
     global mutable "current span", so the discipline stays correct
-    when exploration goes multi-domain: give each domain its own sink
-    and thread handles within it.
+    when several domains trace at once (the plan service's workers): give
+    each domain its own sink and thread handles within it.
 
     Sinks are safe to share across domains, like {!Trace}: enter, exit,
     reads and clear all hold the sink's internal mutex, so concurrent

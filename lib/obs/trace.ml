@@ -28,7 +28,7 @@ type t = {
   mutable n : int;  (* total emitted; the next sequence number *)
   mutex : Mutex.t;
       (* guards [buf] and [n]: a sink may be shared by concurrent emitters
-         (the plan service's worker domains, parallel exploration), and an
+         (the plan service's worker domains, the telemetry domain), and an
          unguarded [n] increment would both lose events and let a reader
          observe a slot/counter mismatch *)
 }

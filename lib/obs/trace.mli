@@ -18,7 +18,7 @@
     clear) holds the sink's internal mutex, so concurrent emitters never
     lose events or tear the sequence counter, and [events] always returns
     a consistent snapshot.  The plan service still prefers one sink per
-    worker — sharing is for the parallel search and ad-hoc telemetry, not
+    worker — sharing is for ad-hoc telemetry, not
     a throughput feature. *)
 
 (** Why a matched rule did not produce a plan. *)

@@ -55,9 +55,9 @@ val optimize :
     best plan with the search context (for group counts and rule-match
     statistics).
 
-    [search_jobs] is the intra-query exploration parallelism (the [jobs]
-    of {!Prairie_volcano.Search.create}; default: [PRAIRIE_SEARCH_JOBS],
-    else 1).  Costs and plans are byte-identical at any value.
+    [search_jobs] is ignored: exploration is sequential.  The benchmark
+    in [perfbench/] still passes it; a later benchmark revision removes
+    it.
 
     [trace] attaches a structured event sink to the search (see
     {!Prairie_volcano.Search.create} and {!Prairie_volcano.Explain.trace});
@@ -112,10 +112,9 @@ val serve :
   request list ->
   served list
 (** Optimize a batch, in request order.  [jobs] is the worker count
-    (default {!Pool.default_jobs}; [1] is fully sequential).
-    [search_jobs] is the per-search exploration parallelism each worker's
-    {!Prairie_volcano.Search.t} runs at — keep [jobs × search_jobs] near
-    the core count.  [cache] is
+    (default {!Pool.default_jobs}; [1] is fully sequential); each worker
+    runs one sequential search at a time.  [search_jobs] is ignored, as
+    for {!optimize}.  [cache] is
     consulted before and populated after every search; omitting it still
     deduplicates within the batch.  [group_budget] is the per-request
     budget: an over-large query degrades gracefully instead of stalling a

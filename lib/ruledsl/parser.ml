@@ -2,6 +2,7 @@ module Pattern = Prairie.Pattern
 module Action = Prairie.Action
 module Value = Prairie_value.Value
 module Order = Prairie_value.Order
+module Predicate = Prairie_value.Predicate
 
 exception Parse_error of Lexer.position * string
 
@@ -134,6 +135,9 @@ and parse_primary st =
   | Token.KW_DONT_CARE ->
     advance st;
     Action.Const (Value.Order Order.Any)
+  | Token.KW_TRUE_PRED ->
+    advance st;
+    Action.Const (Value.Pred Predicate.True)
   | Token.LPAREN ->
     advance st;
     let e = parse_expr st in

@@ -20,7 +20,8 @@
                   ("==", "!=", "<", "<=", ">", ">="), "+", "-", "*", "/",
                   unary "!" and "-", calls IDENT "(" args ")", descriptor
                   properties IDENT "." IDENT, bare descriptors IDENT, and
-                  the literals INT, FLOAT, STRING, TRUE, FALSE, DONT_CARE.
+                  the literals INT, FLOAT, STRING, TRUE, FALSE, DONT_CARE,
+                  TRUE_PRED.
     v}
 
     In a T-rule, [pre]/[post] are the pre-test and post-test statement

@@ -28,10 +28,13 @@ let rec expr ppf = function
     Format.pp_print_string ppf s
   | Action.Const (Value.Str s) -> Format.fprintf ppf "%S" s
   | Action.Const (Value.Order Order.Any) -> Format.pp_print_string ppf "DONT_CARE"
+  | Action.Const (Value.Pred Predicate.True) ->
+    Format.pp_print_string ppf "TRUE_PRED"
   | Action.Const v ->
-    (* other literals have no surface syntax; they only arise in embedded
-       rule sets *)
-    Format.fprintf ppf "\"<opaque:%s>\"" (Value.to_repr v)
+    (* other literals have no surface syntax; printing a stand-in would
+       change what the rule means *)
+    invalid_arg
+      ("Render.expr: constant without surface syntax: " ^ Value.to_repr v)
   | Action.Desc d -> Format.pp_print_string ppf d
   | Action.Prop (d, p) -> Format.fprintf ppf "%s.%s" d p
   | Action.Call (name, args) ->

@@ -19,6 +19,7 @@ type t =
   | KW_TRUE
   | KW_FALSE
   | KW_DONT_CARE
+  | KW_TRUE_PRED
   (* punctuation and operators *)
   | LPAREN
   | RPAREN
@@ -58,6 +59,7 @@ let keyword_of_string = function
   | "TRUE" | "true" -> Some KW_TRUE
   | "FALSE" | "false" -> Some KW_FALSE
   | "DONT_CARE" -> Some KW_DONT_CARE
+  | "TRUE_PRED" -> Some KW_TRUE_PRED
   | _ -> None
 
 let to_string = function
@@ -78,6 +80,7 @@ let to_string = function
   | KW_TRUE -> "TRUE"
   | KW_FALSE -> "FALSE"
   | KW_DONT_CARE -> "DONT_CARE"
+  | KW_TRUE_PRED -> "TRUE_PRED"
   | LPAREN -> "("
   | RPAREN -> ")"
   | LBRACE -> "{"

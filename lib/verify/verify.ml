@@ -164,9 +164,16 @@ let subterms acc e =
   in
   go acc e
 
+(* Smallest first, so that the first failing redex is already a small
+   witness. *)
+let smallest_first set =
+  Expr_set.elements set
+  |> List.sort (fun a b ->
+         let c = Int.compare (Expr.size a) (Expr.size b) in
+         if c <> 0 then c else Expr.compare a b)
+
 (* All candidate redexes of a case: every subterm of the (bounded)
-   T-closure of the generated roots, smallest first so that the first
-   failing redex is already a small witness. *)
+   T-closure of the generated roots. *)
 let candidates (config : config) rs roots =
   let forms =
     List.concat_map
@@ -179,11 +186,7 @@ let candidates (config : config) rs roots =
           [ root ])
       roots
   in
-  List.fold_left subterms Expr_set.empty forms
-  |> Expr_set.elements
-  |> List.sort (fun a b ->
-         let c = Int.compare (Expr.size a) (Expr.size b) in
-         if c <> 0 then c else Expr.compare a b)
+  smallest_first (List.fold_left subterms Expr_set.empty forms)
 
 (* Breadth-first search for a rewrite path leading back to [target],
    applying T-rules at the root only.  Bounded by depth and node count;
@@ -259,6 +262,26 @@ let eval_rule_case (config : config) factory ~rule_name ~seed ~catalog_override 
     let cands = candidates config rs [ root ] in
     let failures = ref [] in
     let applied = ref 0 in
+    (* Root properties are compared on the generated expression's own
+       subterms, whose descriptors the algebra's initializer computed.
+       Closure forms carry estimates other rules recomputed along other
+       join association orders, and the ceil-rounded cardinality model
+       lets those drift (a MAT at 537 rows over a JOIN at 536): a
+       disagreement there is not the rule under test's doing. *)
+    List.iter
+      (fun redex ->
+        match Eval.apply_trule rs.Ruleset.helpers rule redex with
+        | Some out ->
+          List.iter
+            (fun prop ->
+              let lhs = Descriptor.find (Expr.descriptor redex) prop in
+              let rhs = Descriptor.find (Expr.descriptor out) prop in
+              if not (values_agree lhs rhs) then
+                failures := Invariant { prop; redex; lhs; rhs } :: !failures)
+            config.invariants
+        | None -> ()
+        | exception _ -> ())
+      (smallest_first (subterms Expr_set.empty root));
     List.iter
       (fun redex ->
         if !applied < config.redexes_per_case then
@@ -269,13 +292,6 @@ let eval_rule_case (config : config) factory ~rule_name ~seed ~catalog_override 
             failures := Crash { redex; exn = Printexc.to_string e } :: !failures
           | Some out ->
             incr applied;
-            List.iter
-              (fun prop ->
-                let lhs = Descriptor.find (Expr.descriptor redex) prop in
-                let rhs = Descriptor.find (Expr.descriptor out) prop in
-                if not (values_agree lhs rhs) then
-                  failures := Invariant { prop; redex; lhs; rhs } :: !failures)
-              config.invariants;
             (match find_cycle config rs ~start:out ~target:redex with
             | Some path ->
               let rules = rule.Trule.name :: path in

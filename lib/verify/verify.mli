@@ -9,7 +9,8 @@
 
     - {b P200} the application crashes (a helper raised on values the
       guard let through);
-    - {b P210} the rewrite changes a cost-relevant property of the root
+    - {b P210} the rewrite, applied to a generated expression or one of
+      its subterms, changes a cost-relevant property of the root
       descriptor ([attributes], [num_records], [tuple_size] by default):
       equivalent expressions must agree on these, or cost comparison
       between the two sides is meaningless;

@@ -36,21 +36,14 @@ type winner = {
    it without allocating; older code stored it oldest-first and paid a
    [List.rev] per call in the innermost explore/cost loops.
 
-   [version] counts observable membership changes (insert, merge splice,
-   duplicate drop) — the speculative parallel explorer records it in read
-   sets and revalidates before committing.  In-place input
-   canonicalization does not bump it: matching only ever consumes inputs
-   through [canonical], which the rewrite preserves.
-
-   [w_epoch] keys this group's entries in the striped winner store;
-   bumping it on merge invalidates every memoized winner in O(1). *)
+   [w_epoch] keys this group's entries in the winner store; bumping it on
+   merge invalidates every memoized winner in O(1). *)
 type group = {
   g_id : gid;
   mutable members : lexpr list;
   mutable desc : Descriptor.t;
   mutable explored : bool;
   mutable exploring : bool;
-  mutable version : int;
   mutable w_epoch : int;
 }
 
@@ -83,11 +76,9 @@ end
 
 module Ktbl = Hashtbl.Make (Key)
 
-(* Winners live in a lock-striped store keyed by (group, epoch, required
-   descriptor) instead of per-group tables: striping keeps probes sound if
-   several domains ever cost concurrently, and the epoch indirection turns
-   per-merge winner invalidation from a table reset into one counter
-   bump. *)
+(* Winners live in one store keyed by (group, epoch, required descriptor)
+   instead of per-group tables: the epoch indirection turns per-merge
+   winner invalidation from a table reset into one counter bump. *)
 module Wkey = struct
   type t = int * int * Descriptor.t
 
@@ -98,10 +89,6 @@ module Wkey = struct
 end
 
 module Wtbl = Hashtbl.Make (Wkey)
-
-type wstripe = { w_mutex : Mutex.t; w_tbl : winner Wtbl.t }
-
-let stripe_count = 16 (* power of two: the stripe index is a bit mask *)
 
 type t = {
   parents : (gid, gid) Hashtbl.t;
@@ -118,7 +105,7 @@ type t = {
           are skipped lazily *)
   tried : (int, unit) Hashtbl.t;
       (** (lexpr id, trans-rule id) packed into one int — see [tried_key] *)
-  wstripes : wstripe array;
+  winners : winner Wtbl.t;
   stats : Stats.t;
   trace : Trace.t option;
   spans : Span.t option;
@@ -134,9 +121,7 @@ let create ?(stats = Stats.create ()) ?trace ?spans () =
     uses = Hashtbl.create 256;
     dead_lexprs = Hashtbl.create 64;
     tried = Hashtbl.create 256;
-    wstripes =
-      Array.init stripe_count (fun _ ->
-          { w_mutex = Mutex.create (); w_tbl = Wtbl.create 32 });
+    winners = Wtbl.create 512;
     stats;
     trace;
     spans;
@@ -157,14 +142,6 @@ let rec canonical t g =
     if root <> p then Hashtbl.replace t.parents g root;
     root
 
-(* No path compression: safe for concurrent readers while the memo is
-   frozen (the speculative match phase), where [canonical]'s compression
-   writes would race. *)
-let rec canonical_ro t g =
-  match Hashtbl.find_opt t.parents g with
-  | None -> g
-  | Some p -> canonical_ro t p
-
 let group t g = Hashtbl.find t.groups (canonical t g)
 let group_desc t g = (group t g).desc
 let lexprs t g = (group t g).members
@@ -180,22 +157,6 @@ let is_explored t g = (group t g).explored
 let set_explored t g v = (group t g).explored <- v
 let is_exploring t g = (group t g).exploring
 let set_exploring t g v = (group t g).exploring <- v
-let group_version t g = (group t g).version
-
-(* Frozen-memo accessors for the speculative match phase: [g] must already
-   be canonical (via [canonical_ro]); no writes, not even path
-   compression. *)
-let lexprs_ro t g = (Hashtbl.find t.groups g).members
-let group_desc_ro t g = (Hashtbl.find t.groups g).desc
-let group_version_ro t g = (Hashtbl.find t.groups g).version
-
-let matchable_ro t g =
-  let grp = Hashtbl.find t.groups g in
-  grp.explored || grp.exploring
-
-let matchable t g =
-  let grp = group t g in
-  grp.explored || grp.exploring
 
 (* Rule ids are positions in the rule set's transformation list, so they fit
    comfortably in 20 bits; packing avoids allocating a tuple key on every
@@ -205,16 +166,11 @@ let rule_tried t (le : lexpr) rule = Hashtbl.mem t.tried (tried_key le rule)
 let mark_rule_tried t (le : lexpr) rule =
   Hashtbl.replace t.tried (tried_key le rule) ()
 
-let stripe t g = t.wstripes.(g land (stripe_count - 1))
-
 let find_winner t g req =
   let g = canonical t g in
   let grp = Hashtbl.find t.groups g in
   t.stats.Stats.winner_probes <- t.stats.Stats.winner_probes + 1;
-  let s = stripe t g in
-  Mutex.lock s.w_mutex;
-  let r = Wtbl.find_opt s.w_tbl (g, grp.w_epoch, req) in
-  Mutex.unlock s.w_mutex;
+  let r = Wtbl.find_opt t.winners (g, grp.w_epoch, req) in
   (match r with
   | Some _ -> t.stats.Stats.winner_hits <- t.stats.Stats.winner_hits + 1
   | None -> ());
@@ -223,19 +179,11 @@ let find_winner t g req =
 let set_winner t g req w =
   let g = canonical t g in
   let grp = Hashtbl.find t.groups g in
-  let s = stripe t g in
-  Mutex.lock s.w_mutex;
-  Wtbl.replace s.w_tbl (g, grp.w_epoch, req) w;
-  Mutex.unlock s.w_mutex
+  Wtbl.replace t.winners (g, grp.w_epoch, req) w
 
 let clear_winners t =
   Hashtbl.iter (fun _ g -> g.w_epoch <- g.w_epoch + 1) t.groups;
-  Array.iter
-    (fun s ->
-      Mutex.lock s.w_mutex;
-      Wtbl.reset s.w_tbl;
-      Mutex.unlock s.w_mutex)
-    t.wstripes
+  Wtbl.reset t.winners
 
 let fresh_group t desc =
   let g =
@@ -245,7 +193,6 @@ let fresh_group t desc =
       desc;
       explored = false;
       exploring = false;
-      version = 0;
       w_epoch = 0;
     }
   in
@@ -296,7 +243,6 @@ let reindex t q (le : lexpr) owner =
       Hashtbl.replace t.dead_lexprs drop ();
       let grp = Hashtbl.find t.groups owner in
       grp.members <- List.filter (fun (m : lexpr) -> m.id <> drop) grp.members;
-      grp.version <- grp.version + 1;
       Ktbl.replace t.index k (keep, owner)
     end
 
@@ -315,7 +261,6 @@ let merge_one t q x y =
     gs.members <- dead_members @ gs.members;
     gs.explored <- false;
     gs.exploring <- gs.exploring || gd.exploring;
-    gs.version <- gs.version + 1;
     gs.w_epoch <- gs.w_epoch + 1;
     t.stats.Stats.groups_merged <- t.stats.Stats.groups_merged + 1;
     emit t (fun () -> Trace.Groups_merged { survivor; dead });
@@ -392,7 +337,6 @@ let insert_lexpr t ?into node arg inputs =
     t.next_lexpr <- t.next_lexpr + 1;
     grp.members <- le :: grp.members;
     grp.explored <- false;
-    grp.version <- grp.version + 1;
     Ktbl.replace t.index key (le.id, grp.g_id);
     (* Register this member under each distinct input group so a merge
        killing that group knows to rewrite the slot. *)

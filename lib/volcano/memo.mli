@@ -8,7 +8,12 @@
     groups are proven equal and merged (union–find).
 
     The number of live groups after optimization is the "number of
-    equivalence classes" reported in the paper's Figure 14. *)
+    equivalence classes" reported in the paper's Figure 14.
+
+    A memo belongs to one domain: every operation, reads included, may
+    mutate it (union–find path compression, the winner store), and none
+    takes a lock.  The same holds for a {!Search.t}, which owns its memo.
+    Concurrent searches each need their own. *)
 
 type gid = int
 (** Group identifier.  Always pass through {!canonical} after merges. *)
@@ -49,19 +54,6 @@ val spans : t -> Prairie_obs.Span.t option
 
 val canonical : t -> gid -> gid
 
-val canonical_ro : t -> gid -> gid
-(** [canonical] without union–find path compression: performs no writes at
-    all, so concurrent calls from several domains are safe while the memo
-    is frozen (nobody inserting or merging).  The speculative match phase
-    of the parallel explorer runs entirely on this and the other [_ro]
-    accessors below. *)
-
-val group_version : t -> gid -> int
-(** Membership version of the (canonical) group: bumped on member
-    insertion, merge splice and duplicate removal.  Read-set entry for
-    speculative matching — if a group's id and version both still match at
-    commit time, its member list is unchanged. *)
-
 val group_desc : t -> gid -> Prairie.Descriptor.t
 (** Logical annotations shared by the group (attributes, cardinality, ...):
     what a stream variable's descriptor [Di] binds to. *)
@@ -69,28 +61,6 @@ val group_desc : t -> gid -> Prairie.Descriptor.t
 val lexprs : t -> gid -> lexpr list
 (** Current members of the group, newest first.  O(1): returns the stored
     member list without copying. *)
-
-(** {1 Frozen-memo accessors}
-
-    Read-only variants for the parallel explorer's match phase: the
-    argument must already be canonical (via {!canonical_ro}), and the memo
-    must be frozen for the duration — under that protocol they are safe to
-    call from any number of domains at once. *)
-
-val lexprs_ro : t -> gid -> lexpr list
-
-val group_desc_ro : t -> gid -> Prairie.Descriptor.t
-
-val group_version_ro : t -> gid -> int
-
-val matchable_ro : t -> gid -> bool
-(** Is the (canonical) group explored or currently being explored — i.e.
-    would the sequential engine match against its current members without
-    first mutating the memo?  Speculation must abort when this is false. *)
-
-val matchable : t -> gid -> bool
-(** Canonicalizing variant of {!matchable_ro}, for commit-time
-    revalidation on the orchestrating domain. *)
 
 val insert_file : t -> string -> Prairie.Descriptor.t -> gid
 (** Group holding a stored-file leaf (idempotent per file name+descriptor). *)
@@ -141,9 +111,8 @@ type winner = {
 }
 
 val find_winner : t -> gid -> Prairie.Descriptor.t -> winner option
-(** O(1) probe of the winner store — lock-striped by group id and keyed by
-    (group, epoch, required descriptor), so probes from concurrent domains
-    are sound and a merge invalidates a group's winners by bumping its
+(** O(1) probe of the winner store, keyed by (group, epoch, required
+    descriptor): a merge invalidates a group's winners by bumping its
     epoch instead of resetting a table.  Counts into
     [Stats.winner_probes]/[Stats.winner_hits]. *)
 

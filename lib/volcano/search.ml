@@ -27,32 +27,14 @@ type t = {
   pruning : bool;
   group_budget : int option;
   exploration : exploration;
-  jobs : int;
-  mutable team : Team.t option;
-      (** worker team for speculative matching; alive only inside a
-          top-level optimize/explore entry when [jobs > 1] *)
   mutable budget_hit : bool;
   trace : Trace.t option;
   spans : Span.t option;
 }
 
-(* [PRAIRIE_SEARCH_JOBS] sets the default so an existing harness (the
-   whole test suite, say) can be re-run multi-domain without threading a
-   parameter through every call site. *)
-let default_jobs () =
-  match Sys.getenv_opt "PRAIRIE_SEARCH_JOBS" with
-  | None -> 1
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | Some _ | None -> 1)
-
 let create ?(pruning = true) ?group_budget ?(exploration = `Worklist)
-    ?(match_index = true) ?jobs ?trace ?spans rules =
+    ?(match_index = true) ?trace ?spans rules =
   let st = Stats.create () in
-  let jobs =
-    match jobs with Some j -> max 1 j | None -> default_jobs ()
-  in
   {
     memo = Memo.create ~stats:st ?trace ?spans ();
     rules;
@@ -63,8 +45,6 @@ let create ?(pruning = true) ?group_budget ?(exploration = `Worklist)
     pruning;
     group_budget;
     exploration;
-    jobs;
-    team = None;
     budget_hit = false;
     trace;
     spans;
@@ -78,8 +58,7 @@ let emit ctx ev =
 (* Same discipline for spans: [Span.enter_opt]/[Span.exit_opt] are one
    Option check each on the disabled path.  Parent handles are threaded
    explicitly through the mutual recursion below — never stored in the
-   context — so attribution stays correct if exploration ever runs on
-   several domains at once (each with its own sink). *)
+   context. *)
 
 let budget_exhausted t =
   match t.group_budget with
@@ -99,7 +78,6 @@ let ruleset t = t.rules
 let memo t = t.memo
 let stats t = t.st
 let spans t = t.spans
-let jobs t = t.jobs
 let group_count t = Memo.group_count t.memo
 
 let restrict_req ctx d =
@@ -146,118 +124,6 @@ let gtree_of_tmpl (tmpl : Pattern.tmpl) streams descs =
   go tmpl
 
 (* ------------------------------------------------------------------ *)
-(* Speculative matching (parallel explorer)                            *)
-(* ------------------------------------------------------------------ *)
-
-(* The parallel explorer splits each worklist round into a speculative
-   match phase and a sequential commit.  During the match phase the memo
-   is frozen — no thread inserts, merges, explores or even path-compresses
-   — and worker domains run a read-only clone of the matcher over the
-   round's (member, rule) tasks, recording a read set:
-
-   - every canonicalization performed, as a (raw, canonical) pair, and
-   - every group whose member list was enumerated, as a
-     (canonical, version) pair.
-
-   Speculation aborts (raising {!Spec_abort}) when a sub-pattern needs a
-   group the sequential engine would have *explored* first — exploration
-   mutates, which the frozen phase cannot do.
-
-   The commit phase then replays tasks in exactly the sequential engine's
-   order.  A task whose read set still validates — every recorded
-   canonicalization unchanged, every enumerated group's version unchanged
-   — is committed from its speculative bindings; any other task falls back
-   to the inline sequential path on the spot.  In-place input
-   canonicalization performed by memo repair never invalidates a read set:
-   a slot is only ever rewritten to the canonical id of its old value, and
-   the matcher only consumes inputs through [canonical].  Because rule
-   conditions and actions are pure and run at commit time either way, the
-   committed memo — and therefore every cost and plan downstream — is
-   byte-identical to the sequential explorer's at any job count. *)
-
-exception Spec_abort
-
-type spec_reads = {
-  mutable canon_reads : (Memo.gid * Memo.gid) list;
-  mutable member_reads : (Memo.gid * int) list;
-}
-
-type spec_result =
-  | Spec_pending  (** not speculated (thin round, or worker exception) *)
-  | Spec_envs of menv list * spec_reads
-
-type task = {
-  t_le : Memo.lexpr;
-  t_rule : int * Rule.trans_rule;
-  mutable t_spec : spec_result;
-}
-
-let rec spec_match_lexpr ctx reads (pat : Pattern.t) (le : Memo.lexpr) env :
-    menv list =
-  match (pat, le.Memo.node) with
-  | Pattern.Pop (name, dvar, subs), Memo.L_op n
-    when String.equal n name && Array.length le.Memo.inputs = List.length subs
-    ->
-    let env = { env with descs = Rule.denv_set env.descs dvar le.Memo.arg } in
-    let rec fold_inputs i pats envs =
-      match pats with
-      | [] -> envs
-      | p :: rest ->
-        let g = le.Memo.inputs.(i) in
-        let envs' =
-          List.concat_map (fun e -> spec_match_sub ctx reads p g e) envs
-        in
-        fold_inputs (i + 1) rest envs'
-    in
-    fold_inputs 0 subs [ env ]
-  | Pattern.Pop _, (Memo.L_op _ | Memo.L_file _) -> []
-  | Pattern.Pvar _, _ ->
-    invalid_arg "trans rule LHS must be rooted at an operator"
-
-and spec_match_sub ctx reads (pat : Pattern.t) g env : menv list =
-  let c = Memo.canonical_ro ctx.memo g in
-  reads.canon_reads <- (g, c) :: reads.canon_reads;
-  match pat with
-  | Pattern.Pvar i ->
-    let desc = Memo.group_desc_ro ctx.memo c in
-    [
-      {
-        streams = (i, c) :: env.streams;
-        descs = Rule.denv_set env.descs (Pattern.stream_desc_name i) desc;
-      };
-    ]
-  | Pattern.Pop _ ->
-    if not (Memo.matchable_ro ctx.memo c) then raise_notrace Spec_abort;
-    reads.member_reads <-
-      (c, Memo.group_version_ro ctx.memo c) :: reads.member_reads;
-    List.concat_map
-      (fun le -> spec_match_lexpr ctx reads pat le env)
-      (Memo.lexprs_ro ctx.memo c)
-
-let speculate ctx task =
-  let reads = { canon_reads = []; member_reads = [] } in
-  let _, tr = task.t_rule in
-  match spec_match_lexpr ctx reads tr.Rule.tr_lhs task.t_le empty_menv with
-  | envs -> task.t_spec <- Spec_envs (envs, reads)
-  | exception _ -> task.t_spec <- Spec_pending
-
-(* Commit-time revalidation, on the orchestrating domain (canonicalizing
-   reads are fine again here). *)
-let spec_valid ctx reads =
-  List.for_all
-    (fun (raw, c) -> Memo.canonical ctx.memo raw = c)
-    reads.canon_reads
-  && List.for_all
-       (fun (c, v) ->
-         Memo.matchable ctx.memo c && Memo.group_version ctx.memo c = v)
-       reads.member_reads
-
-(* Below a handful of tasks the barrier costs more than the matching; the
-   tasks are left [Spec_pending] and commit inline, which is the identical
-   sequential path. *)
-let min_spec_tasks = 8
-
-(* ------------------------------------------------------------------ *)
 (* Exploration                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -271,11 +137,7 @@ let min_spec_tasks = 8
    next round.  Because the per-(lexpr, rule) [rule_tried] guard is what
    actually gates rule application — and it is maintained identically — the
    worklist applies exactly the same rules in exactly the same order as the
-   legacy whole-group rescan ([`Rescan], kept for differential testing).
-
-   With [jobs > 1] each round's matching runs speculatively on the worker
-   team and is committed sequentially in the same order — see the
-   speculative-matching comment above for why results are byte-identical. *)
+   legacy whole-group rescan ([`Rescan], kept for differential testing). *)
 let rec explore ctx parent gid =
   let g = Memo.canonical ctx.memo gid in
   if Memo.is_explored ctx.memo g || Memo.is_exploring ctx.memo g then ()
@@ -299,19 +161,13 @@ let rec explore ctx parent gid =
             (fun (le : Memo.lexpr) -> not (Hashtbl.mem seen le.Memo.id))
             (Memo.lexprs ctx.memo g)
       in
-      let mark le =
-        match processed with
-        | Some seen -> Hashtbl.replace seen le.Memo.id ()
-        | None -> ()
-      in
-      (match ctx.team with
-      | Some team -> parallel_round ctx team sp g members ~mark ~changed
-      | None ->
-        List.iter
-          (fun (le : Memo.lexpr) ->
-            mark le;
-            apply_trans_rules ctx sp g le ~changed)
-          members);
+      List.iter
+        (fun (le : Memo.lexpr) ->
+          (match processed with
+          | Some seen -> Hashtbl.replace seen le.Memo.id ()
+          | None -> ());
+          apply_trans_rules ctx sp g le ~changed)
+        members;
       if ctx.st.Stats.groups_merged > merges_before then changed := true
     done;
     let g = Memo.canonical ctx.memo g in
@@ -319,48 +175,6 @@ let rec explore ctx parent gid =
     Memo.set_explored ctx.memo g true;
     Span.exit_opt ctx.spans sp
   end
-
-(* One worklist round under the worker team: build the round's untried
-   (member, rule) tasks in sequential order (member-major, rule-minor),
-   speculate them in parallel over the frozen memo, then commit in that
-   same order. *)
-and parallel_round ctx team parent g members ~mark ~changed =
-  let per_member =
-    List.map
-      (fun (le : Memo.lexpr) ->
-        let ts =
-          List.filter_map
-            (fun ((tr_id, _) as r) ->
-              if Memo.rule_tried ctx.memo le tr_id then None
-              else Some { t_le = le; t_rule = r; t_spec = Spec_pending })
-            (candidates ctx le)
-        in
-        (le, ts))
-      members
-  in
-  let all = Array.of_list (List.concat_map snd per_member) in
-  if Array.length all >= min_spec_tasks then
-    Team.run team (fun i -> speculate ctx all.(i)) (Array.length all);
-  List.iter
-    (fun ((le : Memo.lexpr), ts) ->
-      mark le;
-      List.iter (fun t -> commit_task ctx parent g t ~changed) ts)
-    per_member
-
-and commit_task ctx parent g task ~changed =
-  let tr_id, tr = task.t_rule in
-  let le = task.t_le in
-  match task.t_spec with
-  | Spec_envs (envs, reads)
-    when (not (Memo.rule_tried ctx.memo le tr_id)) && spec_valid ctx reads ->
-    Memo.mark_rule_tried ctx.memo le tr_id;
-    (* structure-preserving Match span: the matching itself already ran on
-       the team, so profiles keep their shape but the time lands in
-       [Explore] *)
-    let msp = Span.enter_opt ctx.spans ~rule:tr.tr_name ~parent Span.Match in
-    Span.exit_opt ctx.spans msp;
-    commit_envs ctx parent g tr envs ~changed
-  | Spec_envs _ | Spec_pending -> apply_rule ctx parent g le task.t_rule ~changed
 
 and apply_trans_rules ctx parent g le ~changed =
   List.iter (fun r -> apply_rule ctx parent g le r ~changed) (candidates ctx le)
@@ -371,38 +185,37 @@ and apply_rule ctx parent g le ((tr_id, tr) : int * Rule.trans_rule) ~changed =
     let msp = Span.enter_opt ctx.spans ~rule:tr.tr_name ~parent Span.Match in
     let envs = match_lexpr ctx msp tr.tr_lhs le empty_menv in
     Span.exit_opt ctx.spans msp;
-    commit_envs ctx parent g tr envs ~changed
+    if envs <> [] then begin
+      Stats.record_trans_match ctx.st tr.tr_name;
+      emit ctx (fun () ->
+          Trace.Trans_matched
+            { rule = tr.tr_name; gid = g; bindings = List.length envs })
+    end;
+    List.iter
+      (fun env ->
+        match tr.tr_cond env.descs with
+        | None ->
+          emit ctx (fun () ->
+              Trace.Trans_rejected
+                { rule = tr.tr_name; gid = g; reason = Trace.Test_failed })
+        | Some descs ->
+          let asp =
+            Span.enter_opt ctx.spans ~rule:tr.tr_name ~parent Span.Apply
+          in
+          let descs = tr.tr_appl descs in
+          Stats.record_trans_applied ctx.st tr.tr_name;
+          emit ctx (fun () -> Trace.Trans_applied { rule = tr.tr_name; gid = g });
+          Log.debug (fun m -> m "group %d: trans rule %s fired" g tr.tr_name);
+          ctx.st.Stats.trans_applications <- ctx.st.Stats.trans_applications + 1;
+          let gtree = gtree_of_tmpl tr.tr_rhs env.streams descs in
+          let target = Memo.canonical ctx.memo g in
+          let _, fresh =
+            Memo.insert_gtree ctx.memo ~into:target ?span_parent:asp gtree
+          in
+          if fresh then changed := true;
+          Span.exit_opt ctx.spans asp)
+      envs
   end
-
-and commit_envs ctx parent g (tr : Rule.trans_rule) envs ~changed =
-  if envs <> [] then begin
-    Stats.record_trans_match ctx.st tr.tr_name;
-    emit ctx (fun () ->
-        Trace.Trans_matched
-          { rule = tr.tr_name; gid = g; bindings = List.length envs })
-  end;
-  List.iter
-    (fun env ->
-      match tr.tr_cond env.descs with
-      | None ->
-        emit ctx (fun () ->
-            Trace.Trans_rejected
-              { rule = tr.tr_name; gid = g; reason = Trace.Test_failed })
-      | Some descs ->
-        let asp = Span.enter_opt ctx.spans ~rule:tr.tr_name ~parent Span.Apply in
-        let descs = tr.tr_appl descs in
-        Stats.record_trans_applied ctx.st tr.tr_name;
-        emit ctx (fun () -> Trace.Trans_applied { rule = tr.tr_name; gid = g });
-        Log.debug (fun m -> m "group %d: trans rule %s fired" g tr.tr_name);
-        ctx.st.Stats.trans_applications <- ctx.st.Stats.trans_applications + 1;
-        let gtree = gtree_of_tmpl tr.tr_rhs env.streams descs in
-        let target = Memo.canonical ctx.memo g in
-        let _, fresh =
-          Memo.insert_gtree ctx.memo ~into:target ?span_parent:asp gtree
-        in
-        if fresh then changed := true;
-        Span.exit_opt ctx.spans asp)
-    envs
 
 (* All bindings of [pat] against a specific lexpr. *)
 and match_lexpr ctx parent (pat : Pattern.t) (le : Memo.lexpr) env : menv list =
@@ -445,23 +258,7 @@ and match_sub ctx parent (pat : Pattern.t) g env : menv list =
       (fun le -> match_lexpr ctx parent pat le env)
       (Memo.lexprs ctx.memo g)
 
-(* Top-level entries create the worker team on demand and tear it down on
-   exit; nested explores reuse the live team for their own rounds (the
-   team is only ever driven from the single orchestrating thread, and
-   batches never overlap — commits run strictly between them). *)
-let with_team ctx f =
-  if ctx.jobs <= 1 || ctx.team <> None then f ()
-  else begin
-    let team = Team.create ~jobs:ctx.jobs in
-    ctx.team <- Some team;
-    Fun.protect
-      ~finally:(fun () ->
-        ctx.team <- None;
-        Team.shutdown team)
-      f
-  end
-
-let explore_group ctx ?span gid = with_team ctx (fun () -> explore ctx span gid)
+let explore_group ctx ?span gid = explore ctx span gid
 let infinity_limit = infinity
 
 (* FindBestPlan *)
@@ -662,17 +459,16 @@ and cost_lexpr ctx parent g le ~req ~budget ~consider =
       (Rule.impl_rules_for ctx.rules op)
 
 let optimize_group ctx ?span gid ~req ~limit =
-  with_team ctx (fun () -> optimize_group_at ctx gid ~req ~limit ~parent:span)
+  optimize_group_at ctx gid ~req ~limit ~parent:span
 
 let optimize ?(required = Descriptor.empty) ctx expr =
-  with_team ctx (fun () ->
-      let root = Span.enter_opt ctx.spans ~parent:None Span.Optimize in
-      let g =
-        match root with
-        | None -> Memo.insert_expr ctx.memo expr
-        | Some h -> Memo.insert_expr ctx.memo ~span_parent:h expr
-      in
-      let req = restrict_req ctx required in
-      let r = optimize_group_at ctx g ~req ~limit:infinity_limit ~parent:root in
-      Span.exit_opt ctx.spans root;
-      r)
+  let root = Span.enter_opt ctx.spans ~parent:None Span.Optimize in
+  let g =
+    match root with
+    | None -> Memo.insert_expr ctx.memo expr
+    | Some h -> Memo.insert_expr ctx.memo ~span_parent:h expr
+  in
+  let req = restrict_req ctx required in
+  let r = optimize_group_at ctx g ~req ~limit:infinity_limit ~parent:root in
+  Span.exit_opt ctx.spans root;
+  r

@@ -5,7 +5,10 @@
     transformation-rule applications (exploration), then costs every
     applicable implementation rule — optimizing inputs on demand with
     shrinking cost limits — and every applicable enforcer.  Results are
-    memoized per (group, required properties). *)
+    memoized per (group, required properties).
+
+    The search is sequential, and a context belongs to one domain (see
+    {!Memo}); run concurrent queries on separate contexts. *)
 
 type t
 
@@ -27,7 +30,6 @@ val create :
   ?group_budget:int ->
   ?exploration:exploration ->
   ?match_index:bool ->
-  ?jobs:int ->
   ?trace:Prairie_obs.Trace.t ->
   ?spans:Prairie_obs.Span.t ->
   Rule.ruleset ->
@@ -45,16 +47,6 @@ val create :
     on or off (property-tested in the equivalence harness); only the
     per-lexpr rule iteration shrinks.  [match_index:false] is the
     [ablation] / differential-testing configuration.
-
-    [jobs] (default: [PRAIRIE_SEARCH_JOBS] from the environment, else 1)
-    runs each exploration round's rule matching speculatively across that
-    many OCaml domains.  The memo is frozen during the parallel match
-    phase and every task is committed sequentially in the sequential
-    engine's order, with per-task read-set revalidation — so memos, costs
-    and chosen plans are byte-identical to [jobs = 1] at any job count
-    (property-tested in the equivalence harness).  Worker domains are
-    spawned when a top-level [optimize]/[optimize_group]/[explore_group]
-    call begins and joined when it returns.
 
     [trace] attaches a structured event sink recording the whole search:
     group creation/merges, rule matches, applications and rejections with
@@ -84,9 +76,6 @@ val budget_was_hit : t -> bool
 val ruleset : t -> Rule.ruleset
 val memo : t -> Memo.t
 val stats : t -> Stats.t
-
-val jobs : t -> int
-(** The domain count exploration matching runs at (1 = sequential). *)
 
 val spans : t -> Prairie_obs.Span.t option
 (** The span sink passed to {!create}, if any. *)

@@ -150,6 +150,15 @@ let fixture_cases =
       {|ruleset t; operator A(1); algorithm X(1); property cost : COST;
         irule r: A(?1) : D2 ==> X(?1) : D3
         pre { D3 = D2; } post { D3.cost = 1; }|} );
+    ( "P017",
+      {|ruleset t; operator A(1); algorithm X(1); property cost : COST;
+        property join_predicate : PREDICATE;
+        irule r: A(?1) : D2 ==> X(?1) : D3
+        pre { D3 = D2; D3.join_predicate = "true"; } post { D3.cost = 1; }|},
+      {|ruleset t; operator A(1); algorithm X(1); property cost : COST;
+        property join_predicate : PREDICATE;
+        irule r: A(?1) : D2 ==> X(?1) : D3
+        pre { D3 = D2; D3.join_predicate = TRUE_PRED; } post { D3.cost = 1; }|} );
     ( "P020",
       {|ruleset t; operator A(1); operator B(1); property cost : COST;
         trule r: A(?1) : D2 ==> B(?1) : D3

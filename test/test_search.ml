@@ -170,42 +170,6 @@ let exploration_equivalence_ordered seed =
   in
   exploration_equivalence ~required seed
 
-(* The parallel explorer's contract: any jobs count is byte-identical to
-   the sequential engine — same cost, same canonical plan fingerprint,
-   same memo shape and same rule-application statistics.  Speculative
-   matching only precomputes what the sequential commit order would have
-   computed; invalidated tasks replay inline. *)
-let parallel_equivalence ?required seed =
-  let catalog, q = random_setup seed in
-  let run jobs =
-    let ctx = Search.create ~jobs (volcano_of catalog) in
-    (Search.optimize ?required ctx q, ctx)
-  in
-  let p1, c1 = run 1 in
-  List.for_all
-    (fun jobs ->
-      let pj, cj = run jobs in
-      Search.group_count c1 = Search.group_count cj
-      && Memo.lexpr_count (Search.memo c1) = Memo.lexpr_count (Search.memo cj)
-      && Stats.trans_applied_count (Search.stats c1)
-         = Stats.trans_applied_count (Search.stats cj)
-      &&
-      match (p1, pj) with
-      | Some a, Some b ->
-        Float.equal (Plan.cost a) (Plan.cost b)
-        && String.equal
-             (Expr.fingerprint (Plan.to_expr a))
-             (Expr.fingerprint (Plan.to_expr b))
-      | None, None -> true
-      | Some _, None | None, Some _ -> false)
-    [ 2; 4 ]
-
-let parallel_equivalence_ordered seed =
-  let required =
-    D.of_list [ ("tuple_order", V.Order (O.sorted_on (attr "R1" "b"))) ]
-  in
-  parallel_equivalence ~required seed
-
 (* The match index's contract: indexed exploration skips exactly the
    (lexpr, rule) pairs whose match would bind nothing, so every
    observable — matches, applications (by name, not just count), memo
@@ -257,10 +221,6 @@ let property_tests =
       (fun seed -> exploration_equivalence seed);
     qtest "worklist equals rescan under a required order"
       exploration_equivalence_ordered;
-    qtest "parallel search (jobs 2 and 4) is byte-identical to sequential"
-      (fun seed -> parallel_equivalence seed);
-    qtest "parallel search equals sequential under a required order"
-      parallel_equivalence_ordered;
     qtest "the match index is byte-identical to trying every rule"
       (fun seed -> match_index_equivalence seed);
     qtest "the match index equals the full scan under a required order"
