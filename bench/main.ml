@@ -701,11 +701,11 @@ let service () =
     [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* Observability: the cost of the trace/metrics instrumentation        *)
+(* Observability: the cost of the span-sink/metrics instrumentation   *)
 (* ------------------------------------------------------------------ *)
 
 let obs () =
-  S.header "Observability: tracing and metrics overhead (sinks off vs on)";
+  S.header "Observability: span sink and metrics overhead (sinks off vs on)";
   let inst = W.Queries.instance W.Queries.Q5 ~joins:2 ~seed:101 in
   let opt = Opt.oodb_prairie inst.W.Queries.catalog in
   let expr = inst.W.Queries.expr in
@@ -721,10 +721,10 @@ let obs () =
     !b
   in
   let t_off = best (fun () -> ignore (Opt.optimize opt expr)) in
-  let t_trace =
+  let t_spans =
     best (fun () ->
-        let sink = Obs.Trace.create () in
-        ignore (Opt.optimize ~trace:sink opt expr))
+        let sink = Obs.Span.create () in
+        ignore (Opt.optimize ~spans:sink opt expr))
   in
   let t_metrics =
     best (fun () ->
@@ -733,14 +733,9 @@ let obs () =
   in
   let t_both =
     best (fun () ->
-        let sink = Obs.Trace.create () in
-        let m = match !metrics with Some m -> m | None -> Obs.Metrics.create () in
-        ignore (Opt.optimize ~trace:sink ~metrics:m opt expr))
-  in
-  let t_spans =
-    best (fun () ->
         let sink = Obs.Span.create () in
-        ignore (Opt.optimize ~spans:sink opt expr))
+        let m = match !metrics with Some m -> m | None -> Obs.Metrics.create () in
+        ignore (Opt.optimize ~spans:sink ~metrics:m opt expr))
   in
   let over t = (t /. Float.max 1e-9 t_off -. 1.0) *. 100.0 in
   Printf.printf "  query Q5, 2 joins, best of %d timing rounds\n" rounds;
@@ -756,24 +751,26 @@ let obs () =
       Printf.printf "  %-26s %12.4f %+9.2f%%\n" label t (over t))
     [
       ("sinks disabled", t_off);
-      ("trace sink", t_trace);
+      ("span sink", t_spans);
       ("metrics registry", t_metrics);
-      ("trace + metrics", t_both);
-      ("span profiler", t_spans);
+      ("span sink + metrics", t_both);
     ];
   (* the sink must be an observer: same plan, same cost, and the event
      stream accounts for the search the optimizer actually ran *)
   let plain = Opt.optimize opt expr in
-  let sink = Obs.Trace.create () in
-  let traced = Opt.optimize ~trace:sink opt expr in
+  let sink = Obs.Span.create () in
+  let traced = Opt.optimize ~spans:sink opt expr in
   Printf.printf "  traced cost identical to untraced: %s (%.3f)\n"
     (if Float.equal plain.Opt.cost traced.Opt.cost then "yes" else "NO!")
     traced.Opt.cost;
-  Printf.printf "  events recorded per optimization: %d (%d dropped)\n"
-    (Obs.Trace.seq sink) (Obs.Trace.dropped sink);
   Printf.printf
-    "  The disabled path costs one Option check per event site; enabling a\n\
-    \  sink pays for event construction and the ring-buffer write.\n"
+    "  recorded per optimization: %d events, %d spans (%d dropped)\n"
+    (Obs.Span.event_count sink) (Obs.Span.span_count sink)
+    (Obs.Span.dropped sink);
+  Printf.printf
+    "  The disabled path costs one Option check per instrumented site;\n\
+    \  enabling a sink pays for span/event construction, a clock read and\n\
+    \  the ring-buffer write.\n"
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test.make per table/figure           *)

@@ -9,8 +9,8 @@
      report   run the P2V pre-processor and print the translation report
      render   export an embedded rule set as .prairie source
      optimize run a workload query through a rule set
-     trace    optimize with a structured event trace and explain the search
-     profile  optimize under the span profiler: per-rule time attribution
+     trace    optimize under the span sink: the per-rule account of the
+              search and its per-rule time attribution
      serve    batch-optimize a query mix on the parallel plan service
      sql      compile a SQL-like query, optimize and optionally execute *)
 
@@ -21,7 +21,6 @@ module Explain = Prairie_volcano.Explain
 module P2v = Prairie_p2v
 module W = Prairie_workload
 module Opt = Prairie_optimizers.Optimizers
-module Obs_trace = Prairie_obs.Trace
 module Metrics = Prairie_obs.Metrics
 module Span = Prairie_obs.Span
 module Slow_log = Prairie_obs.Slow_log
@@ -49,17 +48,6 @@ let embedded = function
   | "oodb" -> Ok (Prairie_algebra.Oodb.ruleset (default_catalog ()))
   | other ->
     Error (Printf.sprintf "unknown embedded rule set %S (have: relational, oodb)" other)
-
-let verbose_arg =
-  Arg.(
-    value & flag
-    & info [ "verbose"; "v" ] ~doc:"Trace the search engine (rule firings, winners).")
-
-let setup_verbose v =
-  if v then begin
-    Logs.set_reporter (Logs.format_reporter ());
-    Logs.Src.set_level Prairie_volcano.Search.log_src (Some Logs.Debug)
-  end
 
 let file_arg =
   Arg.(
@@ -489,27 +477,64 @@ let render_cmd =
        ~doc:"Print an embedded rule set as .prairie source (exportable).")
     Term.(ret (const run $ name_arg))
 
+(* ---------------- optimize and trace: the workload query ---------------- *)
+
+let query_arg =
+  Arg.(
+    value & opt int 5
+    & info [ "query"; "q" ] ~docv:"N" ~doc:"Workload query Q$(docv) (1-8).")
+
+let joins_arg =
+  Arg.(value & opt int 2 & info [ "joins"; "n" ] ~docv:"N" ~doc:"Number of joins.")
+
+let seed_arg =
+  Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Catalog seed.")
+
+let ruleset_arg =
+  Arg.(
+    value
+    & opt (some file) None
+    & info [ "ruleset"; "r" ] ~docv:"FILE"
+        ~doc:"Rule file to use instead of the embedded OODB rule set.")
+
+(* Build the query instance and its optimizer (the embedded OODB rule set
+   or a rule file through P2V), and print the query header. *)
+let workload_query qn joins seed ruleset_path =
+  match W.Queries.of_int qn with
+  | None -> Error "query number must be 1-8"
+  | Some q -> (
+    let inst = W.Queries.instance q ~joins ~seed in
+    let catalog = inst.W.Queries.catalog in
+    let ruleset_result =
+      match ruleset_path with
+      | None -> Ok (Prairie_algebra.Oodb.ruleset catalog)
+      | Some path -> load_ruleset path catalog
+    in
+    match ruleset_result with
+    | Error msg ->
+      prerr_endline msg;
+      Error "could not load the rule set"
+    | Ok rs ->
+      let tr = P2v.Translate.translate rs in
+      Format.printf "query %s (%d joins, seed %d): %a@." (W.Queries.name q)
+        joins seed Prairie.Expr.pp inst.W.Queries.expr;
+      Ok
+        ( inst.W.Queries.expr,
+          {
+            Opt.name = rs.Prairie.Ruleset.name;
+            volcano = tr.P2v.Translate.volcano;
+            prepare = P2v.Translate.prepare_query tr;
+          } ))
+
+let print_plan = function
+  | Some plan ->
+    Format.printf "@.best plan: %s@.@." (Explain.summary plan);
+    Format.printf "%a" Explain.pp plan
+  | None -> print_endline "no plan found"
+
 (* ---------------- optimize ---------------- *)
 
 let optimize_cmd =
-  let query_arg =
-    Arg.(
-      value & opt int 5
-      & info [ "query"; "q" ] ~docv:"N" ~doc:"Workload query Q$(docv) (1-8).")
-  in
-  let joins_arg =
-    Arg.(value & opt int 2 & info [ "joins"; "n" ] ~docv:"N" ~doc:"Number of joins.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Catalog seed.")
-  in
-  let ruleset_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "ruleset"; "r" ] ~docv:"FILE"
-          ~doc:"Rule file to use instead of the embedded OODB rule set.")
-  in
   let strategy_arg =
     Arg.(
       value
@@ -517,91 +542,50 @@ let optimize_cmd =
       & info [ "strategy" ] ~docv:"STRATEGY"
           ~doc:"Search strategy: $(b,top-down) (Volcano) or $(b,bottom-up)                 (System R dynamic programming).")
   in
-  let run qn joins seed ruleset_path strategy verbose =
-    setup_verbose verbose;
-    match W.Queries.of_int qn with
-    | None -> `Error (false, "query number must be 1-8")
-    | Some q -> (
-      let inst = W.Queries.instance q ~joins ~seed in
-      let catalog = inst.W.Queries.catalog in
-      let ruleset_result =
-        match ruleset_path with
-        | None -> Ok (Prairie_algebra.Oodb.ruleset catalog)
-        | Some path -> load_ruleset path catalog
-      in
-      match ruleset_result with
-      | Error msg ->
-        prerr_endline msg;
-        `Error (false, "could not load the rule set")
-      | Ok rs ->
-        let tr = P2v.Translate.translate rs in
-        let opt =
-          {
-            Opt.name = rs.Prairie.Ruleset.name;
-            volcano = tr.P2v.Translate.volcano;
-            prepare = P2v.Translate.prepare_query tr;
-          }
-        in
-        Format.printf "query %s (%d joins, seed %d): %a@." (W.Queries.name q)
-          joins seed Prairie.Expr.pp inst.W.Queries.expr;
-        (match strategy with
-        | `Top_down -> (
-          let r = Opt.optimize opt inst.W.Queries.expr in
-          match r.Opt.plan with
-          | Some plan ->
-            Format.printf "@.best plan: %s@.@." (Explain.summary plan);
-            Format.printf "%a" Explain.pp plan;
-            Format.printf "@.%a@." Prairie_volcano.Stats.pp
-              (Prairie_volcano.Search.stats r.Opt.search)
-          | None -> print_endline "no plan found")
-        | `Bottom_up -> (
-          let expr, required = opt.Opt.prepare inst.W.Queries.expr in
-          let r = Prairie_volcano.Bottom_up.optimize ~required opt.Opt.volcano expr in
-          match r.Prairie_volcano.Bottom_up.plan with
-          | Some plan ->
-            Format.printf "@.best plan (bottom-up): %s@.@." (Explain.summary plan);
-            Format.printf "%a" Explain.pp plan;
-            Format.printf
-              "@.%d groups, %d (group, requirement) DP entries, %d plans costed@."
-              r.Prairie_volcano.Bottom_up.groups_explored
-              r.Prairie_volcano.Bottom_up.requirements_considered
-              r.Prairie_volcano.Bottom_up.plans_costed
-          | None -> print_endline "no plan found"));
-        `Ok ())
+  let run qn joins seed ruleset_path strategy =
+    match workload_query qn joins seed ruleset_path with
+    | Error msg -> `Error (false, msg)
+    | Ok (expr, opt) ->
+      (match strategy with
+      | `Top_down ->
+        let r = Opt.optimize opt expr in
+        print_plan r.Opt.plan;
+        if r.Opt.plan <> None then
+          Format.printf "@.%a@." Prairie_volcano.Stats.pp
+            (Prairie_volcano.Search.stats r.Opt.search)
+      | `Bottom_up -> (
+        let expr, required = opt.Opt.prepare expr in
+        let r = Prairie_volcano.Bottom_up.optimize ~required opt.Opt.volcano expr in
+        match r.Prairie_volcano.Bottom_up.plan with
+        | Some plan ->
+          Format.printf "@.best plan (bottom-up): %s@.@." (Explain.summary plan);
+          Format.printf "%a" Explain.pp plan;
+          Format.printf
+            "@.%d groups, %d (group, requirement) DP entries, %d plans costed@."
+            r.Prairie_volcano.Bottom_up.groups_explored
+            r.Prairie_volcano.Bottom_up.requirements_considered
+            r.Prairie_volcano.Bottom_up.plans_costed
+        | None -> print_endline "no plan found"));
+      `Ok ()
   in
   Cmd.v
     (Cmd.info "optimize" ~doc:"Optimize a workload query with a rule set.")
     Term.(
       ret
         (const run $ query_arg $ joins_arg $ seed_arg $ ruleset_arg
-       $ strategy_arg $ verbose_arg))
+       $ strategy_arg))
 
 (* ---------------- trace ---------------- *)
 
 let trace_cmd =
-  let query_arg =
-    Arg.(
-      value & opt int 5
-      & info [ "query"; "q" ] ~docv:"N" ~doc:"Workload query Q$(docv) (1-8).")
-  in
-  let joins_arg =
-    Arg.(value & opt int 2 & info [ "joins"; "n" ] ~docv:"N" ~doc:"Number of joins.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Catalog seed.")
-  in
-  let ruleset_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "ruleset"; "r" ] ~docv:"FILE"
-          ~doc:"Rule file to use instead of the embedded OODB rule set.")
-  in
   let capacity_arg =
     Arg.(
       value & opt int 65536
       & info [ "capacity" ] ~docv:"K"
-          ~doc:"Trace ring-buffer capacity: older events beyond K are dropped.")
+          ~doc:
+            "Ring-buffer capacity over spans and events: older entries \
+             beyond K are dropped (the per-rule time aggregates stay \
+             exact).")
   in
   let budget_arg =
     Arg.(
@@ -624,187 +608,60 @@ let trace_cmd =
       & info [ "format"; "f" ] ~docv:"FORMAT"
           ~doc:
             "Dump format for --out: $(b,jsonl) (one JSON event per line) or \
-             $(b,chrome) (Chrome trace-event JSON, loadable in \
-             chrome://tracing and Perfetto).")
+             $(b,chrome) (spans and events as Chrome trace-event JSON, \
+             loadable in chrome://tracing and Perfetto).")
   in
-  let run qn joins seed ruleset_path capacity group_budget out format verbose =
-    setup_verbose verbose;
+  let run qn joins seed ruleset_path capacity group_budget out format =
     if capacity < 1 then `Error (false, "--capacity must be at least 1")
     else
-      match W.Queries.of_int qn with
-      | None -> `Error (false, "query number must be 1-8")
-      | Some q -> (
-        let inst = W.Queries.instance q ~joins ~seed in
-        let catalog = inst.W.Queries.catalog in
-        let ruleset_result =
-          match ruleset_path with
-          | None -> Ok (Prairie_algebra.Oodb.ruleset catalog)
-          | Some path -> load_ruleset path catalog
-        in
-        match ruleset_result with
-        | Error msg ->
-          prerr_endline msg;
-          `Error (false, "could not load the rule set")
-        | Ok rs ->
-          let tr = P2v.Translate.translate rs in
-          let opt =
-            {
-              Opt.name = rs.Prairie.Ruleset.name;
-              volcano = tr.P2v.Translate.volcano;
-              prepare = P2v.Translate.prepare_query tr;
-            }
+      match workload_query qn joins seed ruleset_path with
+      | Error msg -> `Error (false, msg)
+      | Ok (expr, opt) ->
+        let sink = Span.create ~capacity () in
+        let t0 = Unix.gettimeofday () in
+        let r = Opt.optimize ?group_budget ~spans:sink opt expr in
+        let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+        print_plan r.Opt.plan;
+        Format.printf "@.%a@." Explain.trace sink;
+        Format.printf "@.%a@." Explain.profile sink;
+        let rooted_ms = Int64.to_float (Span.root_total_ns sink) /. 1e6 in
+        Format.printf
+          "wall %.3f ms, rooted spans account for %.3f ms (%.1f%%)@." wall_ms
+          rooted_ms
+          (if wall_ms > 0.0 then 100.0 *. rooted_ms /. wall_ms else 0.0);
+        (match out with
+        | None -> ()
+        | Some dest ->
+          let dump oc =
+            output_string oc
+              (match format with
+              | `Jsonl -> Span.to_jsonl sink
+              | `Chrome -> Span.to_chrome sink)
           in
-          let sink = Obs_trace.create ~capacity () in
-          Format.printf "query %s (%d joins, seed %d): %a@." (W.Queries.name q)
-            joins seed Prairie.Expr.pp inst.W.Queries.expr;
-          let r = Opt.optimize ?group_budget ~trace:sink opt inst.W.Queries.expr in
-          (match r.Opt.plan with
-          | Some plan ->
-            Format.printf "@.best plan: %s@.@." (Explain.summary plan);
-            Format.printf "%a" Explain.pp plan
-          | None -> print_endline "no plan found");
-          Format.printf "@.%a@." Explain.trace sink;
-          (match out with
-          | None -> ()
-          | Some dest ->
-            let dump oc =
-              match format with
-              | `Jsonl -> Obs_trace.output_jsonl oc sink
-              | `Chrome -> output_string oc (Span.chrome_of_trace sink)
-            in
-            (match dest with
-            | "-" -> dump stdout
-            | path ->
-              let oc = open_out path in
-              Fun.protect ~finally:(fun () -> close_out oc) (fun () -> dump oc);
-              Printf.printf "trace written to %s (%d events, %d dropped)\n" path
-                (Obs_trace.length sink) (Obs_trace.dropped sink)));
-          `Ok ())
+          (match dest with
+          | "-" -> dump stdout
+          | path ->
+            let oc = open_out path in
+            Fun.protect ~finally:(fun () -> close_out oc) (fun () -> dump oc);
+            Printf.printf
+              "trace written to %s (%d events, %d spans, %d dropped)\n" path
+              (Span.event_count sink) (Span.span_count sink)
+              (Span.dropped sink)));
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:
-         "Optimize a workload query with structured search tracing: the \
-          per-rule account of matches, applications and rejections (with \
-          reasons), winner changes and memo behaviour — why the plan was \
-          chosen, and why other rules never fired.")
+         "Optimize a workload query under the span sink and explain the \
+          search: the per-rule account of matches, applications and \
+          rejections (with reasons), winner changes and memo behaviour — \
+          why the plan was chosen, and why other rules never fired — and \
+          the self/total time table of the search phases (explore, match, \
+          apply, cost, enforcers, memo inserts) with per-rule attribution.")
     Term.(
       ret
         (const run $ query_arg $ joins_arg $ seed_arg $ ruleset_arg
-       $ capacity_arg $ budget_arg $ out_arg $ format_arg $ verbose_arg))
-
-(* ---------------- profile ---------------- *)
-
-let profile_cmd =
-  let query_arg =
-    Arg.(
-      value & opt int 5
-      & info [ "query"; "q" ] ~docv:"N" ~doc:"Workload query Q$(docv) (1-8).")
-  in
-  let joins_arg =
-    Arg.(value & opt int 2 & info [ "joins"; "n" ] ~docv:"N" ~doc:"Number of joins.")
-  in
-  let seed_arg =
-    Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Catalog seed.")
-  in
-  let ruleset_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "ruleset"; "r" ] ~docv:"FILE"
-          ~doc:"Rule file to use instead of the embedded OODB rule set.")
-  in
-  let capacity_arg =
-    Arg.(
-      value & opt int 65536
-      & info [ "capacity" ] ~docv:"K"
-          ~doc:
-            "Span ring-buffer capacity: older span records beyond K are \
-             dropped (the per-rule aggregates stay exact).")
-  in
-  let budget_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "group-budget" ] ~docv:"B"
-          ~doc:"Memo group budget (profile a degraded search).")
-  in
-  let out_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out"; "o" ] ~docv:"FILE"
-          ~doc:
-            "Also dump the spans as Chrome trace-event JSON to $(docv) (- for \
-             stdout); load it in chrome://tracing or Perfetto.")
-  in
-  let run qn joins seed ruleset_path capacity group_budget out verbose =
-    setup_verbose verbose;
-    if capacity < 1 then `Error (false, "--capacity must be at least 1")
-    else
-      match W.Queries.of_int qn with
-      | None -> `Error (false, "query number must be 1-8")
-      | Some q -> (
-        let inst = W.Queries.instance q ~joins ~seed in
-        let catalog = inst.W.Queries.catalog in
-        let ruleset_result =
-          match ruleset_path with
-          | None -> Ok (Prairie_algebra.Oodb.ruleset catalog)
-          | Some path -> load_ruleset path catalog
-        in
-        match ruleset_result with
-        | Error msg ->
-          prerr_endline msg;
-          `Error (false, "could not load the rule set")
-        | Ok rs ->
-          let tr = P2v.Translate.translate rs in
-          let opt =
-            {
-              Opt.name = rs.Prairie.Ruleset.name;
-              volcano = tr.P2v.Translate.volcano;
-              prepare = P2v.Translate.prepare_query tr;
-            }
-          in
-          let sink = Span.create ~capacity () in
-          Format.printf "query %s (%d joins, seed %d): %a@." (W.Queries.name q)
-            joins seed Prairie.Expr.pp inst.W.Queries.expr;
-          let t0 = Unix.gettimeofday () in
-          let r = Opt.optimize ?group_budget ~spans:sink opt inst.W.Queries.expr in
-          let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
-          (match r.Opt.plan with
-          | Some plan ->
-            Format.printf "@.best plan: %s (cost %.3f)@." (Explain.summary plan)
-              r.Opt.cost
-          | None -> print_endline "no plan found");
-          Format.printf "@.%a@." Explain.profile sink;
-          let rooted_ms = Int64.to_float (Span.root_total_ns sink) /. 1e6 in
-          Format.printf
-            "wall %.3f ms, rooted spans account for %.3f ms (%.1f%%)@." wall_ms
-            rooted_ms
-            (if wall_ms > 0.0 then 100.0 *. rooted_ms /. wall_ms else 0.0);
-          (match out with
-          | None -> ()
-          | Some "-" -> print_string (Span.to_chrome sink)
-          | Some path ->
-            let oc = open_out path in
-            Fun.protect
-              ~finally:(fun () -> close_out oc)
-              (fun () -> output_string oc (Span.to_chrome sink));
-            Printf.printf "chrome trace written to %s (%d spans, %d dropped)\n"
-              path (Span.length sink) (Span.dropped sink));
-          `Ok ())
-  in
-  Cmd.v
-    (Cmd.info "profile"
-       ~doc:
-         "Optimize a workload query under the span profiler: hierarchical \
-          timed spans over the search phases (explore, match, apply, cost, \
-          enforcers, memo inserts) with per-rule attribution, reported as a \
-          self/total time table and optionally exported as a Chrome trace.")
-    Term.(
-      ret
-        (const run $ query_arg $ joins_arg $ seed_arg $ ruleset_arg
-       $ capacity_arg $ budget_arg $ out_arg $ verbose_arg))
+       $ capacity_arg $ budget_arg $ out_arg $ format_arg))
 
 (* ---------------- serve ---------------- *)
 
@@ -884,8 +741,7 @@ let serve_cmd =
              are recorded in the slow-query log served at /tracez.")
   in
   let run jobs cache_size requests max_joins seed group_budget
-      metrics_file telemetry_port linger slow_ms verbose =
-    setup_verbose verbose;
+      metrics_file telemetry_port linger slow_ms =
     if max_joins < 1 then `Error (false, "--joins must be at least 1")
     else if requests < 0 then `Error (false, "--requests must be non-negative")
     else if slow_ms < 0.0 then `Error (false, "--slow-ms must be non-negative")
@@ -1000,7 +856,7 @@ let serve_cmd =
       ret
         (const run $ jobs_arg $ cache_size_arg
        $ requests_arg $ joins_arg $ seed_arg $ budget_arg $ metrics_arg
-       $ telemetry_port_arg $ linger_arg $ slow_ms_arg $ verbose_arg))
+       $ telemetry_port_arg $ linger_arg $ slow_ms_arg))
 
 (* ---------------- sql ---------------- *)
 
@@ -1028,8 +884,7 @@ let sql_cmd =
       & info [ "execute"; "x" ]
           ~doc:"Generate synthetic data and run the winning plan.")
   in
-  let run sql classes seed execute verbose =
-    setup_verbose verbose;
+  let run sql classes seed execute =
     let catalog =
       W.Catalogs.make (W.Catalogs.default_spec ~classes ~indexed:true ~seed)
     in
@@ -1068,8 +923,7 @@ let sql_cmd =
           and optionally execute the plan.")
     Term.(
       ret
-        (const run $ query_arg $ classes_arg $ seed_arg $ execute_arg
-       $ verbose_arg))
+        (const run $ query_arg $ classes_arg $ seed_arg $ execute_arg))
 
 let () =
   let info =
@@ -1090,7 +944,6 @@ let () =
             render_cmd;
             optimize_cmd;
             trace_cmd;
-            profile_cmd;
             serve_cmd;
             sql_cmd;
           ]))

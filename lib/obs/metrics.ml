@@ -29,10 +29,6 @@ type histogram = instrument
 
 let create () = { mutex = Mutex.create (); instruments = [] }
 
-let locked m f =
-  Mutex.lock m;
-  Fun.protect ~finally:(fun () -> Mutex.unlock m) f
-
 let kind_name = function
   | Counter _ -> "counter"
   | Gauge _ -> "gauge"
@@ -48,7 +44,7 @@ let norm_labels labels =
 
 let register t ~help ~labels name fresh =
   let labels = norm_labels labels in
-  locked t.mutex (fun () ->
+  Mutex.protect t.mutex (fun () ->
       let existing =
         List.find_opt
           (fun i -> String.equal i.name name && i.labels = labels)
@@ -81,12 +77,12 @@ let counter t ?(help = "") ?(labels = []) name =
 let inc ?(by = 1) c =
   if by < 0 then invalid_arg "Metrics.inc: negative increment";
   match c.kind with
-  | Counter r -> locked c.lock (fun () -> r := !r + by)
+  | Counter r -> Mutex.protect c.lock (fun () -> r := !r + by)
   | _ -> assert false
 
 let counter_value c =
   match c.kind with
-  | Counter r -> locked c.lock (fun () -> !r)
+  | Counter r -> Mutex.protect c.lock (fun () -> !r)
   | _ -> assert false
 
 let gauge t ?(help = "") ?(labels = []) name =
@@ -94,12 +90,12 @@ let gauge t ?(help = "") ?(labels = []) name =
 
 let set g v =
   match g.kind with
-  | Gauge r -> locked g.lock (fun () -> r := v)
+  | Gauge r -> Mutex.protect g.lock (fun () -> r := v)
   | _ -> assert false
 
 let gauge_value g =
   match g.kind with
-  | Gauge r -> locked g.lock (fun () -> !r)
+  | Gauge r -> Mutex.protect g.lock (fun () -> !r)
   | _ -> assert false
 
 let log_buckets ?(start = 1e-5) ?(factor = 2.0) ?(count = 20) () =
@@ -140,7 +136,7 @@ let bucket_index bounds v =
 let observe h v =
   match h.kind with
   | Histogram s ->
-    locked h.lock (fun () ->
+    Mutex.protect h.lock (fun () ->
         let i = bucket_index s.bounds v in
         s.counts.(i) <- s.counts.(i) + 1;
         s.sum <- s.sum +. v;
@@ -149,12 +145,12 @@ let observe h v =
 
 let histogram_count h =
   match h.kind with
-  | Histogram s -> locked h.lock (fun () -> s.count)
+  | Histogram s -> Mutex.protect h.lock (fun () -> s.count)
   | _ -> assert false
 
 let histogram_sum h =
   match h.kind with
-  | Histogram s -> locked h.lock (fun () -> s.sum)
+  | Histogram s -> Mutex.protect h.lock (fun () -> s.sum)
   | _ -> assert false
 
 (* Estimate the q-quantile by linear interpolation inside the first
@@ -167,7 +163,7 @@ let quantile h q =
     invalid_arg "Metrics.quantile";
   match h.kind with
   | Histogram s ->
-    locked h.lock (fun () ->
+    Mutex.protect h.lock (fun () ->
         if s.count = 0 then nan
         else begin
           let target = q *. float_of_int s.count in
@@ -192,7 +188,7 @@ let summary_quantiles = [ ("p50", 0.5); ("p90", 0.9); ("p99", 0.99) ]
 let buckets h =
   match h.kind with
   | Histogram s ->
-    locked h.lock (fun () ->
+    Mutex.protect h.lock (fun () ->
         let acc = ref 0 in
         let finite =
           Array.to_list
@@ -250,7 +246,7 @@ let label_block labels =
 
 (* instruments in registration order, grouped by metric name (a name's
    HELP/TYPE header is printed once, before its first series) *)
-let ordered t = locked t.mutex (fun () -> List.rev t.instruments)
+let ordered t = Mutex.protect t.mutex (fun () -> List.rev t.instruments)
 
 let to_prometheus t =
   let buf = Buffer.create 1024 in
@@ -269,11 +265,11 @@ let to_prometheus t =
       | Counter r ->
         Buffer.add_string buf
           (Printf.sprintf "%s%s %d\n" i.name (label_block i.labels)
-             (locked i.lock (fun () -> !r)))
+             (Mutex.protect i.lock (fun () -> !r)))
       | Gauge r ->
         Buffer.add_string buf
           (Printf.sprintf "%s%s %s\n" i.name (label_block i.labels)
-             (fmt_float (locked i.lock (fun () -> !r))))
+             (fmt_float (Mutex.protect i.lock (fun () -> !r))))
       | Histogram _ ->
         let bs = buckets i and sum = histogram_sum i in
         let count = histogram_count i in
@@ -319,13 +315,11 @@ let to_prometheus t =
     summary_quantiles;
   Buffer.contents buf
 
-let json_string = Trace.json_string
-
 let json_labels labels =
   "{"
   ^ String.concat ","
       (List.map
-         (fun (k, v) -> Printf.sprintf "%s:%s" (json_string k) (json_string v))
+         (fun (k, v) -> Printf.sprintf "%s:%s" (Json.string k) (Json.string v))
          labels)
   ^ "}"
 
@@ -337,12 +331,12 @@ let to_jsonl t =
         match i.kind with
         | Counter r ->
           Printf.sprintf "{\"name\":%s,\"type\":\"counter\",\"labels\":%s,\"value\":%d}"
-            (json_string i.name) (json_labels i.labels)
-            (locked i.lock (fun () -> !r))
+            (Json.string i.name) (json_labels i.labels)
+            (Mutex.protect i.lock (fun () -> !r))
         | Gauge r ->
           Printf.sprintf "{\"name\":%s,\"type\":\"gauge\",\"labels\":%s,\"value\":%s}"
-            (json_string i.name) (json_labels i.labels)
-            (Trace.json_float (locked i.lock (fun () -> !r)))
+            (Json.string i.name) (json_labels i.labels)
+            (Json.float (Mutex.protect i.lock (fun () -> !r)))
         | Histogram _ ->
           let bs = buckets i in
           let qfields =
@@ -351,19 +345,19 @@ let to_jsonl t =
                  (fun (suffix, q) ->
                    let v = quantile i q in
                    Printf.sprintf ",\"%s\":%s" suffix
-                     (if Float.is_nan v then "null" else Trace.json_float v))
+                     (if Float.is_nan v then "null" else Json.float v))
                  summary_quantiles)
           in
           Printf.sprintf
             "{\"name\":%s,\"type\":\"histogram\",\"labels\":%s,\"count\":%d,\"sum\":%s%s,\"buckets\":[%s]}"
-            (json_string i.name) (json_labels i.labels) (histogram_count i)
-            (Trace.json_float (histogram_sum i))
+            (Json.string i.name) (json_labels i.labels) (histogram_count i)
+            (Json.float (histogram_sum i))
             qfields
             (String.concat ","
                (List.map
                   (fun (ub, c) ->
                     Printf.sprintf "{\"le\":%s,\"count\":%d}"
-                      (if Float.is_finite ub then Trace.json_float ub
+                      (if Float.is_finite ub then Json.float ub
                        else "\"+Inf\"")
                       c)
                   bs))

@@ -1,7 +1,6 @@
 (* Threshold-based slow-query log: a mutex-protected bounded ring of
-   the most recent searches whose wall time met the threshold.  Unlike
-   Trace/Span sinks this one is shared across serve workers, so every
-   entry point locks. *)
+   the most recent searches whose wall time met the threshold.  It is
+   shared across serve workers, so every entry point locks. *)
 
 type entry = {
   seq : int;
@@ -34,14 +33,10 @@ let create ?(capacity = 256) ?(threshold = 0.1) () =
 let threshold t = t.threshold
 let capacity t = Array.length t.buf
 
-let locked t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
 let observe t ~ruleset ~fingerprint ~seconds ~cost ~groups ~budget_hit
     ~cache_hit =
   if seconds >= t.threshold then
-    locked t (fun () ->
+    Mutex.protect t.mutex (fun () ->
         let e =
           {
             seq = t.n;
@@ -58,10 +53,10 @@ let observe t ~ruleset ~fingerprint ~seconds ~cost ~groups ~budget_hit
         t.buf.(t.n mod Array.length t.buf) <- Some e;
         t.n <- t.n + 1)
 
-let seq t = locked t (fun () -> t.n)
+let seq t = Mutex.protect t.mutex (fun () -> t.n)
 
 let entries t =
-  locked t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       let len = min t.n (Array.length t.buf) in
       let first = t.n - len in
       List.init len (fun i ->
@@ -75,10 +70,10 @@ let dropped t = seq t - length t
 let entry_to_json e =
   Printf.sprintf
     "{\"seq\":%d,\"at\":%s,\"ruleset\":%s,\"fingerprint\":%s,\"seconds\":%s,\"cost\":%s,\"groups\":%d,\"budget_hit\":%b,\"cache_hit\":%b}"
-    e.seq (Trace.json_float e.at)
-    (Trace.json_string e.ruleset)
-    (Trace.json_string e.fingerprint)
-    (Trace.json_float e.seconds) (Trace.json_float e.cost) e.groups
+    e.seq (Json.float e.at)
+    (Json.string e.ruleset)
+    (Json.string e.fingerprint)
+    (Json.float e.seconds) (Json.float e.cost) e.groups
     e.budget_hit e.cache_hit
 
 let to_jsonl t =
@@ -95,6 +90,6 @@ let to_json t =
   let es = entries t in
   Printf.sprintf
     "{\"threshold_s\":%s,\"recorded\":%d,\"entries\":[%s]}"
-    (Trace.json_float t.threshold)
+    (Json.float t.threshold)
     (seq t)
     (String.concat "," (List.map entry_to_json es))

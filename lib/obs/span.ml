@@ -1,20 +1,21 @@
-(* Hierarchical timed spans with per-rule attribution.
+(* The search-observability sink: hierarchical timed spans with per-rule
+   attribution, and search events as instants inside them.
 
-   A sink records completed spans into a bounded ring buffer (oldest
-   dropped first, like [Trace]) and simultaneously folds every exit
-   into an exact per-(phase, rule) aggregate table, so profiles stay
-   accurate even when the ring wraps.  Parents are explicit handles
-   threaded by the caller — there is no global (or domain-local)
-   "current span" variable, so the discipline survives multi-domain
-   exploration.  Sink state is mutex-protected so concurrent emitters
-   may share one sink; handle trees remain single-domain.
+   A sink records completed spans and emitted events into one bounded
+   ring buffer (oldest dropped first) and folds every span exit into an
+   exact per-(phase, rule) aggregate table, so profiles stay accurate
+   even when the ring wraps.  Parents are explicit handles threaded by
+   the caller — there is no global (or domain-local) "current span"
+   variable.  Sink state is mutex-protected so concurrent emitters may
+   share one sink; handle trees remain single-domain.
 
    Timestamps come from [Unix.gettimeofday] (OCaml 5.1 ships no
    monotonic clock in the stdlib and Mtime is not vendored) made
    strictly monotonic per sink by clamping: a reading that does not
    advance past the previous one is bumped by 1 ns.  Within one sink
    this guarantees start < child start < child end < end for properly
-   nested spans. *)
+   nested spans, and an event emitted under a span lies strictly inside
+   it. *)
 
 type phase =
   | Optimize
@@ -38,6 +39,51 @@ let phase_label = function
 
 let all_phases =
   [ Optimize; Explore; Match; Apply; Cost; Enforcer; Memo_insert; Serve ]
+
+type reason =
+  | Test_failed
+  | Pruned of float
+  | Budget_exhausted
+  | No_input_plan
+
+type event =
+  | Group_created of { gid : int }
+  | Groups_merged of { survivor : int; dead : int }
+  | Trans_matched of { rule : string; gid : int; bindings : int }
+  | Trans_applied of { rule : string; gid : int }
+  | Trans_rejected of { rule : string; gid : int; reason : reason }
+  | Impl_matched of { rule : string; gid : int }
+  | Impl_applied of { rule : string; gid : int }
+  | Impl_rejected of { rule : string; gid : int; reason : reason }
+  | Enforcer_inserted of { alg : string; gid : int }
+  | Memo_hit of { gid : int }
+  | Winner_changed of {
+      gid : int;
+      alg : string;
+      old_cost : float option;
+      new_cost : float;
+    }
+  | Budget_hit of { groups : int }
+
+let kind = function
+  | Group_created _ -> "group_created"
+  | Groups_merged _ -> "groups_merged"
+  | Trans_matched _ -> "trans_matched"
+  | Trans_applied _ -> "trans_applied"
+  | Trans_rejected _ -> "trans_rejected"
+  | Impl_matched _ -> "impl_matched"
+  | Impl_applied _ -> "impl_applied"
+  | Impl_rejected _ -> "impl_rejected"
+  | Enforcer_inserted _ -> "enforcer_inserted"
+  | Memo_hit _ -> "memo_hit"
+  | Winner_changed _ -> "winner_changed"
+  | Budget_hit _ -> "budget_hit"
+
+let reason_label = function
+  | Test_failed -> "test_failed"
+  | Pruned _ -> "pruned"
+  | Budget_exhausted -> "budget_exhausted"
+  | No_input_plan -> "no_input_plan"
 
 type handle = {
   h_id : int;
@@ -63,6 +109,8 @@ type record = {
   major_words : float;
 }
 
+type instant = { seq : int; at_ns : int64; span : int; event : event }
+
 type agg = {
   a_phase : phase;
   a_rule : string option;
@@ -73,10 +121,13 @@ type agg = {
   mutable a_major_words : float;
 }
 
+type entry = Closed of record | Instant of instant
+
 type t = {
-  buf : record option array;
-  mutable n : int;  (* total completed; next record index *)
-  mutable next_id : int;
+  buf : entry option array;
+  mutable n : int;  (* entries written; the ring cursor *)
+  mutable spans : int;  (* spans completed; events are [n - spans] *)
+  mutable next_seq : int;  (* span ids and event sequence numbers *)
   mutable last_ns : int64;  (* monotonic clamp state *)
   mutable root_total_ns : int64;
   mutable root_count : int;
@@ -92,7 +143,8 @@ let create ?(capacity = 65536) () =
   {
     buf = Array.make (max 1 capacity) None;
     n = 0;
-    next_id = 0;
+    spans = 0;
+    next_seq = 0;
     last_ns = 0L;
     root_total_ns = 0L;
     root_count = 0;
@@ -100,17 +152,14 @@ let create ?(capacity = 65536) () =
     mutex = Mutex.create ();
   }
 
-let with_lock t f =
-  Mutex.lock t.mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.mutex) f
-
 let capacity t = Array.length t.buf
-let seq t = with_lock t (fun () -> t.n)
+let span_count t = Mutex.protect t.mutex (fun () -> t.spans)
+let event_count t = Mutex.protect t.mutex (fun () -> t.n - t.spans)
 let length_unlocked t = min t.n (Array.length t.buf)
-let length t = with_lock t (fun () -> length_unlocked t)
-let dropped t = with_lock t (fun () -> t.n - length_unlocked t)
-let root_total_ns t = with_lock t (fun () -> t.root_total_ns)
-let root_count t = with_lock t (fun () -> t.root_count)
+let length t = Mutex.protect t.mutex (fun () -> length_unlocked t)
+let dropped t = Mutex.protect t.mutex (fun () -> t.n - length_unlocked t)
+let root_total_ns t = Mutex.protect t.mutex (fun () -> t.root_total_ns)
+let root_count t = Mutex.protect t.mutex (fun () -> t.root_count)
 
 (* strictly increasing per sink: gettimeofday has µs resolution, so
    back-to-back readings tie frequently; ties advance by 1 ns *)
@@ -122,13 +171,18 @@ let now_ns t =
   t.last_ns <- ns;
   ns
 
+(* callers hold the mutex *)
+let next_seq t =
+  let s = t.next_seq in
+  t.next_seq <- s + 1;
+  s
+
+let push t e =
+  t.buf.(t.n mod Array.length t.buf) <- Some e;
+  t.n <- t.n + 1
+
 let enter t ?rule ?parent phase =
-  let id, start =
-    with_lock t (fun () ->
-        let id = t.next_id in
-        t.next_id <- id + 1;
-        (id, now_ns t))
-  in
+  let id, start = Mutex.protect t.mutex (fun () -> (next_seq t, now_ns t)) in
   let minor, _promoted, major = Gc.counters () in
   {
     h_id = id;
@@ -149,7 +203,7 @@ let agg_key phase rule =
 let exit t h =
   let minor, _promoted, major = Gc.counters () in
   let minor_w = minor -. h.h_minor0 and major_w = major -. h.h_major0 in
-  with_lock t @@ fun () ->
+  Mutex.protect t.mutex @@ fun () ->
   let stop = now_ns t in
   let dur = Int64.sub stop h.h_start in
   let self = Int64.sub dur h.h_children_ns in
@@ -158,22 +212,21 @@ let exit t h =
   | None ->
     t.root_total_ns <- Int64.add t.root_total_ns dur;
     t.root_count <- t.root_count + 1);
-  let r =
-    {
-      id = h.h_id;
-      parent = (match h.h_parent with Some p -> p.h_id | None -> -1);
-      phase = h.h_phase;
-      rule = h.h_rule;
-      domain = (Domain.self () :> int);
-      start_ns = h.h_start;
-      dur_ns = dur;
-      self_ns = self;
-      minor_words = minor_w;
-      major_words = major_w;
-    }
-  in
-  t.buf.(t.n mod Array.length t.buf) <- Some r;
-  t.n <- t.n + 1;
+  push t
+    (Closed
+       {
+         id = h.h_id;
+         parent = (match h.h_parent with Some p -> p.h_id | None -> -1);
+         phase = h.h_phase;
+         rule = h.h_rule;
+         domain = (Domain.self () :> int);
+         start_ns = h.h_start;
+         dur_ns = dur;
+         self_ns = self;
+         minor_words = minor_w;
+         major_words = major_w;
+       });
+  t.spans <- t.spans + 1;
   let key = agg_key h.h_phase h.h_rule in
   match Hashtbl.find_opt t.agg key with
   | Some a ->
@@ -194,6 +247,12 @@ let exit t h =
         a_major_words = major_w;
       }
 
+let emit t ?span event =
+  let span = match span with Some h -> h.h_id | None -> -1 in
+  Mutex.protect t.mutex (fun () ->
+      let seq = next_seq t in
+      push t (Instant { seq; at_ns = now_ns t; span; event }))
+
 (* disabled fast path: one Option check, nothing allocated *)
 let enter_opt t ?rule ~parent phase =
   match t with
@@ -205,19 +264,29 @@ let exit_opt t h =
   | Some sink, Some h -> exit sink h
   | _ -> ()
 
-let records t =
-  with_lock t (fun () ->
+let emit_opt t ~span ev =
+  match t with None -> () | Some sink -> emit sink ?span (ev ())
+
+let entries t =
+  Mutex.protect t.mutex (fun () ->
       List.init (length_unlocked t) (fun i ->
           let s = t.n - length_unlocked t + i in
           match t.buf.(s mod Array.length t.buf) with
-          | Some r -> r
+          | Some e -> e
           | None -> assert false (* slots below [length] are always filled *)))
 
+let records t =
+  List.filter_map (function Closed r -> Some r | Instant _ -> None) (entries t)
+
+let events t =
+  List.filter_map (function Instant i -> Some i | Closed _ -> None) (entries t)
+
 let clear t =
-  with_lock t @@ fun () ->
+  Mutex.protect t.mutex @@ fun () ->
   Array.fill t.buf 0 (Array.length t.buf) None;
   t.n <- 0;
-  t.next_id <- 0;
+  t.spans <- 0;
+  t.next_seq <- 0;
   t.root_total_ns <- 0L;
   t.root_count <- 0;
   Hashtbl.reset t.agg
@@ -225,7 +294,7 @@ let clear t =
 (* copy the aggregates out under the lock so a concurrent [exit] cannot
    mutate a cell mid-sort or mid-render *)
 let profile t =
-  with_lock t (fun () ->
+  Mutex.protect t.mutex (fun () ->
       Hashtbl.fold
         (fun _ a acc -> { a with a_count = a.a_count } :: acc)
         t.agg [])
@@ -234,15 +303,64 @@ let profile t =
          | 0 -> compare (agg_key a.a_phase a.a_rule) (agg_key b.a_phase b.a_rule)
          | c -> c)
 
+(* ---------------- JSON lines ---------------- *)
+
+let reason_fields = function
+  | Test_failed | Budget_exhausted | No_input_plan -> ""
+  | Pruned limit -> Printf.sprintf ",\"limit\":%s" (Json.float limit)
+
+let event_to_json { seq; span; event; _ } =
+  let tail =
+    match event with
+    | Group_created { gid } -> Printf.sprintf "\"gid\":%d" gid
+    | Groups_merged { survivor; dead } ->
+      Printf.sprintf "\"survivor\":%d,\"dead\":%d" survivor dead
+    | Trans_matched { rule; gid; bindings } ->
+      Printf.sprintf "\"rule\":%s,\"gid\":%d,\"bindings\":%d"
+        (Json.string rule) gid bindings
+    | Trans_applied { rule; gid }
+    | Impl_matched { rule; gid }
+    | Impl_applied { rule; gid } ->
+      Printf.sprintf "\"rule\":%s,\"gid\":%d" (Json.string rule) gid
+    | Trans_rejected { rule; gid; reason } | Impl_rejected { rule; gid; reason }
+      ->
+      Printf.sprintf "\"rule\":%s,\"gid\":%d,\"reason\":%s%s"
+        (Json.string rule) gid
+        (Json.string (reason_label reason))
+        (reason_fields reason)
+    | Enforcer_inserted { alg; gid } ->
+      Printf.sprintf "\"alg\":%s,\"gid\":%d" (Json.string alg) gid
+    | Memo_hit { gid } -> Printf.sprintf "\"gid\":%d" gid
+    | Winner_changed { gid; alg; old_cost; new_cost } ->
+      Printf.sprintf "\"gid\":%d,\"alg\":%s,\"old_cost\":%s,\"new_cost\":%s"
+        gid (Json.string alg)
+        (match old_cost with None -> "null" | Some c -> Json.float c)
+        (Json.float new_cost)
+    | Budget_hit { groups } -> Printf.sprintf "\"groups\":%d" groups
+  in
+  Printf.sprintf "{\"seq\":%d,\"span\":%d,\"event\":%s,%s}" seq span
+    (Json.string (kind event))
+    tail
+
+let to_jsonl t =
+  let buf = Buffer.create 4096 in
+  List.iter
+    (fun i ->
+      Buffer.add_string buf (event_to_json i);
+      Buffer.add_char buf '\n')
+    (events t);
+  Buffer.contents buf
+
 (* ---------------- Chrome trace-event exporter ---------------- *)
 
 (* https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU
-   "X" complete events, ts/dur in microseconds; opens in Perfetto and
-   chrome://tracing. ts is rebased so the earliest retained span is 0. *)
+   Spans are "X" complete events, events thread-scoped "i" instant events
+   on the thread of their span; ts/dur in microseconds, rebased so the
+   earliest retained entry is 0.  Opens in Perfetto and chrome://tracing. *)
 
 let us_of_ns ns = Int64.to_float ns /. 1e3
 
-let chrome_event buf ~base r =
+let chrome_span buf ~base r =
   let name =
     match r.rule with
     | None -> phase_label r.phase
@@ -251,58 +369,56 @@ let chrome_event buf ~base r =
   Buffer.add_string buf
     (Printf.sprintf
        "{\"name\":%s,\"cat\":%s,\"ph\":\"X\",\"ts\":%s,\"dur\":%s,\"pid\":1,\"tid\":%d,\"args\":{\"id\":%d,\"parent\":%d,\"self_us\":%s,\"minor_words\":%s,\"major_words\":%s%s}}"
-       (Trace.json_string name)
-       (Trace.json_string (phase_label r.phase))
-       (Trace.json_float (us_of_ns (Int64.sub r.start_ns base)))
-       (Trace.json_float (us_of_ns r.dur_ns))
+       (Json.string name)
+       (Json.string (phase_label r.phase))
+       (Json.float (us_of_ns (Int64.sub r.start_ns base)))
+       (Json.float (us_of_ns r.dur_ns))
        r.domain r.id r.parent
-       (Trace.json_float (us_of_ns r.self_ns))
-       (Trace.json_float r.minor_words)
-       (Trace.json_float r.major_words)
+       (Json.float (us_of_ns r.self_ns))
+       (Json.float r.minor_words)
+       (Json.float r.major_words)
        (match r.rule with
        | None -> ""
-       | Some rule -> Printf.sprintf ",\"rule\":%s" (Trace.json_string rule)))
+       | Some rule -> Printf.sprintf ",\"rule\":%s" (Json.string rule)))
+
+let chrome_instant buf ~base ~tid i =
+  Buffer.add_string buf
+    (Printf.sprintf
+       "{\"name\":%s,\"cat\":\"event\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%s,\"pid\":1,\"tid\":%d,\"args\":%s}"
+       (Json.string (kind i.event))
+       (Json.float (us_of_ns (Int64.sub i.at_ns base)))
+       tid (event_to_json i))
 
 let to_chrome t =
-  let rs = records t in
+  let es = entries t in
+  let start = function Closed r -> r.start_ns | Instant i -> i.at_ns in
   let base =
     List.fold_left
-      (fun acc r -> if Int64.compare r.start_ns acc < 0 then r.start_ns else acc)
-      (match rs with [] -> 0L | r :: _ -> r.start_ns)
-      rs
+      (fun acc e -> if Int64.compare (start e) acc < 0 then start e else acc)
+      (match es with [] -> 0L | e :: _ -> start e)
+      es
   in
+  let domain_of = Hashtbl.create 256 in
+  List.iter
+    (function
+      | Closed r -> Hashtbl.replace domain_of r.id r.domain
+      | Instant _ -> ())
+    es;
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\"traceEvents\":[";
   Buffer.add_string buf
     "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"prairie\"}}";
   List.iter
-    (fun r ->
+    (fun e ->
       Buffer.add_char buf ',';
-      chrome_event buf ~base r)
-    rs;
+      match e with
+      | Closed r -> chrome_span buf ~base r
+      | Instant i ->
+        let tid = Option.value ~default:0 (Hashtbl.find_opt domain_of i.span) in
+        chrome_instant buf ~base ~tid i)
+    es;
   Buffer.add_string buf
-    (Printf.sprintf "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"spans\":%d,\"dropped\":%d}}"
-       (seq t) (dropped t));
-  Buffer.contents buf
-
-(* Event traces have no durations; render them as thread-scoped instant
-   events one microsecond apart (seq as the clock), args carrying the
-   full JSONL object so nothing is lost. *)
-let chrome_of_trace tr =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"traceEvents\":[";
-  Buffer.add_string buf
-    "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"args\":{\"name\":\"prairie-trace\"}}";
-  List.iter
-    (fun (s, ev) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           ",{\"name\":%s,\"cat\":\"trace\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%d,\"pid\":1,\"tid\":0,\"args\":{\"event\":%s}}"
-           (Trace.json_string (Trace.kind ev))
-           s
-           (Trace.event_to_json ~seq:s ev)))
-    (Trace.events tr);
-  Buffer.add_string buf
-    (Printf.sprintf "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"events\":%d,\"dropped\":%d}}"
-       (Trace.seq tr) (Trace.dropped tr));
+    (Printf.sprintf
+       "],\"displayTimeUnit\":\"ms\",\"otherData\":{\"spans\":%d,\"events\":%d,\"dropped\":%d}}"
+       (span_count t) (event_count t) (dropped t));
   Buffer.contents buf

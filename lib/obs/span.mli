@@ -1,20 +1,25 @@
-(** Hierarchical timed spans with per-rule attribution.
+(** The search-observability sink: hierarchical timed spans with per-rule
+    attribution, and the search's events as instants inside them.
 
-    A sink is a bounded ring buffer of completed spans plus an exact
-    per-(phase, rule) aggregate table that survives ring wrap-around.
+    A sink is one bounded ring buffer holding completed spans and instant
+    events in the order they were recorded, plus an exact per-(phase,
+    rule) aggregate table that survives ring wrap-around.  When the ring
+    is full the oldest entry is dropped and counted, so a sink can stay
+    attached to an arbitrarily long search with bounded memory.
+
     Parents are explicit handles threaded by the caller — there is no
-    global mutable "current span", so the discipline stays correct
-    when several domains trace at once (the plan service's workers): give
-    each domain its own sink and thread handles within it.
+    global mutable "current span".  Sinks are safe to share across
+    domains: enter, exit, emit, reads and clear all hold the sink's
+    internal mutex, so concurrent emitters never lose entries, tear
+    counters, or corrupt the aggregate table.  A {e handle} tree is
+    single-domain: open and close any given span, and emit events
+    under it, from the same domain.
 
-    Sinks are safe to share across domains, like {!Trace}: enter, exit,
-    reads and clear all hold the sink's internal mutex, so concurrent
-    emitters never lose records, tear counters, or corrupt the aggregate
-    table.  A {e handle} tree is still single-domain — only sink state is
-    protected; open and close any given span from the same domain.
-    Timestamps are wall-clock nanoseconds made strictly monotonic per
-    sink (OCaml 5.1 ships no stdlib monotonic clock; readings that do
-    not advance are bumped by 1 ns). *)
+    Span ids and event sequence numbers come from one per-sink counter,
+    so they order every enter and emit the sink saw.  Timestamps are
+    wall-clock nanoseconds made strictly monotonic per sink (OCaml 5.1
+    ships no stdlib monotonic clock; readings that do not advance are
+    bumped by 1 ns). *)
 
 type phase =
   | Optimize  (** a whole [Search.optimize] / [Bottom_up.optimize] run *)
@@ -28,6 +33,55 @@ type phase =
 
 val phase_label : phase -> string
 val all_phases : phase list
+
+(** {1 Events}
+
+    The vocabulary mirrors the Volcano engine: groups appearing and
+    merging in the memo, transformation/implementation rules being
+    matched, applied, or rejected {e with a reason}, enforcer insertions,
+    memo hits, and winner changes with the old and new cost — enough to
+    answer "why was this plan chosen" and "why did rule X never fire"
+    (see [Explain.trace] in [prairie_volcano]). *)
+
+(** Why a matched rule did not produce a plan. *)
+type reason =
+  | Test_failed  (** the rule's condition code rejected the binding *)
+  | Pruned of float
+      (** branch-and-bound: the remaining cost limit (annotation) made the
+          alternative not worth completing *)
+  | Budget_exhausted  (** the group budget capped exploration *)
+  | No_input_plan
+      (** an input group has no plan under the requested properties
+          (with pruning off, i.e. not a cost-limit artifact) *)
+
+type event =
+  | Group_created of { gid : int }
+  | Groups_merged of { survivor : int; dead : int }
+  | Trans_matched of { rule : string; gid : int; bindings : int }
+  | Trans_applied of { rule : string; gid : int }
+  | Trans_rejected of { rule : string; gid : int; reason : reason }
+  | Impl_matched of { rule : string; gid : int }
+  | Impl_applied of { rule : string; gid : int }
+  | Impl_rejected of { rule : string; gid : int; reason : reason }
+  | Enforcer_inserted of { alg : string; gid : int }
+  | Memo_hit of { gid : int }
+  | Winner_changed of {
+      gid : int;
+      alg : string;
+      old_cost : float option;  (** [None]: first winner for the group *)
+      new_cost : float;
+    }
+  | Budget_hit of { groups : int }
+      (** emitted once, when exploration first hits the group budget *)
+
+val kind : event -> string
+(** Stable lowercase tag, e.g. ["trans_applied"] — the ["event"] field of
+    the JSON encoding. *)
+
+val reason_label : reason -> string
+(** ["test_failed"], ["pruned"], ["budget_exhausted"], ["no_input_plan"]. *)
+
+(** {1 The sink} *)
 
 type handle
 (** An open span. Valid until passed to {!exit}; handles are cheap
@@ -46,6 +100,15 @@ type record = {
   major_words : float;
 }
 
+type instant = {
+  seq : int;  (** from the counter that also numbers spans *)
+  at_ns : int64;  (** the sink's clock at emission *)
+  span : int;
+      (** [id] of the innermost open span at the emission site, [-1]
+          when none is open *)
+  event : event;
+}
+
 type agg = {
   a_phase : phase;
   a_rule : string option;
@@ -59,8 +122,8 @@ type agg = {
 type t
 
 val create : ?capacity:int -> unit -> t
-(** [capacity] bounds the record ring (default 65536); the aggregate
-    table is exact regardless of drops. *)
+(** [capacity] bounds the ring (default 65536, min 1) over spans and
+    events together; the aggregate table is exact regardless of drops. *)
 
 val capacity : t -> int
 
@@ -71,6 +134,10 @@ val exit : t -> handle -> unit
     a {!record}, and folds into the aggregate table. Call exactly once
     per handle, children strictly before parents. *)
 
+val emit : t -> ?span:handle -> event -> unit
+(** Record one event as an {!instant} inside [span] (the innermost open
+    span at the emission site; omitted when none is open). *)
+
 val enter_opt :
   t option -> ?rule:string -> parent:handle option -> phase -> handle option
 (** Disabled fast path: a single Option check when the sink is [None].
@@ -79,14 +146,27 @@ val enter_opt :
 
 val exit_opt : t option -> handle option -> unit
 
-val seq : t -> int
-(** Total spans completed, including dropped ones. *)
+val emit_opt : t option -> span:handle option -> (unit -> event) -> unit
+(** Same contract as {!enter_opt}: one Option check when the sink is
+    [None]; the event is built only when a sink is attached. *)
+
+val span_count : t -> int
+(** Spans completed over the sink's lifetime, dropped ones included. *)
+
+val event_count : t -> int
+(** Events emitted over the sink's lifetime, dropped ones included. *)
 
 val length : t -> int
+(** Entries (spans and events) currently retained. *)
+
 val dropped : t -> int
+(** Entries lost to the ring bound. *)
 
 val records : t -> record list
-(** Retained records, oldest first (completion order). *)
+(** Retained spans, oldest first (completion order). *)
+
+val events : t -> instant list
+(** Retained events, oldest first. *)
 
 val clear : t -> unit
 
@@ -99,11 +179,17 @@ val profile : t -> agg list
 (** Exact per-(phase, rule) aggregates, sorted by self time
     descending. *)
 
-val to_chrome : t -> string
-(** Chrome trace-event JSON ("X" complete events, µs timestamps
-    rebased to the earliest retained span); opens in Perfetto and
-    chrome://tracing. *)
+(** {1 Export} *)
 
-val chrome_of_trace : Trace.t -> string
-(** Render an event trace as trace-event JSON instant events (seq as
-    the µs clock, full event objects under [args]). *)
+val event_to_json : instant -> string
+(** One event as a single-line JSON object:
+    [{"seq":12,"span":7,"event":"trans_applied","rule":"join-assoc","gid":3}]. *)
+
+val to_jsonl : t -> string
+(** Retained events as JSON lines (newline after every event). *)
+
+val to_chrome : t -> string
+(** Chrome trace-event JSON: spans as ["X"] complete events, events as
+    thread-scoped ["i"] instant events carrying their JSON object under
+    [args]; µs timestamps rebased to the earliest retained entry.  Opens
+    in Perfetto and chrome://tracing. *)

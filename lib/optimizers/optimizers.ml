@@ -2,8 +2,6 @@ module Descriptor = Prairie.Descriptor
 module Search = Prairie_volcano.Search
 module Plan = Prairie_volcano.Plan
 module Metrics = Prairie_obs.Metrics
-module Trace = Prairie_obs.Trace
-module Span = Prairie_obs.Span
 module Slow_log = Prairie_obs.Slow_log
 
 type t = {
@@ -150,10 +148,10 @@ let timed f =
   (v, Unix.gettimeofday () -. t0)
 
 let optimize ?pruning ?group_budget ?search_jobs:_ ?(required = Descriptor.empty)
-    ?trace ?spans ?metrics ?slow_log t expr =
+    ?spans ?metrics ?slow_log t expr =
   let expr, req0 = t.prepare expr in
   let required = Descriptor.merge ~base:req0 ~overrides:required in
-  let search = Search.create ?pruning ?group_budget ?trace ?spans t.volcano in
+  let search = Search.create ?pruning ?group_budget ?spans t.volcano in
   let plan, elapsed = timed (fun () -> Search.optimize ~required search expr) in
   (match metrics with
   | None -> ()

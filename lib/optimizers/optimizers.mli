@@ -44,7 +44,6 @@ val optimize :
   ?group_budget:int ->
   ?search_jobs:int ->
   ?required:Prairie.Descriptor.t ->
-  ?trace:Prairie_obs.Trace.t ->
   ?spans:Prairie_obs.Span.t ->
   ?metrics:Prairie_obs.Metrics.t ->
   ?slow_log:Prairie_obs.Slow_log.t ->
@@ -59,10 +58,10 @@ val optimize :
     in [perfbench/] still passes it; a later benchmark revision removes
     it.
 
-    [trace] attaches a structured event sink to the search (see
-    {!Prairie_volcano.Search.create} and {!Prairie_volcano.Explain.trace});
-    [spans] attaches a timed-span sink with per-rule attribution (see
-    {!Prairie_volcano.Explain.profile} and `prairiec profile`);
+    [spans] attaches the observability sink to the search: timed spans
+    with per-rule attribution and the search's events inside them (see
+    {!Prairie_volcano.Search.create}, {!Prairie_volcano.Explain.trace},
+    {!Prairie_volcano.Explain.profile} and `prairiec trace`);
     [metrics] records the optimization into [prairie_optimize_seconds] /
     [prairie_optimize_total] (labelled by rule-set name); [slow_log]
     records the search when it meets the log's threshold (the query

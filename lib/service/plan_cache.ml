@@ -48,12 +48,8 @@ let create ?(capacity = 1024) () =
     invalidations = 0;
   }
 
-let locked t f =
-  Mutex.lock t.lock;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.lock) f
-
 let capacity t = t.cap
-let length t = locked t (fun () -> Hashtbl.length t.table)
+let length t = Mutex.protect t.lock (fun () -> Hashtbl.length t.table)
 
 let unlink t n =
   (match n.prev with None -> t.first <- n.next | Some p -> p.next <- n.next);
@@ -68,7 +64,7 @@ let push_front t n =
   t.first <- Some n
 
 let find t ~ruleset ~fingerprint =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       match Hashtbl.find_opt t.table (ruleset, fingerprint) with
       | Some n ->
         t.hits <- t.hits + 1;
@@ -80,7 +76,7 @@ let find t ~ruleset ~fingerprint =
         None)
 
 let add t ~ruleset ~fingerprint entry =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let key = (ruleset, fingerprint) in
       match Hashtbl.find_opt t.table key with
       | Some n ->
@@ -100,7 +96,7 @@ let add t ~ruleset ~fingerprint entry =
         Hashtbl.add t.table key n)
 
 let invalidate t ~ruleset =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       let victims =
         Hashtbl.fold
           (fun (rs, _) n acc -> if String.equal rs ruleset then n :: acc else acc)
@@ -114,14 +110,14 @@ let invalidate t ~ruleset =
         victims)
 
 let clear t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       t.invalidations <- t.invalidations + Hashtbl.length t.table;
       Hashtbl.reset t.table;
       t.first <- None;
       t.last <- None)
 
 let stats t =
-  locked t (fun () ->
+  Mutex.protect t.lock (fun () ->
       {
         hits = t.hits;
         misses = t.misses;

@@ -218,7 +218,7 @@ let optimize_in ctx g0 ~required =
     plans_costed = !plans_costed;
   }
 
-let optimize ?(required = Descriptor.empty) ?trace ?spans rules expr =
-  let ctx = Search.create ?trace ?spans rules in
+let optimize ?(required = Descriptor.empty) ?spans rules expr =
+  let ctx = Search.create ?spans rules in
   let g0 = Memo.insert_expr (Search.memo ctx) expr in
   optimize_in ctx g0 ~required

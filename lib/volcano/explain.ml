@@ -2,6 +2,7 @@ module D = Prairie.Descriptor
 module V = Prairie_value.Value
 module O = Prairie_value.Order
 module P = Prairie_value.Predicate
+module Span = Prairie_obs.Span
 
 let param_of desc =
   let pred name =
@@ -80,7 +81,6 @@ let summary plan =
 (* Trace rendering: the per-rule account of a recorded search          *)
 (* ------------------------------------------------------------------ *)
 
-module Trace = Prairie_obs.Trace
 module SMap = Map.Make (String)
 
 type rule_account = {
@@ -112,10 +112,10 @@ let account map rule =
     a
 
 let record_rejection a = function
-  | Trace.Test_failed -> a.rej_test <- a.rej_test + 1
-  | Trace.Pruned _ -> a.rej_pruned <- a.rej_pruned + 1
-  | Trace.Budget_exhausted -> a.rej_budget <- a.rej_budget + 1
-  | Trace.No_input_plan -> a.rej_no_input <- a.rej_no_input + 1
+  | Span.Test_failed -> a.rej_test <- a.rej_test + 1
+  | Span.Pruned _ -> a.rej_pruned <- a.rej_pruned + 1
+  | Span.Budget_exhausted -> a.rej_budget <- a.rej_budget + 1
+  | Span.No_input_plan -> a.rej_no_input <- a.rej_no_input + 1
 
 let rejection_note a =
   let parts =
@@ -161,7 +161,7 @@ let pp_accounts ppf kind map =
     Format.fprintf ppf "@]"
   end
 
-let trace ppf (tr : Trace.t) =
+let trace ppf (sink : Span.t) =
   let trans = ref SMap.empty and impl = ref SMap.empty in
   let groups_created = ref 0
   and merges = ref 0
@@ -170,35 +170,37 @@ let trace ppf (tr : Trace.t) =
   and winner_changes = ref 0
   and budget = ref None in
   let final_winner : (string * float) option ref = ref None in
+  let events = Span.events sink in
   List.iter
-    (fun (_, ev) ->
-      match ev with
-      | Trace.Group_created _ -> incr groups_created
-      | Trace.Groups_merged _ -> incr merges
-      | Trace.Trans_matched { rule; bindings; _ } ->
+    (fun (i : Span.instant) ->
+      match i.Span.event with
+      | Span.Group_created _ -> incr groups_created
+      | Span.Groups_merged _ -> incr merges
+      | Span.Trans_matched { rule; bindings; _ } ->
         let a = account trans rule in
         a.matched <- a.matched + 1;
         a.bindings <- a.bindings + bindings
-      | Trace.Trans_applied { rule; _ } ->
+      | Span.Trans_applied { rule; _ } ->
         (account trans rule).applied <- (account trans rule).applied + 1
-      | Trace.Trans_rejected { rule; reason; _ } ->
+      | Span.Trans_rejected { rule; reason; _ } ->
         record_rejection (account trans rule) reason
-      | Trace.Impl_matched { rule; _ } ->
+      | Span.Impl_matched { rule; _ } ->
         let a = account impl rule in
         a.matched <- a.matched + 1
-      | Trace.Impl_applied { rule; _ } ->
+      | Span.Impl_applied { rule; _ } ->
         (account impl rule).applied <- (account impl rule).applied + 1
-      | Trace.Impl_rejected { rule; reason; _ } ->
+      | Span.Impl_rejected { rule; reason; _ } ->
         record_rejection (account impl rule) reason
-      | Trace.Enforcer_inserted _ -> incr enforcers
-      | Trace.Memo_hit _ -> incr memo_hits
-      | Trace.Winner_changed { alg; new_cost; _ } ->
+      | Span.Enforcer_inserted _ -> incr enforcers
+      | Span.Memo_hit _ -> incr memo_hits
+      | Span.Winner_changed { alg; new_cost; _ } ->
         incr winner_changes;
         final_winner := Some (alg, new_cost)
-      | Trace.Budget_hit { groups } -> budget := Some groups)
-    (Trace.events tr);
-  Format.fprintf ppf "@[<v>search trace: %d events (%d dropped)"
-    (Trace.seq tr) (Trace.dropped tr);
+      | Span.Budget_hit { groups } -> budget := Some groups)
+    events;
+  let emitted = Span.event_count sink in
+  Format.fprintf ppf "@[<v>search trace: %d events (%d dropped)" emitted
+    (emitted - List.length events);
   Format.fprintf ppf
     "@,%d groups created, %d merged, %d memo hits, %d enforcer insertions, \
      %d winner changes"
@@ -218,23 +220,24 @@ let trace ppf (tr : Trace.t) =
   | None -> Format.fprintf ppf "@,no winner was ever recorded");
   Format.fprintf ppf "@]"
 
-let trace_to_string tr = Format.asprintf "%a" trace tr
+let trace_to_string sink = Format.asprintf "%a" trace sink
 
 (* ------------------------------------------------------------------ *)
 (* Span profile rendering: where did the time go, per phase and rule   *)
 (* ------------------------------------------------------------------ *)
-
-module Span = Prairie_obs.Span
 
 let ms_of_ns ns = Int64.to_float ns /. 1e6
 
 let profile ppf (sink : Span.t) =
   let rows = Span.profile sink in
   let total = Span.root_total_ns sink in
+  let completed = Span.span_count sink in
   Format.fprintf ppf
     "@[<v>span profile: %d spans (%d dropped from the ring; aggregates are \
      exact), %d root span%s, rooted total %.3f ms"
-    (Span.seq sink) (Span.dropped sink) (Span.root_count sink)
+    completed
+    (completed - List.length (Span.records sink))
+    (Span.root_count sink)
     (if Span.root_count sink = 1 then "" else "s")
     (ms_of_ns total);
   if rows <> [] then begin

@@ -21,9 +21,9 @@ val to_string : Plan.t -> string
 val summary : Plan.t -> string
 (** One line: total cost, result cardinality, algorithms used. *)
 
-val trace : Format.formatter -> Prairie_obs.Trace.t -> unit
-(** The per-rule account of a recorded search (see
-    {!Search.create}[ ~trace]): how often each transformation and
+val trace : Format.formatter -> Prairie_obs.Span.t -> unit
+(** The per-rule account of the events a sink recorded (see
+    {!Search.create}[ ~spans]): how often each transformation and
     implementation rule matched, applied, and was rejected — with the
     rejection reasons (test failed / pruned by cost limit / budget
     exhausted / no input plan) — plus group, memo-hit, enforcer and
@@ -32,14 +32,15 @@ val trace : Format.formatter -> Prairie_obs.Trace.t -> unit
     answer.  Events dropped by the ring buffer are reported but cannot
     be accounted. *)
 
-val trace_to_string : Prairie_obs.Trace.t -> string
+val trace_to_string : Prairie_obs.Span.t -> string
 
 val profile : Format.formatter -> Prairie_obs.Span.t -> unit
 (** The per-(phase, rule) time-attribution table of a span sink (see
     {!Search.create}[ ~spans]): count, total and self milliseconds
     (self excludes nested spans), share of the rooted total, and minor
     allocation kilowords, sorted by self time.  Aggregates are exact
-    even when the record ring dropped spans; the rooted total is the
+    even when the ring dropped spans, and the header counts spans only
+    (events share the ring, see {!trace}); the rooted total is the
     summed duration of parentless spans — within clock resolution of
     the wall time the caller measured around the search. *)
 

@@ -1,6 +1,5 @@
 module Descriptor = Prairie.Descriptor
 module Expr = Prairie.Expr
-module Trace = Prairie_obs.Trace
 module Span = Prairie_obs.Span
 
 type gid = int
@@ -107,11 +106,10 @@ type t = {
       (** (lexpr id, trans-rule id) packed into one int — see [tried_key] *)
   winners : winner Wtbl.t;
   stats : Stats.t;
-  trace : Trace.t option;
   spans : Span.t option;
 }
 
-let create ?(stats = Stats.create ()) ?trace ?spans () =
+let create ?(stats = Stats.create ()) ?spans () =
   {
     parents = Hashtbl.create 64;
     groups = Hashtbl.create 64;
@@ -123,14 +121,8 @@ let create ?(stats = Stats.create ()) ?trace ?spans () =
     tried = Hashtbl.create 256;
     winners = Wtbl.create 512;
     stats;
-    trace;
     spans;
   }
-
-(* Single Option check on the disabled path; the event is only allocated
-   when a sink is attached. *)
-let emit t ev =
-  match t.trace with None -> () | Some tr -> Trace.emit tr (ev ())
 
 let stats t = t.stats
 
@@ -185,7 +177,9 @@ let clear_winners t =
   Hashtbl.iter (fun _ g -> g.w_epoch <- g.w_epoch + 1) t.groups;
   Wtbl.reset t.winners
 
-let fresh_group t desc =
+(* [span] threads the innermost open span (the caller's [Memo_insert]
+   span, when a sink is attached) down to the event sites. *)
+let fresh_group t ~span desc =
   let g =
     {
       g_id = t.next_gid;
@@ -199,7 +193,7 @@ let fresh_group t desc =
   t.next_gid <- t.next_gid + 1;
   Hashtbl.replace t.groups g.g_id g;
   t.stats.Stats.groups_created <- t.stats.Stats.groups_created + 1;
-  emit t (fun () -> Trace.Group_created { gid = g.g_id });
+  Span.emit_opt t.spans ~span (fun () -> Span.Group_created { gid = g.g_id });
   g
 
 (* Post-merge repair worklist (FIFO): merges to perform plus members whose
@@ -246,7 +240,7 @@ let reindex t q (le : lexpr) owner =
       Ktbl.replace t.index k (keep, owner)
     end
 
-let merge_one t q x y =
+let merge_one t ~span q x y =
   let x = canonical t x in
   let y = canonical t y in
   if x <> y then begin
@@ -263,7 +257,8 @@ let merge_one t q x y =
     gs.exploring <- gs.exploring || gd.exploring;
     gs.w_epoch <- gs.w_epoch + 1;
     t.stats.Stats.groups_merged <- t.stats.Stats.groups_merged + 1;
-    emit t (fun () -> Trace.Groups_merged { survivor; dead });
+    Span.emit_opt t.spans ~span (fun () ->
+        Span.Groups_merged { survivor; dead });
     (* Rewrite the input slots of everything that referenced the dead
        group; their registrations move to the survivor. *)
     (match Hashtbl.find_opt t.uses dead with
@@ -294,7 +289,7 @@ let merge_one t q x y =
    dominated large searches (84% of fig13 wall time under the span
    profiler).  Newly revealed duplicates cascade through the FIFO until
    the index is congruence-closed. *)
-let merge t a b =
+let merge t ~span a b =
   let a = canonical t a in
   let b = canonical t b in
   if a = b then a
@@ -303,7 +298,7 @@ let merge t a b =
     Queue.add (R_merge (a, b)) q;
     while not (Queue.is_empty q) do
       match Queue.pop q with
-      | R_merge (x, y) -> merge_one t q x y
+      | R_merge (x, y) -> merge_one t ~span q x y
       | R_reindex (le, owner) ->
         if not (Hashtbl.mem t.dead_lexprs le.id) then reindex t q le owner
     done;
@@ -312,7 +307,7 @@ let merge t a b =
 
 (* Insert a logical expression, deduplicating globally.  Returns the group
    it lives in and whether it is new. *)
-let insert_lexpr t ?into node arg inputs =
+let insert_lexpr t ~span ?into node arg inputs =
   let inputs = Array.map (canonical t) inputs in
   (* [inputs] is already canonical, so the key can share the array instead of
      re-canonicalizing through [key_of]. *)
@@ -323,7 +318,7 @@ let insert_lexpr t ?into node arg inputs =
     let g = canonical t g in
     let g =
       match into with
-      | Some target when canonical t target <> g -> merge t target g
+      | Some target when canonical t target <> g -> merge t ~span target g
       | _ -> g
     in
     (g, false)
@@ -331,7 +326,7 @@ let insert_lexpr t ?into node arg inputs =
     let grp =
       match into with
       | Some target -> group t target
-      | None -> fresh_group t arg
+      | None -> fresh_group t ~span arg
     in
     let le = { id = t.next_lexpr; node; arg; inputs } in
     t.next_lexpr <- t.next_lexpr + 1;
@@ -356,27 +351,27 @@ let insert_lexpr t ?into node arg inputs =
     (canonical t grp.g_id, true)
 
 let insert_file t name desc =
-  fst (insert_lexpr t (L_file name) desc [||])
+  fst (insert_lexpr t ~span:None (L_file name) desc [||])
 
-let rec insert_expr_rec t (e : Expr.t) =
+let rec insert_expr_rec t ~span (e : Expr.t) =
   match e with
-  | Expr.Stored (name, d) -> insert_file t name d
+  | Expr.Stored (name, d) -> fst (insert_lexpr t ~span (L_file name) d [||])
   | Expr.Node (Expr.Operator, name, d, inputs) ->
-    let gids = Array.of_list (List.map (insert_expr_rec t) inputs) in
-    fst (insert_lexpr t (L_op name) d gids)
+    let gids = Array.of_list (List.map (insert_expr_rec t ~span) inputs) in
+    fst (insert_lexpr t ~span (L_op name) d gids)
   | Expr.Node (Expr.Algorithm, name, _, _) ->
     invalid_arg ("Memo.insert_expr: algorithm node " ^ name)
 
 let insert_expr t ?span_parent e =
   match t.spans with
-  | None -> insert_expr_rec t e
+  | None -> insert_expr_rec t ~span:None e
   | Some sink ->
     let h = Span.enter sink ?parent:span_parent Span.Memo_insert in
     Fun.protect
       ~finally:(fun () -> Span.exit sink h)
-      (fun () -> insert_expr_rec t e)
+      (fun () -> insert_expr_rec t ~span:(Some h) e)
 
-let rec insert_gtree_rec t ?into tree =
+let rec insert_gtree_rec t ~span ?into tree =
   match tree with
   | Gleaf g -> (canonical t g, false)
   | Gnode (name, desc, subs) ->
@@ -385,24 +380,22 @@ let rec insert_gtree_rec t ?into tree =
       Array.of_list
         (List.map
            (fun sub ->
-             let g, f = insert_gtree_rec t sub in
+             let g, f = insert_gtree_rec t ~span sub in
              if f then fresh := true;
              g)
            subs)
     in
-    let g, f = insert_lexpr t ?into (L_op name) desc gids in
+    let g, f = insert_lexpr t ~span ?into (L_op name) desc gids in
     (g, f || !fresh)
 
 let insert_gtree t ?into ?span_parent tree =
   match t.spans with
-  | None -> insert_gtree_rec t ?into tree
+  | None -> insert_gtree_rec t ~span:None ?into tree
   | Some sink ->
     let h = Span.enter sink ?parent:span_parent Span.Memo_insert in
     Fun.protect
       ~finally:(fun () -> Span.exit sink h)
-      (fun () -> insert_gtree_rec t ?into tree)
-
-let spans t = t.spans
+      (fun () -> insert_gtree_rec t ~span:(Some h) ?into tree)
 
 let pp_lnode ppf = function
   | L_op name -> Format.pp_print_string ppf name

@@ -37,20 +37,12 @@ type gtree =
 
 type t
 
-val create :
-  ?stats:Stats.t ->
-  ?trace:Prairie_obs.Trace.t ->
-  ?spans:Prairie_obs.Span.t ->
-  unit ->
-  t
-(** [trace] receives [Group_created] / [Groups_merged] events; [spans]
-    receives [Memo_insert] timing spans around tree insertions.  When
-    absent (the default) the only per-event cost is one [Option]
-    check. *)
+val create : ?stats:Stats.t -> ?spans:Prairie_obs.Span.t -> unit -> t
+(** [spans] receives [Memo_insert] timing spans around tree insertions,
+    with the [Group_created] / [Groups_merged] events inside them.  When
+    absent (the default) the only per-site cost is one [Option] check. *)
 
 val stats : t -> Stats.t
-
-val spans : t -> Prairie_obs.Span.t option
 
 val canonical : t -> gid -> gid
 

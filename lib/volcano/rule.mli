@@ -87,8 +87,7 @@ type ruleset = {
           by {!make_ruleset}; {!impl_rules_for} reads it *)
   rs_match_index : (string, (int * trans_rule) list) Hashtbl.t;
       (** trans rules grouped by LHS root operator, each paired with its
-          [rs_trans] position — the rule id of the memo's tried table, so
-          indexed and un-indexed search share one id space.  Buckets
+          [rs_trans] position — the rule id of the memo's tried table.  Buckets
           preserve [rs_trans] order and include wildcard-rooted rules.
           Built once by {!make_ruleset}; {!trans_rules_for} reads it. *)
   rs_match_wildcard : (int * trans_rule) list;

@@ -1,25 +1,12 @@
 module Descriptor = Prairie.Descriptor
 module Pattern = Prairie.Pattern
-module Trace = Prairie_obs.Trace
 module Span = Prairie_obs.Span
-
-(* tracing: enable with Logs.Src.set_level Search.log_src (Some Debug) *)
-let log_src = Logs.Src.create "prairie.search" ~doc:"Volcano search tracing"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
 
 type exploration = [ `Worklist | `Rescan ]
 
 type t = {
   memo : Memo.t;
   rules : Rule.ruleset;
-  trans_rules : (int * Rule.trans_rule) list;
-      (** [rs_trans] paired with its small integer rule ids (list position),
-          the key space of the memo's [tried] table *)
-  use_match_index : bool;
-      (** consult [rs_match_index] so each lexpr only tries rules whose
-          LHS root can match it; the skipped matches are exactly those
-          that would return no bindings, so results are byte-identical *)
   restrict_cache : Descriptor.t Descriptor.Tbl.t;
       (** memoized [Rule.restrict_physical] — the projection runs once per
           distinct descriptor instead of once per optimize call *)
@@ -28,47 +15,39 @@ type t = {
   group_budget : int option;
   exploration : exploration;
   mutable budget_hit : bool;
-  trace : Trace.t option;
   spans : Span.t option;
 }
 
-let create ?(pruning = true) ?group_budget ?(exploration = `Worklist)
-    ?(match_index = true) ?trace ?spans rules =
+let create ?(pruning = true) ?group_budget ?(exploration = `Worklist) ?spans
+    rules =
   let st = Stats.create () in
   {
-    memo = Memo.create ~stats:st ?trace ?spans ();
+    memo = Memo.create ~stats:st ?spans ();
     rules;
-    trans_rules = List.mapi (fun i tr -> (i, tr)) rules.Rule.rs_trans;
-    use_match_index = match_index;
     restrict_cache = Descriptor.Tbl.create 64;
     st;
     pruning;
     group_budget;
     exploration;
     budget_hit = false;
-    trace;
     spans;
   }
 
-(* Single Option check when no sink is attached; events are allocated only
-   inside the [Some] branch. *)
-let emit ctx ev =
-  match ctx.trace with None -> () | Some tr -> Trace.emit tr (ev ())
+(* Instrumentation: [Span.enter_opt]/[Span.exit_opt]/[Span.emit_opt] are one
+   Option check each when no sink is attached, and events are built only
+   inside the [Some] branch.  Parent handles are threaded explicitly
+   through the mutual recursion below — never stored in the context — and
+   every event is emitted under the innermost span open at its site. *)
 
-(* Same discipline for spans: [Span.enter_opt]/[Span.exit_opt] are one
-   Option check each on the disabled path.  Parent handles are threaded
-   explicitly through the mutual recursion below — never stored in the
-   context. *)
-
-let budget_exhausted t =
+let budget_exhausted t ~span =
   match t.group_budget with
   | None -> false
   | Some budget ->
     let hit = Memo.group_count t.memo >= budget in
     if hit && not t.budget_hit then begin
       t.budget_hit <- true;
-      emit t (fun () -> Trace.Budget_hit { groups = Memo.group_count t.memo });
-      Log.debug (fun m -> m "group budget of %d reached; exploration capped" budget)
+      Span.emit_opt t.spans ~span (fun () ->
+          Span.Budget_hit { groups = Memo.group_count t.memo })
     end;
     hit
 
@@ -100,17 +79,14 @@ type menv = {
 
 let empty_menv = { streams = []; descs = [] }
 
-(* The trans rules worth trying against a lexpr.  The match index drops
-   only rules whose root operator differs from the lexpr's — matches that
-   would return no bindings and record nothing — so both settings apply
-   identical rules in identical order; only the tried-table bookkeeping
-   for provably-failing rules is saved. *)
+(* The trans rules worth trying against a lexpr, paired with their rule
+   ids.  The match index drops only rules whose root operator differs from
+   the lexpr's — matches that would return no bindings and record
+   nothing. *)
 let candidates ctx (le : Memo.lexpr) =
-  if not ctx.use_match_index then ctx.trans_rules
-  else
-    match le.Memo.node with
-    | Memo.L_op op -> Rule.trans_rules_for ctx.rules (Some op)
-    | Memo.L_file _ -> Rule.trans_rules_for ctx.rules None
+  match le.Memo.node with
+  | Memo.L_op op -> Rule.trans_rules_for ctx.rules (Some op)
+  | Memo.L_file _ -> Rule.trans_rules_for ctx.rules None
 
 let gtree_of_tmpl (tmpl : Pattern.tmpl) streams descs =
   let rec go = function
@@ -150,7 +126,7 @@ let rec explore ctx parent gid =
       | `Rescan -> None
     in
     let changed = ref true in
-    while !changed && not (budget_exhausted ctx) do
+    while !changed && not (budget_exhausted ctx ~span:sp) do
       changed := false;
       let merges_before = ctx.st.Stats.groups_merged in
       let members =
@@ -187,25 +163,25 @@ and apply_rule ctx parent g le ((tr_id, tr) : int * Rule.trans_rule) ~changed =
     Span.exit_opt ctx.spans msp;
     if envs <> [] then begin
       Stats.record_trans_match ctx.st tr.tr_name;
-      emit ctx (fun () ->
-          Trace.Trans_matched
+      Span.emit_opt ctx.spans ~span:parent (fun () ->
+          Span.Trans_matched
             { rule = tr.tr_name; gid = g; bindings = List.length envs })
     end;
     List.iter
       (fun env ->
         match tr.tr_cond env.descs with
         | None ->
-          emit ctx (fun () ->
-              Trace.Trans_rejected
-                { rule = tr.tr_name; gid = g; reason = Trace.Test_failed })
+          Span.emit_opt ctx.spans ~span:parent (fun () ->
+              Span.Trans_rejected
+                { rule = tr.tr_name; gid = g; reason = Span.Test_failed })
         | Some descs ->
           let asp =
             Span.enter_opt ctx.spans ~rule:tr.tr_name ~parent Span.Apply
           in
           let descs = tr.tr_appl descs in
           Stats.record_trans_applied ctx.st tr.tr_name;
-          emit ctx (fun () -> Trace.Trans_applied { rule = tr.tr_name; gid = g });
-          Log.debug (fun m -> m "group %d: trans rule %s fired" g tr.tr_name);
+          Span.emit_opt ctx.spans ~span:asp (fun () ->
+              Span.Trans_applied { rule = tr.tr_name; gid = g });
           ctx.st.Stats.trans_applications <- ctx.st.Stats.trans_applications + 1;
           let gtree = gtree_of_tmpl tr.tr_rhs env.streams descs in
           let target = Memo.canonical ctx.memo g in
@@ -269,18 +245,16 @@ let rec optimize_group_at ctx gid ~req ~limit ~parent : Plan.t option =
   match Memo.find_winner ctx.memo g req with
   | Some { plan = Some p; cost; _ } ->
     ctx.st.Stats.memo_hits <- ctx.st.Stats.memo_hits + 1;
-    emit ctx (fun () -> Trace.Memo_hit { gid = g });
+    Span.emit_opt ctx.spans ~span:parent (fun () -> Span.Memo_hit { gid = g });
     if (not ctx.pruning) || cost <= limit then Some p else None
   | Some { plan = None; searched_limit; _ }
     when (not ctx.pruning) || limit <= searched_limit ->
     ctx.st.Stats.memo_hits <- ctx.st.Stats.memo_hits + 1;
-    emit ctx (fun () -> Trace.Memo_hit { gid = g });
+    Span.emit_opt ctx.spans ~span:parent (fun () -> Span.Memo_hit { gid = g });
     None
   | Some _ | None -> search_group ctx g ~req ~limit ~parent
 
 and search_group ctx g ~req ~limit ~parent =
-  Log.debug (fun m ->
-      m "optimize group %d req=%a limit=%.2f" g Descriptor.pp req limit);
   explore ctx parent g;
   let g = Memo.canonical ctx.memo g in
   let best : (Plan.t * float) option ref = ref None in
@@ -288,14 +262,14 @@ and search_group ctx g ~req ~limit ~parent =
     if not ctx.pruning then infinity_limit
     else match !best with None -> limit | Some (_, c) -> Float.min limit c
   in
-  let consider plan cost =
+  let consider ~span plan cost =
     if ctx.rules.Rule.rs_satisfies ~required:req ~actual:(Plan.descriptor plan)
     then
       match !best with
       | Some (_, c) when c <= cost -> ()
       | prev ->
-        emit ctx (fun () ->
-            Trace.Winner_changed
+        Span.emit_opt ctx.spans ~span (fun () ->
+            Span.Winner_changed
               {
                 gid = g;
                 alg =
@@ -338,9 +312,11 @@ and search_group ctx g ~req ~limit ~parent =
               in
               ctx.st.Stats.enforcer_firings <-
                 ctx.st.Stats.enforcer_firings + 1;
-              emit ctx (fun () ->
-                  Trace.Enforcer_inserted { alg = en.Rule.en_alg; gid = g });
-              consider (Plan.Alg (en.Rule.en_alg, desc, [ sub ])) (Descriptor.cost desc));
+              Span.emit_opt ctx.spans ~span:esp (fun () ->
+                  Span.Enforcer_inserted { alg = en.Rule.en_alg; gid = g });
+              consider ~span:esp
+                (Plan.Alg (en.Rule.en_alg, desc, [ sub ]))
+                (Descriptor.cost desc));
             Span.exit_opt ctx.spans esp
           end
         end)
@@ -348,7 +324,6 @@ and search_group ctx g ~req ~limit ~parent =
   let g = Memo.canonical ctx.memo g in
   (match !best with
   | Some (plan, cost) ->
-    Log.debug (fun m -> m "group %d: winner %a cost=%.2f" g Plan.pp plan cost);
     Memo.set_winner ctx.memo g req
       { Memo.plan = Some plan; cost; searched_limit = limit }
   | None ->
@@ -362,7 +337,9 @@ and cost_lexpr ctx parent g le ~req ~budget ~consider =
   match le.Memo.node with
   | Memo.L_file name ->
     (* A stored file delivers its catalog properties at no cost. *)
-    consider (Plan.Leaf (name, le.Memo.arg)) (Descriptor.cost le.Memo.arg)
+    consider ~span:parent
+      (Plan.Leaf (name, le.Memo.arg))
+      (Descriptor.cost le.Memo.arg)
   | Memo.L_op op ->
     List.iter
       (fun (ir : Rule.impl_rule) ->
@@ -371,24 +348,24 @@ and cost_lexpr ctx parent g le ~req ~budget ~consider =
             Span.enter_opt ctx.spans ~rule:ir.Rule.ir_name ~parent Span.Cost
           in
           Stats.record_impl_match ctx.st ir.Rule.ir_name;
-          emit ctx (fun () ->
-              Trace.Impl_matched { rule = ir.Rule.ir_name; gid = g });
+          Span.emit_opt ctx.spans ~span:csp (fun () ->
+              Span.Impl_matched { rule = ir.Rule.ir_name; gid = g });
           let input_descs =
             Array.map (Memo.group_desc ctx.memo) le.Memo.inputs
           in
           if not (ir.Rule.ir_cond ~op_arg:le.Memo.arg ~req ~inputs:input_descs)
           then
-            emit ctx (fun () ->
-                Trace.Impl_rejected
+            Span.emit_opt ctx.spans ~span:csp (fun () ->
+                Span.Impl_rejected
                   {
                     rule = ir.Rule.ir_name;
                     gid = g;
-                    reason = Trace.Test_failed;
+                    reason = Span.Test_failed;
                   })
           else begin
             Stats.record_impl_applied ctx.st ir.Rule.ir_name;
-            emit ctx (fun () ->
-                Trace.Impl_applied { rule = ir.Rule.ir_name; gid = g });
+            Span.emit_opt ctx.spans ~span:csp (fun () ->
+                Span.Impl_applied { rule = ir.Rule.ir_name; gid = g });
             let reqs =
               ir.Rule.ir_input_reqs ~op_arg:le.Memo.arg ~req ~inputs:input_descs
             in
@@ -404,12 +381,12 @@ and cost_lexpr ctx parent g le ~req ~budget ~consider =
               in
               (if ctx.pruning && sub_limit < 0.0 then begin
                  ctx.st.Stats.pruned <- ctx.st.Stats.pruned + 1;
-                 emit ctx (fun () ->
-                     Trace.Impl_rejected
+                 Span.emit_opt ctx.spans ~span:csp (fun () ->
+                     Span.Impl_rejected
                        {
                          rule = ir.Rule.ir_name;
                          gid = g;
-                         reason = Trace.Pruned sub_limit;
+                         reason = Span.Pruned sub_limit;
                        });
                  ok := false
                end
@@ -421,14 +398,14 @@ and cost_lexpr ctx parent g le ~req ~budget ~consider =
                  | None ->
                    if ctx.pruning then
                      ctx.st.Stats.pruned <- ctx.st.Stats.pruned + 1;
-                   emit ctx (fun () ->
-                       Trace.Impl_rejected
+                   Span.emit_opt ctx.spans ~span:csp (fun () ->
+                       Span.Impl_rejected
                          {
                            rule = ir.Rule.ir_name;
                            gid = g;
                            reason =
-                             (if ctx.pruning then Trace.Pruned sub_limit
-                              else Trace.No_input_plan);
+                             (if ctx.pruning then Span.Pruned sub_limit
+                              else Span.No_input_plan);
                          });
                    ok := false
                  | Some p ->
@@ -450,7 +427,7 @@ and cost_lexpr ctx parent g le ~req ~budget ~consider =
                 Array.to_list
                   (Array.map (function Some p -> p | None -> assert false) plans)
               in
-              consider (Plan.Alg (ir.Rule.ir_alg, desc, children))
+              consider ~span:csp (Plan.Alg (ir.Rule.ir_alg, desc, children))
                 (Descriptor.cost desc)
             end
           end;

@@ -21,16 +21,10 @@ type exploration = [ `Worklist | `Rescan ]
     memos, plans and costs are bit-for-bit equal; only the iteration cost
     differs. *)
 
-val log_src : Logs.src
-(** Debug-level tracing of exploration, rule firings and winners; enable
-    with [Logs.Src.set_level Search.log_src (Some Logs.Debug)]. *)
-
 val create :
   ?pruning:bool ->
   ?group_budget:int ->
   ?exploration:exploration ->
-  ?match_index:bool ->
-  ?trace:Prairie_obs.Trace.t ->
   ?spans:Prairie_obs.Span.t ->
   Rule.ruleset ->
   t
@@ -38,29 +32,23 @@ val create :
     enables branch-and-bound cost limits; disabling it is the
     [ablation-bounding] experiment.
 
-    [match_index] (default [true]) consults the rule set's
-    [rs_match_index] so each lexpr only tries trans rules whose LHS root
-    operator can match it.  The skipped (lexpr, rule) pairs are exactly
-    those whose match would bind nothing — they record no match, no trace
-    event and no memo change either way — so matches, applications,
-    stats, memo shape, costs and plans are byte-identical with the index
-    on or off (property-tested in the equivalence harness); only the
-    per-lexpr rule iteration shrinks.  [match_index:false] is the
-    [ablation] / differential-testing configuration.
+    Each lexpr only tries the trans rules whose LHS root operator can
+    match it (the rule set's [rs_match_index]).  The skipped (lexpr,
+    rule) pairs are exactly those whose match would bind nothing, so the
+    search is byte-identical to a full scan of [rs_trans]
+    (property-tested in the test suite).
 
-    [trace] attaches a structured event sink recording the whole search:
-    group creation/merges, rule matches, applications and rejections with
-    reasons, enforcer insertions, memo hits and winner changes (render
-    with {!Explain.trace}).  When absent — the default — each potential
-    event costs a single [Option] check and no allocation, so the
-    instrumented engine stays within noise of the uninstrumented one.
-
-    [spans] attaches a timed-span sink: the search is bracketed by an
-    [Optimize] root span with nested [Explore]/[Match]/[Apply]/[Cost]/
+    [spans] attaches the observability sink: the search is bracketed by
+    an [Optimize] root span with nested [Explore]/[Match]/[Apply]/[Cost]/
     [Enforcer]/[Memo_insert] children carrying rule-name attribution
-    (render with {!Explain.profile}, export with
-    {!Prairie_obs.Span.to_chrome}).  Same disabled-path contract as
-    [trace]: one [Option] check per site when absent.
+    (render with {!Explain.profile}), and every search event — group
+    creation/merges, rule matches, applications and rejections with
+    reasons, enforcer insertions, memo hits and winner changes — is
+    recorded inside the innermost open span (render with
+    {!Explain.trace}; export with {!Prairie_obs.Span.to_chrome} or
+    {!Prairie_obs.Span.to_jsonl}).  When absent — the default — each
+    site costs a single [Option] check, so the instrumented engine
+    stays within noise of the uninstrumented one.
 
     [group_budget] is the heuristic the paper's conclusion calls for
     ("extensibility must be judiciously coupled with user heuristics to

@@ -1,8 +1,9 @@
-(* The observability layer: ring-buffer traces, the metrics registry with
-   its exporters, engine instrumentation, and the guarantee that attaching
-   a sink never changes what the optimizer returns. *)
+(* The observability layer: search events on the span sink's ring, the
+   metrics registry with its exporters, engine instrumentation, and the
+   guarantee that attaching a sink never changes what the optimizer
+   returns. *)
 
-module Trace = Prairie_obs.Trace
+module Span = Prairie_obs.Span
 module Metrics = Prairie_obs.Metrics
 module Opt = Prairie_optimizers.Optimizers
 module Search = Prairie_volcano.Search
@@ -14,7 +15,6 @@ module W = Prairie_workload
 let check = Alcotest.(check bool)
 let checki = Alcotest.(check int)
 let checkf = Alcotest.(check (float 1e-9))
-let checks = Alcotest.(check string)
 
 let qtest name ?(count = 50) gen prop =
   QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count gen prop)
@@ -25,76 +25,87 @@ let contains hay needle =
   n = 0 || go 0
 
 (* ------------------------------------------------------------------ *)
-(* Trace: the ring buffer                                              *)
+(* Events on the span sink: the ring buffer                            *)
 (* ------------------------------------------------------------------ *)
 
-let ev i = Trace.Memo_hit { gid = i }
+let ev i = Span.Memo_hit { gid = i }
+let payloads t =
+  List.map (fun (i : Span.instant) -> i.Span.event) (Span.events t)
 
 let test_ring_basics () =
-  let t = Trace.create ~capacity:8 () in
-  checki "fresh seq" 0 (Trace.seq t);
-  checki "fresh length" 0 (Trace.length t);
+  let t = Span.create ~capacity:8 () in
+  checki "fresh count" 0 (Span.event_count t);
+  checki "fresh length" 0 (Span.length t);
   for i = 0 to 4 do
-    Trace.emit t (ev i)
+    Span.emit t (ev i)
   done;
-  checki "seq" 5 (Trace.seq t);
-  checki "length" 5 (Trace.length t);
-  checki "dropped" 0 (Trace.dropped t);
-  checki "capacity" 8 (Trace.capacity t);
-  (* oldest first, contiguous sequence numbers from 0 *)
+  checki "event count" 5 (Span.event_count t);
+  checki "length" 5 (Span.length t);
+  checki "dropped" 0 (Span.dropped t);
+  checki "capacity" 8 (Span.capacity t);
+  (* oldest first, contiguous sequence numbers from 0, outside any span *)
   List.iteri
-    (fun i (seq, e) ->
-      checki "seq order" i seq;
-      check "payload order" true (e = ev i))
-    (Trace.events t)
+    (fun i (e : Span.instant) ->
+      checki "seq order" i e.Span.seq;
+      checki "no open span" (-1) e.Span.span;
+      check "payload order" true (e.Span.event = ev i))
+    (Span.events t)
 
 let test_ring_wraparound () =
-  let t = Trace.create ~capacity:4 () in
+  let t = Span.create ~capacity:4 () in
   for i = 0 to 9 do
-    Trace.emit t (ev i)
+    Span.emit t (ev i)
   done;
-  checki "seq counts all emits" 10 (Trace.seq t);
-  checki "length capped" 4 (Trace.length t);
-  checki "dropped = overflow" 6 (Trace.dropped t);
+  checki "count includes drops" 10 (Span.event_count t);
+  checki "length capped" 4 (Span.length t);
+  checki "dropped = overflow" 6 (Span.dropped t);
   (* the survivors are the newest four, oldest first, seqs 6..9 *)
-  checki "events retained" 4 (List.length (Trace.events t));
+  checki "events retained" 4 (List.length (Span.events t));
   List.iteri
-    (fun i (seq, e) ->
-      checki "wrapped seq" (6 + i) seq;
-      check "wrapped payload" true (e = ev (6 + i)))
-    (Trace.events t);
-  Trace.clear t;
-  checki "cleared seq" 0 (Trace.seq t);
-  checki "cleared length" 0 (Trace.length t);
-  check "cleared events" true (Trace.events t = [])
+    (fun i (e : Span.instant) ->
+      checki "wrapped seq" (6 + i) e.Span.seq;
+      check "wrapped payload" true (e.Span.event = ev (6 + i)))
+    (Span.events t);
+  Span.clear t;
+  checki "cleared count" 0 (Span.event_count t);
+  checki "cleared length" 0 (Span.length t);
+  check "cleared events" true (Span.events t = [])
 
 let test_ring_min_capacity () =
   (* capacity is clamped to >= 1, and a 1-slot ring keeps the newest *)
-  let t = Trace.create ~capacity:0 () in
-  checki "clamped capacity" 1 (Trace.capacity t);
-  Trace.emit t (ev 1);
-  Trace.emit t (ev 2);
-  check "newest survives" true (Trace.events t = [ (1, ev 2) ])
+  let t = Span.create ~capacity:0 () in
+  checki "clamped capacity" 1 (Span.capacity t);
+  Span.emit t (ev 1);
+  Span.emit t (ev 2);
+  check "newest survives" true (payloads t = [ ev 2 ]);
+  checki "with its seq" 1 (List.hd (Span.events t)).Span.seq
 
 let test_jsonl () =
-  let t = Trace.create () in
-  Trace.emit t (Trace.Group_created { gid = 0 });
-  Trace.emit t
-    (Trace.Trans_rejected
-       { rule = "join-assoc"; gid = 3; reason = Trace.Pruned 12.5 });
-  Trace.emit t
-    (Trace.Winner_changed
+  let t = Span.create () in
+  Span.emit t (Span.Group_created { gid = 0 });
+  let root = Span.enter t Span.Optimize in
+  Span.emit t ~span:root
+    (Span.Trans_rejected
+       { rule = "join-assoc"; gid = 3; reason = Span.Pruned 12.5 });
+  Span.exit t root;
+  Span.emit t
+    (Span.Winner_changed
        { gid = 1; alg = "file_scan"; old_cost = None; new_cost = 4.0 });
-  let lines = String.split_on_char '\n' (String.trim (Trace.to_jsonl t)) in
-  checki "one line per event" 3 (List.length lines);
-  List.iteri
-    (fun i line ->
+  let lines = String.split_on_char '\n' (String.trim (Span.to_jsonl t)) in
+  checki "one line per event, spans excluded" 3 (List.length lines);
+  List.iter
+    (fun line ->
       check "line is an object" true
         (String.length line > 1 && line.[0] = '{'
-        && line.[String.length line - 1] = '}');
-      check "line carries seq" true
-        (contains line (Printf.sprintf "\"seq\":%d" i)))
+        && line.[String.length line - 1] = '}'))
     lines;
+  (* one counter numbers spans and events: the root span took seq 1 *)
+  List.iter2
+    (fun line (seq, span) ->
+      check "line carries seq" true
+        (contains line (Printf.sprintf "\"seq\":%d,\"span\":%d" seq span)))
+    lines
+    [ (0, -1); (2, 1); (3, -1) ];
   check "kind tag" true (contains (List.nth lines 0) "\"group_created\"");
   check "reason + annotation" true
     (contains (List.nth lines 1) "\"reason\":\"pruned\""
@@ -102,12 +113,22 @@ let test_jsonl () =
   check "absent old cost is null" true
     (contains (List.nth lines 2) "\"old_cost\":null")
 
+(* The JSON encoding of names and costs, through the event encoder. *)
 let test_json_helpers () =
-  checks "escaping" "\"a\\\\b\\\"c\\nd\"" (Trace.json_string "a\\b\"c\nd");
-  checks "control chars" "\"\\u0007\"" (Trace.json_string "\007");
-  checks "inf" "\"inf\"" (Trace.json_float infinity);
-  checks "neg inf" "\"-inf\"" (Trace.json_float neg_infinity);
-  checks "finite round-trip" "12.5" (Trace.json_float 12.5)
+  let json event =
+    Span.event_to_json { Span.seq = 0; at_ns = 0L; span = -1; event }
+  in
+  let rule_json rule = json (Span.Trans_applied { rule; gid = 0 }) in
+  check "escaping" true
+    (contains (rule_json "a\\b\"c\nd") "\"a\\\\b\\\"c\\nd\"");
+  check "control chars" true (contains (rule_json "\007") "\"\\u0007\"");
+  let cost old_cost new_cost =
+    json (Span.Winner_changed { gid = 0; alg = "a"; old_cost; new_cost })
+  in
+  check "inf" true (contains (cost None infinity) "\"new_cost\":\"inf\"");
+  check "neg inf" true
+    (contains (cost (Some neg_infinity) 1.0) "\"old_cost\":\"-inf\"");
+  check "finite round-trip" true (contains (cost None 12.5) "\"new_cost\":12.5}")
 
 (* ------------------------------------------------------------------ *)
 (* Metrics: instruments                                                *)
@@ -220,15 +241,15 @@ let opt = lazy (Opt.oodb_prairie catalog)
 let two_join_expr () = W.Expressions.build W.Expressions.E1 catalog ~joins:2
 
 let test_trace_event_order () =
-  let sink = Trace.create () in
-  let r = Opt.optimize ~trace:sink (Lazy.force opt) (two_join_expr ()) in
-  let events = List.map snd (Trace.events sink) in
+  let sink = Span.create () in
+  let r = Opt.optimize ~spans:sink (Lazy.force opt) (two_join_expr ()) in
+  let events = payloads sink in
   check "something was recorded" true (events <> []);
-  checki "nothing dropped at default capacity" 0 (Trace.dropped sink);
+  checki "nothing dropped at default capacity" 0 (Span.dropped sink);
   (* the first event of a fresh search is the root group appearing *)
   (match events with
-  | Trace.Group_created { gid = 0 } :: _ -> ()
-  | e :: _ -> Alcotest.failf "first event was %s" (Trace.kind e)
+  | Span.Group_created { gid = 0 } :: _ -> ()
+  | e :: _ -> Alcotest.failf "first event was %s" (Span.kind e)
   | [] -> Alcotest.fail "empty trace");
   (* groups appear before anything references them *)
   let seen = Hashtbl.create 64 in
@@ -236,35 +257,35 @@ let test_trace_event_order () =
   List.iter
     (fun e ->
       match e with
-      | Trace.Group_created { gid } -> Hashtbl.replace seen gid ()
-      | Trace.Trans_matched { gid; _ }
-      | Trace.Trans_applied { gid; _ }
-      | Trace.Trans_rejected { gid; _ }
-      | Trace.Impl_matched { gid; _ }
-      | Trace.Impl_applied { gid; _ }
-      | Trace.Impl_rejected { gid; _ }
-      | Trace.Enforcer_inserted { gid; _ }
-      | Trace.Memo_hit { gid }
-      | Trace.Winner_changed { gid; _ } ->
-        check (Printf.sprintf "gid %d born before %s" gid (Trace.kind e)) true
+      | Span.Group_created { gid } -> Hashtbl.replace seen gid ()
+      | Span.Trans_matched { gid; _ }
+      | Span.Trans_applied { gid; _ }
+      | Span.Trans_rejected { gid; _ }
+      | Span.Impl_matched { gid; _ }
+      | Span.Impl_applied { gid; _ }
+      | Span.Impl_rejected { gid; _ }
+      | Span.Enforcer_inserted { gid; _ }
+      | Span.Memo_hit { gid }
+      | Span.Winner_changed { gid; _ } ->
+        check (Printf.sprintf "gid %d born before %s" gid (Span.kind e)) true
           (born gid)
-      | Trace.Groups_merged { survivor; dead } ->
+      | Span.Groups_merged { survivor; dead } ->
         check "merge of born groups" true (born survivor && born dead)
-      | Trace.Budget_hit _ -> ())
+      | Span.Budget_hit _ -> ())
     events;
   (* the memo's net group count matches created - merged *)
   let count p = List.length (List.filter p events) in
-  let created = count (function Trace.Group_created _ -> true | _ -> false) in
-  let merged = count (function Trace.Groups_merged _ -> true | _ -> false) in
+  let created = count (function Span.Group_created _ -> true | _ -> false) in
+  let merged = count (function Span.Groups_merged _ -> true | _ -> false) in
   checki "created - merged = memo size" (Search.group_count r.Opt.search)
     (created - merged);
   (* a plan was found, so the root has a winner; winners always improve *)
   check "winner recorded" true
-    (count (function Trace.Winner_changed _ -> true | _ -> false) > 0);
+    (count (function Span.Winner_changed _ -> true | _ -> false) > 0);
   List.iter
     (fun e ->
       match e with
-      | Trace.Winner_changed { old_cost = Some old; new_cost; _ } ->
+      | Span.Winner_changed { old_cost = Some old; new_cost; _ } ->
         check "winner cost improves" true (new_cost < old)
       | _ -> ())
     events;
@@ -283,12 +304,12 @@ let test_trace_event_order () =
   in
   let matched =
     tally (function
-      | Trace.Trans_matched { rule; bindings; _ } -> Some (rule, bindings)
+      | Span.Trans_matched { rule; bindings; _ } -> Some (rule, bindings)
       | _ -> None)
   in
   let applied =
     tally (function
-      | Trace.Trans_applied { rule; _ } -> Some (rule, 1)
+      | Span.Trans_applied { rule; _ } -> Some (rule, 1)
       | _ -> None)
   in
   Hashtbl.iter
@@ -300,8 +321,8 @@ let test_trace_event_order () =
     applied
 
 let test_explain_trace_render () =
-  let sink = Trace.create () in
-  ignore (Opt.optimize ~trace:sink (Lazy.force opt) (two_join_expr ()));
+  let sink = Span.create () in
+  ignore (Opt.optimize ~spans:sink (Lazy.force opt) (two_join_expr ()));
   let s = Explain.trace_to_string sink in
   check "summary line" true (contains s "search trace:");
   check "totals line" true (contains s "groups created");
@@ -309,13 +330,15 @@ let test_explain_trace_render () =
   check "impl table" true (contains s "implementation rules:");
   check "winner line" true (contains s "last winner:");
   (* a synthetic trace exercises the never-applied callout deterministically *)
-  let t = Trace.create () in
-  Trace.emit t (Trace.Group_created { gid = 0 });
-  Trace.emit t (Trace.Trans_matched { rule = "r-dead"; gid = 0; bindings = 2 });
-  Trace.emit t
-    (Trace.Trans_rejected { rule = "r-dead"; gid = 0; reason = Trace.Test_failed });
-  Trace.emit t
-    (Trace.Trans_rejected { rule = "r-dead"; gid = 0; reason = Trace.Test_failed });
+  let t = Span.create () in
+  Span.emit t (Span.Group_created { gid = 0 });
+  Span.emit t (Span.Trans_matched { rule = "r-dead"; gid = 0; bindings = 2 });
+  Span.emit t
+    (Span.Trans_rejected
+       { rule = "r-dead"; gid = 0; reason = Span.Test_failed });
+  Span.emit t
+    (Span.Trans_rejected
+       { rule = "r-dead"; gid = 0; reason = Span.Test_failed });
   let s = Explain.trace_to_string t in
   check "never-applied callout" true
     (contains s "r-dead matched 2 times but never applied");
@@ -323,23 +346,26 @@ let test_explain_trace_render () =
   check "no-winner note" true (contains s "no winner was ever recorded")
 
 let test_trace_budget_and_memo_hits () =
-  let sink = Trace.create () in
+  let sink = Span.create () in
   let r =
-    Opt.optimize ~group_budget:2 ~trace:sink (Lazy.force opt)
+    Opt.optimize ~group_budget:2 ~spans:sink (Lazy.force opt)
       (two_join_expr ())
   in
   check "budget was hit" true (Search.budget_was_hit r.Opt.search);
-  let events = List.map snd (Trace.events sink) in
+  let events = payloads sink in
   check "budget event emitted" true
-    (List.exists (function Trace.Budget_hit _ -> true | _ -> false) events);
+    (List.exists (function Span.Budget_hit _ -> true | _ -> false) events);
   check "budget event emitted once" true
     (1
     = List.length
-        (List.filter (function Trace.Budget_hit _ -> true | _ -> false) events));
+        (List.filter (function Span.Budget_hit _ -> true | _ -> false) events));
   (* re-optimizing the same search is answered from the memo *)
-  let before = Trace.seq sink in
+  let before = List.length events in
   ignore (Search.optimize r.Opt.search (two_join_expr ()));
-  ignore before
+  check "memo hit on re-optimization" true
+    (List.exists
+       (function Span.Memo_hit _ -> true | _ -> false)
+       (List.filteri (fun i _ -> i >= before) (payloads sink)))
 
 let digest plan =
   match plan with
@@ -356,9 +382,9 @@ let prop_trace_is_pure =
   qtest "tracing changes neither plan nor cost" ~count:30 gen_request
     (fun expr ->
       let plain = Opt.optimize (Lazy.force opt) expr in
-      let sink = Trace.create () in
+      let sink = Span.create () in
       let m = Metrics.create () in
-      let traced = Opt.optimize ~trace:sink ~metrics:m (Lazy.force opt) expr in
+      let traced = Opt.optimize ~spans:sink ~metrics:m (Lazy.force opt) expr in
       Float.equal plain.Opt.cost traced.Opt.cost
       && String.equal (digest plain.Opt.plan) (digest traced.Opt.plan))
 

@@ -170,6 +170,16 @@ let exploration_equivalence_ordered seed =
   in
   exploration_equivalence ~required seed
 
+(* The un-indexed reference: an index that sends every lookup to the full
+   [rs_trans] list, in order, with each rule's id — exactly the rules a
+   search without the index would try. *)
+let full_scan (rs : Prairie_volcano.Rule.ruleset) =
+  {
+    rs with
+    Prairie_volcano.Rule.rs_match_index = Hashtbl.create 1;
+    rs_match_wildcard = List.mapi (fun i tr -> (i, tr)) rs.rs_trans;
+  }
+
 (* The match index's contract: indexed exploration skips exactly the
    (lexpr, rule) pairs whose match would bind nothing, so every
    observable — matches, applications (by name, not just count), memo
@@ -178,7 +188,8 @@ let exploration_equivalence_ordered seed =
 let match_index_equivalence ?required seed =
   let catalog, q = random_setup seed in
   let run match_index =
-    let ctx = Search.create ~match_index (volcano_of catalog) in
+    let rs = volcano_of catalog in
+    let ctx = Search.create (if match_index then rs else full_scan rs) in
     (Search.optimize ?required ctx q, ctx)
   in
   let pi, ci = run true in
@@ -316,7 +327,10 @@ let knob_tests =
             let opt = Opt.oodb_prairie inst.W.Queries.catalog in
             let expr, required = opt.Opt.prepare inst.W.Queries.expr in
             let run match_index =
-              let ctx = Search.create ~match_index opt.Opt.volcano in
+              let rs = opt.Opt.volcano in
+              let ctx =
+                Search.create (if match_index then rs else full_scan rs)
+              in
               (Search.optimize ~required ctx expr, ctx)
             in
             let pi, ci = run true in

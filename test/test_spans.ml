@@ -1,11 +1,11 @@
-(* The span profiler and the serve telemetry endpoint: well-formedness
+(* The span sink and the serve telemetry endpoint: well-formedness
    of the span tree (strict nesting, monotonic clocks, self-time
-   accounting), the exact aggregate table, the Chrome trace and
+   accounting), events inside their spans, the exact aggregate table,
+   the Chrome trace and
    Prometheus quantile exports, the slow-query log, and an end-to-end
    HTTP round trip against the telemetry server. *)
 
 module Span = Prairie_obs.Span
-module Trace = Prairie_obs.Trace
 module Metrics = Prairie_obs.Metrics
 module Slow_log = Prairie_obs.Slow_log
 module Telemetry = Prairie_service.Telemetry
@@ -25,33 +25,108 @@ let contains hay needle =
   let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
   n = 0 || go 0
 
-(* A structural JSON well-formedness scan: brackets balance outside
-   strings, strings terminate, and the document is a single value.  Not
-   a parser, but catches every escaping/nesting mistake an exporter can
-   realistically make. *)
-let json_well_formed s =
-  let n = String.length s in
-  let depth = ref 0 and i = ref 0 and ok = ref true in
-  let in_string = ref false and escaped = ref false in
-  while !ok && !i < n do
-    let c = s.[!i] in
-    (if !in_string then
-       if !escaped then escaped := false
-       else if c = '\\' then escaped := true
-       else if c = '"' then in_string := false
-       else if Char.code c < 0x20 then ok := false
-       else ()
-     else
-       match c with
-       | '"' -> in_string := true
-       | '{' | '[' -> incr depth
-       | '}' | ']' ->
-         decr depth;
-         if !depth < 0 then ok := false
-       | _ -> ());
+(* A minimal JSON parser: enough to check that an exporter's output is
+   one well-formed document and to walk the Chrome trace's event list. *)
+type json =
+  | Null
+  | Bool of bool
+  | Num of float
+  | Str of string
+  | Arr of json list
+  | Obj of (string * json) list
+
+exception Bad_json
+
+let parse_json s =
+  let n = String.length s and i = ref 0 in
+  let peek () = if !i < n then s.[!i] else raise Bad_json in
+  let rec skip_ws () =
+    if !i < n && String.contains " \t\r\n" s.[!i] then (incr i; skip_ws ())
+  in
+  let expect c =
+    skip_ws ();
+    if peek () <> c then raise Bad_json;
     incr i
-  done;
-  !ok && (not !in_string) && !depth = 0
+  in
+  let literal word v =
+    let k = String.length word in
+    if !i + k <= n && String.sub s !i k = word then (i := !i + k; v)
+    else raise Bad_json
+  in
+  let string () =
+    expect '"';
+    let buf = Buffer.create 16 in
+    let rec go () =
+      match peek () with
+      | '"' -> incr i
+      | '\\' ->
+        incr i;
+        (match peek () with
+        | 'u' ->
+          if !i + 4 >= n
+             || int_of_string_opt ("0x" ^ String.sub s (!i + 1) 4) = None
+          then raise Bad_json;
+          i := !i + 4
+        | '"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't' ->
+          Buffer.add_char buf s.[!i]
+        | _ -> raise Bad_json);
+        incr i;
+        go ()
+      | c when Char.code c < 0x20 -> raise Bad_json
+      | c ->
+        Buffer.add_char buf c;
+        incr i;
+        go ()
+    in
+    go ();
+    Buffer.contents buf
+  in
+  (* comma-separated items up to [close], after the opening bracket *)
+  let items close item =
+    skip_ws ();
+    if peek () = close then (incr i; [])
+    else
+      let rec more acc =
+        let acc = item () :: acc in
+        skip_ws ();
+        match peek () with
+        | ',' -> incr i; more acc
+        | c when c = close -> incr i; List.rev acc
+        | _ -> raise Bad_json
+      in
+      more []
+  in
+  let rec value () =
+    skip_ws ();
+    match peek () with
+    | '{' ->
+      incr i;
+      Obj
+        (items '}' (fun () ->
+             let k = string () in
+             expect ':';
+             (k, value ())))
+    | '[' ->
+      incr i;
+      Arr (items ']' value)
+    | '"' -> Str (string ())
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | 'n' -> literal "null" Null
+    | _ ->
+      let j = !i in
+      while !i < n && String.contains "0123456789+-.eE" s.[!i] do incr i done;
+      (match float_of_string_opt (String.sub s j (!i - j)) with
+      | Some f when !i > j -> Num f
+      | _ -> raise Bad_json)
+  in
+  let v = value () in
+  skip_ws ();
+  if !i <> n then raise Bad_json;
+  v
+
+let json_well_formed s =
+  match parse_json s with _ -> true | exception Bad_json -> false
 
 (* ------------------------------------------------------------------ *)
 (* The span sink                                                       *)
@@ -65,7 +140,7 @@ let test_span_basics () =
   let child2 = Span.enter t ~rule:"join_assoc" ~parent:root Span.Match in
   Span.exit t child2;
   Span.exit t root;
-  checki "seq" 3 (Span.seq t);
+  checki "spans" 3 (Span.span_count t);
   checki "length" 3 (Span.length t);
   checki "dropped" 0 (Span.dropped t);
   checki "roots" 1 (Span.root_count t);
@@ -95,7 +170,7 @@ let test_span_wraparound () =
     let h = Span.enter t ~rule:"r" Span.Cost in
     Span.exit t h
   done;
-  checki "seq counts everything" 10 (Span.seq t);
+  checki "count includes drops" 10 (Span.span_count t);
   checki "ring keeps capacity" 4 (Span.length t);
   checki "dropped" 6 (Span.dropped t);
   (* the aggregate table is exact despite the drops *)
@@ -104,6 +179,33 @@ let test_span_wraparound () =
     checki "aggregate count survives wrap" 10 a.Span.a_count;
     checki "root count survives wrap" 10 (Span.root_count t)
   | l -> Alcotest.failf "expected 1 aggregate row, got %d" (List.length l)
+
+(* Spans and events share one ring and one counter; [records] and
+   [events] each see only their own kind. *)
+let test_spans_and_events_share_a_ring () =
+  let t = Span.create ~capacity:3 () in
+  let root = Span.enter t Span.Optimize in
+  Span.emit t ~span:root (Span.Memo_hit { gid = 1 });
+  let child = Span.enter t ~parent:root Span.Cost in
+  Span.emit t ~span:child (Span.Memo_hit { gid = 2 });
+  Span.exit t child;
+  Span.emit t ~span:root (Span.Memo_hit { gid = 3 });
+  Span.exit t root;
+  checki "spans" 2 (Span.span_count t);
+  checki "events" 3 (Span.event_count t);
+  checki "ring holds three of five" 3 (Span.length t);
+  checki "dropped" 2 (Span.dropped t);
+  (* the ring kept the child's close, the last event and the root *)
+  check "spans retained" true
+    (List.map (fun r -> r.Span.id) (Span.records t) = [ 2; 0 ]);
+  (match Span.events t with
+  | [ e ] ->
+    checki "seq from the shared counter" 4 e.Span.seq;
+    checki "emitted under the root" 0 e.Span.span
+  | l -> Alcotest.failf "expected 1 event, got %d" (List.length l));
+  match Span.profile t with
+  | [ _; _ ] -> ()
+  | l -> Alcotest.failf "expected 2 aggregate rows, got %d" (List.length l)
 
 (* Run a randomly generated nesting script and check tree invariants
    over the emitted records.  The script is a forest of small trees;
@@ -184,7 +286,7 @@ let test_profile_self_sums_to_root_total () =
   let sink = Span.create ~capacity:256 () in
   (* small capacity on purpose: aggregates must stay exact through drops *)
   ignore (Opt.optimize ~spans:sink opt inst.W.Queries.expr);
-  check "spans recorded" true (Span.seq sink > 100);
+  check "spans recorded" true (Span.span_count sink > 100);
   check "ring dropped some" true (Span.dropped sink > 0);
   checki "one root" 1 (Span.root_count sink);
   let self_sum =
@@ -231,16 +333,17 @@ let test_spans_are_pure () =
 
 let test_disabled_path_is_cheap () =
   (* the disabled fast path is one Option check; a million no-op
-     enter/exit pairs must be far under any per-event budget.  The bound
-     is deliberately loose (CI machines throttle) — it exists to catch
-     an accidental allocation or clock read on the None path. *)
+     enter/emit/exit triples must be far under any per-event budget.  The
+     bound is deliberately loose (CI machines throttle) — it exists to
+     catch an accidental allocation or clock read on the None path. *)
   let t0 = Unix.gettimeofday () in
   for _ = 1 to 1_000_000 do
     let h = Span.enter_opt None ~parent:None Span.Match in
+    Span.emit_opt None ~span:h (fun () -> Span.Memo_hit { gid = 0 });
     Span.exit_opt None (Sys.opaque_identity h)
   done;
   let dt = Unix.gettimeofday () -. t0 in
-  check "1M disabled enter/exit pairs under 0.5s" true (dt < 0.5)
+  check "1M disabled enter/emit/exit triples under 0.5s" true (dt < 0.5)
 
 (* ------------------------------------------------------------------ *)
 (* Chrome trace export                                                 *)
@@ -263,12 +366,60 @@ let test_chrome_export_shape () =
 let test_chrome_of_trace_shape () =
   let inst = W.Queries.instance W.Queries.Q1 ~joins:2 ~seed:101 in
   let opt = Opt.oodb_prairie inst.W.Queries.catalog in
-  let sink = Trace.create () in
-  ignore (Opt.optimize ~trace:sink opt inst.W.Queries.expr);
-  let s = Span.chrome_of_trace sink in
-  check "well-formed json" true (json_well_formed s);
-  check "instant events" true (contains s "\"ph\":\"i\"");
-  check "original events under args" true (contains s "\"event\":")
+  let sink = Span.create () in
+  ignore (Opt.optimize ~spans:sink opt inst.W.Queries.expr);
+  let field k = function Obj f -> List.assoc_opt k f | _ -> None in
+  match field "traceEvents" (parse_json (Span.to_chrome sink)) with
+  | Some (Arr entries) ->
+    let with_ph p = List.filter (fun e -> field "ph" e = Some (Str p)) entries in
+    checki "one complete event per span" (Span.span_count sink)
+      (List.length (with_ph "X"));
+    checki "one instant event per search event" (Span.event_count sink)
+      (List.length (with_ph "i"));
+    check "instants carry the event object under args" true
+      (List.for_all
+         (fun e ->
+           match field "args" e with
+           | Some args -> field "event" args <> None && field "span" args <> None
+           | None -> false)
+         (with_ph "i"))
+  | _ -> Alcotest.fail "no traceEvents array"
+  | exception Bad_json -> Alcotest.fail "to_chrome is not JSON"
+
+(* Every event names the innermost span open where it was emitted: the
+   latest-starting retained span whose [start, start + dur] contains the
+   event's timestamp, or -1 when no span contains it. *)
+let test_events_name_their_span () =
+  let inst = W.Queries.instance W.Queries.Q5 ~joins:2 ~seed:101 in
+  let opt = Opt.oodb_prairie inst.W.Queries.catalog in
+  let sink = Span.create () in
+  ignore (Opt.optimize ~spans:sink opt inst.W.Queries.expr);
+  checki "nothing dropped" 0 (Span.dropped sink);
+  let rs = Span.records sink and evs = Span.events sink in
+  check "events recorded" true (List.length evs > 100);
+  List.iter
+    (fun (e : Span.instant) ->
+      let contains (r : Span.record) =
+        Int64.compare r.Span.start_ns e.Span.at_ns <= 0
+        && Int64.compare e.Span.at_ns (Int64.add r.Span.start_ns r.Span.dur_ns)
+           <= 0
+      in
+      let innermost =
+        List.fold_left
+          (fun acc (r : Span.record) ->
+            match acc with
+            | Some (a : Span.record)
+              when Int64.compare a.Span.start_ns r.Span.start_ns >= 0 ->
+              acc
+            | _ -> if contains r then Some r else acc)
+          None rs
+      in
+      checki
+        (Printf.sprintf "span of event %d (%s)" e.Span.seq
+           (Span.kind e.Span.event))
+        (match innermost with Some r -> r.Span.id | None -> -1)
+        e.Span.span)
+    evs
 
 (* ------------------------------------------------------------------ *)
 (* Quantile summaries                                                  *)
@@ -498,7 +649,7 @@ let test_span_concurrent_emitters () =
   emit ();
   List.iter Domain.join ds;
   let total = domains * per_domain * 2 in
-  checki "seq" total (Span.seq sink);
+  checki "spans" total (Span.span_count sink);
   checki "length" 256 (Span.length sink);
   checki "dropped" (total - 256) (Span.dropped sink);
   checki "root count" (domains * per_domain) (Span.root_count sink);
@@ -518,25 +669,28 @@ let test_span_concurrent_emitters () =
     (json_well_formed (Span.to_chrome sink))
 
 let test_trace_concurrent_emitters () =
-  let sink = Trace.create ~capacity:128 () in
+  let sink = Span.create ~capacity:128 () in
   let domains = 4 and per_domain = 500 in
   let emit () =
     for i = 1 to per_domain do
-      Trace.emit sink (Trace.Memo_hit { gid = i })
+      Span.emit sink (Span.Memo_hit { gid = i })
     done
   in
   let ds = List.init (domains - 1) (fun _ -> Domain.spawn emit) in
   emit ();
   List.iter Domain.join ds;
   let total = domains * per_domain in
-  checki "seq" total (Trace.seq sink);
-  checki "length" 128 (Trace.length sink);
-  checki "dropped" (total - 128) (Trace.dropped sink);
-  let evs = Trace.events sink in
-  checki "events" 128 (List.length evs);
-  List.iteri (fun i (s, _) -> checki "contiguous seq" (total - 128 + i) s) evs;
+  checki "events" total (Span.event_count sink);
+  checki "length" 128 (Span.length sink);
+  checki "dropped" (total - 128) (Span.dropped sink);
+  let evs = Span.events sink in
+  checki "retained" 128 (List.length evs);
+  List.iteri
+    (fun i (e : Span.instant) ->
+      checki "contiguous seq" (total - 128 + i) e.Span.seq)
+    evs;
   check "jsonl well-formed" true
-    (String.split_on_char '\n' (Trace.to_jsonl sink)
+    (String.split_on_char '\n' (Span.to_jsonl sink)
     |> List.for_all (fun line -> line = "" || json_well_formed line))
 
 (* A client that connects and never sends a byte must not wedge the
@@ -571,6 +725,8 @@ let suites =
         Alcotest.test_case "enter/exit basics" `Quick test_span_basics;
         Alcotest.test_case "ring wraparound keeps aggregates exact" `Quick
           test_span_wraparound;
+        Alcotest.test_case "spans and events share one ring" `Quick
+          test_spans_and_events_share_a_ring;
         prop_span_well_formed;
         Alcotest.test_case "disabled path is one Option check" `Quick
           test_disabled_path_is_cheap;
@@ -596,6 +752,8 @@ let suites =
         Alcotest.test_case "chrome trace shape" `Quick test_chrome_export_shape;
         Alcotest.test_case "chrome view of an event trace" `Quick
           test_chrome_of_trace_shape;
+        Alcotest.test_case "events name their innermost span (Q5)" `Quick
+          test_events_name_their_span;
         Alcotest.test_case "quantile estimation" `Quick test_quantile_estimation;
         Alcotest.test_case "prometheus p50/p90/p99 lines" `Quick
           test_prometheus_quantile_lines;
