@@ -19,8 +19,8 @@ module Obs = Prairie_obs
 
 let full = ref false
 
-(* Registry behind the --metrics FILE flag; sections that can self-report
-   (currently [service] and [obs]) feed it, and the driver dumps it in
+(* Registry behind the --metrics FILE flag; the section that can
+   self-report ([service]) feeds it, and the driver dumps it in
    Prometheus text format after the run. *)
 let metrics : Obs.Metrics.t option ref = ref None
 
@@ -544,22 +544,6 @@ let ablations () =
          (Search.group_count r.Opt.search)
          r.Opt.cost)
      [ Some 30; Some 60; Some 120; None ]);
-  (* 4: action code generation *)
-  S.subheader
-    "ablation-codegen: P2V staged closures vs per-invocation interpretation";
-  Printf.printf "  %-5s %14s %16s %14s\n" "query" "compiled(ms)"
-    "interpreted(ms)" "hand-coded(ms)";
-  List.iter
-    (fun (q, joins) ->
-      let inst = W.Queries.instance q ~joins ~seed:101 in
-      let cat = inst.W.Queries.catalog in
-      let compiled = Opt.oodb_prairie cat in
-      let interpreted = Opt.oodb_prairie_interpreted cat in
-      let hand = Opt.oodb_volcano cat in
-      let t o = S.time_ms (fun () -> ignore (Opt.optimize o inst.W.Queries.expr)) in
-      Printf.printf "  %-5s %14.3f %16.3f %14.3f\n" (W.Queries.name q)
-        (t compiled) (t interpreted) (t hand))
-    [ (W.Queries.Q1, 4); (W.Queries.Q3, 3); (W.Queries.Q5, 3) ];
   (* 4: memoized exploration *)
   S.subheader "ablation-memo: duplicate detection rates during exploration";
   Printf.printf "  %-5s %10s %10s %12s %10s\n" "query" "lexprs" "dups"
@@ -701,11 +685,11 @@ let service () =
     [ 1; 2; 4 ]
 
 (* ------------------------------------------------------------------ *)
-(* Observability: the cost of the span-sink/metrics instrumentation   *)
+(* Observability: the cost of the span-sink instrumentation           *)
 (* ------------------------------------------------------------------ *)
 
 let obs () =
-  S.header "Observability: span sink and metrics overhead (sinks off vs on)";
+  S.header "Observability: span sink overhead (sink off vs on)";
   let inst = W.Queries.instance W.Queries.Q5 ~joins:2 ~seed:101 in
   let opt = Opt.oodb_prairie inst.W.Queries.catalog in
   let expr = inst.W.Queries.expr in
@@ -726,17 +710,6 @@ let obs () =
         let sink = Obs.Span.create () in
         ignore (Opt.optimize ~spans:sink opt expr))
   in
-  let t_metrics =
-    best (fun () ->
-        let m = match !metrics with Some m -> m | None -> Obs.Metrics.create () in
-        ignore (Opt.optimize ~metrics:m opt expr))
-  in
-  let t_both =
-    best (fun () ->
-        let sink = Obs.Span.create () in
-        let m = match !metrics with Some m -> m | None -> Obs.Metrics.create () in
-        ignore (Opt.optimize ~spans:sink ~metrics:m opt expr))
-  in
   let over t = (t /. Float.max 1e-9 t_off -. 1.0) *. 100.0 in
   Printf.printf "  query Q5, 2 joins, best of %d timing rounds\n" rounds;
   Printf.printf "  %-26s %12s %10s\n" "configuration" "time(ms)" "overhead";
@@ -749,12 +722,7 @@ let obs () =
           ("time_obs_ms", S.Json.Float t);
         ];
       Printf.printf "  %-26s %12.4f %+9.2f%%\n" label t (over t))
-    [
-      ("sinks disabled", t_off);
-      ("span sink", t_spans);
-      ("metrics registry", t_metrics);
-      ("span sink + metrics", t_both);
-    ];
+    [ ("sinks disabled", t_off); ("span sink", t_spans) ];
   (* the sink must be an observer: same plan, same cost, and the event
      stream accounts for the search the optimizer actually ran *)
   let plain = Opt.optimize opt expr in
@@ -858,7 +826,7 @@ let sections =
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   let args = List.filter (fun a -> a <> "--") args in
-  (* --metrics FILE: collect service/obs telemetry into a registry and dump
+  (* --metrics FILE: collect service telemetry into a registry and dump
      it as Prometheus text after the run ("-" for stdout) *)
   let rec strip_metrics acc = function
     | [] -> (None, List.rev acc)

@@ -55,22 +55,6 @@ let file_arg =
     & pos 0 (some file) None
     & info [] ~docv:"FILE" ~doc:"Rule-specification file (.prairie).")
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* ---------------- check ---------------- *)
 
 let check_cmd =
@@ -89,11 +73,20 @@ let check_cmd =
     (Cmd.info "check" ~doc:"Parse and validate a rule-specification file.")
     Term.(ret (const run $ file_arg))
 
-(* ---------------- lint ---------------- *)
+(* ---------------- lint, analyze, verify ---------------- *)
 
-let lint_cmd =
-  let module Lint = Prairie_lint.Lint in
-  let module Diag = Prairie.Diagnostic in
+module Diag = Prairie.Diagnostic
+
+(* The one front end of the three rule checkers.  It owns the FILE list,
+   --format and --max-warnings, reads each file once (an unreadable file
+   is one P000 error), prints the per-file text lines or the JSON
+   envelope, and exits 1 on errors, 2 past --max-warnings.  A checker
+   supplies its extra arguments together with its check function as
+   [check], the [diagnostics] of its report, a per-file text [footer], its
+   JSON fields before "diagnostics" ([json_head]) and after "warnings"
+   ([json_tail]), and top-level JSON fields ([json_top]). *)
+let checker_cmd name ~doc ~diagnostics ?footer ?(json_head = fun _ -> "")
+    ?(json_tail = fun _ -> "") ?(json_top = Term.const "") check =
   let files_arg =
     Arg.(
       non_empty
@@ -114,72 +107,81 @@ let lint_cmd =
       & info [ "max-warnings" ] ~docv:"N"
           ~doc:"Fail (exit 2) when more than $(docv) warnings are found.")
   in
-  let run files format max_warnings =
-    let helpers = Prairie_algebra.Helpers.env (default_catalog ()) in
-    let results =
-      List.map (fun path -> (path, Lint.lint_file ~helpers path)) files
+  let run check json_top files format max_warnings =
+    let check_file path =
+      match In_channel.with_open_bin path In_channel.input_all with
+      | src -> Ok (check src)
+      | exception Sys_error msg ->
+        Error (Diag.error ~code:"P000" ("read error: " ^ msg))
     in
-    let totals (_, ds) = Lint.summary ds in
-    let total_errors =
-      List.fold_left (fun n r -> n + (fun (e, _, _) -> e) (totals r)) 0 results
+    let results = List.map (fun path -> (path, check_file path)) files in
+    let diags = function Ok r -> diagnostics r | Error d -> [ d ] in
+    let total pick =
+      List.fold_left (fun n (_, r) -> n + pick (Diag.summary (diags r))) 0 results
     in
-    let total_warnings =
-      List.fold_left (fun n r -> n + (fun (_, w, _) -> w) (totals r)) 0 results
-    in
+    let total_errors = total (fun (e, _, _) -> e) in
+    let total_warnings = total (fun (_, w, _) -> w) in
     (match format with
     | `Text ->
       List.iter
-        (fun (path, ds) ->
-          match ds with
+        (fun (path, r) ->
+          (match diags r with
           | [] -> Printf.printf "%s: clean\n" path
           | ds ->
             List.iter
               (fun d -> Printf.printf "%s: %s\n" path (Diag.to_string d))
-              ds)
+              ds);
+          match (footer, r) with
+          | Some footer, Ok r -> Printf.printf "%s: %s\n" path (footer r)
+          | _ -> ())
         results;
       if total_errors > 0 || total_warnings > 0 then
         Printf.printf "%d error(s), %d warning(s)\n" total_errors total_warnings
     | `Json ->
-      let file_json (path, ds) =
-        let e, w, _ = Lint.summary ds in
+      let file_json (path, r) =
+        let ds = diags r in
+        let e, w, _ = Diag.summary ds in
+        let head, tail =
+          match r with Ok r -> (json_head r, json_tail r) | Error _ -> ("", "")
+        in
         Printf.sprintf
-          "{\"file\":\"%s\",\"diagnostics\":[%s],\"errors\":%d,\"warnings\":%d}"
-          (json_escape path)
+          "{\"file\":%s%s,\"diagnostics\":[%s],\"errors\":%d,\"warnings\":%d%s}"
+          (Diag.json_string path) head
           (String.concat "," (List.map Diag.to_json ds))
-          e w
+          e w tail
       in
-      Printf.printf
-        "{\"files\":[%s],\"total_errors\":%d,\"total_warnings\":%d}\n"
+      Printf.printf "{\"files\":[%s],\"total_errors\":%d,\"total_warnings\":%d%s}\n"
         (String.concat "," (List.map file_json results))
-        total_errors total_warnings);
+        total_errors total_warnings json_top);
     if total_errors > 0 then exit 1;
-    (match max_warnings with
+    match max_warnings with
     | Some n when total_warnings > n ->
       Printf.eprintf "too many warnings: %d (allowed: %d)\n" total_warnings n;
       exit 2
-    | _ -> ());
-    `Ok ()
+    | _ -> ()
   in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Statically analyze rule-specification files: declaration, binding, \
-          property-classification, termination and enforcer checks with \
-          stable diagnostic codes (P001...). Exits 1 on errors, 2 when \
-          $(b,--max-warnings) is exceeded.")
-    Term.(ret (const run $ files_arg $ format_arg $ max_warnings_arg))
+  Cmd.v (Cmd.info name ~doc)
+    Term.(
+      const run $ check $ json_top $ files_arg $ format_arg $ max_warnings_arg)
 
-(* ---------------- analyze ---------------- *)
+let lint_cmd =
+  let module Lint = Prairie_lint.Lint in
+  let check () =
+    let helpers = Prairie_algebra.Helpers.env (default_catalog ()) in
+    Lint.lint_string ~helpers
+  in
+  checker_cmd "lint"
+    ~doc:
+      "Statically analyze rule-specification files: declaration, binding, \
+       property-classification, termination and enforcer checks with \
+       stable diagnostic codes (P001...). Exits 1 on errors, 2 when \
+       $(b,--max-warnings) is exceeded."
+    ~diagnostics:Fun.id
+    Term.(const check $ const ())
 
 let analyze_cmd =
   let module Analysis = Prairie_analysis.Analysis in
-  let module Diag = Prairie.Diagnostic in
-  let files_arg =
-    Arg.(
-      non_empty
-      & pos_all file []
-      & info [] ~docv:"FILE" ~doc:"Rule-specification files (.prairie).")
-  in
+  let json_strings ss = String.concat "," (List.map Diag.json_string ss) in
   let roots_arg =
     Arg.(
       value
@@ -189,113 +191,37 @@ let analyze_cmd =
             "Workload root operator for the reachability closure \
              (repeatable).  Default: every declared non-enforcer operator.")
   in
-  let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FORMAT"
-          ~doc:"Output format: $(b,text) or $(b,json).")
-  in
-  let max_warnings_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-warnings" ] ~docv:"N"
-          ~doc:"Fail (exit 2) when more than $(docv) warnings are found.")
-  in
-  let run files roots format max_warnings =
-    let config = { Analysis.roots } in
-    let results =
-      List.map (fun path -> (path, Analysis.analyze_file ~config path)) files
-    in
-    let total_errors =
-      List.fold_left
-        (fun n (_, (r : Analysis.report)) ->
-          n + (fun (e, _, _) -> e) (Analysis.summary r.Analysis.diagnostics))
-        0 results
-    in
-    let total_warnings =
-      List.fold_left
-        (fun n (_, (r : Analysis.report)) ->
-          n + (fun (_, w, _) -> w) (Analysis.summary r.Analysis.diagnostics))
-        0 results
-    in
-    (match format with
-    | `Text ->
-      List.iter
-        (fun (path, (r : Analysis.report)) ->
-          (match r.Analysis.diagnostics with
-          | [] -> Printf.printf "%s: clean\n" path
-          | ds ->
-            List.iter
-              (fun d -> Printf.printf "%s: %s\n" path (Diag.to_string d))
-              ds);
-          Printf.printf
-            "%s: %d operator(s) reachable, %d dead rule(s), %d unreachable \
-             rule(s)\n"
-            path
-            (List.length r.Analysis.reachable)
-            (List.length r.Analysis.dead_rules)
-            (List.length r.Analysis.unreachable_rules))
-        results;
-      if total_errors > 0 || total_warnings > 0 then
-        Printf.printf "%d error(s), %d warning(s)\n" total_errors
-          total_warnings
-    | `Json ->
-      let strings ss =
-        String.concat ","
-          (List.map (fun s -> Printf.sprintf "\"%s\"" (json_escape s)) ss)
-      in
-      let file_json (path, (r : Analysis.report)) =
-        let e, w, _ = Analysis.summary r.Analysis.diagnostics in
-        Printf.sprintf
-          "{\"file\":\"%s\",\"ruleset\":\"%s\",\"diagnostics\":[%s],\
-           \"errors\":%d,\"warnings\":%d,\"reachable\":[%s],\
-           \"dead_rules\":[%s],\"unreachable_rules\":[%s],\
-           \"required_physical\":[%s],\"produced_physical\":[%s]}"
-          (json_escape path)
-          (json_escape r.Analysis.ruleset)
-          (String.concat "," (List.map Diag.to_json r.Analysis.diagnostics))
-          e w
-          (strings r.Analysis.reachable)
-          (strings r.Analysis.dead_rules)
-          (strings r.Analysis.unreachable_rules)
-          (strings r.Analysis.required_physical)
-          (strings r.Analysis.produced_physical)
-      in
-      Printf.printf
-        "{\"files\":[%s],\"total_errors\":%d,\"total_warnings\":%d}\n"
-        (String.concat "," (List.map file_json results))
-        total_errors total_warnings);
-    if total_errors > 0 then exit 1;
-    (match max_warnings with
-    | Some n when total_warnings > n ->
-      Printf.eprintf "too many warnings: %d (allowed: %d)\n" total_warnings n;
-      exit 2
-    | _ -> ());
-    `Ok ()
-  in
-  Cmd.v
-    (Cmd.info "analyze"
-       ~doc:
-         "Run whole-rule-set dataflow analysis: operator reachability, \
-          constant-test folding, physical-property flow and pairwise \
-          subsumption/overlap (P3xx codes). Where $(b,lint) checks each \
-          rule locally, $(b,analyze) reasons across the rule set. Exits 1 \
-          on errors, 2 when $(b,--max-warnings) is exceeded.")
-    Term.(ret (const run $ files_arg $ roots_arg $ format_arg $ max_warnings_arg))
-
-(* ---------------- verify ---------------- *)
+  checker_cmd "analyze"
+    ~doc:
+      "Run whole-rule-set dataflow analysis: operator reachability, \
+       constant-test folding, physical-property flow and pairwise \
+       subsumption/overlap (P3xx codes). Where $(b,lint) checks each \
+       rule locally, $(b,analyze) reasons across the rule set. Exits 1 \
+       on errors, 2 when $(b,--max-warnings) is exceeded."
+    ~diagnostics:(fun (r : Analysis.report) -> r.Analysis.diagnostics)
+    ~footer:(fun r ->
+      Printf.sprintf
+        "%d operator(s) reachable, %d dead rule(s), %d unreachable rule(s)"
+        (List.length r.Analysis.reachable)
+        (List.length r.Analysis.dead_rules)
+        (List.length r.Analysis.unreachable_rules))
+    ~json_head:(fun r ->
+      Printf.sprintf ",\"ruleset\":%s" (Diag.json_string r.Analysis.ruleset))
+    ~json_tail:(fun r ->
+      Printf.sprintf
+        ",\"reachable\":[%s],\"dead_rules\":[%s],\"unreachable_rules\":[%s],\
+         \"required_physical\":[%s],\"produced_physical\":[%s]"
+        (json_strings r.Analysis.reachable)
+        (json_strings r.Analysis.dead_rules)
+        (json_strings r.Analysis.unreachable_rules)
+        (json_strings r.Analysis.required_physical)
+        (json_strings r.Analysis.produced_physical))
+    Term.(
+      const (fun roots -> Analysis.analyze_string ~config:{ Analysis.roots })
+      $ roots_arg)
 
 let verify_cmd =
   let module Verify = Prairie_verify.Verify in
-  let module Diag = Prairie.Diagnostic in
-  let files_arg =
-    Arg.(
-      non_empty
-      & pos_all file []
-      & info [] ~docv:"FILE" ~doc:"Rule-specification files (.prairie).")
-  in
   let rules_arg =
     Arg.(
       value
@@ -329,107 +255,44 @@ let verify_cmd =
              whose closure reaches the cap are skipped (the naive best \
              would not be authoritative).")
   in
-  let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FORMAT"
-          ~doc:"Output format: $(b,text) or $(b,json).")
+  let check rules seed budget oracle_forms =
+    Verify.verify_string
+      ~config:{ Verify.default_config with Verify.seed; budget; oracle_forms; rules }
   in
-  let max_warnings_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "max-warnings" ] ~docv:"N"
-          ~doc:"Fail (exit 2) when more than $(docv) warnings are found.")
+  let rule_json (r : Verify.rule_report) =
+    Printf.sprintf
+      "{\"rule\":%s,\"cases\":%d,\"redexes\":%d,\"counterexamples\":%d,\
+       \"shrink_steps\":%d}"
+      (Diag.json_string r.Verify.rule) r.Verify.cases r.Verify.redexes
+      r.Verify.counterexamples r.Verify.shrink_steps
   in
-  let run files rules seed budget oracle_forms format max_warnings =
-    let config =
-      { Verify.default_config with Verify.seed; budget; oracle_forms; rules }
-    in
-    let results =
-      List.map (fun path -> (path, Verify.verify_file ~config path)) files
-    in
-    let total_errors =
-      List.fold_left
-        (fun n (_, (r : Verify.report)) ->
-          n + (fun (e, _, _) -> e) (Verify.summary r.Verify.diagnostics))
-        0 results
-    in
-    let total_warnings =
-      List.fold_left
-        (fun n (_, (r : Verify.report)) ->
-          n + (fun (_, w, _) -> w) (Verify.summary r.Verify.diagnostics))
-        0 results
-    in
-    (match format with
-    | `Text ->
-      List.iter
-        (fun (path, (r : Verify.report)) ->
-          (match r.Verify.diagnostics with
-          | [] -> Printf.printf "%s: clean\n" path
-          | ds ->
-            List.iter
-              (fun d -> Printf.printf "%s: %s\n" path (Diag.to_string d))
-              ds);
-          Printf.printf
-            "%s: %d rule(s) checked, %d case(s), %d counterexample(s), %d \
-             shrink step(s) (seed %d)\n"
-            path r.Verify.rules_checked r.Verify.cases_generated
-            r.Verify.counterexamples r.Verify.shrink_steps r.Verify.seed)
-        results;
-      if total_errors > 0 || total_warnings > 0 then
-        Printf.printf "%d error(s), %d warning(s)\n" total_errors
-          total_warnings
-    | `Json ->
-      let rule_json (r : Verify.rule_report) =
-        Printf.sprintf
-          "{\"rule\":\"%s\",\"cases\":%d,\"redexes\":%d,\
-           \"counterexamples\":%d,\"shrink_steps\":%d}"
-          (json_escape r.Verify.rule) r.Verify.cases r.Verify.redexes
-          r.Verify.counterexamples r.Verify.shrink_steps
-      in
-      let file_json (path, (r : Verify.report)) =
-        let e, w, _ = Verify.summary r.Verify.diagnostics in
-        Printf.sprintf
-          "{\"file\":\"%s\",\"ruleset\":\"%s\",\"seed\":%d,\
-           \"diagnostics\":[%s],\"errors\":%d,\"warnings\":%d,\
-           \"rules_checked\":%d,\"cases_generated\":%d,\
-           \"counterexamples\":%d,\"shrink_steps\":%d,\"rules\":[%s]}"
-          (json_escape path)
-          (json_escape r.Verify.ruleset)
-          r.Verify.seed
-          (String.concat "," (List.map Diag.to_json r.Verify.diagnostics))
-          e w r.Verify.rules_checked r.Verify.cases_generated
-          r.Verify.counterexamples r.Verify.shrink_steps
-          (String.concat "," (List.map rule_json r.Verify.rules))
-      in
-      Printf.printf
-        "{\"files\":[%s],\"total_errors\":%d,\"total_warnings\":%d,\
-         \"seed\":%d}\n"
-        (String.concat "," (List.map file_json results))
-        total_errors total_warnings seed);
-    if total_errors > 0 then exit 1;
-    (match max_warnings with
-    | Some n when total_warnings > n ->
-      Printf.eprintf "too many warnings: %d (allowed: %d)\n" total_warnings n;
-      exit 2
-    | _ -> ());
-    `Ok ()
-  in
-  Cmd.v
-    (Cmd.info "verify"
-       ~doc:
-         "Semantically verify rule-specification files: generate random \
-          catalogs and expressions per T-rule, apply the rules, and hunt \
-          for crashes, root-property changes, oracle cost divergence and \
-          run-time rewrite cycles (P2xx codes), shrinking counterexamples \
-          to minimal witnesses. Deterministic in $(b,--seed). Exits 1 on \
-          errors, 2 when $(b,--max-warnings) is exceeded.")
-    Term.(
-      ret
-        (const run $ files_arg $ rules_arg $ seed_arg $ budget_arg
-       $ oracle_forms_arg $ format_arg $ max_warnings_arg))
+  checker_cmd "verify"
+    ~doc:
+      "Semantically verify rule-specification files: generate random \
+       catalogs and expressions per T-rule, apply the rules, and hunt \
+       for crashes, root-property changes, oracle cost divergence and \
+       run-time rewrite cycles (P2xx codes), shrinking counterexamples \
+       to minimal witnesses. Deterministic in $(b,--seed). Exits 1 on \
+       errors, 2 when $(b,--max-warnings) is exceeded."
+    ~diagnostics:(fun (r : Verify.report) -> r.Verify.diagnostics)
+    ~footer:(fun r ->
+      Printf.sprintf
+        "%d rule(s) checked, %d case(s), %d counterexample(s), %d shrink \
+         step(s) (seed %d)"
+        r.Verify.rules_checked r.Verify.cases_generated
+        r.Verify.counterexamples r.Verify.shrink_steps r.Verify.seed)
+    ~json_head:(fun r ->
+      Printf.sprintf ",\"ruleset\":%s,\"seed\":%d"
+        (Diag.json_string r.Verify.ruleset) r.Verify.seed)
+    ~json_tail:(fun r ->
+      Printf.sprintf
+        ",\"rules_checked\":%d,\"cases_generated\":%d,\"counterexamples\":%d,\
+         \"shrink_steps\":%d,\"rules\":[%s]"
+        r.Verify.rules_checked r.Verify.cases_generated
+        r.Verify.counterexamples r.Verify.shrink_steps
+        (String.concat "," (List.map rule_json r.Verify.rules)))
+    ~json_top:Term.(const (Printf.sprintf ",\"seed\":%d") $ seed_arg)
+    Term.(const check $ rules_arg $ seed_arg $ budget_arg $ oracle_forms_arg)
 
 (* ---------------- report ---------------- *)
 

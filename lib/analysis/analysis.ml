@@ -1,6 +1,4 @@
 module Ast = Prairie_dsl.Ast
-module Lexer = Prairie_dsl.Lexer
-module Parser = Prairie_dsl.Parser
 module D = Prairie.Diagnostic
 module Pattern = Prairie.Pattern
 module Action = Prairie.Action
@@ -12,7 +10,6 @@ module Merge = Prairie_p2v.Merge
 module Classify = Prairie_p2v.Classify
 module Enforcers = Prairie_p2v.Enforcers
 module Lint = Prairie_lint.Lint
-module Metrics = Prairie_obs.Metrics
 
 let catalogue : D.catalogue =
   [
@@ -571,78 +568,8 @@ let check_spec ?(config = default_config) (spec : Ast.spec) =
   }
 
 let analyze_string ?config src =
-  match Parser.parse src with
-  | exception Lexer.Lex_error (pos, msg) ->
-    {
-      (empty_report "") with
-      diagnostics =
-        [
-          D.error ~code:"P000"
-            ~span:{ D.line = pos.Lexer.line; column = pos.Lexer.column }
-            (Printf.sprintf "lexical error: %s" msg);
-        ];
-    }
-  | exception Parser.Parse_error (pos, msg) ->
-    {
-      (empty_report "") with
-      diagnostics =
-        [
-          D.error ~code:"P000"
-            ~span:{ D.line = pos.Lexer.line; column = pos.Lexer.column }
-            (Printf.sprintf "parse error: %s" msg);
-        ];
-    }
-  | spec ->
+  match Lint.parse_source src with
+  | Error d -> { (empty_report "") with diagnostics = [ d ] }
+  | Ok spec ->
     let report = check_spec ?config spec in
-    let pragmas = Lint.allow_pragmas src in
-    {
-      report with
-      diagnostics = D.normalize (Lint.apply_pragmas pragmas report.diagnostics);
-    }
-
-let analyze_file ?config path =
-  let ic = open_in_bin path in
-  let src =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  analyze_string ?config src
-
-(* ------------------------------------------------------------------ *)
-(* Metrics                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let export_metrics registry report =
-  let ruleset = [ ("ruleset", report.ruleset) ] in
-  let count_code code =
-    List.length
-      (List.filter (fun (d : D.t) -> String.equal d.D.code code)
-         report.diagnostics)
-  in
-  List.iter
-    (fun (code, _, _) ->
-      if not (String.equal code "P000") then
-        Metrics.inc ~by:(count_code code)
-          (Metrics.counter registry
-             ~help:"whole-rule-set analyzer findings by code"
-             ~labels:(("code", code) :: ruleset)
-             "prairie_analysis_findings_total"))
-    catalogue;
-  Metrics.inc
-    ~by:(List.length report.dead_rules)
-    (Metrics.counter registry
-       ~help:"T-rules whose test constant-folds to FALSE"
-       ~labels:ruleset "prairie_analysis_dead_rules_total");
-  Metrics.inc
-    ~by:(List.length report.unreachable_rules)
-    (Metrics.counter registry
-       ~help:"T-rules whose LHS root is unreachable from the workload roots"
-       ~labels:ruleset "prairie_analysis_unreachable_rules_total");
-  Metrics.inc
-    ~by:(List.length report.reachable)
-    (Metrics.counter registry
-       ~help:"operators in the reachability closure" ~labels:ruleset
-       "prairie_analysis_reachable_operators_total")
-
-let summary = D.summary
+    { report with diagnostics = Lint.with_pragmas src report.diagnostics }

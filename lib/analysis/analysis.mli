@@ -61,18 +61,9 @@ type report = {
 
 val check_spec : ?config:config -> Prairie_dsl.Ast.spec -> report
 (** Analyze an already-parsed spec.  Pragmas are NOT applied (there is no
-    source to scan); use {!analyze_string} / {!analyze_file} for that. *)
+    source to scan); use {!analyze_string} for that. *)
 
 val analyze_string : ?config:config -> string -> report
-(** Parse and analyze.  Lex and parse failures become a single [P000]
-    error; [// lint:allow P3xx] pragmas downgrade warnings to [Info]. *)
-
-val analyze_file : ?config:config -> string -> report
-
-val export_metrics : Prairie_obs.Metrics.t -> report -> unit
-(** Publish per-code finding counts, dead/unreachable rule counts and the
-    closure size into a metrics registry
-    ([prairie_analysis_*] counter families). *)
-
-val summary : Prairie.Diagnostic.t list -> int * int * int
-(** [(errors, warnings, infos)] counts. *)
+(** Parse and analyze.  A lex or parse failure is the single [P000]
+    error of {!Prairie_lint.Lint.parse_source}; [// lint:allow P3xx]
+    pragmas downgrade warnings to [Info]. *)

@@ -902,30 +902,23 @@ let check_spec ?helpers (spec : Ast.spec) =
     @ check_termination spec
     @ check_enforcers spec)
 
-let lint_string ?helpers src =
-  match Parser.parse src with
-  | exception Lexer.Lex_error (pos, msg) ->
-    [
-      D.error ~code:"P000"
-        ~span:{ D.line = pos.Lexer.line; column = pos.Lexer.column }
-        (Printf.sprintf "lexical error: %s" msg);
-    ]
-  | exception Parser.Parse_error (pos, msg) ->
-    [
-      D.error ~code:"P000"
-        ~span:{ D.line = pos.Lexer.line; column = pos.Lexer.column }
-        (Printf.sprintf "parse error: %s" msg);
-    ]
-  | spec ->
-    D.normalize (apply_pragmas (allow_pragmas src) (check_spec ?helpers spec))
-
-let lint_file ?helpers path =
-  let ic = open_in_bin path in
-  let src =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
+let parse_source src =
+  let p000 kind (pos : Lexer.position) msg =
+    Error
+      (D.error ~code:"P000"
+         ~span:{ D.line = pos.Lexer.line; column = pos.Lexer.column }
+         (Printf.sprintf "%s error: %s" kind msg))
   in
-  lint_string ?helpers src
+  match Parser.parse src with
+  | exception Lexer.Lex_error (pos, msg) -> p000 "lexical" pos msg
+  | exception Parser.Parse_error (pos, msg) -> p000 "parse" pos msg
+  | spec -> Ok spec
+
+let with_pragmas src ds = D.normalize (apply_pragmas (allow_pragmas src) ds)
+
+let lint_string ?helpers src =
+  match parse_source src with
+  | Error d -> [ d ]
+  | Ok spec -> with_pragmas src (check_spec ?helpers spec)
 
 let summary = D.summary

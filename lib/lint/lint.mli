@@ -28,8 +28,8 @@
 
 val catalogue : Prairie.Diagnostic.catalogue
 (** Every diagnostic code the linter can emit, with its default severity
-    and a one-line description.  [P000] is the syntax-error code used by
-    {!lint_string} / {!lint_file} when parsing fails. *)
+    and a one-line description.  [P000] is the syntax-error code of
+    {!parse_source}. *)
 
 val check_spec :
   ?helpers:Prairie.Helper_env.t ->
@@ -42,25 +42,25 @@ val check_spec :
 
 val lint_string :
   ?helpers:Prairie.Helper_env.t -> string -> Prairie.Diagnostic.t list
-(** Parse and lint a spec from source text.  Lex and parse failures
-    become a single [P000] error carrying the failure position.
-    [lint:allow] pragmas in the source are applied. *)
+(** Parse and lint a spec from source text: {!parse_source}, then
+    {!check_spec}, then {!with_pragmas}. *)
 
-val lint_file :
-  ?helpers:Prairie.Helper_env.t -> string -> Prairie.Diagnostic.t list
-(** {!lint_string} on the contents of a file. *)
+val parse_source : string -> (Prairie_dsl.Ast.spec, Prairie.Diagnostic.t) result
+(** Parse a spec from source text.  A lex or parse failure is the single
+    [P000] "lexical error" / "parse error" carrying the failure position —
+    the one parse path of the linter, the analyzer and the verifier. *)
+
+val with_pragmas : string -> Prairie.Diagnostic.t list -> Prairie.Diagnostic.t list
+(** Apply the source's [lint:allow] pragmas, then
+    {!Prairie.Diagnostic.normalize}.  A pragma downgrades warnings with its
+    code to [Info], recording the pragma line in the hint; errors are
+    never downgraded.  The pragma namespace is shared: a
+    [lint:allow P230] pragma downgrades the verifier's P230 warnings the
+    same way. *)
 
 val allow_pragmas : string -> (string * int) list
 (** The [(code, line)] pairs of every [lint:allow] pragma in the source,
-    in order of appearance.  The pragma namespace is shared with
-    {!Prairie_verify}: a [lint:allow P230] pragma downgrades the verifier's
-    P230 warnings the same way. *)
-
-val apply_pragmas : (string * int) list -> Prairie.Diagnostic.t list -> Prairie.Diagnostic.t list
-(** Downgrade warnings whose code appears in the pragma list to [Info],
-    recording the pragma line in the hint.  Errors are never downgraded.
-    Exposed so other diagnostic producers (the semantic verifier) honor
-    the same pragmas. *)
+    in order of appearance. *)
 
 val summary : Prairie.Diagnostic.t list -> int * int * int
 (** [(errors, warnings, infos)] counts. *)

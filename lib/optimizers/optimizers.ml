@@ -34,10 +34,6 @@ let oodb_prairie_unmerged catalog =
   of_translation "oodb-prairie-unmerged"
     (Prairie_p2v.Translate.translate ~compose:false (oodb_ruleset catalog))
 
-let oodb_prairie_interpreted catalog =
-  of_translation "oodb-prairie-interpreted"
-    (Prairie_p2v.Translate.translate ~mode:`Interpreted (oodb_ruleset catalog))
-
 let oodb_volcano catalog =
   {
     name = "oodb-volcano";
@@ -53,14 +49,6 @@ let relational catalog =
 
 (* All service metric names in one place; labels carry the rule-set name so
    several optimizers can share one registry. *)
-let m_optimize_seconds m ~ruleset =
-  Metrics.histogram m ~help:"Single-shot optimization latency"
-    ~labels:[ ("ruleset", ruleset) ] "prairie_optimize_seconds"
-
-let m_optimize_total m ~ruleset =
-  Metrics.counter m ~help:"Single-shot optimizations run"
-    ~labels:[ ("ruleset", ruleset) ] "prairie_optimize_total"
-
 let m_requests_total m ~ruleset =
   Metrics.counter m ~help:"Plan-service requests received"
     ~labels:[ ("ruleset", ruleset) ] "prairie_serve_requests_total"
@@ -148,29 +136,12 @@ let timed f =
   (v, Unix.gettimeofday () -. t0)
 
 let optimize ?pruning ?group_budget ?search_jobs:_ ?(required = Descriptor.empty)
-    ?spans ?metrics ?slow_log t expr =
+    ?spans t expr =
   let expr, req0 = t.prepare expr in
   let required = Descriptor.merge ~base:req0 ~overrides:required in
   let search = Search.create ?pruning ?group_budget ?spans t.volcano in
-  let plan, elapsed = timed (fun () -> Search.optimize ~required search expr) in
-  (match metrics with
-  | None -> ()
-  | Some m ->
-    Metrics.inc (m_optimize_total m ~ruleset:t.name);
-    Metrics.observe (m_optimize_seconds m ~ruleset:t.name) elapsed;
-    winner_metrics m ~ruleset:t.name (Search.stats search);
-    pool_metrics m);
+  let plan = Search.optimize ~required search expr in
   let cost = match plan with Some p -> Plan.cost p | None -> infinity in
-  (match slow_log with
-  | Some log when elapsed >= Slow_log.threshold log ->
-    (* the fingerprint is only computed on the slow path *)
-    Slow_log.observe log ~ruleset:t.name
-      ~fingerprint:(Prairie.Expr.fingerprint ~required expr)
-      ~seconds:elapsed ~cost
-      ~groups:(Search.group_count search)
-      ~budget_hit:(Search.budget_was_hit search)
-      ~cache_hit:false
-  | Some _ | None -> ());
   { plan; cost; search }
 
 (* ---------------- the plan service ---------------- *)

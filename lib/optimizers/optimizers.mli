@@ -29,10 +29,6 @@ val oodb_prairie_unmerged : Prairie_catalog.Catalog.t -> t
 (** P2V translation with rule composition disabled — the [ablation-merge]
     configuration. *)
 
-val oodb_prairie_interpreted : Prairie_catalog.Catalog.t -> t
-(** P2V translation with rule actions interpreted per invocation instead of
-    staged into closures — the [ablation-codegen] configuration. *)
-
 val relational : Prairie_catalog.Catalog.t -> t
 (** The §2 relational optimizer, via P2V. *)
 
@@ -45,8 +41,6 @@ val optimize :
   ?search_jobs:int ->
   ?required:Prairie.Descriptor.t ->
   ?spans:Prairie_obs.Span.t ->
-  ?metrics:Prairie_obs.Metrics.t ->
-  ?slow_log:Prairie_obs.Slow_log.t ->
   t ->
   Prairie.Expr.t ->
   outcome
@@ -61,12 +55,9 @@ val optimize :
     [spans] attaches the observability sink to the search: timed spans
     with per-rule attribution and the search's events inside them (see
     {!Prairie_volcano.Search.create}, {!Prairie_volcano.Explain.trace},
-    {!Prairie_volcano.Explain.profile} and `prairiec trace`);
-    [metrics] records the optimization into [prairie_optimize_seconds] /
-    [prairie_optimize_total] (labelled by rule-set name); [slow_log]
-    records the search when it meets the log's threshold (the query
-    fingerprint is only computed on that slow path).  All default to
-    off, with one [Option] check of overhead. *)
+    {!Prairie_volcano.Explain.profile} and `prairiec trace`).  It
+    defaults to off, with one [Option] check of overhead.  Service
+    telemetry ([metrics], [slow_log]) belongs to {!serve}. *)
 
 (** {1 The parallel plan service}
 

@@ -3,14 +3,9 @@ module Pattern = Prairie.Pattern
 module Binding = Prairie.Pattern.Binding
 module Trule = Prairie.Trule
 module Irule = Prairie.Irule
-module Eval = Prairie.Eval
+module Compiled = Prairie.Compiled
 module Expr = Prairie.Expr
 module Rule = Prairie_volcano.Rule
-
-type mode =
-  [ `Compiled
-  | `Interpreted
-  ]
 
 type t = {
   merge : Merge.result;
@@ -21,36 +16,14 @@ type t = {
 
 let binding_of_denv denv = { Binding.streams = []; descs = denv }
 
-(* The two code-generation strategies: staging the statement lists into
-   closures once (the default — the analog of P2V emitting C code), or
-   re-interpreting the ASTs on every rule invocation (the
-   [ablation-codegen] configuration). *)
-type evaluator = {
-  ev_stmts :
-    protected:string list -> Prairie.Action.stmt list -> Binding.t -> Binding.t;
-  ev_test : Prairie.Action.expr -> Binding.t -> bool;
-}
-
-let evaluator mode helpers =
-  match mode with
-  | `Compiled ->
-    {
-      ev_stmts = (fun ~protected ss -> Prairie.Compiled.stmts ~protected helpers ss);
-      ev_test = (fun e -> Prairie.Compiled.test helpers e);
-    }
-  | `Interpreted ->
-    {
-      ev_stmts =
-        (fun ~protected ss b -> Eval.exec_stmts ~protected helpers b ss);
-      ev_test = (fun e b -> Eval.eval_test helpers b e);
-    }
-
-let trans_of_trule ?(mode = `Compiled) helpers (t : Trule.t) : Rule.trans_rule =
-  let ev = evaluator mode helpers in
+(* Code generation stages each rule's test and statement lists into
+   closures once, at translation time (the analog of P2V emitting C
+   code); the closures run on every rule invocation. *)
+let trans_of_trule helpers (t : Trule.t) : Rule.trans_rule =
   let protected = Trule.input_descriptors t in
-  let pre = ev.ev_stmts ~protected t.Trule.pre_test in
-  let tst = ev.ev_test t.Trule.test in
-  let post = ev.ev_stmts ~protected t.Trule.post_test in
+  let pre = Compiled.stmts ~protected helpers t.Trule.pre_test in
+  let tst = Compiled.test helpers t.Trule.test in
+  let post = Compiled.stmts ~protected helpers t.Trule.post_test in
   {
     Rule.tr_name = t.Trule.name;
     tr_lhs = t.Trule.lhs;
@@ -73,17 +46,15 @@ let positional_vars (r : Irule.t) =
       subs
   | Pattern.Pvar _ -> invalid_arg "I-rule LHS must be an operator"
 
-let impl_of_irule ?(mode = `Compiled) helpers ~physical (r : Irule.t) :
-    Rule.impl_rule =
-  let ev = evaluator mode helpers in
+let impl_of_irule helpers ~physical (r : Irule.t) : Rule.impl_rule =
   let op_d = Irule.operator_descriptor r in
   let alg_d = Irule.algorithm_descriptor r in
   let pos_vars = positional_vars r in
   let redescs = Irule.redescriptored_inputs r in
   let protected = Irule.input_descriptors r in
-  let tst = ev.ev_test r.Irule.test in
-  let pre = ev.ev_stmts ~protected r.Irule.pre_opt in
-  let post = ev.ev_stmts ~protected:[ op_d ] r.Irule.post_opt in
+  let tst = Compiled.test helpers r.Irule.test in
+  let pre = Compiled.stmts ~protected helpers r.Irule.pre_opt in
+  let post = Compiled.stmts ~protected:[ op_d ] helpers r.Irule.post_opt in
   let mk_binding ~op_arg ~req ~inputs =
     let descs =
       (op_d, Descriptor.merge ~base:op_arg ~overrides:req)
@@ -130,9 +101,7 @@ let impl_of_irule ?(mode = `Compiled) helpers ~physical (r : Irule.t) :
         Binding.desc (post b) alg_d);
   }
 
-let enforcer_of_irule ?(mode = `Compiled) helpers ~enforced (r : Irule.t) :
-    Rule.enforcer =
-  let ev = evaluator mode helpers in
+let enforcer_of_irule helpers ~enforced (r : Irule.t) : Rule.enforcer =
   let op_d = Irule.operator_descriptor r in
   let alg_d = Irule.algorithm_descriptor r in
   let stream_v =
@@ -141,9 +110,9 @@ let enforcer_of_irule ?(mode = `Compiled) helpers ~enforced (r : Irule.t) :
     | _ -> invalid_arg "enforcer-algorithm rules take a single stream input"
   in
   let protected = Irule.input_descriptors r in
-  let tst = ev.ev_test r.Irule.test in
-  let pre = ev.ev_stmts ~protected r.Irule.pre_opt in
-  let post = ev.ev_stmts ~protected:[ op_d ] r.Irule.post_opt in
+  let tst = Compiled.test helpers r.Irule.test in
+  let pre = Compiled.stmts ~protected helpers r.Irule.pre_opt in
+  let post = Compiled.stmts ~protected:[ op_d ] helpers r.Irule.post_opt in
   {
     Rule.en_name = r.Irule.name;
     en_alg = Irule.algorithm r;
@@ -160,7 +129,7 @@ let enforcer_of_irule ?(mode = `Compiled) helpers ~enforced (r : Irule.t) :
         Binding.desc (post (pre (binding_of_denv descs))) alg_d);
   }
 
-let translate ?compose ?(mode = `Compiled) (ruleset : Prairie.Ruleset.t) =
+let translate ?compose (ruleset : Prairie.Ruleset.t) =
   let merge = Merge.merge ?compose ruleset in
   let classification = Classify.classify ruleset in
   let helpers = ruleset.Prairie.Ruleset.helpers in
@@ -176,15 +145,15 @@ let translate ?compose ?(mode = `Compiled) (ruleset : Prairie.Ruleset.t) =
         <> Some (Prairie_value.Value.Bool false))
       merge.Merge.trans_trules
   in
-  let trans = List.map (trans_of_trule ~mode helpers) live_trules in
+  let trans = List.map (trans_of_trule helpers) live_trules in
   let impl =
-    List.map (impl_of_irule ~mode helpers ~physical) merge.Merge.impl_irules
+    List.map (impl_of_irule helpers ~physical) merge.Merge.impl_irules
   in
   let enforcers =
     List.concat_map
       (fun (info : Enforcers.info) ->
         List.map
-          (enforcer_of_irule ~mode helpers
+          (enforcer_of_irule helpers
              ~enforced:info.Enforcers.enforced_properties)
           info.Enforcers.algorithm_rules)
       merge.Merge.enforcer_infos

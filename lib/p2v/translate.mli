@@ -2,21 +2,12 @@
 
     Where the paper's pre-processor emits C code for Volcano's [cond_code],
     [appl_code], ["do_any_good"] and ["derive_phy_prop"] functions (§3.2,
-    Table 4), this module closes the interpreted Prairie statement lists
-    over the rule's descriptor environment, producing the closures the
+    Table 4), this module stages each rule's Prairie statement lists into
+    closures over the rule's descriptor environment once, at translation
+    time ({!Prairie.Compiled}), producing the closures the
     {!Prairie_volcano.Search} engine calls.  The other two Volcano helper
     functions (["cost"], ["get_input_pv"]) are subsumed — the paper notes
     they are short-circuited by the per-rule property transformations. *)
-
-type mode =
-  [ `Compiled
-    (** stage each rule's statement lists into closures once, at
-        translation time — the default, and the analog of the paper's P2V
-        emitting C code *)
-  | `Interpreted
-    (** re-interpret the statement ASTs on every rule invocation — the
-        [ablation-codegen] configuration *)
-  ]
 
 type t = {
   merge : Merge.result;
@@ -29,7 +20,7 @@ type t = {
           search agree exactly *)
 }
 
-val translate : ?compose:bool -> ?mode:mode -> Prairie.Ruleset.t -> t
+val translate : ?compose:bool -> Prairie.Ruleset.t -> t
 (** Run the full pipeline: enforcer detection → rule merging (unless
     [compose:false]) → property classification → code generation. *)
 
@@ -45,20 +36,17 @@ val prepare_query : t -> Prairie.Expr.t -> Prairie.Expr.t * Prairie.Descriptor.t
 (** {1 Pieces, exposed for tests} *)
 
 val trans_of_trule :
-  ?mode:mode ->
   Prairie.Helper_env.t ->
   Prairie.Trule.t ->
   Prairie_volcano.Rule.trans_rule
 
 val impl_of_irule :
-  ?mode:mode ->
   Prairie.Helper_env.t ->
   physical:string list ->
   Prairie.Irule.t ->
   Prairie_volcano.Rule.impl_rule
 
 val enforcer_of_irule :
-  ?mode:mode ->
   Prairie.Helper_env.t ->
   enforced:string list ->
   Prairie.Irule.t ->

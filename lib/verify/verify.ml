@@ -16,10 +16,7 @@ module Helpers = Prairie_algebra.Helpers
 module Translate = Prairie_p2v.Translate
 module Search = Prairie_volcano.Search
 module Plan = Prairie_volcano.Plan
-module Metrics = Prairie_obs.Metrics
 module Lint = Prairie_lint.Lint
-module Parser = Prairie_dsl.Parser
-module Lexer = Prairie_dsl.Lexer
 module Elaborate = Prairie_dsl.Elaborate
 
 let catalogue : D.catalogue =
@@ -618,22 +615,9 @@ let empty_report ~ruleset ~seed diagnostics =
   }
 
 let verify_string ?(config = default_config) src =
-  match Parser.parse src with
-  | exception Lexer.Lex_error (pos, msg) ->
-    empty_report ~ruleset:"" ~seed:config.seed
-      [
-        D.error ~code:"P000"
-          ~span:{ D.line = pos.Lexer.line; column = pos.Lexer.column }
-          (Printf.sprintf "lexical error: %s" msg);
-      ]
-  | exception Parser.Parse_error (pos, msg) ->
-    empty_report ~ruleset:"" ~seed:config.seed
-      [
-        D.error ~code:"P000"
-          ~span:{ D.line = pos.Lexer.line; column = pos.Lexer.column }
-          (Printf.sprintf "parse error: %s" msg);
-      ]
-  | spec -> (
+  match Lint.parse_source src with
+  | Error d -> empty_report ~ruleset:"" ~seed:config.seed [ d ]
+  | Ok spec -> (
     let factory catalog =
       Elaborate.elaborate ~helpers:(Helpers.env catalog) spec
     in
@@ -644,46 +628,4 @@ let verify_string ?(config = default_config) src =
            (fun m -> D.error ~code:"P201" (Printf.sprintf "elaboration: %s" m))
            msgs)
     | report ->
-      let pragmas = Lint.allow_pragmas src in
-      {
-        report with
-        diagnostics = D.normalize (Lint.apply_pragmas pragmas report.diagnostics);
-      })
-
-let verify_file ?config path =
-  let ic = open_in_bin path in
-  let src =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  verify_string ?config src
-
-(* ------------------------------------------------------------------ *)
-(* Metrics                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let export_metrics registry report =
-  let ruleset = [ ("ruleset", report.ruleset) ] in
-  Metrics.inc ~by:report.rules_checked
-    (Metrics.counter registry ~help:"T-rules checked by the semantic verifier"
-       ~labels:ruleset "prairie_verify_rules_checked_total");
-  List.iter
-    (fun (r : rule_report) ->
-      let labels = ("rule", r.rule) :: ruleset in
-      Metrics.inc ~by:r.cases
-        (Metrics.counter registry ~help:"generated verification cases"
-           ~labels "prairie_verify_cases_total");
-      Metrics.inc ~by:r.redexes
-        (Metrics.counter registry
-           ~help:"rule applications (redexes) checked" ~labels
-           "prairie_verify_redexes_total");
-      Metrics.inc ~by:r.counterexamples
-        (Metrics.counter registry ~help:"counterexamples found" ~labels
-           "prairie_verify_counterexamples_total");
-      Metrics.inc ~by:r.shrink_steps
-        (Metrics.counter registry ~help:"catalog shrinking steps taken"
-           ~labels "prairie_verify_shrink_steps_total"))
-    report.rules
-
-let summary = D.summary
+      { report with diagnostics = Lint.with_pragmas src report.diagnostics })

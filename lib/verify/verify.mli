@@ -30,7 +30,7 @@
     persists — and reported as {!Prairie.Diagnostic.t} values whose hints
     carry the master seed and per-case seed, so every witness regenerates
     exactly.  [lint:allow] pragmas downgrade P2xx warnings just as they
-    do lint warnings (shared namespace, see {!Prairie_lint.Lint.apply_pragmas}). *)
+    do lint warnings (shared namespace, see {!Prairie_lint.Lint.with_pragmas}). *)
 
 val catalogue : Prairie.Diagnostic.catalogue
 (** Every diagnostic code the verifier can emit. *)
@@ -80,17 +80,7 @@ val verify_ruleset :
     rule sets the factory returns. *)
 
 val verify_string : ?config:config -> string -> report
-(** Parse, elaborate per generated catalog, verify.  Parse failures
-    become a single P000 error, elaboration failures P201 errors;
+(** Parse, elaborate per generated catalog, verify.  A lex or parse
+    failure is the single [P000] error of
+    {!Prairie_lint.Lint.parse_source}, elaboration failures P201 errors;
     [lint:allow] pragmas in the source are applied to the findings. *)
-
-val verify_file : ?config:config -> string -> report
-(** {!verify_string} on the contents of a file. *)
-
-val export_metrics : Prairie_obs.Metrics.t -> report -> unit
-(** Register and bump the [prairie_verify_*] counters (rules checked,
-    cases, redexes, counterexamples, shrink steps) labelled by ruleset
-    and rule. *)
-
-val summary : Prairie.Diagnostic.t list -> int * int * int
-(** [(errors, warnings, infos)] counts. *)

@@ -1,10 +1,13 @@
-(* Shared helpers for the diagnostic test suites (lint, verify): code
-   queries over diagnostic lists and the planted-bug fixture runner. *)
+(* Shared helpers for the diagnostic test suites (lint, analyze, verify):
+   reading a rule file, code queries over diagnostic lists and the
+   planted-bug fixture runner. *)
 
 module D = Prairie.Diagnostic
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let has code ds = List.exists (fun (d : D.t) -> String.equal d.D.code code) ds
 

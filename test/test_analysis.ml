@@ -231,8 +231,8 @@ let shipped_tests =
     Alcotest.test_case "shipped rule files analyze clean" `Quick (fun () ->
         List.iter
           (fun path ->
-            let r = Analysis.analyze_file path in
-            let errors, warnings, _ = Analysis.summary r.Analysis.diagnostics in
+            let r = Analysis.analyze_string (Support.read_file path) in
+            let errors, warnings, _ = D.summary r.Analysis.diagnostics in
             check_int (path ^ " errors") 0 errors;
             check_int (path ^ " warnings") 0 warnings;
             Alcotest.(check (list string))
@@ -242,39 +242,17 @@ let shipped_tests =
           [ "../rules/relational.prairie"; "../rules/open_oodb.prairie" ]);
     Alcotest.test_case "the OODB critical pair is downgraded, not absent"
       `Quick (fun () ->
-        let r = Analysis.analyze_file "../rules/open_oodb.prairie" in
+        let r = Analysis.analyze_string (Support.read_file "../rules/open_oodb.prairie") in
         check "P321 visible" true (has "P321" r.Analysis.diagnostics);
         check "as info" true
           (List.for_all (( = ) D.Info)
              (Support.severity_of "P321" r.Analysis.diagnostics)));
     Alcotest.test_case "shipped property flow is closed" `Quick (fun () ->
-        let r = Analysis.analyze_file "../rules/relational.prairie" in
+        let r = Analysis.analyze_string (Support.read_file "../rules/relational.prairie") in
         check "every required property is producible" true
           (List.for_all
              (fun p -> List.mem p r.Analysis.produced_physical)
              r.Analysis.required_physical));
-  ]
-
-let metrics_tests =
-  [
-    Alcotest.test_case "export_metrics publishes finding counters" `Quick
-      (fun () ->
-        let _, bad, _ =
-          List.find (fun (c, _, _) -> String.equal c "P321") fixture_cases
-        in
-        let r = Analysis.analyze_string bad in
-        let registry = Prairie_obs.Metrics.create () in
-        Analysis.export_metrics registry r;
-        let text = Prairie_obs.Metrics.to_prometheus registry in
-        let contains sub =
-          let n = String.length sub and m = String.length text in
-          let rec go i =
-            i + n <= m && (String.sub text i n = sub || go (i + 1))
-          in
-          go 0
-        in
-        check "findings counter" true (contains "prairie_analysis_findings_total");
-        check "code label" true (contains "P321"));
   ]
 
 (* Determinism: analysis is a pure function of the source — repeated runs
@@ -315,6 +293,5 @@ let suites =
     ("analysis.pragmas", pragma_tests);
     ("analysis.catalogue", catalogue_tests);
     ("analysis.shipped", shipped_tests);
-    ("analysis.metrics", metrics_tests);
     ("analysis.properties", property_tests);
   ]

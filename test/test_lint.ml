@@ -292,6 +292,38 @@ let helper_tests =
              (Lint.lint_string ~helpers:Prairie.Helper_env.builtins good)));
   ]
 
+(* The one parse path: lint, analyze and verify all report a source that
+   does not lex or parse as the same single positioned P000. *)
+let parse_tests =
+  [
+    Alcotest.test_case "lex and parse failures are one shared P000" `Quick
+      (fun () ->
+        let p000 src =
+          match Lint.parse_source src with
+          | Ok _ -> Alcotest.fail "expected a P000"
+          | Error d ->
+            check "P000 error" true (String.equal d.D.code "P000" && D.is_error d);
+            check "positioned" true (d.D.span <> None);
+            d
+        in
+        let starts_with prefix s = String.starts_with ~prefix s in
+        let lex_src = "ruleset t; property p : STRING;\n\"unterminated" in
+        let parse_src = "ruleset broken" in
+        check "lexical" true (starts_with "lexical error" (p000 lex_src).D.message);
+        check "parse" true (starts_with "parse error" (p000 parse_src).D.message);
+        List.iter
+          (fun src ->
+            let d = p000 src in
+            check "lint" true (Lint.lint_string src = [ d ]);
+            check "analyze" true
+              ((Prairie_analysis.Analysis.analyze_string src)
+                 .Prairie_analysis.Analysis.diagnostics = [ d ]);
+            check "verify" true
+              ((Prairie_verify.Verify.verify_string src)
+                 .Prairie_verify.Verify.diagnostics = [ d ]))
+          [ lex_src; parse_src ]);
+  ]
+
 let pragma_tests =
   [
     Alcotest.test_case "allow_pragmas parses codes and lines" `Quick (fun () ->
@@ -374,8 +406,9 @@ let shipped_tests =
         List.iter
           (fun path ->
             let ds =
-              Lint.lint_file
-                ~helpers:(Prairie_algebra.Helpers.env Catalog.empty) path
+              Lint.lint_string
+                ~helpers:(Prairie_algebra.Helpers.env Catalog.empty)
+                (Support.read_file path)
             in
             let errors, warnings, _ = Lint.summary ds in
             check_int (path ^ " errors") 0 errors;
@@ -384,9 +417,9 @@ let shipped_tests =
     Alcotest.test_case "shipped findings are pragma-downgraded, not absent"
       `Quick (fun () ->
         let ds =
-          Lint.lint_file
+          Lint.lint_string
             ~helpers:(Prairie_algebra.Helpers.env Catalog.empty)
-            "../rules/open_oodb.prairie"
+            (Support.read_file "../rules/open_oodb.prairie")
         in
         check "P002 visible as info" true (has "P002" ds);
         check "P030 visible as info" true (has "P030" ds);
@@ -478,6 +511,7 @@ let suites =
   [
     ("lint.fixtures", fixture_tests);
     ("lint.helpers", helper_tests);
+    ("lint.parse", parse_tests);
     ("lint.pragmas", pragma_tests);
     ("lint.catalogue", catalogue_tests);
     ("lint.json", json_tests);

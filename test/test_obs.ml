@@ -383,8 +383,7 @@ let prop_trace_is_pure =
     (fun expr ->
       let plain = Opt.optimize (Lazy.force opt) expr in
       let sink = Span.create () in
-      let m = Metrics.create () in
-      let traced = Opt.optimize ~spans:sink ~metrics:m (Lazy.force opt) expr in
+      let traced = Opt.optimize ~spans:sink (Lazy.force opt) expr in
       Float.equal plain.Opt.cost traced.Opt.cost
       && String.equal (digest plain.Opt.plan) (digest traced.Opt.plan))
 

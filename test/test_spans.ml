@@ -507,25 +507,6 @@ let test_slow_log_threshold () =
     (Invalid_argument "Slow_log.create: negative threshold") (fun () ->
       ignore (Slow_log.create ~threshold:(-1.0) ()))
 
-let test_slow_log_from_optimize () =
-  let inst = W.Queries.instance W.Queries.Q5 ~joins:2 ~seed:101 in
-  let opt = Opt.oodb_prairie inst.W.Queries.catalog in
-  (* threshold 0: every search is "slow" and must be recorded with its
-     real fingerprint and group count *)
-  let log = Slow_log.create ~threshold:0.0 () in
-  ignore (Opt.optimize ~slow_log:log opt inst.W.Queries.expr);
-  checki "optimize recorded" 1 (Slow_log.length log);
-  (match Slow_log.entries log with
-  | [ e ] ->
-    checks "ruleset name" "oodb-prairie" e.Slow_log.ruleset;
-    check "groups recorded" true (e.Slow_log.groups > 0);
-    check "fingerprint recorded" true (String.length e.Slow_log.fingerprint > 0)
-  | _ -> Alcotest.fail "expected one entry");
-  (* a high threshold records nothing for this tiny query *)
-  let quiet = Slow_log.create ~threshold:3600.0 () in
-  ignore (Opt.optimize ~slow_log:quiet opt inst.W.Queries.expr);
-  checki "fast search not recorded" 0 (Slow_log.length quiet)
-
 let test_slow_log_from_serve () =
   let cat =
     W.Catalogs.make (W.Catalogs.default_spec ~classes:3 ~indexed:true ~seed:101)
@@ -536,11 +517,23 @@ let test_slow_log_from_serve () =
       (fun joins -> Opt.request (W.Expressions.e1 cat ~joins))
       [ 1; 2; 1; 2 ]
   in
+  (* threshold 0: every search is "slow" and must be recorded with its
+     real fingerprint and group count *)
   let log = Slow_log.create ~threshold:0.0 () in
   let served = Opt.serve ~jobs:2 ~slow_log:log opt reqs in
   checki "served everything" 4 (List.length served);
   (* batch dedup: only the distinct searches run and get logged *)
-  checki "one entry per fresh search" 2 (Slow_log.length log)
+  checki "one entry per fresh search" 2 (Slow_log.length log);
+  List.iter
+    (fun (e : Slow_log.entry) ->
+      checks "ruleset name" "oodb-prairie" e.Slow_log.ruleset;
+      check "groups recorded" true (e.Slow_log.groups > 0);
+      check "fingerprint recorded" true (String.length e.Slow_log.fingerprint > 0))
+    (Slow_log.entries log);
+  (* a high threshold records nothing for these tiny queries *)
+  let quiet = Slow_log.create ~threshold:3600.0 () in
+  ignore (Opt.serve ~jobs:2 ~slow_log:quiet opt reqs);
+  checki "fast searches not recorded" 0 (Slow_log.length quiet)
 
 (* ------------------------------------------------------------------ *)
 (* The telemetry endpoint, end to end                                  *)
@@ -764,8 +757,6 @@ let suites =
       [
         Alcotest.test_case "threshold and bounded ring" `Quick
           test_slow_log_threshold;
-        Alcotest.test_case "recorded from optimize" `Quick
-          test_slow_log_from_optimize;
         Alcotest.test_case "recorded from serve workers" `Quick
           test_slow_log_from_serve;
       ] );

@@ -1,6 +1,6 @@
 (* The exposed P2V code-generation pieces, driven directly: generated
    cond/appl closures for a trans rule, and the generated impl-rule
-   functions (cond, input requirements, finalize) in both codegen modes. *)
+   functions (cond, input requirements, finalize). *)
 
 module P2v = Prairie_p2v
 module Rule = Prairie_volcano.Rule
@@ -50,144 +50,135 @@ let stream_desc ~owner ~card =
       ("tuple_size", V.Int 100);
     ]
 
-let per_mode f =
-  List.iter (fun mode -> f mode) [ `Compiled; `Interpreted ]
-
 let trans_tests =
   [
     Alcotest.test_case "generated commutativity cond/appl" `Quick (fun () ->
-        per_mode (fun mode ->
-            let tr = P2v.Translate.trans_of_trule ~mode helpers (find_t "join_commute") in
-            let denv = [ ("D3", join_arg ~pred:(eq (attr "R1" "a") (attr "R2" "a")) ~card:400) ] in
-            match tr.Rule.tr_cond denv with
-            | None -> Alcotest.fail "commutativity is unconditional"
-            | Some denv ->
-              let out = tr.Rule.tr_appl denv in
-              check "D4 computed" true
-                (D.equal (Rule.denv_get out "D4") (Rule.denv_get out "D3"))));
+        let tr = P2v.Translate.trans_of_trule helpers (find_t "join_commute") in
+        let denv = [ ("D3", join_arg ~pred:(eq (attr "R1" "a") (attr "R2" "a")) ~card:400) ] in
+        match tr.Rule.tr_cond denv with
+        | None -> Alcotest.fail "commutativity is unconditional"
+        | Some denv ->
+          let out = tr.Rule.tr_appl denv in
+          check "D4 computed" true
+            (D.equal (Rule.denv_get out "D4") (Rule.denv_get out "D3")));
     Alcotest.test_case "generated associativity rejects cross products" `Quick
       (fun () ->
-        per_mode (fun mode ->
-            let tr = P2v.Translate.trans_of_trule ~mode helpers (find_t "join_assoc_left") in
-            (* outer predicate references R1 (part of the left subtree):
-               the rewrite would make the inner join a cross product *)
-            let denv =
-              [
-                ("D5", join_arg ~pred:(eq (attr "R1" "a") (attr "R3" "a")) ~card:100);
-                ("D4", join_arg ~pred:(eq (attr "R1" "a") (attr "R2" "a")) ~card:400);
-                ("D1", stream_desc ~owner:"R1" ~card:100);
-                ("D2", stream_desc ~owner:"R2" ~card:40);
-                ("D3", stream_desc ~owner:"R3" ~card:20);
-              ]
-            in
-            check "rejected" true (tr.Rule.tr_cond denv = None)));
+        let tr = P2v.Translate.trans_of_trule helpers (find_t "join_assoc_left") in
+        (* outer predicate references R1 (part of the left subtree):
+           the rewrite would make the inner join a cross product *)
+        let denv =
+          [
+            ("D5", join_arg ~pred:(eq (attr "R1" "a") (attr "R3" "a")) ~card:100);
+            ("D4", join_arg ~pred:(eq (attr "R1" "a") (attr "R2" "a")) ~card:400);
+            ("D1", stream_desc ~owner:"R1" ~card:100);
+            ("D2", stream_desc ~owner:"R2" ~card:40);
+            ("D3", stream_desc ~owner:"R3" ~card:20);
+          ]
+        in
+        check "rejected" true (tr.Rule.tr_cond denv = None));
     Alcotest.test_case "generated associativity computes inner statistics"
       `Quick (fun () ->
-        per_mode (fun mode ->
-            let tr = P2v.Translate.trans_of_trule ~mode helpers (find_t "join_assoc_left") in
-            let denv =
-              [
-                ("D5", join_arg ~pred:(eq (attr "R2" "a") (attr "R3" "a")) ~card:100);
-                ("D4", join_arg ~pred:(eq (attr "R1" "a") (attr "R2" "a")) ~card:400);
-                ("D1", stream_desc ~owner:"R1" ~card:100);
-                ("D2", stream_desc ~owner:"R2" ~card:40);
-                ("D3", stream_desc ~owner:"R3" ~card:20);
-              ]
-            in
-            match tr.Rule.tr_cond denv with
-            | None -> Alcotest.fail "should apply"
-            | Some denv ->
-              let out = tr.Rule.tr_appl denv in
-              let d6 = Rule.denv_get out "D6" in
-              (* |R2| * |R3| / max distinct = 40 * 20 / 10 *)
-              Alcotest.(check int) "inner card" 80 (D.get_int d6 "num_records");
-              Alcotest.(check int) "inner size" 200 (D.get_int d6 "tuple_size")));
+        let tr = P2v.Translate.trans_of_trule helpers (find_t "join_assoc_left") in
+        let denv =
+          [
+            ("D5", join_arg ~pred:(eq (attr "R2" "a") (attr "R3" "a")) ~card:100);
+            ("D4", join_arg ~pred:(eq (attr "R1" "a") (attr "R2" "a")) ~card:400);
+            ("D1", stream_desc ~owner:"R1" ~card:100);
+            ("D2", stream_desc ~owner:"R2" ~card:40);
+            ("D3", stream_desc ~owner:"R3" ~card:20);
+          ]
+        in
+        match tr.Rule.tr_cond denv with
+        | None -> Alcotest.fail "should apply"
+        | Some denv ->
+          let out = tr.Rule.tr_appl denv in
+          let d6 = Rule.denv_get out "D6" in
+          (* |R2| * |R3| / max distinct = 40 * 20 / 10 *)
+          Alcotest.(check int) "inner card" 80 (D.get_int d6 "num_records");
+          Alcotest.(check int) "inner size" 200 (D.get_int d6 "tuple_size"));
   ]
 
 let impl_tests =
   [
     Alcotest.test_case "generated Nested_loops impl-rule functions" `Quick
       (fun () ->
-        per_mode (fun mode ->
-            let ir =
-              P2v.Translate.impl_of_irule ~mode helpers
-                ~physical:[ "tuple_order" ]
-                (find_i "join_nested_loops")
-            in
-            Alcotest.(check string) "op" "JOIN" ir.Rule.ir_op;
-            Alcotest.(check string) "alg" "Nested_loops" ir.Rule.ir_alg;
-            let op_arg = join_arg ~pred:(eq (attr "R1" "a") (attr "R2" "a")) ~card:400 in
-            let inputs =
-              [| stream_desc ~owner:"R1" ~card:100; stream_desc ~owner:"R2" ~card:40 |]
-            in
-            let req =
-              D.of_list [ ("tuple_order", V.Order (O.sorted_on (attr "R1" "a"))) ]
-            in
-            check "always applicable" true (ir.Rule.ir_cond ~op_arg ~req ~inputs);
-            (* the required order flows to the outer input only *)
-            let reqs = ir.Rule.ir_input_reqs ~op_arg ~req ~inputs in
-            check "outer carries the order" true
-              (O.equal (D.get_order reqs.(0) "tuple_order") (O.sorted_on (attr "R1" "a")));
-            check "inner unconstrained" true (D.is_empty reqs.(1));
-            (* finalize computes the Fig. 6 cost from achieved inputs *)
-            let achieved =
-              [|
-                D.set_cost (stream_desc ~owner:"R1" ~card:100) 7.0;
-                D.set_cost (stream_desc ~owner:"R2" ~card:40) 2.0;
-              |]
-            in
-            let out = ir.Rule.ir_finalize ~op_arg ~req ~inputs:achieved in
-            checkf "7 + 100 * 2" 207.0 (D.cost out)));
+        let ir =
+          P2v.Translate.impl_of_irule helpers
+            ~physical:[ "tuple_order" ]
+            (find_i "join_nested_loops")
+        in
+        Alcotest.(check string) "op" "JOIN" ir.Rule.ir_op;
+        Alcotest.(check string) "alg" "Nested_loops" ir.Rule.ir_alg;
+        let op_arg = join_arg ~pred:(eq (attr "R1" "a") (attr "R2" "a")) ~card:400 in
+        let inputs =
+          [| stream_desc ~owner:"R1" ~card:100; stream_desc ~owner:"R2" ~card:40 |]
+        in
+        let req =
+          D.of_list [ ("tuple_order", V.Order (O.sorted_on (attr "R1" "a"))) ]
+        in
+        check "always applicable" true (ir.Rule.ir_cond ~op_arg ~req ~inputs);
+        (* the required order flows to the outer input only *)
+        let reqs = ir.Rule.ir_input_reqs ~op_arg ~req ~inputs in
+        check "outer carries the order" true
+          (O.equal (D.get_order reqs.(0) "tuple_order") (O.sorted_on (attr "R1" "a")));
+        check "inner unconstrained" true (D.is_empty reqs.(1));
+        (* finalize computes the Fig. 6 cost from achieved inputs *)
+        let achieved =
+          [|
+            D.set_cost (stream_desc ~owner:"R1" ~card:100) 7.0;
+            D.set_cost (stream_desc ~owner:"R2" ~card:40) 2.0;
+          |]
+        in
+        let out = ir.Rule.ir_finalize ~op_arg ~req ~inputs:achieved in
+        checkf "7 + 100 * 2" 207.0 (D.cost out));
     Alcotest.test_case "generated Index_scan cond consults the file's indexes"
       `Quick (fun () ->
-        per_mode (fun mode ->
-            let ir =
-              P2v.Translate.impl_of_irule ~mode helpers
-                ~physical:[ "tuple_order" ]
-                (find_i "ret_index_scan")
-            in
-            let sel = P.Cmp (P.Eq, P.T_attr (attr "R1" "a"), P.T_int 3) in
-            let op_arg =
-              D.of_list
-                [ ("selection_predicate", V.Pred sel); ("num_records", V.Int 10) ]
-            in
-            let indexed =
-              D.of_list
-                [
-                  ("num_records", V.Int 100);
-                  ("tuple_size", V.Int 100);
-                  ("indexes", V.Attrs [ attr "R1" "a" ]);
-                ]
-            in
-            let bare = D.without indexed [ "indexes" ] in
-            check "applies with the index" true
-              (ir.Rule.ir_cond ~op_arg ~req:D.empty ~inputs:[| indexed |]);
-            check "rejected without" false
-              (ir.Rule.ir_cond ~op_arg ~req:D.empty ~inputs:[| bare |]);
-            (* achieved order is the index order *)
-            let out = ir.Rule.ir_finalize ~op_arg ~req:D.empty ~inputs:[| indexed |] in
-            check "order delivered" true
-              (O.equal (D.get_order out "tuple_order") (O.sorted_on (attr "R1" "a")));
-            checkf "cost model"
-              (CM.index_scan ~card:100 ~tuple_size:100 ~selectivity:0.1)
-              (D.cost out)));
+        let ir =
+          P2v.Translate.impl_of_irule helpers
+            ~physical:[ "tuple_order" ]
+            (find_i "ret_index_scan")
+        in
+        let sel = P.Cmp (P.Eq, P.T_attr (attr "R1" "a"), P.T_int 3) in
+        let op_arg =
+          D.of_list
+            [ ("selection_predicate", V.Pred sel); ("num_records", V.Int 10) ]
+        in
+        let indexed =
+          D.of_list
+            [
+              ("num_records", V.Int 100);
+              ("tuple_size", V.Int 100);
+              ("indexes", V.Attrs [ attr "R1" "a" ]);
+            ]
+        in
+        let bare = D.without indexed [ "indexes" ] in
+        check "applies with the index" true
+          (ir.Rule.ir_cond ~op_arg ~req:D.empty ~inputs:[| indexed |]);
+        check "rejected without" false
+          (ir.Rule.ir_cond ~op_arg ~req:D.empty ~inputs:[| bare |]);
+        (* achieved order is the index order *)
+        let out = ir.Rule.ir_finalize ~op_arg ~req:D.empty ~inputs:[| indexed |] in
+        check "order delivered" true
+          (O.equal (D.get_order out "tuple_order") (O.sorted_on (attr "R1" "a")));
+        checkf "cost model"
+          (CM.index_scan ~card:100 ~tuple_size:100 ~selectivity:0.1)
+          (D.cost out));
     Alcotest.test_case "generated enforcer functions" `Quick (fun () ->
-        per_mode (fun mode ->
-            let info = List.hd (P2v.Enforcers.detect ruleset) in
-            let en =
-              P2v.Translate.enforcer_of_irule ~mode helpers
-                ~enforced:info.P2v.Enforcers.enforced_properties
-                (List.hd info.P2v.Enforcers.algorithm_rules)
-            in
-            Alcotest.(check string) "alg" "Merge_sort" en.Rule.en_alg;
-            let req =
-              D.of_list [ ("tuple_order", V.Order (O.sorted_on (attr "R1" "a"))) ]
-            in
-            check "applies" true (en.Rule.en_applies ~req);
-            check "relaxed empty" true (D.is_empty (en.Rule.en_relaxed ~req));
-            let input = D.set_cost (stream_desc ~owner:"R1" ~card:8) 1.0 in
-            let out = en.Rule.en_finalize ~req ~input in
-            checkf "1 + cpu * 8 * 3" (1.0 +. (CM.cpu_per_tuple *. 8.0 *. 3.0)) (D.cost out)));
+        let info = List.hd (P2v.Enforcers.detect ruleset) in
+        let en =
+          P2v.Translate.enforcer_of_irule helpers
+            ~enforced:info.P2v.Enforcers.enforced_properties
+            (List.hd info.P2v.Enforcers.algorithm_rules)
+        in
+        Alcotest.(check string) "alg" "Merge_sort" en.Rule.en_alg;
+        let req =
+          D.of_list [ ("tuple_order", V.Order (O.sorted_on (attr "R1" "a"))) ]
+        in
+        check "applies" true (en.Rule.en_applies ~req);
+        check "relaxed empty" true (D.is_empty (en.Rule.en_relaxed ~req));
+        let input = D.set_cost (stream_desc ~owner:"R1" ~card:8) 1.0 in
+        let out = en.Rule.en_finalize ~req ~input in
+        checkf "1 + cpu * 8 * 3" (1.0 +. (CM.cpu_per_tuple *. 8.0 *. 3.0)) (D.cost out));
   ]
 
 let suites =

@@ -1,5 +1,5 @@
 (* The semantic rule verifier: planted-bug fixtures (one per P2xx code),
-   determinism and purity properties, metrics export, and the shipped
+   determinism and purity properties, the code catalogue, and the shipped
    rule files as a verify-clean regression. *)
 
 module Verify = Prairie_verify.Verify
@@ -272,7 +272,7 @@ let property_tests =
   ]
 
 (* ------------------------------------------------------------------ *)
-(* Catalogue and metrics                                               *)
+(* Catalogue                                                           *)
 (* ------------------------------------------------------------------ *)
 
 let catalogue_tests =
@@ -299,31 +299,6 @@ let catalogue_tests =
         | None -> Alcotest.fail "P210 missing from catalogue");
   ]
 
-let metrics_tests =
-  [
-    Alcotest.test_case "export_metrics accumulates per-rule counters" `Quick
-      (fun () ->
-        let registry = Prairie_obs.Metrics.create () in
-        let report =
-          Verify.verify_string ~config:(config ~budget:2 ()) (inversepair true)
-        in
-        Verify.export_metrics registry report;
-        let rules_checked =
-          Prairie_obs.Metrics.counter registry
-            ~labels:[ ("ruleset", "inversepair") ]
-            "prairie_verify_rules_checked_total"
-        in
-        check_int "rules checked" report.Verify.rules_checked
-          (Prairie_obs.Metrics.counter_value rules_checked);
-        let ab_cases =
-          Prairie_obs.Metrics.counter registry
-            ~labels:[ ("rule", "ab"); ("ruleset", "inversepair") ]
-            "prairie_verify_cases_total"
-        in
-        check "ab cases counted" true
-          (Prairie_obs.Metrics.counter_value ab_cases > 0));
-  ]
-
 (* ------------------------------------------------------------------ *)
 (* Shipped rule files                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -334,8 +309,8 @@ let shipped_tests =
       `Quick (fun () ->
         List.iter
           (fun path ->
-            let r = Verify.verify_file ~config:(config ~budget:2 ()) path in
-            let errors, warnings, _ = Verify.summary r.Verify.diagnostics in
+            let r = Verify.verify_string ~config:(config ~budget:2 ()) (Support.read_file path) in
+            let errors, warnings, _ = D.summary r.Verify.diagnostics in
             check_int (path ^ " errors") 0 errors;
             check_int (path ^ " warnings") 0 warnings;
             check (path ^ " checked something") true (r.Verify.rules_checked > 0))
@@ -351,12 +326,13 @@ let shipped_tests =
             Verify.rules = [ "mat_push_join_left"; "mat_push_join_right" ];
           }
         in
-        let r = Verify.verify_file ~config "../rules/open_oodb.prairie" in
+        let r = Verify.verify_string ~config (Support.read_file "../rules/open_oodb.prairie") in
         check "no P210" false (has "P210" r.Verify.diagnostics));
     Alcotest.test_case "shipped cycles are pragma-downgraded, not absent"
       `Quick (fun () ->
         let r =
-          Verify.verify_file ~config:(config ~budget:2 ()) "../rules/open_oodb.prairie"
+          Verify.verify_string ~config:(config ~budget:2 ())
+            (Support.read_file "../rules/open_oodb.prairie")
         in
         let ds = r.Verify.diagnostics in
         check "P230 visible" true (has "P230" ds);
@@ -369,6 +345,5 @@ let suites =
     ("verify.fixtures", fixture_tests);
     ("verify.properties", property_tests);
     ("verify.catalogue", catalogue_tests);
-    ("verify.metrics", metrics_tests);
     ("verify.shipped", shipped_tests);
   ]
