@@ -7,7 +7,7 @@
               tests, property flow, subsumption/overlap (P3xx)
      verify   semantic verification: randomized counterexample search (P2xx)
      report   run the P2V pre-processor and print the translation report
-     render   export an embedded rule set as .prairie source
+     render   print an embedded rule set in the renderer's canonical form
      optimize run a workload query through a rule set
      trace    optimize under the span sink: the per-rule account of the
               search and its per-rule time attribution
@@ -29,19 +29,29 @@ module Telemetry = Prairie_service.Telemetry
 let default_catalog () =
   W.Catalogs.make (W.Catalogs.default_spec ~classes:4 ~indexed:true ~seed:1)
 
+module Diag = Prairie.Diagnostic
+
+(* Every subcommand reads a rule file this way: a file that cannot be read
+   is one P000 error. *)
+let read_source path =
+  match In_channel.with_open_bin path In_channel.input_all with
+  | src -> Ok src
+  | exception Sys_error msg ->
+    Error (Diag.error ~code:"P000" ("read error: " ^ msg))
+
+(* Read, parse and elaborate a rule file.  A read or parse failure is
+   reported as lint reports it: "FILE: error[P000] ...". *)
 let load_ruleset path catalog =
-  try Ok (Dsl.Elaborate.load ~helpers:(Prairie_algebra.Helpers.env catalog) path) with
-  | Dsl.Elaborate.Elab_error errs ->
-    Error (String.concat "\n" (List.map (fun e -> "error: " ^ e) errs))
-  | Dsl.Parser.Parse_error (pos, msg) ->
-    Error
-      (Format.asprintf "%s: parse error at %a: %s" path Dsl.Lexer.pp_position
-         pos msg)
-  | Dsl.Lexer.Lex_error (pos, msg) ->
-    Error
-      (Format.asprintf "%s: lexical error at %a: %s" path Dsl.Lexer.pp_position
-         pos msg)
-  | Sys_error msg -> Error msg
+  match Result.bind (read_source path) Prairie_lint.Lint.parse_source with
+  | Error d -> Error (Printf.sprintf "%s: %s" path (Diag.to_string d))
+  | Ok spec -> (
+    try
+      Ok
+        (Dsl.Elaborate.elaborate
+           ~helpers:(Prairie_algebra.Helpers.env catalog)
+           spec)
+    with Dsl.Elaborate.Elab_error errs ->
+      Error (String.concat "\n" (List.map (fun e -> "error: " ^ e) errs)))
 
 let embedded = function
   | "relational" -> Ok (Prairie_algebra.Relational.ruleset (default_catalog ()))
@@ -75,8 +85,6 @@ let check_cmd =
 
 (* ---------------- lint, analyze, verify ---------------- *)
 
-module Diag = Prairie.Diagnostic
-
 (* The one front end of the three rule checkers.  It owns the FILE list,
    --format and --max-warnings, reads each file once (an unreadable file
    is one P000 error), prints the per-file text lines or the JSON
@@ -108,13 +116,9 @@ let checker_cmd name ~doc ~diagnostics ?footer ?(json_head = fun _ -> "")
           ~doc:"Fail (exit 2) when more than $(docv) warnings are found.")
   in
   let run check json_top files format max_warnings =
-    let check_file path =
-      match In_channel.with_open_bin path In_channel.input_all with
-      | src -> Ok (check src)
-      | exception Sys_error msg ->
-        Error (Diag.error ~code:"P000" ("read error: " ^ msg))
+    let results =
+      List.map (fun path -> (path, Result.map check (read_source path))) files
     in
-    let results = List.map (fun path -> (path, check_file path)) files in
     let diags = function Ok r -> diagnostics r | Error d -> [ d ] in
     let total pick =
       List.fold_left (fun n (_, r) -> n + pick (Diag.summary (diags r))) 0 results
@@ -324,7 +328,10 @@ let render_cmd =
     Arg.(
       required
       & pos 0 (some string) None
-      & info [] ~docv:"NAME" ~doc:"Embedded rule set: relational or oodb.")
+      & info [] ~docv:"NAME"
+          ~doc:
+            "Embedded rule set: relational (rules/relational.prairie) or \
+             oodb (rules/open_oodb.prairie).")
   in
   let run name =
     match embedded name with
@@ -337,7 +344,10 @@ let render_cmd =
   in
   Cmd.v
     (Cmd.info "render"
-       ~doc:"Print an embedded rule set as .prairie source (exportable).")
+       ~doc:
+         "Print an embedded rule set — an elaborated shipped rule file — as \
+          .prairie source in the renderer's canonical form (comments and \
+          pragmas are not kept).")
     Term.(ret (const run $ name_arg))
 
 (* ---------------- optimize and trace: the workload query ---------------- *)
@@ -358,7 +368,10 @@ let ruleset_arg =
     value
     & opt (some file) None
     & info [ "ruleset"; "r" ] ~docv:"FILE"
-        ~doc:"Rule file to use instead of the embedded OODB rule set.")
+        ~doc:
+          "Rule file to use instead of the embedded OODB rule set \
+           (rules/open_oodb.prairie).  It is read and parsed as $(b,lint) \
+           does: a read or parse failure is one P000 error.")
 
 (* Build the query instance and its optimizer (the embedded OODB rule set
    or a rule file through P2V), and print the query header. *)

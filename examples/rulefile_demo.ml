@@ -84,15 +84,10 @@ let () =
         Rel.relation ~name:"supp" ~cardinality:300 [ ("pk", 500) ];
       ]
   in
-  (* write the spec to disk and load it back, to exercise the file path *)
-  let path = Filename.temp_file "mini" ".prairie" in
-  let oc = open_out path in
-  output_string oc spec;
-  close_out oc;
   let ruleset =
-    Dsl.Elaborate.load ~helpers:(Prairie_algebra.Helpers.env catalog) path
+    Dsl.Elaborate.load_string ~helpers:(Prairie_algebra.Helpers.env catalog)
+      spec
   in
-  Sys.remove path;
   Format.printf "loaded %S: %d T-rules, %d I-rules@." ruleset.Prairie.Ruleset.name
     (Prairie.Ruleset.trule_count ruleset)
     (Prairie.Ruleset.irule_count ruleset);

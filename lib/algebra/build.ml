@@ -1,6 +1,9 @@
-(* Shorthand for writing rules in OCaml.  The textual rule language
-   (lib/ruledsl) elaborates to the same constructors; these combinators are
-   the embedded form. *)
+(* Shorthand for writing rules in OCaml, for the rule sets that are built
+   rather than written as text: the Aggregates and Distributed fragments,
+   Genrules' generated T-rules and the hand-coded Oodb_volcano patterns.
+   The textual rule language (lib/ruledsl) elaborates to the same
+   constructors; the relational and OODB rule sets are text
+   (rules/*.prairie). *)
 
 module Pattern = Prairie.Pattern
 module Action = Prairie.Action
@@ -19,11 +22,8 @@ let t op d subs = Pattern.Tnode (op, d, subs)
 (* action expressions *)
 let ( $. ) d prop = Action.Prop (d, prop)
 let c = Action.call
-let i k = Action.Const (Value.Int k)
 let dont_care = Action.Const (Value.Order Order.Any)
-let tt = Action.tt
 let ( +! ) a b = Action.Binop (Action.Add, a, b)
-let ( *! ) a b = Action.Binop (Action.Mul, a, b)
 let ( &&! ) a b = Action.Binop (Action.And, a, b)
 let ( ||! ) a b = Action.Binop (Action.Or, a, b)
 let not_ a = Action.Unop (Action.Not, a)
@@ -35,6 +35,3 @@ let copy d src = Action.Assign_desc (d, Action.Desc src)
 
 let trule = Prairie.Trule.make
 let irule = Prairie.Irule.make
-
-(* silence unused warnings for shorthand not used by every rule set *)
-let _ = (i, ( +! ), ( *! ), ( &&! ), ( ||! ), not_, ( ===! ), tt, dont_care)

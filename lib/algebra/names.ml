@@ -5,7 +5,6 @@
 (* abstract operators *)
 let ret = "RET"
 let join = "JOIN"
-let jopr = "JOPR" (* join-with-sorted-inputs, introduced by sort_intro *)
 let sort = "SORT"
 let select = "SELECT"
 let project = "PROJECT"
@@ -17,8 +16,6 @@ let ship = "SHIP" (* distributed algebra: move a stream between sites *)
 (* algorithms *)
 let file_scan = "File_scan"
 let index_scan = "Index_scan"
-let nested_loops = "Nested_loops"
-let merge_join = "Merge_join"
 let hash_join = "Hash_join"
 let pointer_join = "Pointer_join"
 let merge_sort = "Merge_sort"

@@ -1,678 +1,5 @@
-module N = Names
-module B = Build
-module Value = Prairie_value.Value
-module Predicate = Prairie_value.Predicate
-open B
-
-let true_pred = Action.Const (Value.Pred Predicate.True)
-
-(* ================================================================== *)
-(* T-rules: 17 "real" rules + 5 enforcer-introduction rules = 22       *)
-(* ================================================================== *)
-
-(* --- join rules ---------------------------------------------------- *)
-
-let join_commute =
-  trule ~name:"join_commute"
-    ~lhs:(p N.join "D3" [ v 1; v 2 ])
-    ~rhs:(t N.join "D4" [ tv 2; tv 1 ])
-    ~post_test:[ copy "D4" "D3" ]
-    ()
-
-let join_assoc_left =
-  trule ~name:"join_assoc_left"
-    ~lhs:(p N.join "D5" [ p N.join "D4" [ v 1; v 2 ]; v 3 ])
-    ~rhs:(t N.join "D7" [ tv 1; t N.join "D6" [ tv 2; tv 3 ] ])
-    ~pre_test:
-      [
-        set "D6" N.p_attributes
-          (c "union_attrs" [ "D2" $. N.p_attributes; "D3" $. N.p_attributes ]);
-      ]
-    ~test:
-      (not_ (c "pred_is_true" [ "D5" $. N.p_join_predicate ])
-      &&! c "pred_refs_only"
-            [ "D5" $. N.p_join_predicate; "D6" $. N.p_attributes ])
-    ~post_test:
-      [
-        set "D6" N.p_join_predicate ("D5" $. N.p_join_predicate);
-        set "D6" N.p_num_records
-          (c "join_cardinality"
-             [
-               "D2" $. N.p_num_records;
-               "D3" $. N.p_num_records;
-               "D5" $. N.p_join_predicate;
-             ]);
-        set "D6" N.p_tuple_size
-          (("D2" $. N.p_tuple_size) +! ("D3" $. N.p_tuple_size));
-        copy "D7" "D5";
-        set "D7" N.p_join_predicate ("D4" $. N.p_join_predicate);
-      ]
-    ()
-
-let join_assoc_right =
-  trule ~name:"join_assoc_right"
-    ~lhs:(p N.join "D5" [ v 1; p N.join "D4" [ v 2; v 3 ] ])
-    ~rhs:(t N.join "D7" [ t N.join "D6" [ tv 1; tv 2 ]; tv 3 ])
-    ~pre_test:
-      [
-        set "D6" N.p_attributes
-          (c "union_attrs" [ "D1" $. N.p_attributes; "D2" $. N.p_attributes ]);
-      ]
-    ~test:
-      (not_ (c "pred_is_true" [ "D5" $. N.p_join_predicate ])
-      &&! c "pred_refs_only"
-            [ "D5" $. N.p_join_predicate; "D6" $. N.p_attributes ])
-    ~post_test:
-      [
-        set "D6" N.p_join_predicate ("D5" $. N.p_join_predicate);
-        set "D6" N.p_num_records
-          (c "join_cardinality"
-             [
-               "D1" $. N.p_num_records;
-               "D2" $. N.p_num_records;
-               "D5" $. N.p_join_predicate;
-             ]);
-        set "D6" N.p_tuple_size
-          (("D1" $. N.p_tuple_size) +! ("D2" $. N.p_tuple_size));
-        copy "D7" "D5";
-        set "D7" N.p_join_predicate ("D4" $. N.p_join_predicate);
-      ]
-    ()
-
-(* --- SELECT rules --------------------------------------------------- *)
-
-(* SELECT(?1):D2 ==> SELECT(SELECT(?1):D3):D4 — split a conjunction. *)
-let select_split =
-  trule ~name:"select_split"
-    ~lhs:(p N.select "D2" [ v 1 ])
-    ~rhs:(t N.select "D4" [ t N.select "D3" [ tv 1 ] ])
-    ~test:(c "has_conjuncts" [ "D2" $. N.p_selection_predicate ])
-    ~post_test:
-      [
-        set "D3" N.p_selection_predicate
-          (c "rest_conjuncts" [ "D2" $. N.p_selection_predicate ]);
-        set "D3" N.p_attributes ("D1" $. N.p_attributes);
-        set "D3" N.p_num_records
-          (c "select_cardinality"
-             [ "D1" $. N.p_num_records; "D3" $. N.p_selection_predicate ]);
-        set "D3" N.p_tuple_size ("D1" $. N.p_tuple_size);
-        copy "D4" "D2";
-        set "D4" N.p_selection_predicate
-          (c "first_conjunct" [ "D2" $. N.p_selection_predicate ]);
-      ]
-    ()
-
-(* SELECT(SELECT(?1):D3):D4 ==> SELECT(?1):D5 — merge adjacent selects. *)
-let select_merge =
-  trule ~name:"select_merge"
-    ~lhs:(p N.select "D4" [ p N.select "D3" [ v 1 ] ])
-    ~rhs:(t N.select "D5" [ tv 1 ])
-    ~post_test:
-      [
-        copy "D5" "D4";
-        set "D5" N.p_selection_predicate
-          (c "and_pred"
-             [ "D4" $. N.p_selection_predicate; "D3" $. N.p_selection_predicate ]);
-      ]
-    ()
-
-(* SELECT(SELECT(?1):D3):D4 ==> SELECT(SELECT(?1):D5):D6 — swap. *)
-let select_commute =
-  trule ~name:"select_commute"
-    ~lhs:(p N.select "D4" [ p N.select "D3" [ v 1 ] ])
-    ~rhs:(t N.select "D6" [ t N.select "D5" [ tv 1 ] ])
-    ~post_test:
-      [
-        copy "D5" "D3";
-        set "D5" N.p_selection_predicate ("D4" $. N.p_selection_predicate);
-        set "D5" N.p_num_records
-          (c "select_cardinality"
-             [ "D1" $. N.p_num_records; "D4" $. N.p_selection_predicate ]);
-        copy "D6" "D4";
-        set "D6" N.p_selection_predicate ("D3" $. N.p_selection_predicate);
-      ]
-    ()
-
-(* SELECT(JOIN(?1,?2):D3):D4 ==> JOIN(SELECT(?1):D5, ?2):D6. *)
-let select_push_join_left =
-  trule ~name:"select_push_join_left"
-    ~lhs:(p N.select "D4" [ p N.join "D3" [ v 1; v 2 ] ])
-    ~rhs:(t N.join "D6" [ t N.select "D5" [ tv 1 ]; tv 2 ])
-    ~test:
-      (not_ (c "pred_is_true" [ "D4" $. N.p_selection_predicate ])
-      &&! c "pred_refs_only"
-            [ "D4" $. N.p_selection_predicate; "D1" $. N.p_attributes ])
-    ~post_test:
-      [
-        set "D5" N.p_selection_predicate ("D4" $. N.p_selection_predicate);
-        set "D5" N.p_attributes ("D1" $. N.p_attributes);
-        set "D5" N.p_num_records
-          (c "select_cardinality"
-             [ "D1" $. N.p_num_records; "D4" $. N.p_selection_predicate ]);
-        set "D5" N.p_tuple_size ("D1" $. N.p_tuple_size);
-        copy "D6" "D3";
-        set "D6" N.p_num_records ("D4" $. N.p_num_records);
-      ]
-    ()
-
-let select_push_join_right =
-  trule ~name:"select_push_join_right"
-    ~lhs:(p N.select "D4" [ p N.join "D3" [ v 1; v 2 ] ])
-    ~rhs:(t N.join "D6" [ tv 1; t N.select "D5" [ tv 2 ] ])
-    ~test:
-      (not_ (c "pred_is_true" [ "D4" $. N.p_selection_predicate ])
-      &&! c "pred_refs_only"
-            [ "D4" $. N.p_selection_predicate; "D2" $. N.p_attributes ])
-    ~post_test:
-      [
-        set "D5" N.p_selection_predicate ("D4" $. N.p_selection_predicate);
-        set "D5" N.p_attributes ("D2" $. N.p_attributes);
-        set "D5" N.p_num_records
-          (c "select_cardinality"
-             [ "D2" $. N.p_num_records; "D4" $. N.p_selection_predicate ]);
-        set "D5" N.p_tuple_size ("D2" $. N.p_tuple_size);
-        copy "D6" "D3";
-        set "D6" N.p_num_records ("D4" $. N.p_num_records);
-      ]
-    ()
-
-(* SELECT(MAT(?1):D3):D4 ==> MAT(SELECT(?1):D5):D6 — push a selection
-   below the materialization when it only reads pre-MAT attributes. *)
-let select_push_mat =
-  trule ~name:"select_push_mat"
-    ~lhs:(p N.select "D4" [ p N.mat "D3" [ v 1 ] ])
-    ~rhs:(t N.mat "D6" [ t N.select "D5" [ tv 1 ] ])
-    ~test:
-      (not_ (c "pred_is_true" [ "D4" $. N.p_selection_predicate ])
-      &&! c "pred_refs_only"
-            [ "D4" $. N.p_selection_predicate; "D1" $. N.p_attributes ])
-    ~post_test:
-      [
-        set "D5" N.p_selection_predicate ("D4" $. N.p_selection_predicate);
-        set "D5" N.p_attributes ("D1" $. N.p_attributes);
-        set "D5" N.p_num_records
-          (c "select_cardinality"
-             [ "D1" $. N.p_num_records; "D4" $. N.p_selection_predicate ]);
-        set "D5" N.p_tuple_size ("D1" $. N.p_tuple_size);
-        copy "D6" "D3";
-        set "D6" N.p_num_records ("D4" $. N.p_num_records);
-      ]
-    ()
-
-(* SELECT(UNNEST(?1):D3):D4 ==> UNNEST(SELECT(?1):D5):D6. *)
-let select_push_unnest =
-  trule ~name:"select_push_unnest"
-    ~lhs:(p N.select "D4" [ p N.unnest "D3" [ v 1 ] ])
-    ~rhs:(t N.unnest "D6" [ t N.select "D5" [ tv 1 ] ])
-    ~test:
-      (not_ (c "pred_is_true" [ "D4" $. N.p_selection_predicate ])
-      &&! not_
-            (c "pred_refs_any"
-               [ "D4" $. N.p_selection_predicate; "D3" $. N.p_unnest_attribute ]))
-    ~post_test:
-      [
-        set "D5" N.p_selection_predicate ("D4" $. N.p_selection_predicate);
-        set "D5" N.p_attributes ("D1" $. N.p_attributes);
-        set "D5" N.p_num_records
-          (c "select_cardinality"
-             [ "D1" $. N.p_num_records; "D4" $. N.p_selection_predicate ]);
-        set "D5" N.p_tuple_size ("D1" $. N.p_tuple_size);
-        copy "D6" "D3";
-        set "D6" N.p_num_records ("D4" $. N.p_num_records);
-      ]
-    ()
-
-(* SELECT(RET(?1):D3):D4 ==> RET(?1):D5 — fold the selection into the
-   retrieval; this is what makes indexes usable (Q6/Q8). *)
-let select_into_ret =
-  trule ~name:"select_into_ret"
-    ~lhs:(p N.select "D4" [ p N.ret "D3" [ v 1 ] ])
-    ~rhs:(t N.ret "D5" [ tv 1 ])
-    ~post_test:
-      [
-        copy "D5" "D3";
-        set "D5" N.p_selection_predicate
-          (c "and_pred"
-             [ "D3" $. N.p_selection_predicate; "D4" $. N.p_selection_predicate ]);
-        set "D5" N.p_num_records ("D4" $. N.p_num_records);
-      ]
-    ()
-
-(* --- MAT rules ------------------------------------------------------ *)
-
-(* JOIN(MAT(?1):D3, ?2):D4 ==> MAT(JOIN(?1,?2):D5):D6 — defer the
-   materialization past the join (fewer derefs if the join is selective). *)
-let mat_pull_join_left =
-  trule ~name:"mat_pull_join_left"
-    ~lhs:(p N.join "D4" [ p N.mat "D3" [ v 1 ]; v 2 ])
-    ~rhs:(t N.mat "D6" [ t N.join "D5" [ tv 1; tv 2 ] ])
-    ~pre_test:
-      [
-        set "D5" N.p_attributes
-          (c "union_attrs" [ "D1" $. N.p_attributes; "D2" $. N.p_attributes ]);
-      ]
-    ~test:
-      (c "pred_refs_only" [ "D4" $. N.p_join_predicate; "D5" $. N.p_attributes ])
-    ~post_test:
-      [
-        set "D5" N.p_join_predicate ("D4" $. N.p_join_predicate);
-        set "D5" N.p_num_records
-          (c "join_cardinality"
-             [
-               "D1" $. N.p_num_records;
-               "D2" $. N.p_num_records;
-               "D4" $. N.p_join_predicate;
-             ]);
-        set "D5" N.p_tuple_size
-          (("D1" $. N.p_tuple_size) +! ("D2" $. N.p_tuple_size));
-        copy "D6" "D4";
-        set "D6" N.p_join_predicate true_pred;
-        set "D6" N.p_mat_attribute ("D3" $. N.p_mat_attribute);
-      ]
-    ()
-
-let mat_pull_join_right =
-  trule ~name:"mat_pull_join_right"
-    ~lhs:(p N.join "D4" [ v 1; p N.mat "D3" [ v 2 ] ])
-    ~rhs:(t N.mat "D6" [ t N.join "D5" [ tv 1; tv 2 ] ])
-    ~pre_test:
-      [
-        set "D5" N.p_attributes
-          (c "union_attrs" [ "D1" $. N.p_attributes; "D2" $. N.p_attributes ]);
-      ]
-    ~test:
-      (c "pred_refs_only" [ "D4" $. N.p_join_predicate; "D5" $. N.p_attributes ])
-    ~post_test:
-      [
-        set "D5" N.p_join_predicate ("D4" $. N.p_join_predicate);
-        set "D5" N.p_num_records
-          (c "join_cardinality"
-             [
-               "D1" $. N.p_num_records;
-               "D2" $. N.p_num_records;
-               "D4" $. N.p_join_predicate;
-             ]);
-        set "D5" N.p_tuple_size
-          (("D1" $. N.p_tuple_size) +! ("D2" $. N.p_tuple_size));
-        copy "D6" "D4";
-        set "D6" N.p_join_predicate true_pred;
-        set "D6" N.p_mat_attribute ("D3" $. N.p_mat_attribute);
-      ]
-    ()
-
-(* MAT(JOIN(?1,?2):D3):D4 ==> JOIN(MAT(?1):D5, ?2):D6 — materialize
-   early, before the join, when the reference lives in the left input. *)
-let mat_push_join_left =
-  trule ~name:"mat_push_join_left"
-    ~lhs:(p N.mat "D4" [ p N.join "D3" [ v 1; v 2 ] ])
-    ~rhs:(t N.join "D6" [ t N.mat "D5" [ tv 1 ]; tv 2 ])
-    ~test:(c "attrs_subset" [ "D4" $. N.p_mat_attribute; "D1" $. N.p_attributes ])
-    ~post_test:
-      [
-        set "D5" N.p_mat_attribute ("D4" $. N.p_mat_attribute);
-        set "D5" N.p_attributes
-          (c "union_attrs"
-             [
-               "D1" $. N.p_attributes;
-               c "mat_added_attrs" [ "D4" $. N.p_mat_attribute ];
-             ]);
-        set "D5" N.p_num_records ("D1" $. N.p_num_records);
-        set "D5" N.p_tuple_size
-          (("D1" $. N.p_tuple_size)
-          +! c "mat_added_size" [ "D4" $. N.p_mat_attribute ]);
-        copy "D6" "D3";
-        set "D6" N.p_attributes
-          (c "union_attrs" [ "D5" $. N.p_attributes; "D2" $. N.p_attributes ]);
-        set "D6" N.p_tuple_size
-          (("D5" $. N.p_tuple_size) +! ("D2" $. N.p_tuple_size));
-      ]
-    ()
-
-let mat_push_join_right =
-  trule ~name:"mat_push_join_right"
-    ~lhs:(p N.mat "D4" [ p N.join "D3" [ v 1; v 2 ] ])
-    ~rhs:(t N.join "D6" [ tv 1; t N.mat "D5" [ tv 2 ] ])
-    ~test:(c "attrs_subset" [ "D4" $. N.p_mat_attribute; "D2" $. N.p_attributes ])
-    ~post_test:
-      [
-        set "D5" N.p_mat_attribute ("D4" $. N.p_mat_attribute);
-        set "D5" N.p_attributes
-          (c "union_attrs"
-             [
-               "D2" $. N.p_attributes;
-               c "mat_added_attrs" [ "D4" $. N.p_mat_attribute ];
-             ]);
-        set "D5" N.p_num_records ("D2" $. N.p_num_records);
-        set "D5" N.p_tuple_size
-          (("D2" $. N.p_tuple_size)
-          +! c "mat_added_size" [ "D4" $. N.p_mat_attribute ]);
-        copy "D6" "D3";
-        set "D6" N.p_attributes
-          (c "union_attrs" [ "D1" $. N.p_attributes; "D5" $. N.p_attributes ]);
-        set "D6" N.p_tuple_size
-          (("D1" $. N.p_tuple_size) +! ("D5" $. N.p_tuple_size));
-      ]
-    ()
-
-(* MAT(MAT(?1):D3):D4 ==> MAT(MAT(?1):D5):D6 — independent
-   materializations commute. *)
-let mat_commute =
-  trule ~name:"mat_commute"
-    ~lhs:(p N.mat "D4" [ p N.mat "D3" [ v 1 ] ])
-    ~rhs:(t N.mat "D6" [ t N.mat "D5" [ tv 1 ] ])
-    ~test:(c "attrs_subset" [ "D4" $. N.p_mat_attribute; "D1" $. N.p_attributes ])
-    ~post_test:
-      [
-        set "D5" N.p_mat_attribute ("D4" $. N.p_mat_attribute);
-        set "D5" N.p_attributes
-          (c "union_attrs"
-             [
-               "D1" $. N.p_attributes;
-               c "mat_added_attrs" [ "D4" $. N.p_mat_attribute ];
-             ]);
-        set "D5" N.p_num_records ("D1" $. N.p_num_records);
-        set "D5" N.p_tuple_size
-          (("D1" $. N.p_tuple_size)
-          +! c "mat_added_size" [ "D4" $. N.p_mat_attribute ]);
-        copy "D6" "D4";
-        set "D6" N.p_mat_attribute ("D3" $. N.p_mat_attribute);
-      ]
-    ()
-
-(* --- UNNEST rule ----------------------------------------------------- *)
-
-(* UNNEST(JOIN(?1,?2):D3):D4 ==> JOIN(UNNEST(?1):D5, ?2):D6: the single
-   UNNEST trans rule the paper mentions. *)
-let unnest_join_swap =
-  trule ~name:"unnest_join_swap"
-    ~lhs:(p N.unnest "D4" [ p N.join "D3" [ v 1; v 2 ] ])
-    ~rhs:(t N.join "D6" [ t N.unnest "D5" [ tv 1 ]; tv 2 ])
-    ~test:
-      (c "attrs_subset" [ "D4" $. N.p_unnest_attribute; "D1" $. N.p_attributes ]
-      &&! not_
-            (c "pred_refs_any"
-               [ "D3" $. N.p_join_predicate; "D4" $. N.p_unnest_attribute ]))
-    ~post_test:
-      [
-        set "D5" N.p_unnest_attribute ("D4" $. N.p_unnest_attribute);
-        set "D5" N.p_attributes ("D1" $. N.p_attributes);
-        set "D5" N.p_num_records
-          (c "unnest_cardinality"
-             [ "D1" $. N.p_num_records; "D4" $. N.p_unnest_attribute ]);
-        set "D5" N.p_tuple_size ("D1" $. N.p_tuple_size);
-        copy "D6" "D3";
-        set "D6" N.p_num_records ("D4" $. N.p_num_records);
-      ]
-    ()
-
-(* --- enforcer-introduction rules (footnote 7): one per operator ------ *)
-
-let sort_intro_unary op rule_name =
-  trule ~name:rule_name
-    ~lhs:(p op "D2" [ v 1 ])
-    ~rhs:(t N.sort "D4" [ t op "D3" [ tv 1 ] ])
-    ~test:(not_ (c "is_dont_care" [ "D2" $. N.p_tuple_order ]))
-    ~post_test:
-      [
-        copy "D4" "D2";
-        set "D4" N.p_selection_predicate true_pred;
-        set "D4" N.p_join_predicate true_pred;
-        copy "D3" "D2";
-        set "D3" N.p_tuple_order dont_care;
-      ]
-    ()
-
-let sort_intro_ret = sort_intro_unary N.ret "sort_intro_ret"
-let sort_intro_select = sort_intro_unary N.select "sort_intro_select"
-let sort_intro_mat = sort_intro_unary N.mat "sort_intro_mat"
-let sort_intro_unnest = sort_intro_unary N.unnest "sort_intro_unnest"
-
-let sort_intro_join =
-  trule ~name:"sort_intro_join"
-    ~lhs:(p N.join "D3" [ v 1; v 2 ])
-    ~rhs:(t N.sort "D5" [ t N.join "D4" [ tv 1; tv 2 ] ])
-    ~test:(not_ (c "is_dont_care" [ "D3" $. N.p_tuple_order ]))
-    ~post_test:
-      [
-        copy "D5" "D3";
-        set "D5" N.p_join_predicate true_pred;
-        copy "D4" "D3";
-        set "D4" N.p_tuple_order dont_care;
-      ]
-    ()
-
-(* ================================================================== *)
-(* I-rules: 9 implementations + Null + Merge_sort = 11                 *)
-(* ================================================================== *)
-
-let ret_file_scan =
-  irule ~name:"ret_file_scan"
-    ~lhs:(p N.ret "D2" [ v 1 ])
-    ~rhs:(t N.file_scan "D3" [ tv 1 ])
-    ~test:(c "is_dont_care" [ "D2" $. N.p_tuple_order ])
-    ~pre_opt:[ copy "D3" "D2" ]
-    ~post_opt:
-      [
-        set "D3" N.p_cost
-          (c "cost_file_scan"
-             [ "D1" $. N.p_num_records; "D1" $. N.p_tuple_size ]);
-      ]
-    ()
-
-let ret_index_scan =
-  irule ~name:"ret_index_scan"
-    ~lhs:(p N.ret "D2" [ v 1 ])
-    ~rhs:(t N.index_scan "D3" [ tv 1 ])
-    ~test:
-      (c "indexed_selection"
-         [ "D2" $. N.p_selection_predicate; "D1" $. N.p_indexes ]
-      &&! c "order_satisfies"
-            [
-              "D2" $. N.p_tuple_order;
-              c "index_order"
-                [ "D2" $. N.p_selection_predicate; "D1" $. N.p_indexes ];
-            ])
-    ~pre_opt:
-      [
-        copy "D3" "D2";
-        set "D3" N.p_tuple_order
-          (c "index_order"
-             [ "D2" $. N.p_selection_predicate; "D1" $. N.p_indexes ]);
-      ]
-    ~post_opt:
-      [
-        set "D3" N.p_cost
-          (c "cost_index_scan"
-             [
-               "D1" $. N.p_num_records;
-               "D1" $. N.p_tuple_size;
-               "D2" $. N.p_selection_predicate;
-               "D1" $. N.p_indexes;
-             ]);
-      ]
-    ()
-
-(* Hash join: any equijoin, but it delivers no order. *)
-let join_hash =
-  irule ~name:"join_hash"
-    ~lhs:(p N.join "D3" [ v 1; v 2 ])
-    ~rhs:(t N.hash_join "D4" [ tv 1; tv 2 ])
-    ~test:
-      (c "is_equijoin" [ "D3" $. N.p_join_predicate ]
-      &&! c "is_dont_care" [ "D3" $. N.p_tuple_order ])
-    ~pre_opt:[ copy "D4" "D3" ]
-    ~post_opt:
-      [
-        set "D4" N.p_cost
-          (c "cost_hash_join"
-             [
-               "D1" $. N.p_cost;
-               "D2" $. N.p_cost;
-               "D1" $. N.p_num_records;
-               "D2" $. N.p_num_records;
-             ]);
-      ]
-    ()
-
-(* Pointer join: follows an inter-object reference; preserves (and can
-   therefore deliver) the outer's order. *)
-let join_pointer =
-  irule ~name:"join_pointer"
-    ~lhs:(p N.join "D3" [ v 1; v 2 ])
-    ~rhs:(t N.pointer_join "D5" [ tvd 1 "D4"; tv 2 ])
-    ~test:(c "is_ref_join" [ "D3" $. N.p_join_predicate ])
-    ~pre_opt:
-      [
-        copy "D5" "D3";
-        copy "D4" "D1";
-        set "D4" N.p_tuple_order ("D3" $. N.p_tuple_order);
-      ]
-    ~post_opt:
-      [
-        set "D5" N.p_cost
-          (c "cost_pointer_join"
-             [ "D4" $. N.p_cost; "D2" $. N.p_cost; "D4" $. N.p_num_records ]);
-        set "D5" N.p_tuple_order ("D4" $. N.p_tuple_order);
-      ]
-    ()
-
-let order_preserving_unary ~rule_name ~op ~alg ~cost_helper =
-  irule ~name:rule_name
-    ~lhs:(p op "D2" [ v 1 ])
-    ~rhs:(t alg "D4" [ tvd 1 "D3" ])
-    ~pre_opt:
-      [
-        copy "D4" "D2";
-        copy "D3" "D1";
-        set "D3" N.p_tuple_order ("D2" $. N.p_tuple_order);
-      ]
-    ~post_opt:
-      [
-        set "D4" N.p_cost
-          (c cost_helper [ "D3" $. N.p_cost; "D3" $. N.p_num_records ]);
-        set "D4" N.p_tuple_order ("D3" $. N.p_tuple_order);
-      ]
-    ()
-
-let select_filter =
-  order_preserving_unary ~rule_name:"select_filter" ~op:N.select ~alg:N.filter
-    ~cost_helper:"cost_filter"
-
-let project_apply =
-  order_preserving_unary ~rule_name:"project_apply" ~op:N.project
-    ~alg:N.project_alg ~cost_helper:"cost_project"
-
-(* MAT, implementation 1: per-tuple dereference in input order. *)
-let mat_pointer =
-  order_preserving_unary ~rule_name:"mat_pointer" ~op:N.mat ~alg:N.mat_deref
-    ~cost_helper:"cost_mat_ordered"
-
-(* MAT, implementation 2: the same Mat_deref algorithm, but with batched
-   (pointer-sorted) dereferencing — cheaper, destroys the order.  Two
-   I-rules for one algorithm with different property mappings: the
-   per-rule approach of §3.2.2 in action. *)
-let mat_batch =
-  irule ~name:"mat_batch"
-    ~lhs:(p N.mat "D2" [ v 1 ])
-    ~rhs:(t N.mat_deref "D4" [ tv 1 ])
-    ~test:(c "is_dont_care" [ "D2" $. N.p_tuple_order ])
-    ~pre_opt:[ copy "D4" "D2" ]
-    ~post_opt:
-      [
-        set "D4" N.p_cost
-          (c "cost_mat_unordered" [ "D1" $. N.p_cost; "D1" $. N.p_num_records ]);
-      ]
-    ()
-
-let unnest_scan =
-  irule ~name:"unnest_scan"
-    ~lhs:(p N.unnest "D2" [ v 1 ])
-    ~rhs:(t N.unnest_scan "D4" [ tvd 1 "D3" ])
-    ~pre_opt:
-      [
-        copy "D4" "D2";
-        copy "D3" "D1";
-        set "D3" N.p_tuple_order ("D2" $. N.p_tuple_order);
-      ]
-    ~post_opt:
-      [
-        set "D4" N.p_cost
-          (c "cost_unnest" [ "D3" $. N.p_cost; "D4" $. N.p_num_records ]);
-        set "D4" N.p_tuple_order ("D3" $. N.p_tuple_order);
-      ]
-    ()
-
-(* The enforcer pair, shared with the relational set (paper Figs. 5, 7b). *)
-let sort_merge_sort =
-  irule ~name:"sort_merge_sort"
-    ~lhs:(p N.sort "D2" [ v 1 ])
-    ~rhs:(t N.merge_sort "D3" [ tv 1 ])
-    ~test:(not_ (c "is_dont_care" [ "D2" $. N.p_tuple_order ]))
-    ~pre_opt:[ copy "D3" "D2" ]
-    ~post_opt:
-      [
-        set "D3" N.p_cost
-          (c "cost_sort" [ "D1" $. N.p_cost; "D3" $. N.p_num_records ]);
-      ]
-    ()
-
-let sort_null =
-  irule ~name:"sort_null"
-    ~lhs:(p N.sort "D2" [ v 1 ])
-    ~rhs:(t N.null_alg "D4" [ tvd 1 "D3" ])
-    ~pre_opt:
-      [
-        copy "D4" "D2";
-        copy "D3" "D1";
-        set "D3" N.p_tuple_order ("D2" $. N.p_tuple_order);
-      ]
-    ~post_opt:[ set "D4" N.p_cost ("D3" $. N.p_cost) ]
-    ()
-
 let ruleset catalog =
-  Prairie.Ruleset.make ~properties:Props.schema
-    ~trules:
-      [
-        (* 17 trans rules *)
-        join_commute;
-        join_assoc_left;
-        join_assoc_right;
-        select_split;
-        select_merge;
-        select_commute;
-        select_push_join_left;
-        select_push_join_right;
-        select_push_mat;
-        select_push_unnest;
-        select_into_ret;
-        mat_pull_join_left;
-        mat_pull_join_right;
-        mat_push_join_left;
-        mat_push_join_right;
-        mat_commute;
-        unnest_join_swap;
-        (* 5 enforcer-introduction rules *)
-        sort_intro_ret;
-        sort_intro_select;
-        sort_intro_mat;
-        sort_intro_unnest;
-        sort_intro_join;
-      ]
-    ~irules:
-      [
-        ret_file_scan;
-        ret_index_scan;
-        join_hash;
-        join_pointer;
-        select_filter;
-        project_apply;
-        mat_pointer;
-        mat_batch;
-        unnest_scan;
-        sort_merge_sort;
-        sort_null;
-      ]
-    ~helpers:(Helpers.env catalog) "open_oodb"
+  Prairie_dsl.Elaborate.elaborate ~helpers:(Helpers.env catalog) Shipped.open_oodb
 
 let ret = Init.ret
 let join = Init.join

@@ -10,9 +10,14 @@
 
     The Prairie rule set has {b 22 T-rules and 11 I-rules}; the P2V
     pre-processor compacts it to {b 17 trans_rules, 9 impl_rules and 1
-    enforcer} — the arithmetic reported in §4.2. *)
+    enforcer} — the arithmetic reported in §4.2.
+
+    The rules are written once, in [rules/open_oodb.prairie]: the library
+    embeds that file at build time and parses it when it is initialized. *)
 
 val ruleset : Prairie_catalog.Catalog.t -> Prairie.Ruleset.t
+(** The elaborated [rules/open_oodb.prairie], with the helper functions
+    bound to [catalog]'s statistics. *)
 
 (** {1 Query constructors} — re-exports of {!Init}. *)
 

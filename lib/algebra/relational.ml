@@ -1,276 +1,6 @@
-module N = Names
-module B = Build
-open B
-
-(* ------------------------------------------------------------------ *)
-(* T-rules                                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* JOIN(?1,?2):D3 ==> JOIN(?2,?1):D4.  Attribute lists are canonical
-   (sorted), so a plain descriptor copy is exact. *)
-let join_commute =
-  trule ~name:"join_commute"
-    ~lhs:(p N.join "D3" [ v 1; v 2 ])
-    ~rhs:(t N.join "D4" [ tv 2; tv 1 ])
-    ~post_test:[ copy "D4" "D3" ]
-    ()
-
-(* Paper Fig. 3: JOIN(JOIN(?1,?2):D4, ?3):D5 ==> JOIN(?1, JOIN(?2,?3):D6):D7.
-   The pre-test computes the new inner join's attribute list; the test
-   rejects rewrites whose inner join would be a cross product (the paper's
-   "is_associative"). *)
-let join_assoc_left =
-  trule ~name:"join_assoc_left"
-    ~lhs:(p N.join "D5" [ p N.join "D4" [ v 1; v 2 ]; v 3 ])
-    ~rhs:(t N.join "D7" [ tv 1; t N.join "D6" [ tv 2; tv 3 ] ])
-    ~pre_test:
-      [
-        set "D6" N.p_attributes
-          (c "union_attrs" [ "D2" $. N.p_attributes; "D3" $. N.p_attributes ]);
-      ]
-    ~test:
-      (not_ (c "pred_is_true" [ "D5" $. N.p_join_predicate ])
-      &&! c "pred_refs_only"
-            [ "D5" $. N.p_join_predicate; "D6" $. N.p_attributes ])
-    ~post_test:
-      [
-        set "D6" N.p_join_predicate ("D5" $. N.p_join_predicate);
-        set "D6" N.p_num_records
-          (c "join_cardinality"
-             [
-               "D2" $. N.p_num_records;
-               "D3" $. N.p_num_records;
-               "D5" $. N.p_join_predicate;
-             ]);
-        set "D6" N.p_tuple_size
-          (("D2" $. N.p_tuple_size) +! ("D3" $. N.p_tuple_size));
-        copy "D7" "D5";
-        set "D7" N.p_join_predicate ("D4" $. N.p_join_predicate);
-      ]
-    ()
-
-(* Footnote 5: JOIN(?1,?2):D3 ==> JOPR(SORT(?1):D4, SORT(?2):D5):D6.
-   The SORT descriptors carry the orders a merge join needs; P2V composes
-   this rule with the Merge_join I-rule and turns SORT into an enforcer. *)
-let sort_intro_merge_join =
-  trule ~name:"sort_intro_merge_join"
-    ~lhs:(p N.join "D3" [ v 1; v 2 ])
-    ~rhs:(t N.jopr "D6" [ t N.sort "D4" [ tv 1 ]; t N.sort "D5" [ tv 2 ] ])
-    ~test:(c "is_equijoin" [ "D3" $. N.p_join_predicate ])
-    ~post_test:
-      [
-        copy "D6" "D3";
-        copy "D4" "D1";
-        set "D4" N.p_tuple_order
-          (c "lhs_join_order"
-             [ "D3" $. N.p_join_predicate; "D1" $. N.p_attributes ]);
-        copy "D5" "D2";
-        set "D5" N.p_tuple_order
-          (c "rhs_join_order"
-             [ "D3" $. N.p_join_predicate; "D2" $. N.p_attributes ]);
-      ]
-    ()
-
-(* Footnote 7: the per-operator enforcer-introduction rules.  They let the
-   explicit SORT operator appear above RET and JOIN when an order is
-   required; on the Volcano side they disappear (the enforcer mechanism is
-   implicit there).  The definitions are shared verbatim with the OODB
-   rule set so that combined optimizers deduplicate them. *)
-let true_pred = Action.Const (Prairie_value.Value.Pred Prairie_value.Predicate.True)
-
-let sort_intro_unary op rule_name =
-  trule ~name:rule_name
-    ~lhs:(p op "D2" [ v 1 ])
-    ~rhs:(t N.sort "D4" [ t op "D3" [ tv 1 ] ])
-    ~test:(not_ (c "is_dont_care" [ "D2" $. N.p_tuple_order ]))
-    ~post_test:
-      [
-        copy "D4" "D2";
-        set "D4" N.p_selection_predicate true_pred;
-        set "D4" N.p_join_predicate true_pred;
-        copy "D3" "D2";
-        set "D3" N.p_tuple_order dont_care;
-      ]
-    ()
-
-let sort_intro_ret = sort_intro_unary N.ret "sort_intro_ret"
-
-let sort_intro_join =
-  trule ~name:"sort_intro_join"
-    ~lhs:(p N.join "D3" [ v 1; v 2 ])
-    ~rhs:(t N.sort "D5" [ t N.join "D4" [ tv 1; tv 2 ] ])
-    ~test:(not_ (c "is_dont_care" [ "D3" $. N.p_tuple_order ]))
-    ~post_test:
-      [
-        copy "D5" "D3";
-        set "D5" N.p_join_predicate true_pred;
-        copy "D4" "D3";
-        set "D4" N.p_tuple_order dont_care;
-      ]
-    ()
-
-(* ------------------------------------------------------------------ *)
-(* I-rules                                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* RET(?1):D2 ==> File_scan(?1):D3.  A file scan delivers tuples in no
-   particular order, so it only applies when none is required. *)
-let ret_file_scan =
-  irule ~name:"ret_file_scan"
-    ~lhs:(p N.ret "D2" [ v 1 ])
-    ~rhs:(t N.file_scan "D3" [ tv 1 ])
-    ~test:(c "is_dont_care" [ "D2" $. N.p_tuple_order ])
-    ~pre_opt:[ copy "D3" "D2" ]
-    ~post_opt:
-      [
-        set "D3" N.p_cost
-          (c "cost_file_scan"
-             [ "D1" $. N.p_num_records; "D1" $. N.p_tuple_size ]);
-      ]
-    ()
-
-(* RET(?1):D2 ==> Index_scan(?1):D3: applicable when the selection
-   predicate matches an index, and the index's output order satisfies any
-   required order. *)
-let ret_index_scan =
-  irule ~name:"ret_index_scan"
-    ~lhs:(p N.ret "D2" [ v 1 ])
-    ~rhs:(t N.index_scan "D3" [ tv 1 ])
-    ~test:
-      (c "indexed_selection"
-         [ "D2" $. N.p_selection_predicate; "D1" $. N.p_indexes ]
-      &&! c "order_satisfies"
-            [
-              "D2" $. N.p_tuple_order;
-              c "index_order"
-                [ "D2" $. N.p_selection_predicate; "D1" $. N.p_indexes ];
-            ])
-    ~pre_opt:
-      [
-        copy "D3" "D2";
-        set "D3" N.p_tuple_order
-          (c "index_order"
-             [ "D2" $. N.p_selection_predicate; "D1" $. N.p_indexes ]);
-      ]
-    ~post_opt:
-      [
-        set "D3" N.p_cost
-          (c "cost_index_scan"
-             [
-               "D1" $. N.p_num_records;
-               "D1" $. N.p_tuple_size;
-               "D2" $. N.p_selection_predicate;
-               "D1" $. N.p_indexes;
-             ]);
-      ]
-    ()
-
-(* Paper Fig. 6, verbatim: JOIN(?1,?2):D3 ==> Nested_loops(?1:D4, ?2):D5.
-   The outer input inherits the required order; the cost is
-   cost(outer) + |outer| * cost(inner). *)
-let join_nested_loops =
-  irule ~name:"join_nested_loops"
-    ~lhs:(p N.join "D3" [ v 1; v 2 ])
-    ~rhs:(t N.nested_loops "D5" [ tvd 1 "D4"; tv 2 ])
-    ~pre_opt:
-      [
-        copy "D5" "D3";
-        copy "D4" "D1";
-        set "D4" N.p_tuple_order ("D3" $. N.p_tuple_order);
-      ]
-    ~post_opt:
-      [
-        set "D5" N.p_cost
-          (("D4" $. N.p_cost)
-          +! (("D4" $. N.p_num_records) *! ("D2" $. N.p_cost)));
-        set "D5" N.p_tuple_order ("D4" $. N.p_tuple_order);
-      ]
-    ()
-
-(* JOPR(?1,?2):D3 ==> Merge_join(?1,?2):D4.  The inputs are SORT nodes, so
-   their descriptors already promise the needed orders; the output carries
-   the outer's order, which must satisfy any required one.  The test is
-   phrased over the join predicate so that it survives P2V composition. *)
-let jopr_merge_join =
-  irule ~name:"jopr_merge_join"
-    ~lhs:(p N.jopr "D3" [ v 1; v 2 ])
-    ~rhs:(t N.merge_join "D4" [ tv 1; tv 2 ])
-    ~test:
-      (c "order_satisfies"
-         [
-           "D3" $. N.p_tuple_order;
-           c "lhs_join_order"
-             [ "D3" $. N.p_join_predicate; "D1" $. N.p_attributes ];
-         ])
-    ~pre_opt:
-      [
-        copy "D4" "D3";
-        set "D4" N.p_tuple_order
-          (c "lhs_join_order"
-             [ "D3" $. N.p_join_predicate; "D1" $. N.p_attributes ]);
-      ]
-    ~post_opt:
-      [
-        set "D4" N.p_cost
-          (c "cost_merge_join"
-             [
-               "D1" $. N.p_cost;
-               "D2" $. N.p_cost;
-               "D1" $. N.p_num_records;
-               "D2" $. N.p_num_records;
-             ]);
-      ]
-    ()
-
-(* Paper Fig. 5, verbatim: SORT(?1):D2 ==> Merge_sort(?1):D3. *)
-let sort_merge_sort =
-  irule ~name:"sort_merge_sort"
-    ~lhs:(p N.sort "D2" [ v 1 ])
-    ~rhs:(t N.merge_sort "D3" [ tv 1 ])
-    ~test:(not_ (c "is_dont_care" [ "D2" $. N.p_tuple_order ]))
-    ~pre_opt:[ copy "D3" "D2" ]
-    ~post_opt:
-      [
-        set "D3" N.p_cost
-          (c "cost_sort" [ "D1" $. N.p_cost; "D3" $. N.p_num_records ]);
-      ]
-    ()
-
-(* Paper Fig. 7(b), verbatim: SORT(?1):D2 ==> Null(?1:D3):D4 — the Null
-   algorithm passes the order requirement down to its input. *)
-let sort_null =
-  irule ~name:"sort_null"
-    ~lhs:(p N.sort "D2" [ v 1 ])
-    ~rhs:(t N.null_alg "D4" [ tvd 1 "D3" ])
-    ~pre_opt:
-      [
-        copy "D4" "D2";
-        copy "D3" "D1";
-        set "D3" N.p_tuple_order ("D2" $. N.p_tuple_order);
-      ]
-    ~post_opt:[ set "D4" N.p_cost ("D3" $. N.p_cost) ]
-    ()
-
 let ruleset catalog =
-  Prairie.Ruleset.make ~properties:Props.schema
-    ~trules:
-      [
-        join_commute;
-        join_assoc_left;
-        sort_intro_merge_join;
-        sort_intro_ret;
-        sort_intro_join;
-      ]
-    ~irules:
-      [
-        ret_file_scan;
-        ret_index_scan;
-        join_nested_loops;
-        jopr_merge_join;
-        sort_merge_sort;
-        sort_null;
-      ]
-    ~helpers:(Helpers.env catalog) "relational"
+  Prairie_dsl.Elaborate.elaborate ~helpers:(Helpers.env catalog)
+    Shipped.relational
 
 (* ------------------------------------------------------------------ *)
 (* Catalog and query construction                                      *)

@@ -5,12 +5,17 @@
     Algorithms: File_scan, Index_scan, Nested_loops, Merge_join, Merge_sort
     and Null.  The rule set contains the paper's worked examples verbatim:
     join associativity (Fig. 3), Merge_sort (Fig. 5), Nested_loops (Fig. 6)
-    and the Null sort rule (Fig. 7b). *)
+    and the Null sort rule (Fig. 7b).
+
+    The rules are written once, in [rules/relational.prairie]: the library
+    embeds that file at build time and parses it when it is initialized. *)
 
 val ruleset : Prairie_catalog.Catalog.t -> Prairie.Ruleset.t
-(** 5 T-rules (commutativity, associativity, sort-introduction for merge
-    join, and two enforcer-introduction rules) and 6 I-rules.  P2V compacts
-    this to 2 trans_rules, 4 impl_rules and 1 enforcer. *)
+(** The elaborated [rules/relational.prairie], with the helper functions
+    bound to [catalog]'s statistics: 5 T-rules (commutativity,
+    associativity, sort-introduction for merge join, and two
+    enforcer-introduction rules) and 6 I-rules.  P2V compacts this to 2
+    trans_rules, 4 impl_rules and 1 enforcer. *)
 
 (** {1 Query constructors}
 

@@ -1,0 +1,19 @@
+(* The shipped rule files, parsed once when the library is initialized —
+   on the main domain, before any domain pool starts.  The text is
+   embedded at build time (Rule_text, written by the rule in ./dune), so a
+   file that no longer parses fails with its path and line:column. *)
+
+module Dsl = Prairie_dsl
+
+let parse path src =
+  let fail kind (pos : Dsl.Lexer.position) msg =
+    failwith
+      (Printf.sprintf "%s:%d:%d: %s error: %s" path pos.line pos.column kind msg)
+  in
+  match Dsl.Parser.parse src with
+  | spec -> spec
+  | exception Dsl.Lexer.Lex_error (pos, msg) -> fail "lexical" pos msg
+  | exception Dsl.Parser.Parse_error (pos, msg) -> fail "parse" pos msg
+
+let open_oodb = parse "rules/open_oodb.prairie" Rule_text.open_oodb
+let relational = parse "rules/relational.prairie" Rule_text.relational

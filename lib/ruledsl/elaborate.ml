@@ -110,4 +110,3 @@ let elaborate ~helpers (spec : Ast.spec) =
   | es -> raise (Elab_error es)
 
 let load_string ~helpers src = elaborate ~helpers (Parser.parse src)
-let load ~helpers path = elaborate ~helpers (Parser.parse_file path)

@@ -11,9 +11,7 @@ val elaborate :
   helpers:Prairie.Helper_env.t -> Ast.spec -> Prairie.Ruleset.t
 (** @raise Elab_error with every problem found. *)
 
-val load :
-  helpers:Prairie.Helper_env.t -> string -> Prairie.Ruleset.t
-(** Parse and elaborate a [.prairie] file. *)
-
 val load_string :
   helpers:Prairie.Helper_env.t -> string -> Prairie.Ruleset.t
+(** Parse and elaborate rule-specification source.
+    @raise Elab_error, {!Parser.Parse_error} and {!Lexer.Lex_error}. *)

@@ -341,10 +341,3 @@ let parse src =
   in
   let decls = go [] in
   { Ast.ruleset_name; decls }
-
-let parse_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let src = really_input_string ic n in
-  close_in ic;
-  parse src

@@ -31,6 +31,3 @@ exception Parse_error of Lexer.position * string
 
 val parse : string -> Ast.spec
 (** @raise Parse_error and {!Lexer.Lex_error} on malformed input. *)
-
-val parse_file : string -> Ast.spec
-(** Reads and parses a file. *)

@@ -1,6 +1,7 @@
 (** Pretty-printer from Prairie rule sets back to the rule-specification
     language.  [parse (render rs)] elaborates to a rule set equivalent to
-    [rs] (round-trip tested), which makes embedded rule sets exportable as
+    [rs] (round-trip tested), which makes rule sets built in OCaml (the
+    Aggregates and Distributed fragments, Genrules' output) exportable as
     [.prairie] files.
 
     Constants print as the language's literals: booleans, numbers,

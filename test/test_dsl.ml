@@ -161,7 +161,7 @@ let elaborate_tests =
            with Dsl.Elaborate.Elab_error _ -> true));
   ]
 
-(* round-trip: render the embedded rule sets, re-parse, and verify the
+(* round-trip: render the shipped rule sets, re-parse, and verify the
    optimizers behave identically on every input *)
 let roundtrip name builds query_cost =
   Alcotest.test_case (name ^ " round-trips through the language") `Quick
@@ -233,29 +233,32 @@ let shipped_files_tests =
   [
     Alcotest.test_case "shipped .prairie files load and validate" `Quick
       (fun () ->
+        (* the optimizer's rule sets are the elaborated shipped files *)
         List.iter
-          (fun (path, trules, irules) ->
-            if Sys.file_exists path then begin
-              let rs =
-                Dsl.Elaborate.load
-                  ~helpers:(Prairie_algebra.Helpers.env Catalog.empty)
-                  path
-              in
-              check_int (path ^ " trules") trules (Prairie.Ruleset.trule_count rs);
-              check_int (path ^ " irules") irules (Prairie.Ruleset.irule_count rs)
-            end
-            else Alcotest.fail ("missing shipped rule file " ^ path))
+          (fun (name, (rs : Prairie.Ruleset.t), trules, irules) ->
+            Alcotest.(check string) "rule set name" name rs.Prairie.Ruleset.name;
+            check "declares Props.schema" true
+              (rs.Prairie.Ruleset.properties = Prairie_algebra.Props.schema);
+            check_int (name ^ " trules") trules (Prairie.Ruleset.trule_count rs);
+            check_int (name ^ " irules") irules (Prairie.Ruleset.irule_count rs))
           [
-            ("../rules/relational.prairie", 5, 6);
-            ("../rules/open_oodb.prairie", 22, 11);
+            ("relational", Rel.ruleset Catalog.empty, 5, 6);
+            ("open_oodb", Prairie_algebra.Oodb.ruleset Catalog.empty, 22, 11);
           ]);
+    Alcotest.test_case "a shipped file that does not parse names its path"
+      `Quick (fun () ->
+        match
+          Prairie_algebra.Shipped.parse "rules/x.prairie"
+            "ruleset broken\n\noperator A(1);"
+        with
+        | _ -> Alcotest.fail "parsed a malformed file"
+        | exception Failure msg ->
+          Alcotest.(check string)
+            "path and line:col" "rules/x.prairie:3:1: parse error: expected ;, found operator"
+            msg);
     Alcotest.test_case "shipped OODB file P2V-compacts to the paper's counts"
       `Quick (fun () ->
-        let rs =
-          Dsl.Elaborate.load
-            ~helpers:(Prairie_algebra.Helpers.env Catalog.empty)
-            "../rules/open_oodb.prairie"
-        in
+        let rs = Prairie_algebra.Oodb.ruleset Catalog.empty in
         let m = Prairie_p2v.Merge.merge rs in
         check_int "17 trans" 17 (Prairie_p2v.Merge.trans_rule_count m);
         check_int "9 impl" 9 (Prairie_p2v.Merge.impl_rule_count m);

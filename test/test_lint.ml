@@ -431,11 +431,7 @@ let merge_warning_tests =
   [
     Alcotest.test_case "merge warnings are diagnostics in stable order" `Quick
       (fun () ->
-        let rs =
-          Dsl.Elaborate.load
-            ~helpers:(Prairie_algebra.Helpers.env Catalog.empty)
-            "../rules/open_oodb.prairie"
-        in
+        let rs = Prairie_algebra.Oodb.ruleset Catalog.empty in
         let m1 = Prairie_p2v.Merge.merge rs in
         let m2 = Prairie_p2v.Merge.merge rs in
         check "deterministic" true
