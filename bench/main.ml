@@ -434,7 +434,7 @@ let strategies () =
 
 let distributed () =
   S.header "Distributed rule set: shipping decisions (site as a physical property)";
-  let module Dist = Prairie_distributed.Distributed in
+  let module Dist = Prairie_algebra.Distributed in
   let module A = Prairie_value.Attribute in
   let module P = Prairie_value.Predicate in
   let attr o n = A.make ~owner:o ~name:n in
@@ -448,7 +448,7 @@ let distributed () =
       ]
   in
   let sites = [ ("R1", "paris"); ("R2", "austin"); ("R3", "austin") ] in
-  let rs = Dist.ruleset catalog ~sites in
+  let rs = Dist.ruleset catalog in
   let tr = P2v.Translate.translate rs in
   Format.printf "%a@.@." P2v.Report.pp (P2v.Report.of_translation tr);
   let opt =

@@ -10,7 +10,7 @@
    decisions — ship the small relation, run where the data is, honor the
    client's result site. *)
 
-module Dist = Prairie_distributed.Distributed
+module Dist = Prairie_algebra.Distributed
 module Opt = Prairie_optimizers.Optimizers
 module P2v = Prairie_p2v
 module Explain = Prairie_volcano.Explain
@@ -32,7 +32,7 @@ let catalog =
 let sites = [ ("orders", "warehouse"); ("cust", "hq") ]
 
 let () =
-  let ruleset = Dist.ruleset catalog ~sites in
+  let ruleset = Dist.ruleset catalog in
   let tr = P2v.Translate.translate ruleset in
   Format.printf "%a@.@." P2v.Report.pp (P2v.Report.of_translation tr);
   Format.printf

@@ -1,84 +1,14 @@
 module N = Names
-module B = Build
 module Value = Prairie_value.Value
 module Attribute = Prairie_value.Attribute
 module Descriptor = Prairie.Descriptor
 module Expr = Prairie.Expr
-open B
 
 let count_attr = Attribute.make ~owner:"agg" ~name:"count"
 
-(* AGG(?1):D2 ==> Hash_agg(?1):D3 — order-oblivious, order-destroying. *)
-let agg_hash =
-  irule ~name:"agg_hash"
-    ~lhs:(p N.agg "D2" [ v 1 ])
-    ~rhs:(t N.hash_agg "D3" [ tv 1 ])
-    ~test:(c "is_dont_care" [ "D2" $. N.p_tuple_order ])
-    ~pre_opt:[ copy "D3" "D2" ]
-    ~post_opt:
-      [
-        set "D3" N.p_cost
-          (c "cost_hash_agg" [ "D1" $. N.p_cost; "D1" $. N.p_num_records ]);
-      ]
-    ()
-
-(* AGG(?1):D2 ==> Sort_agg(?1:D4):D3 — requires the input sorted on the
-   group attributes and delivers that order on its output.  Cheaper per
-   tuple; whether it wins depends on how expensive the order is to
-   establish — the enforcer-driven trade-off. *)
-let agg_sort =
-  irule ~name:"agg_sort"
-    ~lhs:(p N.agg "D2" [ v 1 ])
-    ~rhs:(t N.sort_agg "D3" [ tvd 1 "D4" ])
-    ~test:
-      (c "order_satisfies"
-         [
-           "D2" $. N.p_tuple_order;
-           c "attrs_order" [ "D2" $. N.p_group_attributes ];
-         ])
-    ~pre_opt:
-      [
-        copy "D3" "D2";
-        set "D3" N.p_tuple_order
-          (c "attrs_order" [ "D2" $. N.p_group_attributes ]);
-        copy "D4" "D1";
-        set "D4" N.p_tuple_order
-          (c "attrs_order" [ "D2" $. N.p_group_attributes ]);
-      ]
-    ~post_opt:
-      [
-        set "D3" N.p_cost
-          (c "cost_sort_agg" [ "D4" $. N.p_cost; "D4" $. N.p_num_records ]);
-      ]
-    ()
-
-(* Footnote 7 again: without an enforcer-introduction rule for AGG, the
-   explicit-rule (Prairie/naive) semantics could never sort *after*
-   aggregating, while Volcano's implicit enforcer can — the two would
-   disagree.  Every operator needs its introduction rule. *)
-let sort_intro_agg =
-  let true_pred =
-    Action.Const (Prairie_value.Value.Pred Prairie_value.Predicate.True)
-  in
-  trule ~name:"sort_intro_agg"
-    ~lhs:(p N.agg "D2" [ v 1 ])
-    ~rhs:(t N.sort "D4" [ t N.agg "D3" [ tv 1 ] ])
-    ~test:(not_ (c "is_dont_care" [ "D2" $. N.p_tuple_order ]))
-    ~post_test:
-      [
-        copy "D4" "D2";
-        set "D4" N.p_selection_predicate true_pred;
-        set "D4" N.p_join_predicate true_pred;
-        copy "D3" "D2";
-        set "D3" N.p_tuple_order dont_care;
-      ]
-    ()
-
 let fragment catalog =
-  Prairie.Ruleset.make ~properties:Props.schema
-    ~trules:[ sort_intro_agg ]
-    ~irules:[ agg_hash; agg_sort ]
-    ~helpers:(Helpers.env catalog) "aggregates"
+  Prairie_dsl.Elaborate.elaborate ~helpers:(Helpers.env catalog)
+    Shipped.aggregates
 
 let extended_relational catalog =
   Prairie.Ruleset.combine ~name:"relational_with_aggregates"

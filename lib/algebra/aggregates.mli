@@ -13,16 +13,23 @@
       group boundaries on the fly, and delivers the group order for free.
 
     The count column appears in the output as the synthetic attribute
-    [agg.count]. *)
+    [agg.count].
+
+    The rules are written once, in [rules/aggregates.prairie]: the library
+    embeds that file at build time and parses it when it is initialized. *)
 
 val count_attr : Prairie_value.Attribute.t
 (** The synthetic output attribute [agg.count]. *)
 
 val fragment : Prairie_catalog.Catalog.t -> Prairie.Ruleset.t
-(** The AGG rules alone (no T-rules; two I-rules). *)
+(** The elaborated [rules/aggregates.prairie]: 1 T-rule
+    ([sort_intro_agg]) and 4 I-rules ([agg_hash], [agg_sort], and copies of
+    the relational [sort_merge_sort] and [sort_null], so that SORT is
+    implementable and the fragment is a valid rule set on its own). *)
 
 val extended_relational : Prairie_catalog.Catalog.t -> Prairie.Ruleset.t
-(** [Ruleset.combine] of {!Relational.ruleset} and {!fragment}. *)
+(** [Ruleset.combine] of {!Relational.ruleset} and {!fragment}, which
+    drops the fragment's copies of the SORT I-rules. *)
 
 val agg :
   Prairie_catalog.Catalog.t ->

@@ -351,6 +351,13 @@ let env catalog =
                  (Cost_model.unnest
                     ~input_cost:(get_float "cost_unnest" c)
                     ~output_card:(get_int "cost_unnest" n))) );
+         ( "cost_ship",
+           a3 "cost_ship" (fun c n size ->
+               Float
+                 (Cost_model.ship
+                    ~input_cost:(get_float "cost_ship" c)
+                    ~card:(get_int "cost_ship" n)
+                    ~tuple_size:(get_int "cost_ship" size))) );
          ( "order_union",
            a2 "order_union" (fun a b ->
                match (get_order "order_union" a, get_order "order_union" b) with

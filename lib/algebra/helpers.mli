@@ -93,4 +93,4 @@ val env : Prairie_catalog.Catalog.t -> Prairie.Helper_env.t
     Costs (delegating to {!Cost_model}): [cost_file_scan],
     [cost_index_scan], [cost_merge_join], [cost_hash_join],
     [cost_pointer_join], [cost_sort], [cost_filter], [cost_project],
-    [cost_mat_ordered], [cost_mat_unordered], [cost_unnest]. *)
+    [cost_mat_ordered], [cost_mat_unordered], [cost_unnest], [cost_ship]. *)

@@ -15,5 +15,17 @@ let parse path src =
   | exception Dsl.Lexer.Lex_error (pos, msg) -> fail "lexical" pos msg
   | exception Dsl.Parser.Parse_error (pos, msg) -> fail "parse" pos msg
 
-let open_oodb = parse "rules/open_oodb.prairie" Rule_text.open_oodb
-let relational = parse "rules/relational.prairie" Rule_text.relational
+let files =
+  List.map
+    (fun (path, src) -> (path, parse path src))
+    [
+      ("rules/open_oodb.prairie", Rule_text.open_oodb);
+      ("rules/relational.prairie", Rule_text.relational);
+      ("rules/distributed.prairie", Rule_text.distributed);
+      ("rules/aggregates.prairie", Rule_text.aggregates);
+    ]
+
+let open_oodb = List.assoc "rules/open_oodb.prairie" files
+let relational = List.assoc "rules/relational.prairie" files
+let distributed = List.assoc "rules/distributed.prairie" files
+let aggregates = List.assoc "rules/aggregates.prairie" files

@@ -270,6 +270,19 @@ let relational_spec =
       ];
   }
 
+let distributed_spec =
+  {
+    relational_spec with
+    enforcers =
+      [
+        {
+          enf_operator = N.ship;
+          enf_property = N.p_site;
+          enf_over = [ (N.ret, 1); (N.join, 2) ];
+        };
+      ];
+  }
+
 let oodb_select_join_spec =
   {
     binaries =

@@ -66,6 +66,11 @@ val ruleset :
 val relational_spec : spec
 (** The declaration that regenerates the §2 relational T-rules. *)
 
+val distributed_spec : spec
+(** The declaration that regenerates the T-rules of
+    [rules/distributed.prairie]: {!relational_spec} with the SHIP
+    enforcer over the [site] property in place of SORT. *)
+
 val oodb_select_join_spec : spec
 (** The declaration covering the SELECT/JOIN/RET fragment of the Open OODB
     rule set (MAT and UNNEST interactions are genuinely OODB-specific

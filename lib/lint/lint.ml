@@ -121,8 +121,9 @@ let is_tt = function
   | Action.Const (Value.Bool true) -> true
   | _ -> false
 
+(* DONT_CARE and NULL clear a requirement rather than impose one *)
 let is_dont_care_const = function
-  | Action.Const (Value.Order Order.Any) -> true
+  | Action.Const (Value.Order Order.Any | Value.Null) -> true
   | _ -> false
 
 (* Operator-shape of a pattern/template with variables erased — the node

@@ -138,6 +138,9 @@ and parse_primary st =
   | Token.KW_TRUE_PRED ->
     advance st;
     Action.Const (Value.Pred Predicate.True)
+  | Token.KW_NULL ->
+    advance st;
+    Action.Const Value.Null
   | Token.LPAREN ->
     advance st;
     let e = parse_expr st in

@@ -30,6 +30,7 @@ let rec expr ppf = function
   | Action.Const (Value.Order Order.Any) -> Format.pp_print_string ppf "DONT_CARE"
   | Action.Const (Value.Pred Predicate.True) ->
     Format.pp_print_string ppf "TRUE_PRED"
+  | Action.Const Value.Null -> Format.pp_print_string ppf "NULL"
   | Action.Const v ->
     (* other literals have no surface syntax; printing a stand-in would
        change what the rule means *)

@@ -1,12 +1,12 @@
 (** Pretty-printer from Prairie rule sets back to the rule-specification
     language.  [parse (render rs)] elaborates to a rule set equivalent to
-    [rs] (round-trip tested), which makes rule sets built in OCaml (the
-    Aggregates and Distributed fragments, Genrules' output) exportable as
-    [.prairie] files.
+    [rs] (round-trip tested), which makes rule sets built in OCaml
+    (Genrules' output) exportable as [.prairie] files: the T-rules of
+    [rules/distributed.prairie] were written this way.
 
     Constants print as the language's literals: booleans, numbers,
-    strings, [DONT_CARE] (the any-order) and [TRUE_PRED] (the always-true
-    predicate).
+    strings, [DONT_CARE] (the any-order), [TRUE_PRED] (the always-true
+    predicate) and [NULL].
     @raise Invalid_argument on any other constant (a sorted order, a
     non-trivial predicate, an attribute list, ...), which has no surface
     syntax. *)

@@ -20,6 +20,7 @@ type t =
   | KW_FALSE
   | KW_DONT_CARE
   | KW_TRUE_PRED
+  | KW_NULL
   (* punctuation and operators *)
   | LPAREN
   | RPAREN
@@ -60,6 +61,7 @@ let keyword_of_string = function
   | "FALSE" | "false" -> Some KW_FALSE
   | "DONT_CARE" -> Some KW_DONT_CARE
   | "TRUE_PRED" -> Some KW_TRUE_PRED
+  | "NULL" -> Some KW_NULL
   | _ -> None
 
 let to_string = function
@@ -81,6 +83,7 @@ let to_string = function
   | KW_FALSE -> "FALSE"
   | KW_DONT_CARE -> "DONT_CARE"
   | KW_TRUE_PRED -> "TRUE_PRED"
+  | KW_NULL -> "NULL"
   | LPAREN -> "("
   | RPAREN -> ")"
   | LBRACE -> "{"

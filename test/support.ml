@@ -1,6 +1,6 @@
 (* Shared helpers for the diagnostic test suites (lint, analyze, verify):
-   reading a rule file, code queries over diagnostic lists and the
-   planted-bug fixture runner. *)
+   reading a rule file, the list of shipped rule files, code queries over
+   diagnostic lists and the planted-bug fixture runner. *)
 
 module D = Prairie.Diagnostic
 
@@ -8,6 +8,16 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+(* Every shipped rule file, relative to the test directory: the "shipped"
+   cases of lint, analyze and verify check each one. *)
+let shipped_rule_files =
+  [
+    "../rules/aggregates.prairie";
+    "../rules/distributed.prairie";
+    "../rules/open_oodb.prairie";
+    "../rules/relational.prairie";
+  ]
 
 let has code ds = List.exists (fun (d : D.t) -> String.equal d.D.code code) ds
 

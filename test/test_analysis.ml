@@ -239,7 +239,7 @@ let shipped_tests =
               (path ^ " dead rules") [] r.Analysis.dead_rules;
             Alcotest.(check (list string))
               (path ^ " unreachable rules") [] r.Analysis.unreachable_rules)
-          [ "../rules/relational.prairie"; "../rules/open_oodb.prairie" ]);
+          Support.shipped_rule_files);
     Alcotest.test_case "the OODB critical pair is downgraded, not absent"
       `Quick (fun () ->
         let r = Analysis.analyze_string (Support.read_file "../rules/open_oodb.prairie") in

@@ -1,6 +1,6 @@
 (* The distributed (R*-style) rule set: a second physical property. *)
 
-module Dist = Prairie_distributed.Distributed
+module Dist = Prairie_algebra.Distributed
 module P2v = Prairie_p2v
 module Search = Prairie_volcano.Search
 module Plan = Prairie_volcano.Plan
@@ -27,7 +27,7 @@ let catalog =
     ]
 
 let sites = [ ("R1", "paris"); ("R2", "austin"); ("R3", "austin") ]
-let ruleset = Dist.ruleset catalog ~sites
+let ruleset = Dist.ruleset catalog
 let translation = P2v.Translate.translate ruleset
 
 let optimizer =

@@ -20,8 +20,12 @@ let lexer_tests =
         check "vars" true (tokens "?1 ?23" = Token.[ STREAM_VAR 1; STREAM_VAR 23; EOF ]));
     Alcotest.test_case "keywords vs identifiers" `Quick (fun () ->
         check "kw" true
-          (tokens "trule irule foo TRUE DONT_CARE"
-          = Token.[ KW_TRULE; KW_IRULE; IDENT "foo"; KW_TRUE; KW_DONT_CARE; EOF ]));
+          (tokens "trule irule foo TRUE DONT_CARE NULL null"
+          = Token.
+              [
+                KW_TRULE; KW_IRULE; IDENT "foo"; KW_TRUE; KW_DONT_CARE; KW_NULL;
+                IDENT "null"; EOF;
+              ]));
     Alcotest.test_case "numbers" `Quick (fun () ->
         check "int float" true (tokens "42 4.5" = Token.[ INT 42; FLOAT 4.5; EOF ]));
     Alcotest.test_case "comments are skipped" `Quick (fun () ->
@@ -227,6 +231,31 @@ let roundtrip_tests =
              inst.Prairie_workload.Queries.expr ))
          Prairie_workload.Queries.[ (Q5, 17); (Q3, 29); (Q3, 31); (Q3, 35) ])
       run_cost;
+    (* the SHIP introductions clear the site with the NULL literal *)
+    roundtrip "distributed rule set"
+      [ (fun () ->
+        let module Dist = Prairie_algebra.Distributed in
+        let catalog =
+          Catalog.of_files
+            [
+              Rel.relation ~name:"R1" ~cardinality:5_000 [ ("a", 10) ];
+              Rel.relation ~name:"R2" ~cardinality:300 [ ("a", 10) ];
+            ]
+        in
+        let sites = [ ("R1", "paris"); ("R2", "austin") ] in
+        let q =
+          Dist.join catalog
+            ~pred:
+              (Prairie_value.Predicate.Cmp
+                 ( Prairie_value.Predicate.Eq,
+                   Prairie_value.Predicate.T_attr
+                     (Prairie_value.Attribute.make ~owner:"R1" ~name:"a"),
+                   Prairie_value.Predicate.T_attr
+                     (Prairie_value.Attribute.make ~owner:"R2" ~name:"a") ))
+            (Dist.ret ~sites catalog "R1") (Dist.ret ~sites catalog "R2")
+        in
+        (catalog, Dist.ruleset catalog, q)) ]
+      run_cost;
   ]
 
 let shipped_files_tests =
@@ -237,6 +266,7 @@ let shipped_files_tests =
         List.iter
           (fun (name, (rs : Prairie.Ruleset.t), trules, irules) ->
             Alcotest.(check string) "rule set name" name rs.Prairie.Ruleset.name;
+            check (name ^ " validates") true (Prairie.Ruleset.validate rs = Ok ());
             check "declares Props.schema" true
               (rs.Prairie.Ruleset.properties = Prairie_algebra.Props.schema);
             check_int (name ^ " trules") trules (Prairie.Ruleset.trule_count rs);
@@ -244,7 +274,24 @@ let shipped_files_tests =
           [
             ("relational", Rel.ruleset Catalog.empty, 5, 6);
             ("open_oodb", Prairie_algebra.Oodb.ruleset Catalog.empty, 22, 11);
+            ("distributed", Prairie_algebra.Distributed.ruleset Catalog.empty, 5, 6);
+            ("aggregates", Prairie_algebra.Aggregates.fragment Catalog.empty, 1, 4);
           ]);
+    Alcotest.test_case "the library embeds every file in rules/" `Quick
+      (fun () ->
+        let sorted = List.sort String.compare in
+        let embedded =
+          List.map (fun (path, _) -> "../" ^ path) Prairie_algebra.Shipped.files
+        in
+        let on_disk =
+          Sys.readdir "../rules" |> Array.to_list
+          |> List.filter (fun f -> Filename.check_suffix f ".prairie")
+          |> List.map (fun f -> "../rules/" ^ f)
+        in
+        Alcotest.(check (list string))
+          "embedded" (sorted Support.shipped_rule_files) (sorted embedded);
+        Alcotest.(check (list string))
+          "on disk" (sorted Support.shipped_rule_files) (sorted on_disk));
     Alcotest.test_case "a shipped file that does not parse names its path"
       `Quick (fun () ->
         match
@@ -292,6 +339,7 @@ let gen_action_expr =
               map (fun b -> Action.Const (V.Bool b)) bool;
               return (Action.Const (V.Order Prairie_value.Order.Any));
               return (Action.Const (V.Pred Prairie_value.Predicate.True));
+              return (Action.Const V.Null);
               map (fun s -> Action.Const (V.Str s)) (oneofl [ "x"; "hello" ]);
               map2 (fun d p -> Action.Prop (d, p)) dvar prop;
             ]
@@ -332,6 +380,16 @@ let roundtrip_property_tests =
              ignore (Format.asprintf "%a" Dsl.Render.expr sorted);
              false
            with Invalid_argument _ -> true));
+    Alcotest.test_case "NULL parses to the null constant and renders back"
+      `Quick (fun () ->
+        let e = parse_expr_via_rule "is_null(NULL)" in
+        check "Const Null" true
+          (e
+          = Prairie.Action.(
+              Call ("is_null", [ Const Prairie_value.Value.Null ])));
+        let text = Format.asprintf "%a" Dsl.Render.expr e in
+        Alcotest.(check string) "rendered" "is_null(NULL)" text;
+        check "reparsed" true (parse_expr_via_rule text = e));
     QCheck_alcotest.to_alcotest
       (QCheck2.Test.make ~name:"expression render/parse round trip" ~count:300
          gen_action_expr (fun e ->

@@ -68,6 +68,11 @@ let structure_tests =
         check "intro over RET and JOIN" true
           (List.mem "gen_intro_SORT_RET" names && List.mem "gen_intro_SORT_JOIN" names);
         check_int "five rules" 5 (List.length names));
+    Alcotest.test_case "distributed spec reproduces rules/distributed.prairie"
+      `Quick (fun () ->
+        check "T-rules" true
+          (G.trules G.distributed_spec
+          = (Prairie_algebra.Distributed.ruleset catalog).Ruleset.trules));
     Alcotest.test_case "oodb fragment inventory" `Quick (fun () ->
         let names =
           List.map (fun (r : Prairie.Trule.t) -> r.Prairie.Trule.name)

@@ -268,6 +268,23 @@ let fixture_tests =
   Alcotest.test_case "clean fixture has no findings" `Quick (fun () ->
       let ds = lint clean_spec in
       check_int "no diagnostics" 0 (List.length ds))
+  :: Alcotest.test_case "P023 accepts NULL like DONT_CARE" `Quick (fun () ->
+         (* clearing a physical property on a logical descriptor is what
+            enforcer introductions do; copying a requirement there is not *)
+         let spec value =
+           Printf.sprintf
+             {|ruleset t; property site : STRING; property cost : COST;
+               operator A(1); operator B(1); algorithm X(1);
+               trule t1: B(?1) : D2 ==> A(?1) : D5
+               post { D5 = D2; D5.site = %s; }
+               irule r: A(?1) : D2 ==> X(?1 : D3) : D4
+               pre { D4 = D2; D3 = D1; D3.site = D2.site; }
+               post { D4.cost = D1.cost; }|}
+             value
+         in
+         check "silent on NULL" false (has "P023" (lint (spec "NULL")));
+         check "fires on a copied site" true
+           (has "P023" (lint (spec "D2.site"))))
   :: Support.fixture_tests ~run:lint fixture_cases
 
 let helper_tests =
@@ -290,6 +307,20 @@ let helper_tests =
         check "registered helper accepted" false
           (has "P015"
              (Lint.lint_string ~helpers:Prairie.Helper_env.builtins good)));
+    Alcotest.test_case "cost_ship is a registered algebra helper" `Quick
+      (fun () ->
+        let src =
+          {|ruleset t; operator A(1); algorithm X(1); property cost : COST;
+            property num_records : INT; property tuple_size : INT;
+            irule r: A(?1) : D2 ==> X(?1) : D3
+            pre { D3 = D2; }
+            post { D3.cost = cost_ship(D1.cost, D3.num_records, D3.tuple_size); }|}
+        in
+        check "no P015" false
+          (has "P015"
+             (Lint.lint_string
+                ~helpers:(Prairie_algebra.Helpers.env Catalog.empty)
+                src)));
   ]
 
 (* The one parse path: lint, analyze and verify all report a source that
@@ -413,7 +444,7 @@ let shipped_tests =
             let errors, warnings, _ = Lint.summary ds in
             check_int (path ^ " errors") 0 errors;
             check_int (path ^ " warnings") 0 warnings)
-          [ "../rules/relational.prairie"; "../rules/open_oodb.prairie" ]);
+          Support.shipped_rule_files);
     Alcotest.test_case "shipped findings are pragma-downgraded, not absent"
       `Quick (fun () ->
         let ds =

@@ -314,7 +314,7 @@ let shipped_tests =
             check_int (path ^ " errors") 0 errors;
             check_int (path ^ " warnings") 0 warnings;
             check (path ^ " checked something") true (r.Verify.rules_checked > 0))
-          [ "../rules/relational.prairie"; "../rules/open_oodb.prairie" ]);
+          Support.shipped_rule_files);
     (* mat_pull_join recomputes its inner JOIN's cardinality, so closure
        forms reach MAT(JOIN(..)) whose estimates differ by rounding (537 vs
        536 rows); pushing the MAT back must not be blamed for that *)
