@@ -39,19 +39,21 @@ let read_source path =
   | exception Sys_error msg ->
     Error (Diag.error ~code:"P000" ("read error: " ^ msg))
 
-(* Read, parse and elaborate a rule file.  A read or parse failure is
-   reported as lint reports it: "FILE: error[P000] ...". *)
+(* Read, parse and elaborate a rule file.  Every failure is reported as
+   lint reports it, one "FILE: error[Pxxx] ..." line per diagnostic. *)
 let load_ruleset path catalog =
-  match Result.bind (read_source path) Prairie_lint.Lint.parse_source with
-  | Error d -> Error (Printf.sprintf "%s: %s" path (Diag.to_string d))
-  | Ok spec -> (
-    try
-      Ok
-        (Dsl.Elaborate.elaborate
-           ~helpers:(Prairie_algebra.Helpers.env catalog)
-           spec)
-    with Dsl.Elaborate.Elab_error errs ->
-      Error (String.concat "\n" (List.map (fun e -> "error: " ^ e) errs)))
+  let loaded =
+    match Result.bind (read_source path) Prairie_lint.Lint.parse_source with
+    | Error d -> Error [ d ]
+    | Ok spec -> (
+      try Ok (Dsl.Elaborate.elaborate ~helpers:(Prairie_algebra.Helpers.env catalog) spec)
+      with Dsl.Elaborate.Elab_error ds -> Error ds)
+  in
+  Result.map_error
+    (fun ds ->
+      String.concat "\n"
+        (List.map (fun d -> Printf.sprintf "%s: %s" path (Diag.to_string d)) ds))
+    loaded
 
 let embedded = function
   | "relational" -> Ok (Prairie_algebra.Relational.ruleset (default_catalog ()))

@@ -10,6 +10,7 @@ module Merge = Prairie_p2v.Merge
 module Classify = Prairie_p2v.Classify
 module Enforcers = Prairie_p2v.Enforcers
 module Lint = Prairie_lint.Lint
+module Check = Prairie_dsl.Check
 
 let catalogue : D.catalogue =
   [
@@ -67,19 +68,9 @@ let empty_report name =
 (* Small walks                                                         *)
 (* ------------------------------------------------------------------ *)
 
-let pattern_ops pat =
-  let rec go acc = function
-    | Pattern.Pvar _ -> acc
-    | Pattern.Pop (name, _, subs) -> List.fold_left go (name :: acc) subs
-  in
-  List.sort_uniq String.compare (go [] pat)
-
-let tmpl_ops tmpl =
-  let rec go acc = function
-    | Pattern.Tvar _ -> acc
-    | Pattern.Tnode (name, _, subs) -> List.fold_left go (name :: acc) subs
-  in
-  List.sort_uniq String.compare (go [] tmpl)
+(* The sorted, deduplicated operators of a pattern / template. *)
+let pattern_ops pat = List.sort_uniq String.compare (List.map fst (Pattern.ops pat))
+let tmpl_ops tmpl = List.sort_uniq String.compare (List.map fst (Pattern.tmpl_ops tmpl))
 
 module Sset = Set.Make (String)
 
@@ -94,7 +85,7 @@ let check_consts (spec : Ast.spec) =
   let dead = ref [] in
   List.iter
     (fun ((kind : [ `Trule | `Irule ]), (r : Ast.rule_body)) ->
-      let span = Lint.span_of r.Ast.rb_loc in
+      let span = Check.span_of r.Ast.rb_loc in
       match Action.fold_const r.Ast.rb_test with
       | Some (Value.Bool false) ->
         if kind = `Trule then dead := r.Ast.rb_name :: !dead;
@@ -431,13 +422,13 @@ let check_subsumption (spec : Ast.spec) =
   let trules = Ast.trules spec in
   let emit_pair (general : Ast.rule_body) (specific : Ast.rule_body) =
     let related =
-      match Lint.span_of general.Ast.rb_loc with
+      match Check.span_of general.Ast.rb_loc with
       | Some s -> [ (general.Ast.rb_name, s) ]
       | None -> []
     in
     ds :=
       D.warning ~code:"P320" ~rule:specific.Ast.rb_name
-        ?span:(Lint.span_of specific.Ast.rb_loc)
+        ?span:(Check.span_of specific.Ast.rb_loc)
         ~related
         ~hint:"delete the rule, or guard it with a discriminating test"
         (Printf.sprintf
@@ -462,11 +453,6 @@ let rec tmpl_shape_erased = function
   | Pattern.Tnode (name, _, subs) ->
     name ^ "(" ^ String.concat "," (List.map tmpl_shape_erased subs) ^ ")"
 
-let rec pat_shape = function
-  | Pattern.Pvar _ -> "_"
-  | Pattern.Pop (name, _, subs) ->
-    name ^ "(" ^ String.concat "," (List.map pat_shape subs) ^ ")"
-
 (* P321: two unguarded T-rules over the SAME redex shape rewriting it to
    DIFFERENT shapes — a critical pair.  Both always fire, the results
    diverge, and nothing arbitrates; under memoized search that is a
@@ -480,8 +466,8 @@ let check_overlap (spec : Ast.spec) =
       (Ast.trules spec)
   in
   let inverse (t1 : Ast.rule_body) (t2 : Ast.rule_body) =
-    String.equal (tmpl_shape_erased t1.Ast.rb_rhs) (pat_shape t2.Ast.rb_lhs)
-    && String.equal (tmpl_shape_erased t2.Ast.rb_rhs) (pat_shape t1.Ast.rb_lhs)
+    String.equal (tmpl_shape_erased t1.Ast.rb_rhs) (Lint.pat_shape t2.Ast.rb_lhs)
+    && String.equal (tmpl_shape_erased t2.Ast.rb_rhs) (Lint.pat_shape t1.Ast.rb_lhs)
   in
   let rec pairs = function
     | [] -> ()
@@ -489,7 +475,7 @@ let check_overlap (spec : Ast.spec) =
       List.iter
         (fun (t2 : Ast.rule_body) ->
           if
-            String.equal (pat_shape t1.Ast.rb_lhs) (pat_shape t2.Ast.rb_lhs)
+            String.equal (Lint.pat_shape t1.Ast.rb_lhs) (Lint.pat_shape t2.Ast.rb_lhs)
             && not
                  (String.equal
                     (Lint.tmpl_shape t1.Ast.rb_rhs)
@@ -497,13 +483,13 @@ let check_overlap (spec : Ast.spec) =
             && not (inverse t1 t2)
           then begin
             let related =
-              match Lint.span_of t1.Ast.rb_loc with
+              match Check.span_of t1.Ast.rb_loc with
               | Some s -> [ (t1.Ast.rb_name, s) ]
               | None -> []
             in
             ds :=
               D.warning ~code:"P321" ~rule:t2.Ast.rb_name
-                ?span:(Lint.span_of t2.Ast.rb_loc)
+                ?span:(Check.span_of t2.Ast.rb_loc)
                 ~related
                 ~hint:
                   "guard one rule with a test, or pragma the pair if the \
@@ -511,7 +497,7 @@ let check_overlap (spec : Ast.spec) =
                 (Printf.sprintf
                    "unguarded rules %s and %s both rewrite shape %s, to \
                     different shapes; both fire on every redex"
-                   t1.Ast.rb_name t2.Ast.rb_name (pat_shape t2.Ast.rb_lhs))
+                   t1.Ast.rb_name t2.Ast.rb_name (Lint.pat_shape t2.Ast.rb_lhs))
               :: !ds
           end)
         rest;
@@ -528,7 +514,7 @@ let check_spec ?(config = default_config) (spec : Ast.spec) =
   let const_ds, dead = check_consts spec in
   let subsume_ds = check_subsumption spec in
   let overlap_ds = check_overlap spec in
-  let ruleset = Lint.ruleset_of_spec spec in
+  let ruleset = Prairie_dsl.Elaborate.build spec in
   (* the P2V-level analyses need a mergeable rule set; a spec that still
      carries structural errors (lint's department) may not have one *)
   let reach_ds, reachable, unreachable, flow_ds, required, produced =

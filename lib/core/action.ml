@@ -57,23 +57,6 @@ let read_descriptors e = List.sort String.compare (read_descs_acc [] e)
 let stmt_read_descriptors = function
   | Assign_desc (_, e) | Assign_prop (_, _, e) -> read_descriptors e
 
-let helpers_used stmts =
-  let rec go acc = function
-    | Const _ | Desc _ | Prop _ -> acc
-    | Call (name, args) ->
-      let acc = if List.mem name acc then acc else name :: acc in
-      List.fold_left go acc args
-    | Binop (_, a, b) -> go (go acc a) b
-    | Unop (_, a) -> go acc a
-  in
-  let acc =
-    List.fold_left
-      (fun acc s ->
-        match s with Assign_desc (_, e) | Assign_prop (_, _, e) -> go acc e)
-      [] stmts
-  in
-  List.sort String.compare acc
-
 let rec substitute_desc_expr f = function
   | Const _ as e -> e
   | Desc d -> Desc (f d)

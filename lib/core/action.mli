@@ -59,9 +59,6 @@ val read_descriptors : expr -> string list
 
 val stmt_read_descriptors : stmt -> string list
 
-val helpers_used : stmt list -> string list
-(** Helper-function names called anywhere in the statements. *)
-
 val fold_const : expr -> Prairie_value.Value.t option
 (** Sound constant folding: [Some v] iff the expression evaluates to [v]
     under every binding of descriptors and helper functions.  [And]/[Or]

@@ -49,53 +49,6 @@ let output_descriptors t =
   let inputs = input_descriptors t in
   List.filter (fun d -> not (List.mem d inputs)) (Pattern.tmpl_desc_vars t.rhs)
 
-let rec distinct = function
-  | [] -> true
-  | x :: rest -> (not (List.mem x rest)) && distinct rest
-
-let validate t =
-  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  match (t.lhs, t.rhs) with
-  | Pattern.Pvar _, _ -> err "rule %s: I-rule LHS must be an operator" t.name
-  | _, Pattern.Tvar _ -> err "rule %s: I-rule RHS must be an algorithm" t.name
-  | Pattern.Pop (_, _, subpats), Pattern.Tnode (_, _, subs) ->
-    let lhs_vars =
-      List.map
-        (function
-          | Pattern.Pvar i -> i
-          | Pattern.Pop _ -> -1)
-        subpats
-    in
-    if List.mem (-1) lhs_vars then
-      err "rule %s: I-rule LHS inputs must be stream variables" t.name
-    else if not (distinct lhs_vars) then
-      err "rule %s: duplicate stream variables in LHS" t.name
-    else
-      let rhs_vars =
-        List.map
-          (function
-            | Pattern.Tvar (i, _) -> i
-            | Pattern.Tnode _ -> -1)
-          subs
-      in
-      if rhs_vars <> lhs_vars then
-        err
-          "rule %s: I-rule RHS must apply the algorithm to the same stream \
-           variables, in order"
-          t.name
-      else
-        let inputs = input_descriptors t in
-        let stmts = t.pre_opt @ t.post_opt in
-        match
-          List.find_opt
-            (fun s -> List.mem (Action.assigned_descriptor s) inputs)
-            stmts
-        with
-        | Some s ->
-          err "rule %s: action assigns to LHS descriptor %s" t.name
-            (Action.assigned_descriptor s)
-        | None -> Ok ()
-
 let pp ppf t =
   Format.fprintf ppf "@[<v 2>I-rule %s:@,%a ==> %a" t.name Pattern.pp t.lhs
     Pattern.pp_tmpl t.rhs;

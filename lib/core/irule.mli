@@ -59,9 +59,4 @@ val input_descriptors : t -> string list
 
 val output_descriptors : t -> string list
 
-val validate : t -> (unit, string) result
-(** LHS is a single operator over distinct stream variables, RHS a single
-    algorithm over the same variables; actions assign only to output
-    descriptors; reads are defined. *)
-
 val pp : Format.formatter -> t -> unit

@@ -97,6 +97,20 @@ let tmpl_nodes t =
   in
   List.rev (go [] t)
 
+let ops pat =
+  let rec go acc = function
+    | Pvar _ -> acc
+    | Pop (name, _, subs) -> List.fold_left go ((name, List.length subs) :: acc) subs
+  in
+  List.rev (go [] pat)
+
+let tmpl_ops t =
+  let rec go acc = function
+    | Tvar _ -> acc
+    | Tnode (name, _, subs) -> List.fold_left go ((name, List.length subs) :: acc) subs
+  in
+  List.rev (go [] t)
+
 let root_operator = function
   | Pvar _ -> None
   | Pop (name, _, _) -> Some name

@@ -73,6 +73,14 @@ val tmpl_nodes : tmpl -> (string * string) list
 (** [(operation, descriptor-variable)] for every node of the template, in
     pre-order. *)
 
+val ops : t -> (string * int) list
+(** [(operator, arity)] for every operator node of the pattern, in
+    pre-order, repeats included. *)
+
+val tmpl_ops : tmpl -> (string * int) list
+(** [(operation, arity)] for every node of the template, in pre-order,
+    repeats included. *)
+
 val root_operator : t -> string option
 (** The root operator name, [None] for a bare stream variable. *)
 

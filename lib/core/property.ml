@@ -30,20 +30,5 @@ let cost_properties schema =
     (fun p -> if p.ty = Value.T_cost then Some p.name else None)
     schema
 
-let validate schema bindings =
-  let check (name, v) =
-    match find schema name with
-    | None -> Error (Printf.sprintf "undeclared property %S" name)
-    | Some p ->
-      if Value.has_ty v p.ty then Ok ()
-      else
-        Error
-          (Printf.sprintf "property %S expects %s, got %s" name
-             (Value.ty_to_string p.ty) (Value.to_repr v))
-  in
-  List.fold_left
-    (fun acc b -> match acc with Error _ -> acc | Ok () -> check b)
-    (Ok ()) bindings
-
 let pp ppf p =
   Format.fprintf ppf "%s : %s" p.name (Value.ty_to_string p.ty)

@@ -30,8 +30,4 @@ val mem : schema -> string -> bool
 val cost_properties : schema -> string list
 (** Names of the [COST]-typed properties — classified as cost by P2V. *)
 
-val validate :
-  schema -> (string * Prairie_value.Value.t) list -> (unit, string) result
-(** Checks that every bound property is declared and type-compatible. *)
-
 val pp : Format.formatter -> t -> unit

@@ -8,30 +8,14 @@ type t = {
   helpers : Helper_env.t;
 }
 
-let pattern_ops pat =
-  let rec go acc = function
-    | Pattern.Pvar _ -> acc
-    | Pattern.Pop (name, _, subs) ->
-      let acc = if List.mem name acc then acc else name :: acc in
-      List.fold_left go acc subs
-  in
-  go [] pat
-
-let tmpl_ops tmpl =
-  let rec go acc = function
-    | Pattern.Tvar _ -> acc
-    | Pattern.Tnode (name, _, subs) ->
-      let acc = if List.mem name acc then acc else name :: acc in
-      List.fold_left go acc subs
-  in
-  go [] tmpl
-
 let dedup_sorted xs = List.sort_uniq String.compare xs
 
 let make ?(properties = []) ?(operators = []) ?(algorithms = []) ?(trules = [])
     ?(irules = []) ?(helpers = Helper_env.builtins) name =
   let inferred_ops =
-    List.concat_map (fun (r : Trule.t) -> pattern_ops r.lhs @ tmpl_ops r.rhs) trules
+    List.concat_map
+      (fun (r : Trule.t) -> List.map fst (Pattern.ops r.lhs @ Pattern.tmpl_ops r.rhs))
+      trules
     @ List.map Irule.operator irules
   in
   let inferred_algs = List.map Irule.algorithm irules in
@@ -107,49 +91,6 @@ let combine ~name a b =
     ~trules ~irules
     ~helpers:(Helper_env.merge a.helpers b.helpers)
     name
-
-let validate t =
-  let errs = ref [] in
-  let err fmt = Printf.ksprintf (fun m -> errs := m :: !errs) fmt in
-  let check_result = function Ok () -> () | Error m -> errs := m :: !errs in
-  List.iter (fun r -> check_result (Trule.validate r)) t.trules;
-  List.iter (fun r -> check_result (Irule.validate r)) t.irules;
-  let check_ops rule_name ops =
-    List.iter
-      (fun op ->
-        if not (List.mem op t.operators || List.mem op t.algorithms) then
-          err "rule %s: undeclared operation %s" rule_name op)
-      ops
-  in
-  List.iter
-    (fun (r : Trule.t) ->
-      check_ops r.name (pattern_ops r.lhs @ tmpl_ops r.rhs))
-    t.trules;
-  List.iter
-    (fun (r : Irule.t) -> check_ops r.name (pattern_ops r.lhs @ tmpl_ops r.rhs))
-    t.irules;
-  let check_helpers rule_name stmts test =
-    let used = Action.helpers_used stmts @ Action.helpers_used [ Action.Assign_desc ("_", test) ] in
-    List.iter
-      (fun h ->
-        if not (Helper_env.mem t.helpers h) then
-          err "rule %s: helper function %s is not registered" rule_name h)
-      used
-  in
-  List.iter
-    (fun (r : Trule.t) -> check_helpers r.name (r.pre_test @ r.post_test) r.test)
-    t.trules;
-  List.iter
-    (fun (r : Irule.t) -> check_helpers r.name (r.pre_opt @ r.post_opt) r.test)
-    t.irules;
-  (* every operator that appears in some rule LHS/RHS should be implementable *)
-  let implemented = List.map Irule.operator t.irules in
-  List.iter
-    (fun op ->
-      if (not (List.mem op implemented)) && not (List.mem op t.algorithms) then
-        err "operator %s has no I-rule (it can never be implemented)" op)
-    t.operators;
-  match List.rev !errs with [] -> Ok () | es -> Error es
 
 let spec_size t =
   let stmt_count =

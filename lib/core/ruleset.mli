@@ -48,12 +48,6 @@ val combine : name:string -> t -> t -> t
     same-name rules must be structurally identical (they are deduplicated);
     anything else raises [Invalid_argument]. *)
 
-val validate : t -> (unit, string list) result
-(** Validates every rule (see {!Trule.validate}, {!Irule.validate}), checks
-    that rules mention only declared operators/algorithms, that every helper
-    called by an action is registered, and that every operator has at least
-    one I-rule (otherwise no plan could ever be produced for it). *)
-
 val spec_size : t -> int
 (** A crude "lines of specification" metric: number of rules plus number of
     action statements plus number of declared properties.  Used by the

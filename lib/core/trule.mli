@@ -34,9 +34,4 @@ val input_descriptors : t -> string list
 val output_descriptors : t -> string list
 (** Descriptor variables of the RHS that must be computed by the actions. *)
 
-val validate : t -> (unit, string) result
-(** Static well-formedness: RHS stream variables appear in the LHS, actions
-    assign only to output descriptors, reads reference bound or
-    already-assigned descriptors. *)
-
 val pp : Format.formatter -> t -> unit

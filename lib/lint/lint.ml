@@ -1,74 +1,48 @@
 module Ast = Prairie_dsl.Ast
+module Check = Prairie_dsl.Check
 module Lexer = Prairie_dsl.Lexer
 module Parser = Prairie_dsl.Parser
 module D = Prairie.Diagnostic
 module Pattern = Prairie.Pattern
 module Action = Prairie.Action
-module Trule = Prairie.Trule
 module Irule = Prairie.Irule
 module Property = Prairie.Property
 module Ruleset = Prairie.Ruleset
-module Helper_env = Prairie.Helper_env
 module Value = Prairie_value.Value
 module Order = Prairie_value.Order
 module Enforcers = Prairie_p2v.Enforcers
 module Classify = Prairie_p2v.Classify
 
+(* The error-severity declaration and binding checks are {!Check}'s, the
+   ones elaboration runs; the rest are the linter's own. *)
 let catalogue : D.catalogue =
-  [
-    ("P000", D.Error, "syntax error (lexing or parsing failed)");
-    ("P001", D.Error, "reference to an undeclared property");
-    ("P002", D.Warning, "declared property is never referenced by any rule");
-    ("P003", D.Error, "reference to an undeclared operator or algorithm");
-    ("P004", D.Warning, "declared operator or algorithm is never used by any rule");
-    ("P005", D.Error, "operator or algorithm used with the wrong arity");
-    ("P006", D.Error, "duplicate declaration");
-    ("P007", D.Error, "duplicate rule name");
-    ("P008", D.Warning, "rule duplicates another rule's rewrite with an overlapping test");
-    ("P009", D.Error, "operator has no I-rule and can never be implemented");
-    ("P010", D.Error, "descriptor variable is read but never bound");
-    ("P011", D.Warning, "named descriptor variable is never used");
-    ("P012", D.Error, "RHS stream variable is not bound by the LHS pattern");
-    ("P013", D.Info, "LHS stream variable does not appear on the RHS");
-    ("P014", D.Warning, "stream variable bound more than once in the LHS pattern");
-    ("P015", D.Error, "helper function is not registered");
-    ("P016", D.Warning, "descriptor name collides with an implicit stream descriptor");
-    ("P017", D.Error, "literal does not match the assigned property's declared type");
-    ("P020", D.Error, "COST property assigned outside an I-rule post section");
-    ("P021", D.Warning, "COST property read in a rule test");
-    ("P022", D.Error, "I-rule never assigns a cost to its output descriptor");
-    ("P023", D.Warning, "physical property assigned on a logical operator descriptor");
-    ("P030", D.Warning, "unguarded self-inverse rewrite (commutativity loop)");
-    ("P031", D.Warning, "unguarded rewrite cycle between T-rules");
-    ("P040", D.Error, "Null I-rule on a multi-input operator");
-    ("P041", D.Warning, "enforcer operator has a non-single-input implementation");
-    ("P042", D.Warning, "Null I-rule enforces no property");
-    ("P043", D.Warning, "enforcer operator has no enforcer algorithm");
-  ]
-
-let span_of (loc : Ast.loc) =
-  if loc = Ast.no_loc then None
-  else Some { D.line = loc.Lexer.line; column = loc.Lexer.column }
+  List.sort
+    (fun (a, _, _) (b, _, _) -> String.compare a b)
+    (Check.catalogue
+    @ [
+        ("P000", D.Error, "syntax error (lexing or parsing failed)");
+        ("P002", D.Warning, "declared property is never referenced by any rule");
+        ("P004", D.Warning, "declared operator or algorithm is never used by any rule");
+        ("P008", D.Warning, "rule duplicates another rule's rewrite with an overlapping test");
+        ("P011", D.Warning, "named descriptor variable is never used");
+        ("P013", D.Info, "LHS stream variable does not appear on the RHS");
+        ("P014", D.Warning, "stream variable bound more than once in the LHS pattern");
+        ("P016", D.Warning, "descriptor name collides with an implicit stream descriptor");
+        ("P020", D.Error, "COST property assigned outside an I-rule post section");
+        ("P021", D.Warning, "COST property read in a rule test");
+        ("P022", D.Error, "I-rule never assigns a cost to its output descriptor");
+        ("P023", D.Warning, "physical property assigned on a logical operator descriptor");
+        ("P030", D.Warning, "unguarded self-inverse rewrite (commutativity loop)");
+        ("P031", D.Warning, "unguarded rewrite cycle between T-rules");
+        ("P040", D.Error, "Null I-rule on a multi-input operator");
+        ("P041", D.Warning, "enforcer operator has a non-single-input implementation");
+        ("P042", D.Warning, "Null I-rule enforces no property");
+        ("P043", D.Warning, "enforcer operator has no enforcer algorithm");
+      ])
 
 (* ------------------------------------------------------------------ *)
 (* Small AST walks                                                     *)
 (* ------------------------------------------------------------------ *)
-
-let pattern_nodes pat =
-  let rec go acc = function
-    | Pattern.Pvar _ -> acc
-    | Pattern.Pop (name, _, subs) ->
-      List.fold_left go ((name, List.length subs) :: acc) subs
-  in
-  List.rev (go [] pat)
-
-let tmpl_nodes_arity tmpl =
-  let rec go acc = function
-    | Pattern.Tvar _ -> acc
-    | Pattern.Tnode (name, _, subs) ->
-      List.fold_left go ((name, List.length subs) :: acc) subs
-  in
-  List.rev (go [] tmpl)
 
 (* Named descriptor variables, i.e. the [:Dx] annotations the rule writer
    chose (implicit stream descriptors [D1], [D2], ... are excluded). *)
@@ -83,39 +57,6 @@ let named_descs (r : Ast.rule_body) =
     | Pattern.Tnode (_, d, subs) -> List.fold_left tmpl (d :: acc) subs
   in
   List.sort_uniq String.compare (tmpl (pat [] r.Ast.rb_lhs) r.Ast.rb_rhs)
-
-let rule_stmts (r : Ast.rule_body) = r.Ast.rb_pre @ r.Ast.rb_post
-
-let rule_exprs (r : Ast.rule_body) =
-  List.map (function Action.Assign_desc (_, e) | Action.Assign_prop (_, _, e) -> e)
-    (rule_stmts r)
-  @ [ r.Ast.rb_test ]
-
-(* Properties referenced (read or written) by a rule. *)
-let props_of_rule (r : Ast.rule_body) =
-  let rec of_expr acc = function
-    | Action.Const _ | Action.Desc _ -> acc
-    | Action.Prop (_, p) -> p :: acc
-    | Action.Call (_, args) -> List.fold_left of_expr acc args
-    | Action.Binop (_, a, b) -> of_expr (of_expr acc a) b
-    | Action.Unop (_, a) -> of_expr acc a
-  in
-  let writes =
-    List.filter_map
-      (function Action.Assign_prop (_, p, _) -> Some p | Action.Assign_desc _ -> None)
-      (rule_stmts r)
-  in
-  List.sort_uniq String.compare
-    (writes @ List.fold_left of_expr [] (rule_exprs r))
-
-let helpers_of_rule (r : Ast.rule_body) =
-  let rec go acc = function
-    | Action.Const _ | Action.Desc _ | Action.Prop _ -> acc
-    | Action.Call (name, args) -> List.fold_left go (name :: acc) args
-    | Action.Binop (_, a, b) -> go (go acc a) b
-    | Action.Unop (_, a) -> go acc a
-  in
-  List.sort_uniq String.compare (List.fold_left go [] (rule_exprs r))
 
 let is_tt = function
   | Action.Const (Value.Bool true) -> true
@@ -143,102 +84,30 @@ let rec tmpl_shape = function
     name ^ "(" ^ String.concat "," (List.map tmpl_shape subs) ^ ")"
 
 (* ------------------------------------------------------------------ *)
-(* Family 1: declaration analysis                                      *)
+(* Family 1: declaration warnings                                      *)
 (* ------------------------------------------------------------------ *)
 
 let check_declarations (spec : Ast.spec) =
   let ds = ref [] in
   let emit d = ds := d :: !ds in
-  let props = Ast.properties_located spec in
-  let ops = Ast.operators_located spec in
-  let algs = Ast.algorithms_located spec in
   let rules = Ast.rules spec in
-  (* P006: duplicate declarations *)
-  let check_dups kind decls =
-    let seen = Hashtbl.create 8 in
-    List.iter
-      (fun (name, loc) ->
-        if Hashtbl.mem seen name then
-          emit
-            (D.error ~code:"P006" ?span:(span_of loc)
-               ~hint:"remove or rename the duplicate declaration"
-               (Printf.sprintf "duplicate %s declaration %s" kind name))
-        else Hashtbl.add seen name loc)
-      decls
-  in
-  check_dups "property" (List.map (fun (n, _, l) -> (n, l)) props);
-  check_dups "operator" (List.map (fun (n, _, l) -> (n, l)) ops);
-  check_dups "algorithm" (List.map (fun (n, _, l) -> (n, l)) algs);
+  (* P002: declared properties no rule references *)
+  let used_props = ref [] in
+  List.iter (fun (_, r) -> Check.iter_props (fun p -> used_props := p :: !used_props) r) rules;
   List.iter
     (fun (n, _, loc) ->
-      if List.exists (fun (n', _, _) -> String.equal n n') ops then
+      if not (List.mem n !used_props) then
         emit
-          (D.error ~code:"P006" ?span:(span_of loc)
-             ~hint:"operators and algorithms share one namespace"
-             (Printf.sprintf "%s is declared both as an operator and an algorithm" n)))
-    algs;
-  (* declared operations, with the implicit single-input Null enforcer *)
-  let declared_ops = List.map (fun (n, a, _) -> (n, a)) ops in
-  let declared_algs =
-    (Irule.null_algorithm, 1) :: List.map (fun (n, a, _) -> (n, a)) algs
-  in
-  (* P003 / P005: every pattern and template node against the declarations *)
-  let check_node rule_name loc (name, arity) =
-    match
-      (List.assoc_opt name declared_ops, List.assoc_opt name declared_algs)
-    with
-    | None, None ->
-      emit
-        (D.error ~code:"P003" ~rule:rule_name ?span:(span_of loc)
-           ~hint:
-             (Printf.sprintf "declare it: 'operator %s(%d);' or 'algorithm %s(%d);'"
-                name arity name arity)
-           (Printf.sprintf "undeclared operation %s" name))
-    | Some declared, _ | None, Some declared ->
-      if declared <> arity then
-        emit
-          (D.error ~code:"P005" ~rule:rule_name ?span:(span_of loc)
-             (Printf.sprintf "%s is used with arity %d but declared with arity %d"
-                name arity declared))
-  in
-  List.iter
-    (fun (_, r) ->
-      List.iter
-        (check_node r.Ast.rb_name r.Ast.rb_loc)
-        (pattern_nodes r.Ast.rb_lhs @ tmpl_nodes_arity r.Ast.rb_rhs))
-    rules;
-  (* P001 / P002: property references vs declarations *)
-  let declared_props = List.map (fun (n, _, _) -> n) props in
-  let used_props =
-    List.sort_uniq String.compare
-      (List.concat_map (fun (_, r) -> props_of_rule r) rules)
-  in
-  List.iter
-    (fun (_, r) ->
-      List.iter
-        (fun p ->
-          if not (List.mem p declared_props) then
-            emit
-              (D.error ~code:"P001" ~rule:r.Ast.rb_name ?span:(span_of r.Ast.rb_loc)
-                 ~hint:(Printf.sprintf "add 'property %s : <TYPE>;'" p)
-                 (Printf.sprintf "property %s is not declared" p)))
-        (props_of_rule r))
-    rules;
-  List.iter
-    (fun (n, _, loc) ->
-      if not (List.mem n used_props) then
-        emit
-          (D.warning ~code:"P002" ?span:(span_of loc)
+          (D.warning ~code:"P002" ?span:(Check.span_of loc)
              ~hint:"remove the declaration, or reference the property in a rule"
              (Printf.sprintf "property %s is declared but never referenced" n)))
-    props;
+    (Ast.properties_located spec);
   (* P004: unused operators/algorithms *)
   let used_ops =
     List.sort_uniq String.compare
       (List.concat_map
          (fun (_, r) ->
-           List.map fst
-             (pattern_nodes r.Ast.rb_lhs @ tmpl_nodes_arity r.Ast.rb_rhs))
+           List.map fst (Pattern.ops r.Ast.rb_lhs @ Pattern.tmpl_ops r.Ast.rb_rhs))
          rules)
   in
   let check_used kind decls =
@@ -246,22 +115,12 @@ let check_declarations (spec : Ast.spec) =
       (fun (n, _, loc) ->
         if not (List.mem n used_ops) then
           emit
-            (D.warning ~code:"P004" ?span:(span_of loc)
+            (D.warning ~code:"P004" ?span:(Check.span_of loc)
                (Printf.sprintf "%s %s is declared but never used by any rule" kind n)))
       decls
   in
-  check_used "operator" ops;
-  check_used "algorithm" algs;
-  (* P007: duplicate rule names *)
-  let seen = Hashtbl.create 16 in
-  List.iter
-    (fun (_, r) ->
-      if Hashtbl.mem seen r.Ast.rb_name then
-        emit
-          (D.error ~code:"P007" ~rule:r.Ast.rb_name ?span:(span_of r.Ast.rb_loc)
-             (Printf.sprintf "rule name %s is already used" r.Ast.rb_name))
-      else Hashtbl.add seen r.Ast.rb_name ())
-    rules;
+  check_used "operator" (Ast.operators_located spec);
+  check_used "algorithm" (Ast.algorithms_located spec);
   (* P008: same rewrite (LHS and RHS shapes) with an overlapping test *)
   let overlapping t1 t2 = is_tt t1 || is_tt t2 || t1 = t2 in
   let rec pairs = function
@@ -282,7 +141,7 @@ let check_declarations (spec : Ast.spec) =
           then
             emit
               (D.warning ~code:"P008" ~rule:r2.Ast.rb_name
-                 ?span:(span_of r2.Ast.rb_loc)
+                 ?span:(Check.span_of r2.Ast.rb_loc)
                  ~hint:"add a discriminating test or remove one of the rules"
                  (Printf.sprintf
                     "rule %s repeats rule %s's rewrite with an overlapping test; \
@@ -292,54 +151,21 @@ let check_declarations (spec : Ast.spec) =
       pairs rest
   in
   pairs rules;
-  (* P009: operators that no I-rule implements *)
-  let implemented =
-    List.filter_map
-      (function
-        | `Irule, r -> Pattern.root_operator r.Ast.rb_lhs
-        | `Trule, _ -> None)
-      rules
-  in
-  List.iter
-    (fun (n, _, loc) ->
-      if List.mem n used_ops && not (List.mem n implemented) then
-        emit
-          (D.error ~code:"P009" ?span:(span_of loc)
-             ~hint:"add an I-rule with this operator on its LHS"
-             (Printf.sprintf
-                "operator %s has no I-rule: expressions using it can never be \
-                 implemented"
-                n)))
-    ops;
   !ds
 
 (* ------------------------------------------------------------------ *)
-(* Family 2: binding analysis                                          *)
+(* Family 2: binding warnings                                          *)
 (* ------------------------------------------------------------------ *)
 
-let check_bindings ?helpers (spec : Ast.spec) =
+let check_bindings (spec : Ast.spec) =
   let ds = ref [] in
   let emit d = ds := d :: !ds in
-  let declared_ty p =
-    Option.bind (List.assoc_opt p (Ast.properties spec)) Value.ty_of_string
-  in
   List.iter
-    (fun (kind, r) ->
+    (fun (_, r) ->
       let name = r.Ast.rb_name in
-      let span = span_of r.Ast.rb_loc in
+      let span = Check.span_of r.Ast.rb_loc in
       let lhs_vars = Pattern.vars r.Ast.rb_lhs in
       let rhs_vars = Pattern.tmpl_vars r.Ast.rb_rhs in
-      let lhs_descs = Pattern.desc_vars r.Ast.rb_lhs in
-      let rhs_descs = Pattern.tmpl_desc_vars r.Ast.rb_rhs in
-      (* P012: RHS stream variables must come from the LHS *)
-      List.iter
-        (fun v ->
-          if not (List.mem v lhs_vars) then
-            emit
-              (D.error ~code:"P012" ~rule:name ?span
-                 (Printf.sprintf
-                    "RHS stream variable ?%d is not bound by the LHS pattern" v)))
-        rhs_vars;
       (* P013: LHS stream variables that the rewrite drops *)
       List.iter
         (fun v ->
@@ -384,52 +210,11 @@ let check_bindings ?helpers (spec : Ast.spec) =
                      stream variable"
                     d)))
         (named_descs r);
-      (* P010: reads of descriptors that are neither pattern-bound nor
-         assigned by an earlier statement.  The LHS descriptors (including
-         implicit stream descriptors) are bound at match time; RHS
-         descriptors are outputs that statements must fill before use. *)
-      let bound = ref lhs_descs in
-      let is_bound d = List.mem d !bound in
-      let read_check section e =
-        List.iter
-          (fun d ->
-            if not (is_bound d) then
-              let flavor =
-                if List.mem d rhs_descs then
-                  Printf.sprintf
-                    "descriptor %s is read in the %s section before any \
-                     statement assigns it"
-                    d section
-                else
-                  Printf.sprintf
-                    "descriptor %s is read in the %s section but never bound" d
-                    section
-              in
-              emit
-                (D.error ~code:"P010" ~rule:name ?span
-                   ~hint:
-                     "bind it on the LHS/RHS or assign it before the first read"
-                   flavor))
-          (Action.read_descriptors e)
-      in
-      let run_stmts section stmts =
-        List.iter
-          (fun s ->
-            (match s with
-            | Action.Assign_desc (_, e) | Action.Assign_prop (_, _, e) ->
-              read_check section e);
-            let d = Action.assigned_descriptor s in
-            if not (is_bound d) then bound := d :: !bound)
-          stmts
-      in
-      run_stmts "pre" r.Ast.rb_pre;
-      read_check "test" r.Ast.rb_test;
-      run_stmts "post" r.Ast.rb_post;
       (* P011: named descriptors that no section ever touches *)
       let touched =
         List.concat_map
           (fun s -> Action.assigned_descriptor s :: Action.stmt_read_descriptors s)
-          (rule_stmts r)
+          (Check.rule_stmts r)
         @ Action.read_descriptors r.Ast.rb_test
       in
       List.iter
@@ -439,90 +224,24 @@ let check_bindings ?helpers (spec : Ast.spec) =
               (D.warning ~code:"P011" ~rule:name ?span
                  (Printf.sprintf
                     "descriptor %s is bound but never read or assigned" d)))
-        (named_descs r);
-      (* P015: unregistered helper functions *)
-      (match helpers with
-      | None -> ()
-      | Some env ->
-        List.iter
-          (fun h ->
-            if not (Helper_env.mem env h) then
-              emit
-                (D.error ~code:"P015" ~rule:name ?span
-                   ~hint:"register it in the helper environment"
-                   (Printf.sprintf "helper function %s is not registered" h)))
-          (helpers_of_rule r));
-      (* P017: a literal of the wrong kind elaborates silently — a STRING
-         stored in a PREDICATE property is not the predicate it spells *)
-      List.iter
-        (function
-          | Action.Assign_prop (d, p, Action.Const v) -> (
-            match declared_ty p with
-            | Some ty when not (Value.has_ty v ty) ->
-              emit
-                (D.error ~code:"P017" ~rule:name ?span
-                   ~hint:
-                     "use a literal of the declared type (TRUE_PRED is the \
-                      always-true PREDICATE, DONT_CARE the unconstrained ORDER)"
-                   (Printf.sprintf "%s.%s is declared %s but assigned %s" d p
-                      (Value.ty_to_string ty) (Value.to_repr v)))
-            | Some _ | None -> ())
-          | Action.Assign_prop _ | Action.Assign_desc _ -> ())
-        (rule_stmts r);
-      ignore kind)
+        (named_descs r))
     (Ast.rules spec);
   !ds
-
-(* ------------------------------------------------------------------ *)
-(* A best-effort core rule set for the P2V-level analyses              *)
-(* ------------------------------------------------------------------ *)
-
-let ruleset_of_spec (spec : Ast.spec) =
-  let properties =
-    List.filter_map
-      (fun (name, ty_name) ->
-        Option.map (Property.declare name) (Value.ty_of_string ty_name))
-      (Ast.properties spec)
-  in
-  let well_formed (r : Ast.rule_body) =
-    match (r.Ast.rb_lhs, r.Ast.rb_rhs) with
-    | Pattern.Pop _, Pattern.Tnode _ -> true
-    | _ -> false
-  in
-  let trules =
-    List.map
-      (fun (r : Ast.rule_body) ->
-        Trule.make ~name:r.Ast.rb_name ~lhs:r.Ast.rb_lhs ~rhs:r.Ast.rb_rhs
-          ~pre_test:r.Ast.rb_pre ~test:r.Ast.rb_test ~post_test:r.Ast.rb_post ())
-      (List.filter well_formed (Ast.trules spec))
-  in
-  let irules =
-    List.map
-      (fun (r : Ast.rule_body) ->
-        Irule.make ~name:r.Ast.rb_name ~lhs:r.Ast.rb_lhs ~rhs:r.Ast.rb_rhs
-          ~test:r.Ast.rb_test ~pre_opt:r.Ast.rb_pre ~post_opt:r.Ast.rb_post ())
-      (List.filter well_formed (Ast.irules spec))
-  in
-  Ruleset.make ~properties
-    ~operators:(List.map fst (Ast.operators spec))
-    ~algorithms:(Irule.null_algorithm :: List.map fst (Ast.algorithms spec))
-    ~trules ~irules spec.Ast.ruleset_name
 
 let rule_loc (spec : Ast.spec) name =
   match
     List.find_opt (fun (_, r) -> String.equal r.Ast.rb_name name) (Ast.rules spec)
   with
-  | Some (_, r) -> span_of r.Ast.rb_loc
+  | Some (_, r) -> Check.span_of r.Ast.rb_loc
   | None -> None
 
 (* ------------------------------------------------------------------ *)
 (* Family 3: P2V classification conflicts                              *)
 (* ------------------------------------------------------------------ *)
 
-let check_classification (spec : Ast.spec) =
+let check_classification (spec : Ast.spec) ruleset =
   let ds = ref [] in
   let emit d = ds := d :: !ds in
-  let ruleset = ruleset_of_spec spec in
   let cost_props = Property.cost_properties ruleset.Ruleset.properties in
   let is_cost p = List.mem p cost_props in
   let classification = Classify.classify ruleset in
@@ -549,7 +268,7 @@ let check_classification (spec : Ast.spec) =
   in
   List.iter
     (fun (kind, r) ->
-      let loc = span_of r.Ast.rb_loc in
+      let loc = Check.span_of r.Ast.rb_loc in
       match kind with
       | `Trule ->
         scan_stmts r.Ast.rb_name loc "a T-rule pre section" r.Ast.rb_pre;
@@ -568,7 +287,7 @@ let check_classification (spec : Ast.spec) =
       in
       if reads_cost r.Ast.rb_test then
         emit
-          (D.warning ~code:"P021" ~rule:r.Ast.rb_name ?span:(span_of r.Ast.rb_loc)
+          (D.warning ~code:"P021" ~rule:r.Ast.rb_name ?span:(Check.span_of r.Ast.rb_loc)
              "the rule test reads a COST property; tests run before plans are \
               costed"))
     (Ast.rules spec);
@@ -596,7 +315,7 @@ let check_classification (spec : Ast.spec) =
           if not assigns_cost then
             emit
               (D.error ~code:"P022" ~rule:r.Ast.rb_name
-                 ?span:(span_of r.Ast.rb_loc)
+                 ?span:(Check.span_of r.Ast.rb_loc)
                  ~hint:
                    (Printf.sprintf "assign %s.%s in the post section" out
                       (List.hd cost_props))
@@ -617,7 +336,7 @@ let check_classification (spec : Ast.spec) =
             | Some (op, _) when not (List.mem op enforcer_ops) ->
               emit
                 (D.warning ~code:"P023" ~rule:r.Ast.rb_name
-                   ?span:(span_of r.Ast.rb_loc)
+                   ?span:(Check.span_of r.Ast.rb_loc)
                    ~hint:
                      "physical properties are requested on streams or \
                       established by enforcers"
@@ -627,7 +346,7 @@ let check_classification (spec : Ast.spec) =
                       p op d))
             | Some _ | None -> ())
           | Action.Assign_prop _ | Action.Assign_desc _ -> ())
-        (rule_stmts r))
+        (Check.rule_stmts r))
     (Ast.trules spec);
   !ds
 
@@ -655,7 +374,7 @@ let check_termination (spec : Ast.spec) =
     (fun (r, lhs, rhs, unguarded) ->
       if unguarded && String.equal lhs rhs then
         emit
-          (D.warning ~code:"P030" ~rule:r.Ast.rb_name ?span:(span_of r.Ast.rb_loc)
+          (D.warning ~code:"P030" ~rule:r.Ast.rb_name ?span:(Check.span_of r.Ast.rb_loc)
              ~hint:
                "safe only under memoized (Volcano-style) search; add a test if \
                 the engine does not deduplicate expressions"
@@ -738,7 +457,7 @@ let check_termination (spec : Ast.spec) =
              ?rule:(Option.map (fun r -> r.Ast.rb_name) first_rule)
              ?span:
                (match first_rule with
-               | Some r -> span_of r.Ast.rb_loc
+               | Some r -> Check.span_of r.Ast.rb_loc
                | None -> None)
              ~hint:"guard at least one rule of the cycle with a test"
              (Printf.sprintf
@@ -752,7 +471,7 @@ let check_termination (spec : Ast.spec) =
 (* Family 5: enforcer sanity                                           *)
 (* ------------------------------------------------------------------ *)
 
-let check_enforcers (spec : Ast.spec) =
+let check_enforcers (spec : Ast.spec) ruleset =
   let ds = ref [] in
   let emit d = ds := d :: !ds in
   let irules =
@@ -772,7 +491,7 @@ let check_enforcers (spec : Ast.spec) =
     (fun ((r : Ast.rule_body), op, arity, _) ->
       if arity <> 1 then
         emit
-          (D.error ~code:"P040" ~rule:r.Ast.rb_name ?span:(span_of r.Ast.rb_loc)
+          (D.error ~code:"P040" ~rule:r.Ast.rb_name ?span:(Check.span_of r.Ast.rb_loc)
              ~hint:"the Volcano translation can only delete single-input nodes"
              (Printf.sprintf
                 "Null I-rule %s marks %s as an enforcer, but the operator has \
@@ -793,7 +512,7 @@ let check_enforcers (spec : Ast.spec) =
             then
               emit
                 (D.warning ~code:"P041" ~rule:r'.Ast.rb_name
-                   ?span:(span_of r'.Ast.rb_loc)
+                   ?span:(Check.span_of r'.Ast.rb_loc)
                    (Printf.sprintf
                       "enforcer operator %s has implementation %s with %d \
                        inputs; enforcer algorithms must be single-input"
@@ -801,7 +520,7 @@ let check_enforcers (spec : Ast.spec) =
           irules)
     null_rules;
   (* P042 / P043 on the detected enforcers of the elaborated set *)
-  let infos = Enforcers.detect (ruleset_of_spec spec) in
+  let infos = Enforcers.detect ruleset in
   List.iter
     (fun (i : Enforcers.info) ->
       let null_name = i.Enforcers.null_rule.Irule.name in
@@ -896,12 +615,14 @@ let apply_pragmas pragmas ds =
 (* ------------------------------------------------------------------ *)
 
 let check_spec ?helpers (spec : Ast.spec) =
+  let ruleset = Prairie_dsl.Elaborate.build ?helpers spec in
   D.normalize
-    (check_declarations spec
-    @ check_bindings ?helpers spec
-    @ check_classification spec
+    (Check.errors ?helpers spec
+    @ check_declarations spec
+    @ check_bindings spec
+    @ check_classification spec ruleset
     @ check_termination spec
-    @ check_enforcers spec)
+    @ check_enforcers spec ruleset)
 
 let parse_source src =
   let p000 kind (pos : Lexer.position) msg =

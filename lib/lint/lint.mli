@@ -1,18 +1,16 @@
 (** Static analysis of Prairie rule specifications.
 
-    The linter runs five check families over a parsed spec and returns
-    structured {!Prairie.Diagnostic.t} findings in the stable report
-    order:
+    The linter reports, over a parsed spec, in the stable report order:
 
-    - {b declaration analysis} (P001–P009): undeclared / unused
-      properties and operations, arity mismatches, duplicate
-      declarations, duplicate and shadowed rules, operators that no
-      I-rule can ever implement;
-    - {b binding analysis} (P010–P017): descriptors read before they are
-      bound, unused named descriptors, stream variables that do not line
-      up across the rewrite, unregistered helper functions, descriptor
-      names that alias implicit stream descriptors, literals assigned to
-      properties of another declared type;
+    - {b well-formedness errors}: the {!Prairie_dsl.Check} errors, exactly
+      the diagnostics {!Prairie_dsl.Elaborate.elaborate} refuses a spec
+      with (P001, P003, P005–P007, P009, P010, P012, P015, P017–P019,
+      P044), so a file with no lint error elaborates;
+    - {b declaration warnings} (P002, P004, P008): unused properties and
+      operations, rules that duplicate another rule's rewrite;
+    - {b binding warnings} (P011, P013, P014, P016): unused named
+      descriptors, dropped or twice-bound stream variables, descriptor
+      names that alias implicit stream descriptors;
     - {b classification conflicts} (P020–P023): COST properties assigned
       outside I-rule post sections or read in tests, I-rules that never
       cost their output, physical properties assigned on logical
@@ -35,8 +33,9 @@ val check_spec :
   ?helpers:Prairie.Helper_env.t ->
   Prairie_dsl.Ast.spec ->
   Prairie.Diagnostic.t list
-(** Run all check families over an already-parsed spec.  Helper-function
-    checks (P015) run only when [helpers] is given.  The result is
+(** Run all check families over an already-parsed spec; the P2V-level
+    families run on its {!Prairie_dsl.Elaborate.build} rule set.
+    Helper-function checks (P015) run only when [helpers] is given.  The result is
     deduplicated and sorted ({!Prairie.Diagnostic.normalize}); the input
     spec is never modified. *)
 
@@ -68,20 +67,12 @@ val summary : Prairie.Diagnostic.t list -> int * int * int
 (** {1 Shared spec utilities}
 
     Exposed for {!Prairie_analysis}, which analyzes the same parsed specs
-    and must agree with the linter on elaboration, source positions and
-    shape strings (the P008 / P320 split depends on both sides computing
-    identical shapes). *)
-
-val ruleset_of_spec : Prairie_dsl.Ast.spec -> Prairie.Ruleset.t
-(** Best-effort elaboration of a parsed spec into a core rule set:
-    well-formed rules only, unknown property types dropped.  Unlike
-    {!Prairie_dsl.Elaborate.elaborate} it never raises — checkers run it
-    on specs that still carry errors. *)
+    and must agree with the linter on source positions and shape strings
+    (the P008 / P320 split depends on both sides computing identical
+    shapes). *)
 
 val rule_loc : Prairie_dsl.Ast.spec -> string -> Prairie.Diagnostic.span option
 (** Source span of the named rule, when the spec records one. *)
-
-val span_of : Prairie_dsl.Ast.loc -> Prairie.Diagnostic.span option
 
 val pat_shape : Prairie.Pattern.t -> string
 (** Operator shape of a pattern with stream variables erased to ["_"] —

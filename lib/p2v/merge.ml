@@ -102,19 +102,6 @@ let rename_candidate (t : Trule.t) =
   | (Pattern.Pvar _ | Pattern.Pop _), (Pattern.Tvar _ | Pattern.Tnode _) ->
     None
 
-(* Operators used anywhere in a rule, for the "introduced only here"
-   check. *)
-let trule_ops (t : Trule.t) =
-  let rec pat_ops acc = function
-    | Pattern.Pvar _ -> acc
-    | Pattern.Pop (name, _, subs) -> List.fold_left pat_ops (name :: acc) subs
-  in
-  let rec tmpl_ops acc = function
-    | Pattern.Tvar _ -> acc
-    | Pattern.Tnode (name, _, subs) -> List.fold_left tmpl_ops (name :: acc) subs
-  in
-  tmpl_ops (pat_ops [] t.Trule.lhs) t.Trule.rhs
-
 (* [resolve_op_desc t r]: the descriptor-variable substitution that lets
    [r]'s test run before [t]'s actions.  [r]'s test may read its operator
    descriptor; in the composed rule that descriptor ([t]'s RHS root, say
@@ -484,7 +471,8 @@ let merge ?(compose = true) (ruleset : Prairie.Ruleset.t) =
                 List.exists
                   (fun (t' : Trule.t) ->
                     (not (String.equal t'.Trule.name t.Trule.name))
-                    && List.mem rn.rn_to (trule_ops t'))
+                    && List.mem_assoc rn.rn_to
+                         (Pattern.ops t'.Trule.lhs @ Pattern.tmpl_ops t'.Trule.rhs))
                   trules
               in
               if introduced_elsewhere then (ts @ [ t ], irs)

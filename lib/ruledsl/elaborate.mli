@@ -1,15 +1,23 @@
 (** Elaboration of a parsed rule-specification into a Prairie rule set.
 
-    Checks declarations (known property types, no duplicate names,
-    operator/algorithm arities respected by every rule, helper functions
-    registered) and packages everything into a {!Prairie.Ruleset.t} that
-    can be handed to the P2V pre-processor or the naive optimizer. *)
+    {!Check} decides whether a spec is well-formed; {!build} packages it
+    into a {!Prairie.Ruleset.t} that can be handed to the P2V
+    pre-processor or the naive optimizer. *)
 
-exception Elab_error of string list
+exception Elab_error of Prairie.Diagnostic.t list
+(** The {!Check.errors} of a spec that is not well-formed: the same
+    positioned diagnostics [prairiec lint] reports for it. *)
+
+val build : ?helpers:Prairie.Helper_env.t -> Ast.spec -> Prairie.Ruleset.t
+(** The rule set of a spec, checked or not: never raises.  Properties of
+    an unknown type are dropped.  [helpers] defaults to
+    {!Prairie.Helper_env.builtins}.  The checkers run it on specs that
+    may still carry errors. *)
 
 val elaborate :
   helpers:Prairie.Helper_env.t -> Ast.spec -> Prairie.Ruleset.t
-(** @raise Elab_error with every problem found. *)
+(** {!build} a spec that {!Check.errors} accepts.
+    @raise Elab_error with every error found. *)
 
 val load_string :
   helpers:Prairie.Helper_env.t -> string -> Prairie.Ruleset.t

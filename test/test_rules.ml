@@ -1,4 +1,4 @@
-(* Static validation of T-rules, I-rules and rule sets. *)
+(* T-rules, I-rules and rule sets, and the well-formedness of rule text. *)
 
 module Pattern = Prairie.Pattern
 module Action = Prairie.Action
@@ -8,51 +8,39 @@ module Ruleset = Prairie.Ruleset
 module V = Prairie_value.Value
 
 let check = Alcotest.(check bool)
-let is_error = function Error _ -> true | Ok () -> false
 let v i = Pattern.Pvar i
 let pop n d subs = Pattern.Pop (n, d, subs)
 let tv i = Pattern.Tvar (i, None)
 let tn n d subs = Pattern.Tnode (n, d, subs)
 
+(* Rule well-formedness is a property of rule text: each case adds rules
+   to a spec whose operators are declared and implemented, and the
+   validator ({!Prairie_dsl.Check}, run by lint and by elaboration) must
+   accept or reject it. *)
+let spec rules =
+  {|ruleset t; property n : INT; property cost : COST;
+    operator J(2); operator A(1); algorithm X(2); algorithm Y(1);
+    irule j_impl: J(?1, ?2) : D3 ==> X(?1, ?2) : D4 pre { D4 = D3; } post { D4.cost = 1; }
+    irule a_impl: A(?1) : D2 ==> Y(?1) : D3 pre { D3 = D2; } post { D3.cost = 1; }
+|}
+  ^ rules
+
+let rejects code rules = Support.check_rejects code (spec rules)
+
 let trule_tests =
   [
     Alcotest.test_case "valid rule passes" `Quick (fun () ->
-        let r =
-          Trule.make ~name:"ok"
-            ~lhs:(pop "J" "D3" [ v 1; v 2 ])
-            ~rhs:(tn "J" "D4" [ tv 2; tv 1 ])
-            ~post_test:[ Action.Assign_desc ("D4", Action.Desc "D3") ]
-            ()
+        let rs =
+          Prairie_dsl.Elaborate.load_string ~helpers:Prairie.Helper_env.builtins
+            (spec "trule ok: J(?1, ?2) : D3 ==> J(?2, ?1) : D4 post { D4 = D3; }")
         in
-        check "ok" true (Trule.validate r = Ok ()));
+        check "elaborates" true (Ruleset.find_trule rs "ok" <> None));
     Alcotest.test_case "RHS variable unbound by LHS" `Quick (fun () ->
-        let r =
-          Trule.make ~name:"bad"
-            ~lhs:(pop "J" "D3" [ v 1 ])
-            ~rhs:(tn "J" "D4" [ tv 7 ])
-            ()
-        in
-        check "error" true (is_error (Trule.validate r)));
+        rejects "P012" "trule bad: A(?1) : D2 ==> A(?7) : D3 post { D3 = D2; }");
     Alcotest.test_case "assignment to an LHS descriptor rejected" `Quick
-      (fun () ->
-        let r =
-          Trule.make ~name:"bad"
-            ~lhs:(pop "J" "D3" [ v 1 ])
-            ~rhs:(tn "J" "D4" [ tv 1 ])
-            ~post_test:[ Action.Assign_prop ("D3", "n", Action.int 1) ]
-            ()
-        in
-        check "error" true (is_error (Trule.validate r)));
+      (fun () -> rejects "P019" "trule bad: A(?1) : D2 ==> A(?1) : D3 post { D2.n = 1; }");
     Alcotest.test_case "read of an undefined descriptor rejected" `Quick
-      (fun () ->
-        let r =
-          Trule.make ~name:"bad"
-            ~lhs:(pop "J" "D3" [ v 1 ])
-            ~rhs:(tn "J" "D4" [ tv 1 ])
-            ~post_test:[ Action.Assign_prop ("D4", "n", Action.prop "D9" "n") ]
-            ()
-        in
-        check "error" true (is_error (Trule.validate r)));
+      (fun () -> rejects "P010" "trule bad: A(?1) : D2 ==> A(?1) : D3 post { D3.n = D9.n; }");
     Alcotest.test_case "input/output descriptor classification" `Quick (fun () ->
         let r =
           Trule.make ~name:"r"
@@ -89,30 +77,15 @@ let irule_tests =
         in
         check "null rule" true (Irule.is_null_rule r));
     Alcotest.test_case "LHS must be an operator over variables" `Quick (fun () ->
-        let nested =
-          Irule.make ~name:"bad"
-            ~lhs:(pop "A" "D" [ pop "B" "D2" [ v 1 ] ])
-            ~rhs:(tn "X" "D3" [ tv 1 ])
-            ()
-        in
-        check "nested rejected" true (is_error (Irule.validate nested)));
+        rejects "P044"
+          "irule bad: A(A(?1) : D2) : D3 ==> Y(?1) : D4 pre { D4 = D3; } post { D4.cost = 1; }");
     Alcotest.test_case "RHS must use the same variables in order" `Quick
       (fun () ->
-        let swapped =
-          Irule.make ~name:"bad"
-            ~lhs:(pop "J" "D3" [ v 1; v 2 ])
-            ~rhs:(tn "X" "D4" [ tv 2; tv 1 ])
-            ()
-        in
-        check "swapped rejected" true (is_error (Irule.validate swapped)));
+        rejects "P044"
+          "irule bad: J(?1, ?2) : D3 ==> X(?2, ?1) : D4 pre { D4 = D3; } post { D4.cost = 1; }");
     Alcotest.test_case "duplicate variables rejected" `Quick (fun () ->
-        let dup =
-          Irule.make ~name:"bad"
-            ~lhs:(pop "J" "D3" [ v 1; v 1 ])
-            ~rhs:(tn "X" "D4" [ tv 1; tv 1 ])
-            ()
-        in
-        check "dup rejected" true (is_error (Irule.validate dup)));
+        rejects "P044"
+          "irule bad: J(?1, ?1) : D3 ==> X(?1, ?1) : D4 pre { D4 = D3; } post { D4.cost = 1; }");
   ]
 
 let ruleset_tests =
@@ -128,25 +101,10 @@ let ruleset_tests =
         check "op" true (List.mem "RET" rs.Ruleset.operators);
         check "alg" true (List.mem "Scan" rs.Ruleset.algorithms));
     Alcotest.test_case "unimplementable operator flagged" `Quick (fun () ->
-        let tr =
-          Trule.make ~name:"t"
-            ~lhs:(pop "A" "D1" [ v 1 ])
-            ~rhs:(tn "B" "D2" [ tv 1 ])
-            ~post_test:[ Action.Assign_desc ("D2", Action.Desc "D1") ]
-            ()
-        in
-        let rs = Ruleset.make ~trules:[ tr ] "t" in
-        check "errors" true (match Ruleset.validate rs with Error _ -> true | Ok () -> false));
+        rejects "P009" "operator B(1); trule t: A(?1) : D2 ==> B(?1) : D3 post { D3 = D2; }");
     Alcotest.test_case "unregistered helper flagged" `Quick (fun () ->
-        let ir =
-          Irule.make ~name:"i"
-            ~lhs:(pop "RET" "D2" [ v 1 ])
-            ~rhs:(tn "Scan" "D3" [ tv 1 ])
-            ~post_opt:[ Action.Assign_prop ("D3", "cost", Action.call "mystery" []) ]
-            ()
-        in
-        let rs = Ruleset.make ~irules:[ ir ] "t" in
-        check "errors" true (match Ruleset.validate rs with Error _ -> true | Ok () -> false));
+        rejects "P015"
+          "irule i: A(?1) : D2 ==> Y(?1) : D3 pre { D3 = D2; } post { D3.cost = mystery(); }");
     Alcotest.test_case "irules_for filters by operator" `Quick (fun () ->
         let mk op name =
           Irule.make ~name
@@ -161,9 +119,10 @@ let ruleset_tests =
           Prairie_catalog.Catalog.of_files
             [ Prairie_algebra.Relational.relation ~name:"R" ~cardinality:10 [ ("a", 5) ] ]
         in
-        check "relational" true
-          (Ruleset.validate (Prairie_algebra.Relational.ruleset cat) = Ok ());
-        check "oodb" true (Ruleset.validate (Prairie_algebra.Oodb.ruleset cat) = Ok ()));
+        Alcotest.(check (list string)) "relational" []
+          (Support.rule_text_errors (Prairie_algebra.Relational.ruleset cat));
+        Alcotest.(check (list string)) "oodb" []
+          (Support.rule_text_errors (Prairie_algebra.Oodb.ruleset cat)));
     Alcotest.test_case "paper rule counts" `Quick (fun () ->
         let cat = Prairie_catalog.Catalog.empty in
         let oodb = Prairie_algebra.Oodb.ruleset cat in

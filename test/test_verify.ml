@@ -161,15 +161,22 @@ let fixture_cases =
     ("P230", inversepair true, inversepair false);
     ("P231", grow true, grow false);
     ("P000", "ruleset broken", "ruleset fine;");
-    ( "P201",
-      {|ruleset t; operator A(1);
-        trule r: A(?1) : D2 ==> A(?1) : D3 post { D3 = D2; }|},
-      propdrop false );
   ]
 
 let fixture_tests =
   Support.fixture_tests ~run:(fun src -> verify src) fixture_cases
   @ [
+      Alcotest.test_case "elaboration errors are lint's diagnostics" `Quick
+        (fun () ->
+          (* a spec that does not elaborate reports exactly lint's errors *)
+          let src =
+            {|ruleset t; operator A(1);
+              trule r: A(?1) : D2 ==> A(?1) : D3 post { D3 = D2; }|}
+          in
+          let lint_errors = D.errors (Prairie_lint.Lint.lint_string src) in
+          check "P009" true (has "P009" lint_errors);
+          check "same diagnostics" true (verify src = lint_errors);
+          check "fixed" false (has "P009" (verify (propdrop false))));
       Alcotest.test_case "counterexamples carry a reproducible witness" `Quick
         (fun () ->
           let ds = verify (propdrop true) in
