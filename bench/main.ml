@@ -506,26 +506,7 @@ let ablations () =
         (Search.stats r_on.Opt.search).Stats.pruned
         (if Float.abs (r_on.Opt.cost -. r_off.Opt.cost) < 1e-6 then "yes" else "NO!"))
     [ (W.Queries.Q1, 3); (W.Queries.Q5, 2); (W.Queries.Q7, 2) ];
-  (* 2: rule merging *)
-  S.subheader "ablation-merge: P2V rule composition on/off";
-  Printf.printf "  %-5s %12s %12s %14s %14s %10s\n" "query" "merged(ms)"
-    "unmerged(ms)" "merged groups" "unmrg groups" "same cost?";
-  List.iter
-    (fun (q, joins) ->
-      let inst = W.Queries.instance q ~joins ~seed:101 in
-      let cat = inst.W.Queries.catalog in
-      let m = Opt.oodb_prairie cat and u = Opt.oodb_prairie_unmerged cat in
-      let tm = S.time_ms (fun () -> ignore (Opt.optimize m inst.W.Queries.expr)) in
-      let tu = S.time_ms (fun () -> ignore (Opt.optimize u inst.W.Queries.expr)) in
-      let rm = Opt.optimize m inst.W.Queries.expr in
-      let ru = Opt.optimize u inst.W.Queries.expr in
-      Printf.printf "  %-5s %12.3f %12.3f %14d %14d %10s\n" (W.Queries.name q)
-        tm tu
-        (Search.group_count rm.Opt.search)
-        (Search.group_count ru.Opt.search)
-        (if Float.abs (rm.Opt.cost -. ru.Opt.cost) < 1e-6 then "yes" else "NO!"))
-    [ (W.Queries.Q1, 2); (W.Queries.Q5, 2) ];
-  (* 3: the group-budget heuristic (the paper's closing advice) *)
+  (* 2: the group-budget heuristic (the paper's closing advice) *)
   S.subheader
     "ablation-budget: capped exploration (graceful degradation) on E4";
   Printf.printf "  %-10s %14s %10s %12s\n" "budget" "time(ms)" "groups" "cost";
@@ -544,7 +525,7 @@ let ablations () =
          (Search.group_count r.Opt.search)
          r.Opt.cost)
      [ Some 30; Some 60; Some 120; None ]);
-  (* 4: memoized exploration *)
+  (* 3: memoized exploration *)
   S.subheader "ablation-memo: duplicate detection rates during exploration";
   Printf.printf "  %-5s %10s %10s %12s %10s\n" "query" "lexprs" "dups"
     "dedup rate" "merges";

@@ -1,13 +1,11 @@
 (* prairiec: the Prairie rule-specification compiler front-end.
 
    Subcommands:
-     check    parse and validate a .prairie file
      lint     static analysis: structured diagnostics with stable codes
      analyze  whole-rule-set dataflow analysis: reachability, constant
               tests, property flow, subsumption/overlap (P3xx)
      verify   semantic verification: randomized counterexample search (P2xx)
      report   run the P2V pre-processor and print the translation report
-     render   print an embedded rule set in the renderer's canonical form
      optimize run a workload query through a rule set
      trace    optimize under the span sink: the per-rule account of the
               search and its per-rule time attribution
@@ -55,35 +53,11 @@ let load_ruleset path catalog =
         (List.map (fun d -> Printf.sprintf "%s: %s" path (Diag.to_string d)) ds))
     loaded
 
-let embedded = function
-  | "relational" -> Ok (Prairie_algebra.Relational.ruleset (default_catalog ()))
-  | "oodb" -> Ok (Prairie_algebra.Oodb.ruleset (default_catalog ()))
-  | other ->
-    Error (Printf.sprintf "unknown embedded rule set %S (have: relational, oodb)" other)
-
 let file_arg =
   Arg.(
     required
     & pos 0 (some file) None
     & info [] ~docv:"FILE" ~doc:"Rule-specification file (.prairie).")
-
-(* ---------------- check ---------------- *)
-
-let check_cmd =
-  let run path =
-    match load_ruleset path (default_catalog ()) with
-    | Ok rs ->
-      Printf.printf "%s: OK (%d T-rules, %d I-rules)\n" path
-        (Prairie.Ruleset.trule_count rs)
-        (Prairie.Ruleset.irule_count rs);
-      `Ok ()
-    | Error msg ->
-      prerr_endline msg;
-      `Error (false, "validation failed")
-  in
-  Cmd.v
-    (Cmd.info "check" ~doc:"Parse and validate a rule-specification file.")
-    Term.(ret (const run $ file_arg))
 
 (* ---------------- lint, analyze, verify ---------------- *)
 
@@ -303,15 +277,10 @@ let verify_cmd =
 (* ---------------- report ---------------- *)
 
 let report_cmd =
-  let compose =
-    Arg.(
-      value & opt bool true
-      & info [ "compose" ] ~doc:"Enable rule merging/composition (§3.3).")
-  in
-  let run path compose =
+  let run path =
     match load_ruleset path (default_catalog ()) with
     | Ok rs ->
-      let tr = P2v.Translate.translate ~compose rs in
+      let tr = P2v.Translate.translate rs in
       Format.printf "%a@." P2v.Report.pp (P2v.Report.of_translation tr);
       `Ok ()
     | Error msg ->
@@ -321,36 +290,7 @@ let report_cmd =
   Cmd.v
     (Cmd.info "report"
        ~doc:"Run the P2V pre-processor and print the translation report.")
-    Term.(ret (const run $ file_arg $ compose))
-
-(* ---------------- render ---------------- *)
-
-let render_cmd =
-  let name_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"NAME"
-          ~doc:
-            "Embedded rule set: relational (rules/relational.prairie) or \
-             oodb (rules/open_oodb.prairie).")
-  in
-  let run name =
-    match embedded name with
-    | Ok rs ->
-      print_string (Dsl.Render.ruleset_to_string rs);
-      `Ok ()
-    | Error msg ->
-      prerr_endline msg;
-      `Error (false, "unknown rule set")
-  in
-  Cmd.v
-    (Cmd.info "render"
-       ~doc:
-         "Print an embedded rule set — an elaborated shipped rule file — as \
-          .prairie source in the renderer's canonical form (comments and \
-          pragmas are not kept).")
-    Term.(ret (const run $ name_arg))
+    Term.(ret (const run $ file_arg))
 
 (* ---------------- optimize and trace: the workload query ---------------- *)
 
@@ -814,12 +754,10 @@ let () =
     (Cmd.eval
        (Cmd.group info
           [
-            check_cmd;
             lint_cmd;
             analyze_cmd;
             verify_cmd;
             report_cmd;
-            render_cmd;
             optimize_cmd;
             trace_cmd;
             serve_cmd;

@@ -30,10 +30,6 @@ let oodb_prairie catalog =
   of_translation "oodb-prairie"
     (Prairie_p2v.Translate.translate (oodb_ruleset catalog))
 
-let oodb_prairie_unmerged catalog =
-  of_translation "oodb-prairie-unmerged"
-    (Prairie_p2v.Translate.translate ~compose:false (oodb_ruleset catalog))
-
 let oodb_volcano catalog =
   {
     name = "oodb-volcano";
@@ -163,8 +159,7 @@ type served = {
   budget_hit : bool;
 }
 
-let serve_metered ?pruning ?group_budget ?jobs ?cache ?metrics ?slow_log t
-    batch =
+let serve_metered ?group_budget ?jobs ?cache ?metrics ?slow_log t batch =
   (* Preparation and fingerprinting are cheap; do them sequentially so the
      batch can be deduplicated before any search is dispatched. *)
   let prepared =
@@ -198,7 +193,7 @@ let serve_metered ?pruning ?group_budget ?jobs ?cache ?metrics ?slow_log t
       to_optimize []
   in
   let optimize_one (fp, expr, required) =
-    let search = Search.create ?pruning ?group_budget t.volcano in
+    let search = Search.create ?group_budget t.volcano in
     let plan, elapsed =
       timed (fun () -> Search.optimize ~required search expr)
     in
@@ -260,12 +255,10 @@ let serve_metered ?pruning ?group_budget ?jobs ?cache ?metrics ?slow_log t
       })
     prepared
 
-let serve ?pruning ?group_budget ?jobs ?search_jobs:_ ?cache ?metrics ?slow_log
-    t batch =
+let serve ?group_budget ?jobs ?search_jobs:_ ?cache ?metrics ?slow_log t batch =
   let served, elapsed =
     timed (fun () ->
-        serve_metered ?pruning ?group_budget ?jobs ?cache ?metrics ?slow_log t
-          batch)
+        serve_metered ?group_budget ?jobs ?cache ?metrics ?slow_log t batch)
   in
   (match metrics with
   | None -> ()

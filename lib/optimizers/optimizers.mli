@@ -25,10 +25,6 @@ val oodb_prairie : Prairie_catalog.Catalog.t -> t
 val oodb_volcano : Prairie_catalog.Catalog.t -> t
 (** The hand-coded Volcano rule set ("Volcano" in the same figures). *)
 
-val oodb_prairie_unmerged : Prairie_catalog.Catalog.t -> t
-(** P2V translation with rule composition disabled — the [ablation-merge]
-    configuration. *)
-
 val relational : Prairie_catalog.Catalog.t -> t
 (** The §2 relational optimizer, via P2V. *)
 
@@ -91,7 +87,6 @@ type served = {
 }
 
 val serve :
-  ?pruning:bool ->
   ?group_budget:int ->
   ?jobs:int ->
   ?search_jobs:int ->

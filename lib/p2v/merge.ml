@@ -278,15 +278,14 @@ let compose_rules ~(warn : ?rule:string -> code:string -> string -> unit)
              ~name:(t.Trule.name ^ "+" ^ r.Irule.name)
              ~lhs:t.Trule.lhs ~rhs ~test ~pre_opt ~post_opt ())
 
-(* When composition is disabled (the ablation configuration), a rename
-   T-rule that pushes requirements — e.g. the stripped
-   [JOIN ==> JOPR(?1:D4, ?2:D5)] — is kept as a trans rule, but Volcano
-   trans rules operate on logical expressions and cannot request physical
-   properties of streams.  The requirement statements are therefore moved
-   into every I-rule of the introduced operator: its inputs become
-   re-descriptored and the T-rule's requirement computations are prepended
-   to its pre-opt section (with the T-rule's descriptor variables renamed
-   into the I-rule's frame). *)
+(* A rename T-rule that is not composed away — e.g. the stripped
+   [JOIN ==> JOPR(?1:D4, ?2:D5)] when another rule also introduces JOPR —
+   is kept as a trans rule, but Volcano trans rules operate on logical
+   expressions and cannot request physical properties of streams.  The
+   requirement statements are therefore moved into every I-rule of the
+   introduced operator: its inputs become re-descriptored and the T-rule's
+   requirement computations are prepended to its pre-opt section (with the
+   T-rule's descriptor variables renamed into the I-rule's frame). *)
 let attach_requirements ~(warn : ?rule:string -> code:string -> string -> unit)
     (rn : rename) (r : Irule.t) : Irule.t option =
   if rn.rn_redescs = [] then Some r
@@ -391,7 +390,7 @@ let attach_requirements ~(warn : ?rule:string -> code:string -> string -> unit)
 (* Driver                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let merge ?(compose = true) (ruleset : Prairie.Ruleset.t) =
+let merge (ruleset : Prairie.Ruleset.t) =
   let warnings = ref [] in
   let warn ?rule ~code m =
     warnings := Diagnostic.warning ?rule ~code m :: !warnings
@@ -424,85 +423,71 @@ let merge ?(compose = true) (ruleset : Prairie.Ruleset.t) =
         })
       ruleset.Prairie.Ruleset.trules
   in
-  (* 3. Composition of rename rules with the introduced operator's
-        I-rules. *)
+  (* 3. Rename rules.  A self-rename is dropped.  A rename whose introduced
+        operator no other rule mentions is composed with every I-rule of
+        that operator when all of them compose; any other rename stays a
+        trans rule and its stream requirements move onto the introduced
+        operator's I-rules. *)
   let composed = ref [] in
   let dropped_ops = ref (List.map (fun i -> i.Enforcers.operator) infos) in
+  let keep (ts, irs) (rn : rename) =
+    let attach (r : Irule.t) =
+      if String.equal (Irule.operator r) rn.rn_to then
+        Option.value (attach_requirements ~warn rn r) ~default:r
+      else r
+    in
+    (ts @ [ rn.rn_rule ], List.map attach irs)
+  in
   let trules, irules =
-    if not compose then
-      (* keep the rename rules, but their stream requirements must still
-         move into the introduced operators' I-rules — Volcano cannot
-         express them on trans rules *)
-      let irules =
-        List.fold_left
-          (fun irs (t : Trule.t) ->
-            match rename_candidate t with
-            | Some rn when rn.rn_redescs <> [] ->
-              List.map
+    List.fold_left
+      (fun (ts, irs) (t : Trule.t) ->
+        match rename_candidate t with
+        | None -> (ts @ [ t ], irs)
+        | Some rn when String.equal rn.rn_from rn.rn_to ->
+          (* pure idempotence: JOIN ==> JOIN; drop the rule *)
+          if rn.rn_redescs <> [] then
+            warn ~rule:t.Trule.name ~code:"P105"
+              (Printf.sprintf
+                 "rule %s renames %s to itself but pushes requirements; \
+                  dropping it anyway"
+                 t.Trule.name rn.rn_from);
+          (ts, irs)
+        | Some rn ->
+          let introduced_elsewhere =
+            List.exists
+              (fun (t' : Trule.t) ->
+                (not (String.equal t'.Trule.name t.Trule.name))
+                && List.mem_assoc rn.rn_to
+                     (Pattern.ops t'.Trule.lhs @ Pattern.tmpl_ops t'.Trule.rhs))
+              trules
+          in
+          let to_compose, others =
+            List.partition
+              (fun (r : Irule.t) -> String.equal (Irule.operator r) rn.rn_to)
+              irs
+          in
+          if introduced_elsewhere || to_compose = [] then keep (ts, irs) rn
+          else
+            let merged =
+              List.filter_map
                 (fun (r : Irule.t) ->
-                  if String.equal (Irule.operator r) rn.rn_to then
-                    match attach_requirements ~warn rn r with
-                    | Some r' -> r'
-                    | None -> r
-                  else r)
-                irs
-            | Some _ | None -> irs)
-          irules trules
-      in
-      (trules, irules)
-    else
-      List.fold_left
-        (fun (ts, irs) (t : Trule.t) ->
-          match rename_candidate t with
-          | None -> (ts @ [ t ], irs)
-          | Some rn ->
-            if String.equal rn.rn_from rn.rn_to then begin
-              (* pure idempotence: JOIN ==> JOIN; drop the rule *)
-              if rn.rn_redescs <> [] then
-                warn ~rule:t.Trule.name ~code:"P105"
-                  (Printf.sprintf
-                     "rule %s renames %s to itself but pushes requirements; \
-                      dropping it anyway"
-                     t.Trule.name rn.rn_from);
-              (ts, irs)
-            end
-            else
-              let introduced_elsewhere =
-                List.exists
-                  (fun (t' : Trule.t) ->
-                    (not (String.equal t'.Trule.name t.Trule.name))
-                    && List.mem_assoc rn.rn_to
-                         (Pattern.ops t'.Trule.lhs @ Pattern.tmpl_ops t'.Trule.rhs))
-                  trules
-              in
-              if introduced_elsewhere then (ts @ [ t ], irs)
-              else
-                let to_compose, others =
-                  List.partition
-                    (fun (r : Irule.t) ->
-                      String.equal (Irule.operator r) rn.rn_to)
-                    irs
-                in
-                if to_compose = [] then (ts @ [ t ], irs)
-                else
-                  let merged_rules =
-                    List.filter_map
-                      (fun r ->
-                        match compose_rules ~warn rn r with
-                        | Some m ->
-                          composed := (t.Trule.name, r.Irule.name) :: !composed;
-                          Some m
-                        | None -> None)
-                      to_compose
-                  in
-                  if List.length merged_rules <> List.length to_compose then
-                    (* partial failure: keep everything unmerged *)
-                    (ts @ [ t ], irs)
-                  else begin
-                    dropped_ops := rn.rn_to :: !dropped_ops;
-                    (ts, others @ merged_rules)
-                  end)
-        ([], irules) trules
+                  Option.map
+                    (fun m -> (r.Irule.name, m))
+                    (compose_rules ~warn rn r))
+                to_compose
+            in
+            if List.length merged <> List.length to_compose then
+              (* partial failure: compose none of them *)
+              keep (ts, irs) rn
+            else begin
+              dropped_ops := rn.rn_to :: !dropped_ops;
+              composed :=
+                List.rev_append
+                  (List.map (fun (name, _) -> (t.Trule.name, name)) merged)
+                  !composed;
+              (ts, others @ List.map snd merged)
+            end)
+      ([], irules) trules
   in
   {
     source = ruleset;

@@ -15,6 +15,11 @@
     {v JOIN(?1,?2):D3 ==> Merge_join(?1:D4, ?2:D5):D6' v}
 
     and both the renaming T-rule and the introduced operator disappear.
+    A renaming that cannot be composed — another rule also introduces its
+    operator, or one of the operator's I-rules does not compose (P103,
+    P104) — stays a trans rule, and its stream requirements move onto the
+    introduced operator's I-rules instead (P106 when an I-rule already
+    re-descriptors its inputs).
     The paper's arithmetic follows: #T-rules = #trans_rules + one
     enforcer-introduction T-rule per operator, and #I-rules = #impl_rules +
     one Null rule per enforcer-operator + one rule per enforcer-algorithm. *)
@@ -29,15 +34,15 @@ type result = {
   dropped_operators : string list;
       (** enforcer-operators and composed-away introduced operators *)
   composed : (string * string) list;
-      (** (T-rule, I-rule) pairs that were merged *)
+      (** (T-rule, I-rule) pairs that were merged; a renaming that was kept
+          contributes none *)
   warnings : Prairie.Diagnostic.t list;
       (** translation findings (codes P101–P106), deduplicated and in the
           stable {!Prairie.Diagnostic.compare} order *)
 }
 
-val merge : ?compose:bool -> Prairie.Ruleset.t -> result
-(** Run enforcer deletion and (unless [compose:false], the
-    [ablation-merge] configuration) rename-rule composition. *)
+val merge : Prairie.Ruleset.t -> result
+(** Run enforcer deletion and rename-rule composition. *)
 
 val trans_rule_count : result -> int
 val impl_rule_count : result -> int

@@ -129,8 +129,8 @@ let enforcer_of_irule helpers ~enforced (r : Irule.t) : Rule.enforcer =
         Binding.desc (post (pre (binding_of_denv descs))) alg_d);
   }
 
-let translate ?compose (ruleset : Prairie.Ruleset.t) =
-  let merge = Merge.merge ?compose ruleset in
+let translate (ruleset : Prairie.Ruleset.t) =
+  let merge = Merge.merge ruleset in
   let classification = Classify.classify ruleset in
   let helpers = ruleset.Prairie.Ruleset.helpers in
   let physical = classification.Classify.physical in

@@ -20,9 +20,9 @@ type t = {
           search agree exactly *)
 }
 
-val translate : ?compose:bool -> Prairie.Ruleset.t -> t
-(** Run the full pipeline: enforcer detection → rule merging (unless
-    [compose:false]) → property classification → code generation. *)
+val translate : Prairie.Ruleset.t -> t
+(** Run the full pipeline: enforcer detection → rule merging → property
+    classification → code generation. *)
 
 val prepare_query : t -> Prairie.Expr.t -> Prairie.Expr.t * Prairie.Descriptor.t
 (** Enforcer-operators do not exist on the Volcano side, so a query tree

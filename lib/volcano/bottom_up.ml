@@ -113,7 +113,7 @@ let optimize_in ctx g0 ~required =
         (fun req ->
           let best = ref None in
           let consider plan cost =
-            if rules.Rule.rs_satisfies ~required:req ~actual:(Plan.descriptor plan)
+            if Rule.default_satisfies ~required:req ~actual:(Plan.descriptor plan)
             then
               match !best with
               | Some (_, c) when c <= cost -> ()

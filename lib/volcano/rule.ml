@@ -63,7 +63,6 @@ type ruleset = {
           appear in every bucket.  Read through {!trans_rules_for}. *)
   rs_match_wildcard : (int * trans_rule) list;
       (** trans rules whose LHS root is a bare stream variable *)
-  rs_satisfies : required:Descriptor.t -> actual:Descriptor.t -> bool;
 }
 
 let default_satisfies ~required ~actual =
@@ -77,7 +76,7 @@ let default_satisfies ~required ~actual =
     (Descriptor.to_list required)
 
 let make_ruleset ?(trans = []) ?(impl = []) ?(enforcers = [])
-    ?(physical = [ "tuple_order" ]) ?(satisfies = default_satisfies) name =
+    ?(physical = [ "tuple_order" ]) name =
   let impl_index = Hashtbl.create 16 in
   (* reversed-accumulator grouping keeps each bucket in [impl] order *)
   List.iter
@@ -121,7 +120,6 @@ let make_ruleset ?(trans = []) ?(impl = []) ?(enforcers = [])
     rs_impl_index = impl_index;
     rs_match_index = match_index;
     rs_match_wildcard = wildcard;
-    rs_satisfies = satisfies;
   }
 
 let impl_rules_for rs op =

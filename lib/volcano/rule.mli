@@ -94,15 +94,12 @@ type ruleset = {
       (** trans rules whose LHS root is a bare stream variable (they match
           any node — including the stored-file case, where the engine
           rejects them with the same [Invalid_argument] either way) *)
-  rs_satisfies :
-    required:Prairie.Descriptor.t -> actual:Prairie.Descriptor.t -> bool;
-      (** does an achieved physical-property vector satisfy a required
-          one? *)
 }
 
 val default_satisfies :
   required:Prairie.Descriptor.t -> actual:Prairie.Descriptor.t -> bool
-(** Per-property check: [tuple_order] via {!Prairie_value.Order.satisfies},
+(** Does an achieved physical-property vector satisfy a required one?
+    Per-property check: [tuple_order] via {!Prairie_value.Order.satisfies},
     anything else by equality.  Properties absent from [required] are
     unconstrained. *)
 
@@ -111,8 +108,6 @@ val make_ruleset :
   ?impl:impl_rule list ->
   ?enforcers:enforcer list ->
   ?physical:string list ->
-  ?satisfies:
-    (required:Prairie.Descriptor.t -> actual:Prairie.Descriptor.t -> bool) ->
   string ->
   ruleset
 

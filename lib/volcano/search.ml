@@ -2,8 +2,6 @@ module Descriptor = Prairie.Descriptor
 module Pattern = Prairie.Pattern
 module Span = Prairie_obs.Span
 
-type exploration = [ `Worklist | `Rescan ]
-
 type t = {
   memo : Memo.t;
   rules : Rule.ruleset;
@@ -13,13 +11,11 @@ type t = {
   st : Stats.t;
   pruning : bool;
   group_budget : int option;
-  exploration : exploration;
   mutable budget_hit : bool;
   spans : Span.t option;
 }
 
-let create ?(pruning = true) ?group_budget ?(exploration = `Worklist) ?spans
-    rules =
+let create ?(pruning = true) ?group_budget ?spans rules =
   let st = Stats.create () in
   {
     memo = Memo.create ~stats:st ?spans ();
@@ -28,7 +24,6 @@ let create ?(pruning = true) ?group_budget ?(exploration = `Worklist) ?spans
     st;
     pruning;
     group_budget;
-    exploration;
     budget_hit = false;
     spans;
   }
@@ -110,38 +105,28 @@ let gtree_of_tmpl (tmpl : Pattern.tmpl) streams descs =
    member list and processes only the members not seen by a previous round,
    so a round costs O(new members × rules) instead of O(all members ×
    rules).  Merges fold the dead group's members into the snapshot of the
-   next round.  Because the per-(lexpr, rule) [rule_tried] guard is what
-   actually gates rule application — and it is maintained identically — the
-   worklist applies exactly the same rules in exactly the same order as the
-   legacy whole-group rescan ([`Rescan], kept for differential testing). *)
+   next round.  The per-(lexpr, rule) [rule_tried] guard is what gates rule
+   application, so at the fixpoint every member has tried every candidate
+   rule (the test suite checks this saturation over the public [Memo] API). *)
 let rec explore ctx parent gid =
   let g = Memo.canonical ctx.memo gid in
   if Memo.is_explored ctx.memo g || Memo.is_exploring ctx.memo g then ()
   else begin
     let sp = Span.enter_opt ctx.spans ~parent Span.Explore in
     Memo.set_exploring ctx.memo g true;
-    let processed =
-      match ctx.exploration with
-      | `Worklist -> Some (Hashtbl.create 32)
-      | `Rescan -> None
-    in
+    let seen = Hashtbl.create 32 in
     let changed = ref true in
     while !changed && not (budget_exhausted ctx ~span:sp) do
       changed := false;
       let merges_before = ctx.st.Stats.groups_merged in
       let members =
-        match processed with
-        | None -> Memo.lexprs ctx.memo g
-        | Some seen ->
-          List.filter
-            (fun (le : Memo.lexpr) -> not (Hashtbl.mem seen le.Memo.id))
-            (Memo.lexprs ctx.memo g)
+        List.filter
+          (fun (le : Memo.lexpr) -> not (Hashtbl.mem seen le.Memo.id))
+          (Memo.lexprs ctx.memo g)
       in
       List.iter
         (fun (le : Memo.lexpr) ->
-          (match processed with
-          | Some seen -> Hashtbl.replace seen le.Memo.id ()
-          | None -> ());
+          Hashtbl.replace seen le.Memo.id ();
           apply_trans_rules ctx sp g le ~changed)
         members;
       if ctx.st.Stats.groups_merged > merges_before then changed := true
@@ -263,7 +248,7 @@ and search_group ctx g ~req ~limit ~parent =
     else match !best with None -> limit | Some (_, c) -> Float.min limit c
   in
   let consider ~span plan cost =
-    if ctx.rules.Rule.rs_satisfies ~required:req ~actual:(Plan.descriptor plan)
+    if Rule.default_satisfies ~required:req ~actual:(Plan.descriptor plan)
     then
       match !best with
       | Some (_, c) when c <= cost -> ()

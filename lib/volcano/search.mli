@@ -12,19 +12,9 @@
 
 type t
 
-type exploration = [ `Worklist | `Rescan ]
-(** How {!explore_group} drives its fixpoint.  [`Worklist] (the default)
-    revisits only members inserted since the last round; [`Rescan] is the
-    legacy whole-group rescan, kept as a differential-testing oracle.  Both
-    apply the same rules to the same lexprs in the same order — the
-    per-(lexpr, rule) tried-guard gates applications identically — so
-    memos, plans and costs are bit-for-bit equal; only the iteration cost
-    differs. *)
-
 val create :
   ?pruning:bool ->
   ?group_budget:int ->
-  ?exploration:exploration ->
   ?spans:Prairie_obs.Span.t ->
   Rule.ruleset ->
   t

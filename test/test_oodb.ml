@@ -40,42 +40,27 @@ let equivalence_tests =
         [ 1; 2 ])
     W.Queries.all
 
+(* The P2V-generated optimizer finds the exhaustive oracle's cost. *)
+let oracle_case name q seeds =
+  Alcotest.test_case name `Slow (fun () ->
+      List.iter
+        (fun seed ->
+          let inst = W.Queries.instance q ~joins:1 ~seed in
+          let cat = inst.W.Queries.catalog in
+          let ruleset = Opt.oodb_ruleset cat in
+          let naive =
+            Option.get (Naive.best_plan ruleset ~required:D.empty inst.W.Queries.expr)
+          in
+          let r = Opt.optimize (Opt.oodb_prairie cat) inst.W.Queries.expr in
+          Alcotest.(check (float 1e-6)) "cost" naive.Naive.cost r.Opt.cost)
+        seeds)
+
 let oracle_tests =
   [
-    Alcotest.test_case "oracle agreement on E1 (1 join)" `Slow (fun () ->
-        List.iter
-          (fun seed ->
-            let inst = W.Queries.instance W.Queries.Q1 ~joins:1 ~seed in
-            let cat = inst.W.Queries.catalog in
-            let ruleset = Opt.oodb_ruleset cat in
-            let naive =
-              Option.get (Naive.best_plan ruleset ~required:D.empty inst.W.Queries.expr)
-            in
-            let r = Opt.optimize (Opt.oodb_prairie cat) inst.W.Queries.expr in
-            Alcotest.(check (float 1e-6)) "cost" naive.Naive.cost r.Opt.cost)
-          [ 5; 6; 7 ]);
-    Alcotest.test_case "oracle agreement on E3 (1 join, with index)" `Slow
-      (fun () ->
-        List.iter
-          (fun seed ->
-            let inst = W.Queries.instance W.Queries.Q6 ~joins:1 ~seed in
-            let cat = inst.W.Queries.catalog in
-            let ruleset = Opt.oodb_ruleset cat in
-            let naive =
-              Option.get (Naive.best_plan ruleset ~required:D.empty inst.W.Queries.expr)
-            in
-            let r = Opt.optimize (Opt.oodb_prairie cat) inst.W.Queries.expr in
-            Alcotest.(check (float 1e-6)) "cost" naive.Naive.cost r.Opt.cost)
-          [ 5; 9 ]);
-    Alcotest.test_case "oracle agreement on E2 (1 join, MAT)" `Slow (fun () ->
-        let inst = W.Queries.instance W.Queries.Q3 ~joins:1 ~seed:13 in
-        let cat = inst.W.Queries.catalog in
-        let ruleset = Opt.oodb_ruleset cat in
-        let naive =
-          Option.get (Naive.best_plan ruleset ~required:D.empty inst.W.Queries.expr)
-        in
-        let r = Opt.optimize (Opt.oodb_prairie cat) inst.W.Queries.expr in
-        Alcotest.(check (float 1e-6)) "cost" naive.Naive.cost r.Opt.cost);
+    oracle_case "oracle agreement on E1 (1 join)" W.Queries.Q1 [ 5; 6; 7 ];
+    oracle_case "oracle agreement on E3 (1 join, with index)" W.Queries.Q6 [ 5; 9 ];
+    oracle_case "oracle agreement on E2 (1 join, MAT)" W.Queries.Q3 [ 13 ];
+    oracle_case "Q5 oracle agreement (E3, 1 join)" W.Queries.Q5 [ 4 ];
   ]
 
 let structure_tests =
@@ -142,13 +127,6 @@ let structure_tests =
         and g7 = groups W.Queries.Q7 in
         check "E1 < E2" true (g1 < g3);
         check "E2 < E4" true (g3 < g7));
-    Alcotest.test_case "unmerged rule set agrees with the merged one" `Quick
-      (fun () ->
-        let inst = W.Queries.instance W.Queries.Q5 ~joins:2 ~seed:4 in
-        let cat = inst.W.Queries.catalog in
-        let merged = Opt.optimize (Opt.oodb_prairie cat) inst.W.Queries.expr in
-        let unmerged = Opt.optimize (Opt.oodb_prairie_unmerged cat) inst.W.Queries.expr in
-        Alcotest.(check (float 1e-6)) "same cost" merged.Opt.cost unmerged.Opt.cost);
     Alcotest.test_case "pruning ablation agrees but prunes" `Quick (fun () ->
         let inst = W.Queries.instance W.Queries.Q7 ~joins:2 ~seed:5 in
         let cat = inst.W.Queries.catalog in

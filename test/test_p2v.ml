@@ -24,6 +24,33 @@ let catalog =
 
 let rel = Rel.ruleset catalog
 let oodb = Oodb.ruleset catalog
+let eq_pred a b = Prairie_value.Predicate.(Cmp (Eq, T_attr a, T_attr b))
+
+(* The best cost the P2V-translated rule set finds, and the exhaustive
+   oracle's; infinity when there is no plan. *)
+let volcano_cost rs q =
+  let tr = P2v.Translate.translate rs in
+  let ctx = Prairie_volcano.Search.create tr.P2v.Translate.volcano in
+  match Prairie_volcano.Search.optimize ctx q with
+  | Some p -> Prairie_volcano.Plan.cost p
+  | None -> infinity
+
+let naive_cost rs q =
+  match Prairie.Naive.best_plan rs ~required:D.empty q with
+  | Some r -> r.Prairie.Naive.cost
+  | None -> infinity
+
+(* The cram test's renaming fixtures: rules/relational.prairie edited so
+   that sort_intro_merge_join cannot be composed away. *)
+let fixture ?(catalog = catalog) name =
+  Prairie_dsl.Elaborate.load_string
+    ~helpers:(Prairie_algebra.Helpers.env catalog)
+    (Support.read_file ("cli.t/" ^ name))
+
+let jopr_rules (m : P2v.Merge.result) =
+  List.filter
+    (fun (r : Irule.t) -> String.equal (Irule.operator r) "JOPR")
+    m.P2v.Merge.impl_irules
 
 let enforcer_tests =
   [
@@ -97,22 +124,30 @@ let merge_tests =
           (Support.rule_text_errors
              (Prairie.Ruleset.make ~properties:rel.Prairie.Ruleset.properties
                 ~irules:[ merged ] ~helpers:rel.Prairie.Ruleset.helpers "merged")));
-    Alcotest.test_case "compose:false keeps the introduced operator" `Quick
+    Alcotest.test_case "an uncomposed rename attaches its requirements" `Quick
       (fun () ->
-        let m = P2v.Merge.merge ~compose:false rel in
-        check_int "all 5 trans rules kept" 5 (P2v.Merge.trans_rule_count m);
-        check "JOPR impl rule survives" true
+        let m = P2v.Merge.merge (fixture "rename_partial.prairie") in
+        check "P104 explains the fallback" true
           (List.exists
-             (fun (r : Irule.t) -> String.equal (Irule.operator r) "JOPR")
-             m.P2v.Merge.impl_irules);
-        (* the T-rule's sort requirements moved onto the JOPR impl rule *)
-        let jopr =
-          List.find
-            (fun (r : Irule.t) -> String.equal (Irule.operator r) "JOPR")
-            m.P2v.Merge.impl_irules
-        in
-        check_int "requirements attached" 2
-          (List.length (Irule.redescriptored_inputs jopr)));
+             (fun (d : Prairie.Diagnostic.t) -> d.Prairie.Diagnostic.code = "P104")
+             m.P2v.Merge.warnings);
+        check "nothing composed" true (m.P2v.Merge.composed = []);
+        check "the renaming stays a trans rule" true
+          (List.exists
+             (fun (t : Prairie.Trule.t) ->
+               t.Prairie.Trule.name = "sort_intro_merge_join")
+             m.P2v.Merge.trans_trules);
+        check "JOPR is not dropped" false
+          (List.mem "JOPR" m.P2v.Merge.dropped_operators);
+        (* the T-rule's sort requirements moved onto both JOPR impl rules *)
+        Alcotest.(check (list string))
+          "JOPR impl rules" [ "jopr_merge_join"; "jopr_nested_loops" ]
+          (List.map (fun (r : Irule.t) -> r.Irule.name) (jopr_rules m));
+        List.iter
+          (fun (r : Irule.t) ->
+            check_int (r.Irule.name ^ ": requirements attached") 2
+              (List.length (Irule.redescriptored_inputs r)))
+          (jopr_rules m));
   ]
 
 let compose_fallback_tests =
@@ -175,29 +210,49 @@ let compose_fallback_tests =
              (fun (t : Prairie.Trule.t) ->
                t.Prairie.Trule.name = "sort_intro_merge_join")
              m.P2v.Merge.trans_trules);
-        check "JOPR rule kept" true
-          (List.exists
-             (fun (r : Prairie.Irule.t) -> Irule.operator r = "JOPR")
-             m.P2v.Merge.impl_irules);
-        (* and the unmerged translation still optimizes correctly *)
+        (match jopr_rules m with
+        | [ jopr ] ->
+          check_int "requirements attached" 2
+            (List.length (Irule.redescriptored_inputs jopr))
+        | rules -> Alcotest.failf "%d JOPR rules kept" (List.length rules));
+        (* and the unmerged translation finds the oracle's best plan *)
         let q =
           Rel.join catalog
-            ~pred:
-              (Prairie_value.Predicate.Cmp
-                 ( Prairie_value.Predicate.Eq,
-                   Prairie_value.Predicate.T_attr (attr "R1" "a"),
-                   Prairie_value.Predicate.T_attr (attr "R2" "a") ))
+            ~pred:(eq_pred (attr "R1" "a") (attr "R2" "a"))
             (Rel.ret catalog "R1") (Rel.ret catalog "R2")
         in
-        let run rs' =
-          let tr = P2v.Translate.translate rs' in
-          let ctx = Prairie_volcano.Search.create tr.P2v.Translate.volcano in
-          match Prairie_volcano.Search.optimize ctx q with
-          | Some p -> Prairie_volcano.Plan.cost p
-          | None -> infinity
-        in
-        check "still finds a plan" true (Float.is_finite (run rs)));
+        Alcotest.(check (float 1e-6))
+          "volcano cost = naive cost" (naive_cost rs q) (volcano_cost rs q));
   ]
+  @ List.map
+      (fun (file, what) ->
+        Alcotest.test_case what `Quick (fun () ->
+            (* verify's P220 witness shape: a 3-way equijoin *)
+            let catalog =
+              Catalog.of_files
+                [
+                  Rel.relation ~name:"C1" ~cardinality:8 [ ("a", 3); ("b", 2) ];
+                  Rel.relation ~name:"C2" ~cardinality:8 [ ("a", 1) ];
+                  Rel.relation ~name:"C3" ~cardinality:3 [ ("b", 2) ];
+                ]
+            in
+            let rs = fixture ~catalog file in
+            let q =
+              Rel.join catalog
+                ~pred:(eq_pred (attr "C1" "b") (attr "C3" "b"))
+                (Rel.join catalog
+                   ~pred:(eq_pred (attr "C1" "a") (attr "C2" "a"))
+                   (Rel.ret catalog "C1") (Rel.ret catalog "C2"))
+                (Rel.ret catalog "C3")
+            in
+            Alcotest.(check (float 1e-6))
+              "volcano cost = naive cost" (naive_cost rs q) (volcano_cost rs q)))
+      [
+        ( "rename_partial.prairie",
+          "a partly composable rename keeps its sort requirements" );
+        ( "rename_elsewhere.prairie",
+          "a rename introduced elsewhere keeps its sort requirements" );
+      ]
 
 let translate_tests =
   [
@@ -262,7 +317,7 @@ let translate_tests =
           || report.P2v.Report.prairie_spec_size > 0));
   ]
 
-(* merged and unmerged rule sets must be semantically equivalent *)
+(* the composed rule set finds the exhaustive oracle's best plans *)
 let merge_equivalence_tests =
   [
     QCheck_alcotest.to_alcotest
@@ -284,22 +339,10 @@ let merge_equivalence_tests =
            let rel = Rel.ruleset catalog in
            let q =
              Rel.join catalog
-               ~pred:
-                 (Prairie_value.Predicate.Cmp
-                    ( Prairie_value.Predicate.Eq,
-                      Prairie_value.Predicate.T_attr (attr "R1" "a"),
-                      Prairie_value.Predicate.T_attr (attr "R2" "a") ))
+               ~pred:(eq_pred (attr "R1" "a") (attr "R2" "a"))
                (Rel.ret catalog "R1") (Rel.ret catalog "R2")
            in
-           let run tr =
-             let ctx = Prairie_volcano.Search.create tr.P2v.Translate.volcano in
-             match Prairie_volcano.Search.optimize ctx q with
-             | Some p -> Prairie_volcano.Plan.cost p
-             | None -> infinity
-           in
-           let merged = run (P2v.Translate.translate rel) in
-           let unmerged = run (P2v.Translate.translate ~compose:false rel) in
-           Float.abs (merged -. unmerged) < 1e-6));
+           Float.abs (volcano_cost rel q -. naive_cost rel q) < 1e-6));
   ]
 
 let suites =
