@@ -17,9 +17,8 @@
 
     The rules are written once, in [rules/distributed.prairie]: the library
     embeds that file at build time and parses it when it is initialized.
-    Its T-rules — join commutativity and associativity plus the
-    SHIP-introduction rules — are [Genrules.trules Genrules.distributed_spec]
-    rendered to text. *)
+    Its T-rules are join commutativity and associativity plus the
+    SHIP-introduction rules. *)
 
 val ruleset : Prairie_catalog.Catalog.t -> Prairie.Ruleset.t
 (** The elaborated [rules/distributed.prairie], with the helper functions

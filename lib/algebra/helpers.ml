@@ -113,11 +113,6 @@ let get_float name = function
   | Value.Int i -> float_of_int i
   | v -> err name ("expected float, got " ^ Value.to_repr v)
 
-let get_order name = function
-  | Value.Order o -> o
-  | Value.Null -> Order.Any
-  | v -> err name ("expected order, got " ^ Value.to_repr v)
-
 let a1 name f = function
   | [ x ] -> f x
   | args -> err name (Printf.sprintf "expected 1 argument, got %d" (List.length args))
@@ -358,9 +353,4 @@ let env catalog =
                     ~input_cost:(get_float "cost_ship" c)
                     ~card:(get_int "cost_ship" n)
                     ~tuple_size:(get_int "cost_ship" size))) );
-         ( "order_union",
-           a2 "order_union" (fun a b ->
-               match (get_order "order_union" a, get_order "order_union" b) with
-               | Order.Any, o | o, Order.Any -> Order o
-               | o, _ -> Order o) );
        ]

@@ -25,8 +25,6 @@ let mat_deref = "Mat_deref"
 let unnest_scan = "Unnest_scan"
 let hash_agg = "Hash_agg"
 let sort_agg = "Sort_agg"
-let ship_alg = "Ship"
-let null_alg = Prairie.Irule.null_algorithm
 
 (* descriptor properties *)
 let p_attributes = "attributes"

@@ -41,10 +41,6 @@ let assigned_descriptor = function
   | Assign_desc (d, _) -> d
   | Assign_prop (d, _, _) -> d
 
-let assigned_property = function
-  | Assign_desc _ -> None
-  | Assign_prop (_, p, _) -> Some p
-
 let rec read_descs_acc acc = function
   | Const _ -> acc
   | Desc d | Prop (d, _) -> if List.mem d acc then acc else d :: acc

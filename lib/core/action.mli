@@ -51,9 +51,6 @@ val ( =/= ) : expr -> expr -> expr
 val assigned_descriptor : stmt -> string
 (** The descriptor variable a statement writes to. *)
 
-val assigned_property : stmt -> string option
-(** [Some p] for property assignments, [None] for whole-descriptor copies. *)
-
 val read_descriptors : expr -> string list
 (** Descriptor variables read by an expression (sorted, deduplicated). *)
 

@@ -92,17 +92,30 @@ let begin_irule helpers (rule : Irule.t) expr =
       Some { rule; binding = b }
     else None
 
-let app_rule t = t.rule
+let pose expr d =
+  match expr with
+  | Expr.Node _ -> Some (Expr.with_descriptor expr d)
+  | Expr.Stored (_, own) ->
+    let meets (p, v) =
+      let actual = Descriptor.get own p in
+      match v with
+      | Value.Order required ->
+        Prairie_value.Order.satisfies ~required ~actual:(Value.to_order actual)
+      | _ -> Value.equal v actual
+    in
+    if List.for_all meets (Descriptor.to_list d) then Some expr else None
 
 let input_requirements t =
   let redescs = Irule.redescriptored_inputs t.rule in
-  List.map
-    (fun i ->
-      let sub = Binding.stream t.binding i in
-      match List.assoc_opt i redescs with
-      | Some dvar -> (i, Expr.with_descriptor sub (Binding.desc t.binding dvar))
-      | None -> (i, sub))
-    (Pattern.vars t.rule.lhs)
+  let input i =
+    let sub = Binding.stream t.binding i in
+    match List.assoc_opt i redescs with
+    | None -> Some (i, sub)
+    | Some dvar ->
+      Option.map (fun sub -> (i, sub)) (pose sub (Binding.desc t.binding dvar))
+  in
+  let reqs = List.map input (Pattern.vars t.rule.lhs) in
+  if List.mem None reqs then None else Some (List.filter_map Fun.id reqs)
 
 let finish_irule helpers t ~optimized_inputs =
   let redescs = Irule.redescriptored_inputs t.rule in

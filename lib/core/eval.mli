@@ -49,14 +49,21 @@ val begin_irule : Helper_env.t -> Irule.t -> Expr.t -> irule_app option
 (** Match the LHS against an operator node, evaluate the test, and run the
     pre-opt statements. *)
 
-val app_rule : irule_app -> Irule.t
+val pose : Expr.t -> Descriptor.t -> Expr.t option
+(** [pose e d] is the sub-problem "[e] under root descriptor [d]".  An
+    operator tree takes [d] as its root descriptor.  A stored file is not
+    a stream: no algorithm changes what it delivers, so it is posed as
+    itself, and only when its own descriptor meets every property of [d]
+    (an order by {!Prairie_value.Order.satisfies}, any other value by
+    equality); otherwise [None]. *)
 
-val input_requirements : irule_app -> (int * Expr.t) list
-(** For each stream variable of the rule, the input subtree with its root
-    descriptor replaced by the required descriptor pushed down by the
-    pre-opt statements (or left untouched when the input is not
-    re-descriptored).  These are the sub-problems the caller must optimize
-    before calling {!finish_irule}. *)
+val input_requirements : irule_app -> (int * Expr.t) list option
+(** For each stream variable of the rule, the input subtree posed (see
+    {!pose}) under the required descriptor pushed down by the pre-opt
+    statements, or left untouched when the input is not re-descriptored.
+    These are the sub-problems the caller must optimize before calling
+    {!finish_irule}.  [None] when a stored-file input does not meet the
+    descriptor required of it: the rule yields no plan. *)
 
 val finish_irule :
   Helper_env.t -> irule_app -> optimized_inputs:(int * Expr.t) list -> Expr.t

@@ -111,30 +111,34 @@ and implement ctx expr : Expr.t list * bool =
     let try_rule (rule : Irule.t) =
       match Eval.begin_irule ctx.ruleset.helpers rule expr with
       | None -> []
-      | Some app ->
-        let reqs = Eval.input_requirements app in
-        let per_input =
+      | Some app -> (
+        match Eval.input_requirements app with
+        | None -> []
+        | Some reqs ->
+          let per_input =
+            List.map
+              (fun (i, sub) ->
+                let plans, c = optimize_all ctx sub in
+                if c then cut := true;
+                List.map (fun plan -> (i, plan)) plans)
+              reqs
+          in
           List.map
-            (fun (i, sub) ->
-              let plans, c = optimize_all ctx sub in
-              if c then cut := true;
-              List.map (fun plan -> (i, plan)) plans)
-            reqs
-        in
-        List.map
-          (fun optimized_inputs ->
-            Eval.finish_irule ctx.ruleset.helpers app ~optimized_inputs)
-          (cartesian per_input)
+            (fun optimized_inputs ->
+              Eval.finish_irule ctx.ruleset.helpers app ~optimized_inputs)
+            (cartesian per_input))
     in
     let plans = List.concat_map try_rule (Ruleset.irules_for ctx.ruleset name) in
     (plans, !cut)
 
-let with_required required expr =
-  Expr.map_descriptor expr (fun d -> Descriptor.merge ~base:d ~overrides:required)
-
 let plans ?max_forms ruleset ~required expr =
   let ctx = { ruleset; max_forms; memo = Expr_tbl.create 64; in_progress = [] } in
-  fst (optimize_all ctx (with_required required expr))
+  match
+    Eval.pose expr
+      (Descriptor.merge ~base:(Expr.descriptor expr) ~overrides:required)
+  with
+  | None -> []
+  | Some expr -> fst (optimize_all ctx expr)
 
 let best_plan ?max_forms ruleset ~required expr =
   List.fold_left

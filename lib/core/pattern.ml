@@ -33,8 +33,6 @@ module Binding = struct
 
   let bind_stream b i e =
     { b with streams = (i, e) :: List.remove_assoc i b.streams }
-
-  let desc_names b = List.sort String.compare (List.map fst b.descs)
 end
 
 let rec match_at pat (e : Expr.t) b =

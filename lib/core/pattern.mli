@@ -44,7 +44,6 @@ module Binding : sig
   val desc_opt : t -> string -> Descriptor.t option
   val bind_desc : t -> string -> Descriptor.t -> t
   val bind_stream : t -> int -> Expr.t -> t
-  val desc_names : t -> string list
 end
 
 val stream_desc_name : int -> string

@@ -60,8 +60,6 @@ and compile_alg db alg d inputs =
   | "Null" -> Iterator.null (input 0)
   | other -> raise (Unsupported other)
 
-let compile_plan db plan = compile db (Prairie_volcano.Plan.to_expr plan)
-
 let execute db e =
   let it = compile db e in
   (it.Iterator.schema, Array.to_list (Iterator.materialize it))

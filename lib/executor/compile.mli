@@ -14,8 +14,6 @@ val compile : Table.database -> Prairie.Expr.t -> Iterator.t
     @raise Invalid_argument when the expression contains abstract
     operators (only access plans execute). *)
 
-val compile_plan : Table.database -> Prairie_volcano.Plan.t -> Iterator.t
-
 val execute : Table.database -> Prairie.Expr.t -> Tuple.schema * Tuple.t list
 
 val execute_plan :

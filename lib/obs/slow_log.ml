@@ -11,7 +11,6 @@ type entry = {
   cost : float;
   groups : int;
   budget_hit : bool;
-  cache_hit : bool;
 }
 
 type t = {
@@ -33,8 +32,7 @@ let create ?(capacity = 256) ?(threshold = 0.1) () =
 let threshold t = t.threshold
 let capacity t = Array.length t.buf
 
-let observe t ~ruleset ~fingerprint ~seconds ~cost ~groups ~budget_hit
-    ~cache_hit =
+let observe t ~ruleset ~fingerprint ~seconds ~cost ~groups ~budget_hit =
   if seconds >= t.threshold then
     Mutex.protect t.mutex (fun () ->
         let e =
@@ -47,7 +45,6 @@ let observe t ~ruleset ~fingerprint ~seconds ~cost ~groups ~budget_hit
             cost;
             groups;
             budget_hit;
-            cache_hit;
           }
         in
         t.buf.(t.n mod Array.length t.buf) <- Some e;
@@ -69,12 +66,12 @@ let dropped t = seq t - length t
 
 let entry_to_json e =
   Printf.sprintf
-    "{\"seq\":%d,\"at\":%s,\"ruleset\":%s,\"fingerprint\":%s,\"seconds\":%s,\"cost\":%s,\"groups\":%d,\"budget_hit\":%b,\"cache_hit\":%b}"
+    "{\"seq\":%d,\"at\":%s,\"ruleset\":%s,\"fingerprint\":%s,\"seconds\":%s,\"cost\":%s,\"groups\":%d,\"budget_hit\":%b}"
     e.seq (Json.float e.at)
     (Json.string e.ruleset)
     (Json.string e.fingerprint)
     (Json.float e.seconds) (Json.float e.cost) e.groups
-    e.budget_hit e.cache_hit
+    e.budget_hit
 
 let to_jsonl t =
   let buf = Buffer.create 1024 in

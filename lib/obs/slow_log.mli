@@ -14,7 +14,6 @@ type entry = {
   cost : float;
   groups : int;
   budget_hit : bool;
-  cache_hit : bool;
 }
 
 type t
@@ -35,9 +34,9 @@ val observe :
   cost:float ->
   groups:int ->
   budget_hit:bool ->
-  cache_hit:bool ->
   unit
-(** Records the search iff [seconds >= threshold t]. Thread-safe. *)
+(** Records the search iff [seconds >= threshold t]. Thread-safe.  Only
+    fresh searches are observed: a plan served from the cache ran none. *)
 
 val seq : t -> int
 (** Total entries recorded, including dropped ones. *)

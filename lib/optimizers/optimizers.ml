@@ -211,7 +211,6 @@ let serve_metered ?group_budget ?jobs ?cache ?metrics ?slow_log t batch =
         ~cost
         ~groups:(Search.group_count search)
         ~budget_hit:(Search.budget_was_hit search)
-        ~cache_hit:false
     | None -> ());
     let entry =
       {

@@ -58,12 +58,6 @@ let detect (ruleset : Prairie.Ruleset.t) =
 let is_enforcer_operator infos op =
   List.exists (fun i -> String.equal i.operator op) infos
 
-let enforcer_algorithms infos =
-  List.concat_map
-    (fun i -> List.map Irule.algorithm i.algorithm_rules)
-    infos
-  |> List.sort_uniq String.compare
-
 let pp ppf i =
   Format.fprintf ppf
     "enforcer-operator %s (enforces %s; enforcer-algorithms: %s)" i.operator

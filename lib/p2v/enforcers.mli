@@ -23,7 +23,4 @@ val detect : Prairie.Ruleset.t -> info list
 
 val is_enforcer_operator : info list -> string -> bool
 
-val enforcer_algorithms : info list -> string list
-(** All enforcer-algorithm names. *)
-
 val pp : Format.formatter -> info -> unit

@@ -31,10 +31,6 @@ type spec = {
   decls : decl list;
 }
 
-let decl_loc = function
-  | Dproperty (_, _, l) | Doperator (_, _, l) | Dalgorithm (_, _, l) -> l
-  | Dtrule r | Dirule r -> r.rb_loc
-
 let properties spec =
   List.filter_map
     (function Dproperty (n, ty, _) -> Some (n, ty) | _ -> None)

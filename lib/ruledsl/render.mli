@@ -1,8 +1,7 @@
 (** Pretty-printer from Prairie rule sets back to the rule-specification
     language.  [parse (render rs)] elaborates to a rule set equivalent to
-    [rs] (round-trip tested), which makes rule sets built in OCaml
-    (Genrules' output) exportable as [.prairie] files: the T-rules of
-    [rules/distributed.prairie] were written this way.
+    [rs] (round-trip tested), which makes a rule set built in OCaml (a
+    combined set, a merged rule) exportable as [.prairie] text.
 
     Constants print as the language's literals: booleans, numbers,
     strings, [DONT_CARE] (the any-order), [TRUE_PRED] (the always-true

@@ -20,12 +20,6 @@ let conj a b =
   | False, _ | _, False -> False
   | _ -> And (a, b)
 
-let disj a b =
-  match (a, b) with
-  | False, p | p, False -> p
-  | True, _ | _, True -> True
-  | _ -> Or (a, b)
-
 let rec conjuncts = function
   | True -> []
   | And (a, b) -> conjuncts a @ conjuncts b

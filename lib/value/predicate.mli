@@ -25,9 +25,6 @@ type t =
 val conj : t -> t -> t
 (** Conjunction with [True]/[False] simplification. *)
 
-val disj : t -> t -> t
-(** Disjunction with [True]/[False] simplification. *)
-
 val conjuncts : t -> t list
 (** [conjuncts p] flattens nested [And]s; [conjuncts True = []]. *)
 

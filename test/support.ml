@@ -38,9 +38,9 @@ let fixture_tests ~run cases =
           check (code ^ " absent after fix") false (has code (run good))))
     cases
 
-(* The rule-text validator's errors on an OCaml-built rule set (Genrules
-   output, a combined set, a merged rule): its rendering, checked with the
-   set's own helpers.  [[]] is the verdict "elaborates". *)
+(* The rule-text validator's errors on an OCaml-built rule set (a
+   combined set, a merged rule): its rendering, checked with the set's
+   own helpers.  [[]] is the verdict "elaborates". *)
 let rule_text_errors (rs : Prairie.Ruleset.t) =
   List.map D.to_string
     (Prairie_dsl.Check.errors ~helpers:rs.Prairie.Ruleset.helpers

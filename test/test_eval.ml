@@ -200,7 +200,7 @@ let irule_tests =
         match Eval.begin_irule helpers rule two_way with
         | None -> Alcotest.fail "should begin"
         | Some app ->
-          let reqs = Eval.input_requirements app in
+          let reqs = Option.get (Eval.input_requirements app) in
           Alcotest.(check int) "two inputs" 2 (List.length reqs);
           (* fake-optimize the inputs: attach costs *)
           let optimized_inputs =
@@ -232,7 +232,7 @@ let irule_tests =
         | None -> Alcotest.fail "should begin"
         | Some app -> (
           match Eval.input_requirements app with
-          | [ (1, sub) ] ->
+          | Some [ (1, sub) ] ->
             check "requirement propagated" true
               (O.equal (D.get_order (Expr.descriptor sub) "tuple_order") order);
             let optimized = Expr.map_descriptor sub (fun d -> D.set_cost d 3.5) in

@@ -8,7 +8,7 @@ let () =
    @ Test_p2v.suites @ Test_oodb.suites @ Test_dsl.suites
    @ Test_executor.suites @ Test_workload.suites @ Test_bottom_up.suites
    @ Test_query.suites @ Test_helpers.suites @ Test_combine.suites
-   @ Test_misc.suites @ Test_genrules.suites @ Test_unnest.suites
+   @ Test_misc.suites @ Test_unnest.suites
    @ Test_star.suites @ Test_distributed.suites @ Test_properties.suites
    @ Test_translate_pieces.suites @ Test_aggregates.suites
    @ Test_service.suites @ Test_stats.suites @ Test_obs.suites

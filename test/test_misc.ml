@@ -192,9 +192,6 @@ let exec_tests =
 (* P2V warning paths                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let b = Prairie_algebra.Build.trule
-let _ = b
-
 let merge_warning_tests =
   [
     Alcotest.test_case "interior enforcer deletion warns" `Quick (fun () ->

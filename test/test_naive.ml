@@ -115,4 +115,54 @@ let plan_tests =
           (Naive.plan_count ruleset ~required:D.empty two_way));
   ]
 
-let suites = [ ("naive.logical", logical_tests); ("naive.plans", plan_tests) ]
+(* A stored file is no stream: no algorithm changes what it delivers, and
+   Volcano never puts an enforcer on a file group.  The oracle must accept
+   a bare file as a plan only when its own descriptor meets the
+   requirement.  The witness is verify's shrunk P220 on
+   rules/aggregates.prairie: SORT directly over a file, on the catalog
+   C1(1) C2(1) DC1(1) DC2(1). *)
+let stored_leaf_tests =
+  let module W = Prairie_workload in
+  let catalog =
+    W.Catalogs.make
+      {
+        W.Catalogs.classes = 2;
+        indexed = false;
+        card_range = (1, 1);
+        detail_card_range = (1, 1);
+        seed = 0;
+      }
+  in
+  let ruleset = Prairie_algebra.Aggregates.fragment catalog in
+  let tr = Prairie_p2v.Translate.translate ruleset in
+  let file = Prairie_algebra.Init.file catalog "C1" in
+  let search required q =
+    let ctx = Prairie_volcano.Search.create tr.Prairie_p2v.Translate.volcano in
+    Prairie_volcano.Search.optimize ~required ctx q
+  in
+  [
+    Alcotest.test_case "SORT over a bare file: a file cannot claim an order"
+      `Quick (fun () ->
+        let sorted =
+          Prairie_algebra.Init.sort catalog
+            ~order:(O.sorted_on (W.Catalogs.b_attr 1))
+            file
+        in
+        let q, required = Prairie_p2v.Translate.prepare_query tr sorted in
+        check "search finds no plan" true (Option.is_none (search required q));
+        check "the oracle finds none either" true
+          (Option.is_none (Naive.best_plan ruleset ~required q));
+        (* unordered, the file is its own plan on both sides *)
+        check "search plans the bare file" true
+          (Option.is_some (search D.empty file));
+        match Naive.best_plan ruleset ~required:D.empty file with
+        | Some best -> check "the file itself" true (Expr.equal best.Naive.plan file)
+        | None -> Alcotest.fail "no oracle plan for a bare file");
+  ]
+
+let suites =
+  [
+    ("naive.logical", logical_tests);
+    ("naive.plans", plan_tests);
+    ("naive.stored", stored_leaf_tests);
+  ]

@@ -159,7 +159,6 @@ let compose_fallback_tests =
            T-rule reassigns after the copy: the test can then not be
            evaluated at I-rule test time, so P2V must keep the rules
            unmerged (and say so). *)
-        let module B = Prairie_algebra.Build in
         let base = Rel.ruleset catalog in
         let poisoned_trule =
           List.map

@@ -485,7 +485,7 @@ let test_jsonl_quantile_fields () =
 
 let observe log ~seconds =
   Slow_log.observe log ~ruleset:"oodb" ~fingerprint:"abc" ~seconds ~cost:1.0
-    ~groups:10 ~budget_hit:false ~cache_hit:false
+    ~groups:10 ~budget_hit:false
 
 let test_slow_log_threshold () =
   let log = Slow_log.create ~capacity:4 ~threshold:0.1 () in
@@ -503,6 +503,7 @@ let test_slow_log_threshold () =
   check "to_json well-formed" true (json_well_formed s);
   check "json threshold" true (contains s "\"threshold_s\":0.1");
   check "json entries" true (contains s "\"fingerprint\":\"abc\"");
+  check "json budget flag" true (contains s "\"budget_hit\":false}");
   Alcotest.check_raises "negative threshold"
     (Invalid_argument "Slow_log.create: negative threshold") (fun () ->
       ignore (Slow_log.create ~threshold:(-1.0) ()))
@@ -711,6 +712,91 @@ let test_telemetry_hung_client () =
              the old unbounded (or 5 s per-read) wait *)
           check "answered within the deadline budget" true (elapsed < 2.0)))
 
+(* Arbitrary request bytes against the request parser: each connection
+   gets one of the four status lines the server knows, or is closed, and
+   the sequential accept loop keeps answering /healthz after each one.
+   The shapes that matter are generated on purpose: no CR, extra spaces,
+   other methods, and heads of 8 KiB or more (past the read cap, where
+   the server may close before the client finishes writing). *)
+let gen_request =
+  QCheck2.Gen.(
+    let spaces = map (fun n -> String.make n ' ') (int_range 0 3) in
+    let line =
+      let+ meth =
+        oneof
+          [
+            pure "GET";
+            oneofl [ "POST"; "HEAD"; "get"; "" ];
+            string_size ~gen:(char_range 'A' 'Z') (int_range 1 8);
+          ]
+      and+ s1 = spaces
+      and+ path = oneofl [ "/healthz"; "/metrics"; "/tracez"; "/nope"; "/healthz?x=1"; "" ]
+      and+ s2 = spaces
+      and+ version = oneofl [ "HTTP/1.0"; "HTTP/1.1"; "" ]
+      and+ eol = oneofl [ "\r\n\r\n"; "\r\n"; "\n\n"; "" ] in
+      meth ^ s1 ^ path ^ s2 ^ version ^ eol
+    in
+    let long_head =
+      let+ n = int_range 8192 12288 in
+      "GET /" ^ String.make n 'a' ^ " HTTP/1.0\r\n\r\n"
+    in
+    frequency
+      [ (3, line); (1, string_size ~gen:char (int_range 0 64)); (1, long_head) ])
+
+let send_raw port req =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect
+    ~finally:(fun () -> try Unix.close sock with Unix.Unix_error _ -> ())
+    (fun () ->
+      Unix.connect sock
+        (Unix.ADDR_INET (Unix.inet_addr_of_string "127.0.0.1", port));
+      Unix.setsockopt_float sock Unix.SO_RCVTIMEO 2.0;
+      let acc = Buffer.create 256 in
+      (try
+         ignore (Unix.write_substring sock req 0 (String.length req));
+         (* end of request: the server need not wait for its deadline *)
+         Unix.shutdown sock Unix.SHUTDOWN_SEND;
+         let buf = Bytes.create 4096 in
+         let rec drain () =
+           match Unix.read sock buf 0 (Bytes.length buf) with
+           | 0 -> ()
+           | n ->
+             Buffer.add_subbytes acc buf 0 n;
+             drain ()
+         in
+         drain ()
+       with Unix.Unix_error ((EPIPE | ECONNRESET | ENOTCONN), _, _) -> ());
+      Buffer.contents acc)
+
+let test_telemetry_fuzz () =
+  let known =
+    [
+      "HTTP/1.0 200 OK\r\n";
+      "HTTP/1.0 400 Bad Request\r\n";
+      "HTTP/1.0 404 Not Found\r\n";
+      "HTTP/1.0 405 Method Not Allowed\r\n";
+    ]
+  in
+  (* a server that closes first must not kill the client with SIGPIPE:
+     the write then fails with EPIPE instead *)
+  Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+  let server = Telemetry.start ~client_timeout:0.3 ~port:0 () in
+  Fun.protect
+    ~finally:(fun () -> Telemetry.stop server)
+    (fun () ->
+      let port = Telemetry.port server in
+      QCheck2.Test.check_exn ~rand:(Random.State.make [| 22 |])
+        (QCheck2.Test.make ~name:"arbitrary request bytes" ~count:50
+           ~print:(fun s ->
+             String.escaped
+               (if String.length s > 80 then String.sub s 0 80 ^ "..." else s))
+           gen_request
+           (fun req ->
+             let resp = send_raw port req in
+             (resp = ""
+             || List.exists (fun prefix -> String.starts_with ~prefix resp) known)
+             && contains (http_get port "/healthz") "ok\n")))
+
 let suites =
   [
     ( "spans.sink",
@@ -767,5 +853,7 @@ let suites =
           test_telemetry_405;
         Alcotest.test_case "hung client cannot block /healthz" `Quick
           test_telemetry_hung_client;
+        Alcotest.test_case "arbitrary request bytes (50 cases)" `Quick
+          test_telemetry_fuzz;
       ] );
   ]
