@@ -7,8 +7,36 @@ module Stats = Prairie_catalog.Stats
 module Helper_env = Prairie.Helper_env
 
 module F = struct
+  let rec strictly_sorted = function
+    | a :: (b :: _ as rest) -> Attribute.compare a b < 0 && strictly_sorted rest
+    | [] | [ _ ] -> true
+
+  (* Attribute lists are almost always sorted and duplicate-free already
+     (every union is): a linear merge then gives what the sort would. *)
   let union_attrs a b =
-    List.sort_uniq Attribute.compare (a @ b)
+    if strictly_sorted a && strictly_sorted b then begin
+      let rec merge acc a b =
+        match (a, b) with
+        | [], rest | rest, [] -> List.rev_append acc rest
+        | x :: a', y :: b' ->
+          let c = Attribute.compare x y in
+          if c < 0 then merge (x :: acc) a' b
+          else if c > 0 then merge (y :: acc) a b'
+          else merge (x :: acc) a' b'
+      in
+      merge [] a b
+    end
+    else List.sort_uniq Attribute.compare (a @ b)
+
+  let mem_attr a al = List.exists (Attribute.equal a) al
+
+  let pred_refs_only p al =
+    Attribute.Set.for_all (fun a -> mem_attr a al) (Predicate.attributes p)
+
+  let pred_refs_any p al =
+    Attribute.Set.exists (fun a -> mem_attr a al) (Predicate.attributes p)
+
+  let attrs_subset a b = List.for_all (fun x -> mem_attr x b) a
 
   let canonical_and p q =
     Predicate.of_conjuncts
@@ -143,28 +171,22 @@ let env catalog =
                     (get_attrs "union_attrs" b))) );
          ( "pred_refs_only",
            a2 "pred_refs_only" (fun p attrs ->
-               let p = get_pred "pred_refs_only" p in
-               let attrs = get_attrs "pred_refs_only" attrs in
                Bool
-                 (Prairie_value.Attribute.Set.subset
-                    (Predicate.attributes p)
-                    (Prairie_value.Attribute.Set.of_list attrs))) );
+                 (F.pred_refs_only
+                    (get_pred "pred_refs_only" p)
+                    (get_attrs "pred_refs_only" attrs))) );
          ( "pred_refs_any",
            a2 "pred_refs_any" (fun p attrs ->
-               let p = get_pred "pred_refs_any" p in
-               let attrs = get_attrs "pred_refs_any" attrs in
                Bool
-                 (not
-                    (Prairie_value.Attribute.Set.is_empty
-                       (Prairie_value.Attribute.Set.inter
-                          (Predicate.attributes p)
-                          (Prairie_value.Attribute.Set.of_list attrs))))) );
+                 (F.pred_refs_any
+                    (get_pred "pred_refs_any" p)
+                    (get_attrs "pred_refs_any" attrs))) );
          ( "attrs_subset",
            a2 "attrs_subset" (fun a b ->
                Bool
-                 (Prairie_value.Attribute.Set.subset
-                    (Prairie_value.Attribute.Set.of_list (get_attrs "attrs_subset" a))
-                    (Prairie_value.Attribute.Set.of_list (get_attrs "attrs_subset" b)))) );
+                 (F.attrs_subset
+                    (get_attrs "attrs_subset" a)
+                    (get_attrs "attrs_subset" b))) );
          ( "pred_is_true",
            a1 "pred_is_true" (fun p ->
                Bool (Predicate.equal (get_pred "pred_is_true" p) Predicate.True)) );

@@ -15,7 +15,21 @@ module F : sig
     Prairie_value.Attribute.t list
   (** Sorted, duplicate-free union — canonical attribute lists make
       logically-equal descriptors structurally equal, which the memo's
-      duplicate detection relies on. *)
+      duplicate detection relies on.  A linear merge when both inputs are
+      strictly sorted by [Attribute.compare], a sort otherwise; the result
+      is the same either way. *)
+
+  val pred_refs_only :
+    Prairie_value.Predicate.t -> Prairie_value.Attribute.t list -> bool
+  (** Does the predicate reference only attributes of the list? *)
+
+  val pred_refs_any :
+    Prairie_value.Predicate.t -> Prairie_value.Attribute.t list -> bool
+  (** Does the predicate reference some attribute of the list? *)
+
+  val attrs_subset :
+    Prairie_value.Attribute.t list -> Prairie_value.Attribute.t list -> bool
+  (** Is every attribute of the first list in the second? *)
 
   val canonical_and :
     Prairie_value.Predicate.t ->

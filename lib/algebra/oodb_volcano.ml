@@ -16,8 +16,6 @@ open Build (* pattern shorthand: p, v, t, tv *)
 (* Descriptor accessors (local shorthand)                              *)
 (* ------------------------------------------------------------------ *)
 
-let dget = Rule.denv_get
-let dset = Rule.denv_set
 let attrs d = Descriptor.get_attrs d N.p_attributes
 let card d = Descriptor.get_int d N.p_num_records
 let size d = Descriptor.get_int d N.p_tuple_size
@@ -38,376 +36,221 @@ let set_mat d v = Descriptor.set d N.p_mat_attribute (Value.Attrs v)
 let set_unnest d v = Descriptor.set d N.p_unnest_attribute (Value.Attrs v)
 let set_cost d v = Descriptor.set_cost d v
 
-let refs_only pred al =
-  Attribute.Set.subset (Predicate.attributes pred) (Attribute.Set.of_list al)
-
-let refs_any pred al =
-  not
-    (Attribute.Set.is_empty
-       (Attribute.Set.inter (Predicate.attributes pred)
-          (Attribute.Set.of_list al)))
-
-let subset a b =
-  Attribute.Set.subset (Attribute.Set.of_list a) (Attribute.Set.of_list b)
+let refs_only = F.pred_refs_only
+let refs_any = F.pred_refs_any
+let subset = F.attrs_subset
 
 (* ------------------------------------------------------------------ *)
 (* trans_rules                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* Each rule resolves its descriptor variables to slots once, when the
+   rule set is built ([slot "D5"]); the closures read and write the slot
+   array by index. *)
+let always _ = true
+
 let trans catalog : Rule.trans_rule list =
   let join_card l r pred = Stats.join_cardinality catalog ~left:l ~right:r pred in
   let sel_card n pred = Stats.select_cardinality catalog ~input:n pred in
+  (* the associativity rules: [l] and [r] are the new inner join's inputs *)
+  let assoc name ~lhs ~rhs ~l ~r =
+    Rule.trans_rule ~name ~lhs ~rhs (fun slot ->
+        let l = slot l and r = slot r in
+        let d4 = slot "D4" and d5 = slot "D5" in
+        let d6 = slot "D6" and d7 = slot "D7" in
+        ( (fun env ->
+            let a = F.union_attrs (attrs env.(l)) (attrs env.(r)) in
+            env.(d6) <- set_attrs Descriptor.empty a;
+            let pred = jpred env.(d5) in
+            (not (Predicate.equal pred Predicate.True)) && refs_only pred a),
+          fun env ->
+            let jp = jpred env.(d5) in
+            let inner = set_jpred env.(d6) jp in
+            let inner = set_card inner (join_card (card env.(l)) (card env.(r)) jp) in
+            env.(d6) <- set_size inner (size env.(l) + size env.(r));
+            env.(d7) <- set_jpred env.(d5) (jpred env.(d4)) ))
+  in
+  (* select pushed below a unary or join input [input]: the pushed select's
+     descriptor is D5, the moved node's D6 keeps D3 with D4's cardinality *)
+  let push name ~lhs ~rhs ~input ~cond =
+    Rule.trans_rule ~name ~lhs ~rhs (fun slot ->
+        let input = slot input and d3 = slot "D3" and d4 = slot "D4" in
+        let d5 = slot "D5" and d6 = slot "D6" in
+        ( (fun env -> cond env ~input ~d3 ~pred:(spred env.(d4))),
+          fun env ->
+            let sp = spred env.(d4) in
+            let pushed = set_spred Descriptor.empty sp in
+            let pushed = set_attrs pushed (attrs env.(input)) in
+            let pushed = set_card pushed (sel_card (card env.(input)) sp) in
+            env.(d5) <- set_size pushed (size env.(input));
+            env.(d6) <- set_card env.(d3) (card env.(d4)) ))
+  in
+  let refs_input env ~input ~d3:_ ~pred =
+    (not (Predicate.equal pred Predicate.True)) && refs_only pred (attrs env.(input))
+  in
+  (* MAT pulled above a join: the join moves down as D5 *)
+  let pull name lhs =
+    Rule.trans_rule ~name ~lhs
+      ~rhs:(t N.mat "D6" [ t N.join "D5" [ tv 1; tv 2 ] ])
+      (fun slot ->
+        let d1 = slot "D1" and d2 = slot "D2" and d3 = slot "D3" in
+        let d4 = slot "D4" and d5 = slot "D5" and d6 = slot "D6" in
+        ( (fun env ->
+            let a = F.union_attrs (attrs env.(d1)) (attrs env.(d2)) in
+            env.(d5) <- set_attrs Descriptor.empty a;
+            refs_only (jpred env.(d4)) a),
+          fun env ->
+            let jp = jpred env.(d4) in
+            let join = set_jpred env.(d5) jp in
+            let join = set_card join (join_card (card env.(d1)) (card env.(d2)) jp) in
+            env.(d5) <- set_size join (size env.(d1) + size env.(d2));
+            let m = set_jpred env.(d4) Predicate.True in
+            env.(d6) <- set_mat m (mat_attr env.(d3)) ))
+  in
+  (* the descriptor of MAT D4 pushed down onto input [input] *)
+  let mat_pushed env ~input ~d4 =
+    let ma = mat_attr env.(d4) in
+    let d5 = set_mat Descriptor.empty ma in
+    let d5 =
+      set_attrs d5 (F.union_attrs (attrs env.(input)) (F.mat_added_attrs catalog ma))
+    in
+    let d5 = set_card d5 (card env.(input)) in
+    set_size d5 (size env.(input) + F.mat_added_size catalog ma)
+  in
+  let mat_push_join name ~rhs ~input ~other ~attrs_of =
+    Rule.trans_rule ~name
+      ~lhs:(p N.mat "D4" [ p N.join "D3" [ v 1; v 2 ] ])
+      ~rhs
+      (fun slot ->
+        let input = slot input and other = slot other in
+        let d3 = slot "D3" and d4 = slot "D4" in
+        let d5 = slot "D5" and d6 = slot "D6" in
+        ( (fun env -> subset (mat_attr env.(d4)) (attrs env.(input))),
+          fun env ->
+            env.(d5) <- mat_pushed env ~input ~d4;
+            let j = set_attrs env.(d3) (attrs_of (attrs env.(d5)) (attrs env.(other))) in
+            env.(d6) <- set_size j (size env.(d5) + size env.(other)) ))
+  in
   [
-    {
-      Rule.tr_name = "join_commute";
-      tr_lhs = p N.join "D3" [ v 1; v 2 ];
-      tr_rhs = t N.join "D4" [ tv 2; tv 1 ];
-      tr_cond = (fun env -> Some env);
-      tr_appl = (fun env -> dset env "D4" (dget env "D3"));
-    };
-    {
-      Rule.tr_name = "join_assoc_left";
-      tr_lhs = p N.join "D5" [ p N.join "D4" [ v 1; v 2 ]; v 3 ];
-      tr_rhs = t N.join "D7" [ tv 1; t N.join "D6" [ tv 2; tv 3 ] ];
-      tr_cond =
-        (fun env ->
-          let a =
-            F.union_attrs (attrs (dget env "D2")) (attrs (dget env "D3"))
-          in
-          let env = dset env "D6" (set_attrs Descriptor.empty a) in
-          let pred = jpred (dget env "D5") in
-          if (not (Predicate.equal pred Predicate.True)) && refs_only pred a
-          then Some env
-          else None);
-      tr_appl =
-        (fun env ->
-          let d5 = dget env "D5" and d4 = dget env "D4" in
-          let d2 = dget env "D2" and d3 = dget env "D3" in
-          let d6 = dget env "D6" in
-          let d6 = set_jpred d6 (jpred d5) in
-          let d6 = set_card d6 (join_card (card d2) (card d3) (jpred d5)) in
-          let d6 = set_size d6 (size d2 + size d3) in
-          let env = dset env "D6" d6 in
-          dset env "D7" (set_jpred d5 (jpred d4)));
-    };
-    {
-      Rule.tr_name = "join_assoc_right";
-      tr_lhs = p N.join "D5" [ v 1; p N.join "D4" [ v 2; v 3 ] ];
-      tr_rhs = t N.join "D7" [ t N.join "D6" [ tv 1; tv 2 ]; tv 3 ];
-      tr_cond =
-        (fun env ->
-          let a =
-            F.union_attrs (attrs (dget env "D1")) (attrs (dget env "D2"))
-          in
-          let env = dset env "D6" (set_attrs Descriptor.empty a) in
-          let pred = jpred (dget env "D5") in
-          if (not (Predicate.equal pred Predicate.True)) && refs_only pred a
-          then Some env
-          else None);
-      tr_appl =
-        (fun env ->
-          let d5 = dget env "D5" and d4 = dget env "D4" in
-          let d1 = dget env "D1" and d2 = dget env "D2" in
-          let d6 = dget env "D6" in
-          let d6 = set_jpred d6 (jpred d5) in
-          let d6 = set_card d6 (join_card (card d1) (card d2) (jpred d5)) in
-          let d6 = set_size d6 (size d1 + size d2) in
-          let env = dset env "D6" d6 in
-          dset env "D7" (set_jpred d5 (jpred d4)));
-    };
-    {
-      Rule.tr_name = "select_split";
-      tr_lhs = p N.select "D2" [ v 1 ];
-      tr_rhs = t N.select "D4" [ t N.select "D3" [ tv 1 ] ];
-      tr_cond =
-        (fun env ->
-          if List.length (Predicate.conjuncts (spred (dget env "D2"))) >= 2
-          then Some env
-          else None);
-      tr_appl =
-        (fun env ->
-          let d2 = dget env "D2" and d1 = dget env "D1" in
-          let conjs = Predicate.conjuncts (spred d2) in
-          let first, rest =
-            match conjs with
-            | [] -> (Predicate.True, Predicate.True)
-            | x :: xs -> (x, Predicate.of_conjuncts xs)
-          in
-          let d3 = set_spred Descriptor.empty rest in
-          let d3 = set_attrs d3 (attrs d1) in
-          let d3 = set_card d3 (sel_card (card d1) rest) in
-          let d3 = set_size d3 (size d1) in
-          let env = dset env "D3" d3 in
-          dset env "D4" (set_spred d2 first));
-    };
-    {
-      Rule.tr_name = "select_merge";
-      tr_lhs = p N.select "D4" [ p N.select "D3" [ v 1 ] ];
-      tr_rhs = t N.select "D5" [ tv 1 ];
-      tr_cond = (fun env -> Some env);
-      tr_appl =
-        (fun env ->
-          let d4 = dget env "D4" and d3 = dget env "D3" in
-          dset env "D5" (set_spred d4 (F.canonical_and (spred d4) (spred d3))));
-    };
-    {
-      Rule.tr_name = "select_commute";
-      tr_lhs = p N.select "D4" [ p N.select "D3" [ v 1 ] ];
-      tr_rhs = t N.select "D6" [ t N.select "D5" [ tv 1 ] ];
-      tr_cond = (fun env -> Some env);
-      tr_appl =
-        (fun env ->
-          let d4 = dget env "D4" and d3 = dget env "D3" in
-          let d1 = dget env "D1" in
-          let d5 = set_spred d3 (spred d4) in
-          let d5 = set_card d5 (sel_card (card d1) (spred d4)) in
-          let env = dset env "D5" d5 in
-          dset env "D6" (set_spred d4 (spred d3)));
-    };
-    {
-      Rule.tr_name = "select_push_join_left";
-      tr_lhs = p N.select "D4" [ p N.join "D3" [ v 1; v 2 ] ];
-      tr_rhs = t N.join "D6" [ t N.select "D5" [ tv 1 ]; tv 2 ];
-      tr_cond =
-        (fun env ->
-          let pred = spred (dget env "D4") in
-          if
-            (not (Predicate.equal pred Predicate.True))
-            && refs_only pred (attrs (dget env "D1"))
-          then Some env
-          else None);
-      tr_appl =
-        (fun env ->
-          let d4 = dget env "D4" and d3 = dget env "D3" in
-          let d1 = dget env "D1" in
-          let d5 = set_spred Descriptor.empty (spred d4) in
-          let d5 = set_attrs d5 (attrs d1) in
-          let d5 = set_card d5 (sel_card (card d1) (spred d4)) in
-          let d5 = set_size d5 (size d1) in
-          let env = dset env "D5" d5 in
-          dset env "D6" (set_card d3 (card d4)));
-    };
-    {
-      Rule.tr_name = "select_push_join_right";
-      tr_lhs = p N.select "D4" [ p N.join "D3" [ v 1; v 2 ] ];
-      tr_rhs = t N.join "D6" [ tv 1; t N.select "D5" [ tv 2 ] ];
-      tr_cond =
-        (fun env ->
-          let pred = spred (dget env "D4") in
-          if
-            (not (Predicate.equal pred Predicate.True))
-            && refs_only pred (attrs (dget env "D2"))
-          then Some env
-          else None);
-      tr_appl =
-        (fun env ->
-          let d4 = dget env "D4" and d3 = dget env "D3" in
-          let d2 = dget env "D2" in
-          let d5 = set_spred Descriptor.empty (spred d4) in
-          let d5 = set_attrs d5 (attrs d2) in
-          let d5 = set_card d5 (sel_card (card d2) (spred d4)) in
-          let d5 = set_size d5 (size d2) in
-          let env = dset env "D5" d5 in
-          dset env "D6" (set_card d3 (card d4)));
-    };
-    {
-      Rule.tr_name = "select_push_mat";
-      tr_lhs = p N.select "D4" [ p N.mat "D3" [ v 1 ] ];
-      tr_rhs = t N.mat "D6" [ t N.select "D5" [ tv 1 ] ];
-      tr_cond =
-        (fun env ->
-          let pred = spred (dget env "D4") in
-          if
-            (not (Predicate.equal pred Predicate.True))
-            && refs_only pred (attrs (dget env "D1"))
-          then Some env
-          else None);
-      tr_appl =
-        (fun env ->
-          let d4 = dget env "D4" and d3 = dget env "D3" in
-          let d1 = dget env "D1" in
-          let d5 = set_spred Descriptor.empty (spred d4) in
-          let d5 = set_attrs d5 (attrs d1) in
-          let d5 = set_card d5 (sel_card (card d1) (spred d4)) in
-          let d5 = set_size d5 (size d1) in
-          let env = dset env "D5" d5 in
-          dset env "D6" (set_card d3 (card d4)));
-    };
-    {
-      Rule.tr_name = "select_push_unnest";
-      tr_lhs = p N.select "D4" [ p N.unnest "D3" [ v 1 ] ];
-      tr_rhs = t N.unnest "D6" [ t N.select "D5" [ tv 1 ] ];
-      tr_cond =
-        (fun env ->
-          let pred = spred (dget env "D4") in
-          if
-            (not (Predicate.equal pred Predicate.True))
-            && not (refs_any pred (unnest_attr (dget env "D3")))
-          then Some env
-          else None);
-      tr_appl =
-        (fun env ->
-          let d4 = dget env "D4" and d3 = dget env "D3" in
-          let d1 = dget env "D1" in
-          let d5 = set_spred Descriptor.empty (spred d4) in
-          let d5 = set_attrs d5 (attrs d1) in
-          let d5 = set_card d5 (sel_card (card d1) (spred d4)) in
-          let d5 = set_size d5 (size d1) in
-          let env = dset env "D5" d5 in
-          dset env "D6" (set_card d3 (card d4)));
-    };
-    {
-      Rule.tr_name = "select_into_ret";
-      tr_lhs = p N.select "D4" [ p N.ret "D3" [ v 1 ] ];
-      tr_rhs = t N.ret "D5" [ tv 1 ];
-      tr_cond = (fun env -> Some env);
-      tr_appl =
-        (fun env ->
-          let d4 = dget env "D4" and d3 = dget env "D3" in
-          let d5 = set_spred d3 (F.canonical_and (spred d3) (spred d4)) in
-          dset env "D5" (set_card d5 (card d4)));
-    };
-    (let pull name lhs =
-       {
-         Rule.tr_name = name;
-         tr_lhs = lhs;
-         tr_rhs = t N.mat "D6" [ t N.join "D5" [ tv 1; tv 2 ] ];
-         tr_cond =
-           (fun env ->
-             let a =
-               F.union_attrs (attrs (dget env "D1")) (attrs (dget env "D2"))
-             in
-             let env = dset env "D5" (set_attrs Descriptor.empty a) in
-             if refs_only (jpred (dget env "D4")) a then Some env else None);
-         tr_appl =
-           (fun env ->
-             let d4 = dget env "D4" and d3 = dget env "D3" in
-             let d1 = dget env "D1" and d2 = dget env "D2" in
-             let d5 = dget env "D5" in
-             let d5 = set_jpred d5 (jpred d4) in
-             let d5 = set_card d5 (join_card (card d1) (card d2) (jpred d4)) in
-             let d5 = set_size d5 (size d1 + size d2) in
-             let env = dset env "D5" d5 in
-             let d6 = set_jpred d4 Predicate.True in
-             dset env "D6" (set_mat d6 (mat_attr d3)));
-       }
-     in
-     pull "mat_pull_join_left" (p N.join "D4" [ p N.mat "D3" [ v 1 ]; v 2 ]));
-    (let pull name lhs =
-       {
-         Rule.tr_name = name;
-         tr_lhs = lhs;
-         tr_rhs = t N.mat "D6" [ t N.join "D5" [ tv 1; tv 2 ] ];
-         tr_cond =
-           (fun env ->
-             let a =
-               F.union_attrs (attrs (dget env "D1")) (attrs (dget env "D2"))
-             in
-             let env = dset env "D5" (set_attrs Descriptor.empty a) in
-             if refs_only (jpred (dget env "D4")) a then Some env else None);
-         tr_appl =
-           (fun env ->
-             let d4 = dget env "D4" and d3 = dget env "D3" in
-             let d1 = dget env "D1" and d2 = dget env "D2" in
-             let d5 = dget env "D5" in
-             let d5 = set_jpred d5 (jpred d4) in
-             let d5 = set_card d5 (join_card (card d1) (card d2) (jpred d4)) in
-             let d5 = set_size d5 (size d1 + size d2) in
-             let env = dset env "D5" d5 in
-             let d6 = set_jpred d4 Predicate.True in
-             dset env "D6" (set_mat d6 (mat_attr d3)));
-       }
-     in
-     pull "mat_pull_join_right" (p N.join "D4" [ v 1; p N.mat "D3" [ v 2 ] ]));
-    {
-      Rule.tr_name = "mat_push_join_left";
-      tr_lhs = p N.mat "D4" [ p N.join "D3" [ v 1; v 2 ] ];
-      tr_rhs = t N.join "D6" [ t N.mat "D5" [ tv 1 ]; tv 2 ];
-      tr_cond =
-        (fun env ->
-          if subset (mat_attr (dget env "D4")) (attrs (dget env "D1")) then
-            Some env
-          else None);
-      tr_appl =
-        (fun env ->
-          let d4 = dget env "D4" and d3 = dget env "D3" in
-          let d1 = dget env "D1" and d2 = dget env "D2" in
-          let ma = mat_attr d4 in
-          let d5 = set_mat Descriptor.empty ma in
-          let d5 = set_attrs d5 (F.union_attrs (attrs d1) (F.mat_added_attrs catalog ma)) in
-          let d5 = set_card d5 (card d1) in
-          let d5 = set_size d5 (size d1 + F.mat_added_size catalog ma) in
-          let env = dset env "D5" d5 in
-          let d6 = set_attrs d3 (F.union_attrs (attrs d5) (attrs d2)) in
-          dset env "D6" (set_size d6 (size d5 + size d2)));
-    };
-    {
-      Rule.tr_name = "mat_push_join_right";
-      tr_lhs = p N.mat "D4" [ p N.join "D3" [ v 1; v 2 ] ];
-      tr_rhs = t N.join "D6" [ tv 1; t N.mat "D5" [ tv 2 ] ];
-      tr_cond =
-        (fun env ->
-          if subset (mat_attr (dget env "D4")) (attrs (dget env "D2")) then
-            Some env
-          else None);
-      tr_appl =
-        (fun env ->
-          let d4 = dget env "D4" and d3 = dget env "D3" in
-          let d1 = dget env "D1" and d2 = dget env "D2" in
-          let ma = mat_attr d4 in
-          let d5 = set_mat Descriptor.empty ma in
-          let d5 = set_attrs d5 (F.union_attrs (attrs d2) (F.mat_added_attrs catalog ma)) in
-          let d5 = set_card d5 (card d2) in
-          let d5 = set_size d5 (size d2 + F.mat_added_size catalog ma) in
-          let env = dset env "D5" d5 in
-          let d6 = set_attrs d3 (F.union_attrs (attrs d1) (attrs d5)) in
-          dset env "D6" (set_size d6 (size d1 + size d5)));
-    };
-    {
-      Rule.tr_name = "mat_commute";
-      tr_lhs = p N.mat "D4" [ p N.mat "D3" [ v 1 ] ];
-      tr_rhs = t N.mat "D6" [ t N.mat "D5" [ tv 1 ] ];
-      tr_cond =
-        (fun env ->
-          if subset (mat_attr (dget env "D4")) (attrs (dget env "D1")) then
-            Some env
-          else None);
-      tr_appl =
-        (fun env ->
-          let d4 = dget env "D4" and d3 = dget env "D3" in
-          let d1 = dget env "D1" in
-          let ma = mat_attr d4 in
-          let d5 = set_mat Descriptor.empty ma in
-          let d5 = set_attrs d5 (F.union_attrs (attrs d1) (F.mat_added_attrs catalog ma)) in
-          let d5 = set_card d5 (card d1) in
-          let d5 = set_size d5 (size d1 + F.mat_added_size catalog ma) in
-          let env = dset env "D5" d5 in
-          dset env "D6" (set_mat d4 (mat_attr d3)));
-    };
-    {
-      Rule.tr_name = "unnest_join_swap";
-      tr_lhs = p N.unnest "D4" [ p N.join "D3" [ v 1; v 2 ] ];
-      tr_rhs = t N.join "D6" [ t N.unnest "D5" [ tv 1 ]; tv 2 ];
-      tr_cond =
-        (fun env ->
-          let ua = unnest_attr (dget env "D4") in
-          if
-            subset ua (attrs (dget env "D1"))
-            && not (refs_any (jpred (dget env "D3")) ua)
-          then Some env
-          else None);
-      tr_appl =
-        (fun env ->
-          let d4 = dget env "D4" and d3 = dget env "D3" in
-          let d1 = dget env "D1" in
-          let ua = unnest_attr d4 in
-          let d5 = set_unnest Descriptor.empty ua in
-          let d5 = set_attrs d5 (attrs d1) in
-          let d5 = set_card d5 (card d1 * F.unnest_fanout catalog ua) in
-          let d5 = set_size d5 (size d1) in
-          let env = dset env "D5" d5 in
-          dset env "D6" (set_card d3 (card d4)));
-    };
+    Rule.trans_rule ~name:"join_commute"
+      ~lhs:(p N.join "D3" [ v 1; v 2 ])
+      ~rhs:(t N.join "D4" [ tv 2; tv 1 ])
+      (fun slot ->
+        let d3 = slot "D3" and d4 = slot "D4" in
+        (always, fun env -> env.(d4) <- env.(d3)));
+    assoc "join_assoc_left"
+      ~lhs:(p N.join "D5" [ p N.join "D4" [ v 1; v 2 ]; v 3 ])
+      ~rhs:(t N.join "D7" [ tv 1; t N.join "D6" [ tv 2; tv 3 ] ])
+      ~l:"D2" ~r:"D3";
+    assoc "join_assoc_right"
+      ~lhs:(p N.join "D5" [ v 1; p N.join "D4" [ v 2; v 3 ] ])
+      ~rhs:(t N.join "D7" [ t N.join "D6" [ tv 1; tv 2 ]; tv 3 ])
+      ~l:"D1" ~r:"D2";
+    Rule.trans_rule ~name:"select_split"
+      ~lhs:(p N.select "D2" [ v 1 ])
+      ~rhs:(t N.select "D4" [ t N.select "D3" [ tv 1 ] ])
+      (fun slot ->
+        let d1 = slot "D1" and d2 = slot "D2" in
+        let d3 = slot "D3" and d4 = slot "D4" in
+        ( (fun env -> List.length (Predicate.conjuncts (spred env.(d2))) >= 2),
+          fun env ->
+            let first, rest =
+              match Predicate.conjuncts (spred env.(d2)) with
+              | [] -> (Predicate.True, Predicate.True)
+              | x :: xs -> (x, Predicate.of_conjuncts xs)
+            in
+            let inner = set_spred Descriptor.empty rest in
+            let inner = set_attrs inner (attrs env.(d1)) in
+            let inner = set_card inner (sel_card (card env.(d1)) rest) in
+            env.(d3) <- set_size inner (size env.(d1));
+            env.(d4) <- set_spred env.(d2) first ));
+    Rule.trans_rule ~name:"select_merge"
+      ~lhs:(p N.select "D4" [ p N.select "D3" [ v 1 ] ])
+      ~rhs:(t N.select "D5" [ tv 1 ])
+      (fun slot ->
+        let d3 = slot "D3" and d4 = slot "D4" and d5 = slot "D5" in
+        ( always,
+          fun env ->
+            env.(d5) <-
+              set_spred env.(d4)
+                (F.canonical_and (spred env.(d4)) (spred env.(d3))) ));
+    Rule.trans_rule ~name:"select_commute"
+      ~lhs:(p N.select "D4" [ p N.select "D3" [ v 1 ] ])
+      ~rhs:(t N.select "D6" [ t N.select "D5" [ tv 1 ] ])
+      (fun slot ->
+        let d1 = slot "D1" and d3 = slot "D3" and d4 = slot "D4" in
+        let d5 = slot "D5" and d6 = slot "D6" in
+        ( always,
+          fun env ->
+            let inner = set_spred env.(d3) (spred env.(d4)) in
+            env.(d5) <- set_card inner (sel_card (card env.(d1)) (spred env.(d4)));
+            env.(d6) <- set_spred env.(d4) (spred env.(d3)) ));
+    push "select_push_join_left"
+      ~lhs:(p N.select "D4" [ p N.join "D3" [ v 1; v 2 ] ])
+      ~rhs:(t N.join "D6" [ t N.select "D5" [ tv 1 ]; tv 2 ])
+      ~input:"D1" ~cond:refs_input;
+    push "select_push_join_right"
+      ~lhs:(p N.select "D4" [ p N.join "D3" [ v 1; v 2 ] ])
+      ~rhs:(t N.join "D6" [ tv 1; t N.select "D5" [ tv 2 ] ])
+      ~input:"D2" ~cond:refs_input;
+    push "select_push_mat"
+      ~lhs:(p N.select "D4" [ p N.mat "D3" [ v 1 ] ])
+      ~rhs:(t N.mat "D6" [ t N.select "D5" [ tv 1 ] ])
+      ~input:"D1" ~cond:refs_input;
+    push "select_push_unnest"
+      ~lhs:(p N.select "D4" [ p N.unnest "D3" [ v 1 ] ])
+      ~rhs:(t N.unnest "D6" [ t N.select "D5" [ tv 1 ] ])
+      ~input:"D1"
+      ~cond:(fun env ~input:_ ~d3 ~pred ->
+        (not (Predicate.equal pred Predicate.True))
+        && not (refs_any pred (unnest_attr env.(d3))));
+    Rule.trans_rule ~name:"select_into_ret"
+      ~lhs:(p N.select "D4" [ p N.ret "D3" [ v 1 ] ])
+      ~rhs:(t N.ret "D5" [ tv 1 ])
+      (fun slot ->
+        let d3 = slot "D3" and d4 = slot "D4" and d5 = slot "D5" in
+        ( always,
+          fun env ->
+            let r =
+              set_spred env.(d3) (F.canonical_and (spred env.(d3)) (spred env.(d4)))
+            in
+            env.(d5) <- set_card r (card env.(d4)) ));
+    pull "mat_pull_join_left" (p N.join "D4" [ p N.mat "D3" [ v 1 ]; v 2 ]);
+    pull "mat_pull_join_right" (p N.join "D4" [ v 1; p N.mat "D3" [ v 2 ] ]);
+    mat_push_join "mat_push_join_left"
+      ~rhs:(t N.join "D6" [ t N.mat "D5" [ tv 1 ]; tv 2 ])
+      ~input:"D1" ~other:"D2"
+      ~attrs_of:(fun pushed other -> F.union_attrs pushed other);
+    mat_push_join "mat_push_join_right"
+      ~rhs:(t N.join "D6" [ tv 1; t N.mat "D5" [ tv 2 ] ])
+      ~input:"D2" ~other:"D1"
+      ~attrs_of:(fun pushed other -> F.union_attrs other pushed);
+    Rule.trans_rule ~name:"mat_commute"
+      ~lhs:(p N.mat "D4" [ p N.mat "D3" [ v 1 ] ])
+      ~rhs:(t N.mat "D6" [ t N.mat "D5" [ tv 1 ] ])
+      (fun slot ->
+        let d1 = slot "D1" and d3 = slot "D3" and d4 = slot "D4" in
+        let d5 = slot "D5" and d6 = slot "D6" in
+        ( (fun env -> subset (mat_attr env.(d4)) (attrs env.(d1))),
+          fun env ->
+            env.(d5) <- mat_pushed env ~input:d1 ~d4;
+            env.(d6) <- set_mat env.(d4) (mat_attr env.(d3)) ));
+    Rule.trans_rule ~name:"unnest_join_swap"
+      ~lhs:(p N.unnest "D4" [ p N.join "D3" [ v 1; v 2 ] ])
+      ~rhs:(t N.join "D6" [ t N.unnest "D5" [ tv 1 ]; tv 2 ])
+      (fun slot ->
+        let d1 = slot "D1" and d3 = slot "D3" and d4 = slot "D4" in
+        let d5 = slot "D5" and d6 = slot "D6" in
+        ( (fun env ->
+            let ua = unnest_attr env.(d4) in
+            subset ua (attrs env.(d1)) && not (refs_any (jpred env.(d3)) ua)),
+          fun env ->
+            let ua = unnest_attr env.(d4) in
+            let u = set_unnest Descriptor.empty ua in
+            let u = set_attrs u (attrs env.(d1)) in
+            let u = set_card u (card env.(d1) * F.unnest_fanout catalog ua) in
+            env.(d5) <- set_size u (size env.(d1));
+            env.(d6) <- set_card env.(d3) (card env.(d4)) ));
   ]
 
 (* ------------------------------------------------------------------ *)

@@ -68,12 +68,31 @@ type ctx = {
   mutable in_progress : Expr.t list;
 }
 
-(* Every access plan for [expr], whose root descriptor already carries the
-   required properties: close under T-rules, then implement each logical
-   form.  The closure re-runs inside the recursion because requirements
-   pushed down by pre-opt statements (e.g. an order requirement on a
-   nested-loops outer input) can enable T-rules -- such as the
-   sort-introduction rules -- that were inapplicable before.
+(* One plan per distinct root descriptor, the first of each.  A parent's
+   post-opt statements read only its inputs' descriptors (the achieved
+   properties and cost), so plans that agree on the root descriptor are
+   interchangeable under every parent: dropping all but one changes no
+   parent's descriptor and no cost.  Without this, every input's plans
+   multiply in the cartesian products below. *)
+let distinct_roots plans =
+  let seen = Descriptor.Tbl.create 16 in
+  List.filter
+    (fun plan ->
+      let d = Expr.descriptor plan in
+      if Descriptor.Tbl.mem seen d then false
+      else begin
+        Descriptor.Tbl.add seen d ();
+        true
+      end)
+    plans
+
+(* The access plans for [expr], whose root descriptor already carries the
+   required properties, one per distinct root descriptor: close under
+   T-rules, then implement each logical form.  The closure re-runs inside
+   the recursion because requirements pushed down by pre-opt statements
+   (e.g. an order requirement on a nested-loops outer input) can enable
+   T-rules -- such as the sort-introduction rules -- that were
+   inapplicable before.
 
    A rule cycle (Null passing a requirement back down to an expression that
    is already being optimized, re-enabling the same enforcer introduction)
@@ -90,12 +109,13 @@ let rec optimize_all ctx expr : Expr.t list * bool =
       ctx.in_progress <- expr :: ctx.in_progress;
       let cut = ref false in
       let plans =
-        List.concat_map
-          (fun form ->
-            let plans, c = implement ctx form in
-            if c then cut := true;
-            plans)
-          (logical_forms ?max_forms:ctx.max_forms ctx.ruleset expr)
+        distinct_roots
+          (List.concat_map
+             (fun form ->
+               let plans, c = implement ctx form in
+               if c then cut := true;
+               plans)
+             (logical_forms ?max_forms:ctx.max_forms ctx.ruleset expr))
       in
       ctx.in_progress <- List.tl ctx.in_progress;
       if not !cut then Expr_tbl.replace ctx.memo expr plans;

@@ -20,14 +20,23 @@ val logical_forms : ?max_forms:int -> Ruleset.t -> Expr.t -> Expr.t list
 
 val plans :
   ?max_forms:int -> Ruleset.t -> required:Descriptor.t -> Expr.t -> Expr.t list
-(** Every access plan for the query: for each logical form, every way of
-    choosing I-rules top-down.  [required] contains the properties requested
-    of the query result (e.g. a [tuple_order]); it is merged into the root
-    descriptor. *)
+(** The access plans for the query, one per distinct root descriptor: for
+    each logical form, every way of choosing I-rules top-down, keeping the
+    first plan found for each descriptor — of the whole query and of every
+    sub-problem.  This loses no cost: a parent's post-opt statements read
+    only its inputs' descriptors (achieved properties and cost), so two
+    input plans with one descriptor give the parent the same descriptor,
+    and no assumption that cost grows with the inputs' costs is needed.
+    It keeps the enumeration's size bounded by the number of distinct
+    descriptors instead of the product of every input's plan count.
+    [required] contains the properties requested of the query result
+    (e.g. a [tuple_order]); it is merged into the root descriptor. *)
 
 val best_plan :
   ?max_forms:int -> Ruleset.t -> required:Descriptor.t -> Expr.t -> result option
-(** The cheapest of {!plans}, [None] when no plan exists. *)
+(** The cheapest of {!plans} (the first among equals), [None] when no plan
+    exists.  It is the cheapest of all access plans, too: the plans
+    {!plans} drops never beat the one kept for their descriptor. *)
 
 val plan_count :
   ?max_forms:int -> Ruleset.t -> required:Descriptor.t -> Expr.t -> int

@@ -6,7 +6,13 @@ type tmpl =
   | Tvar of int * string option
   | Tnode of string * string * tmpl list
 
-let stream_desc_name i = "D" ^ string_of_int i
+(* the names of the first stream variables, built once: rule translation
+   asks for them repeatedly *)
+let small_desc_names = Array.init 16 (fun i -> "D" ^ string_of_int i)
+
+let stream_desc_name i =
+  if i >= 0 && i < Array.length small_desc_names then small_desc_names.(i)
+  else "D" ^ string_of_int i
 
 module Binding = struct
   type binding = {

@@ -50,7 +50,7 @@ type event =
   | Group_created of { gid : int }
   | Groups_merged of { survivor : int; dead : int }
   | Trans_matched of { rule : string; gid : int; bindings : int }
-  | Trans_applied of { rule : string; gid : int }
+  | Trans_applied of { rule : string; gid : int; fresh : bool }
   | Trans_rejected of { rule : string; gid : int; reason : reason }
   | Impl_matched of { rule : string; gid : int }
   | Impl_applied of { rule : string; gid : int }
@@ -318,7 +318,9 @@ let event_to_json { seq; span; event; _ } =
     | Trans_matched { rule; gid; bindings } ->
       Printf.sprintf "\"rule\":%s,\"gid\":%d,\"bindings\":%d"
         (Json.string rule) gid bindings
-    | Trans_applied { rule; gid }
+    | Trans_applied { rule; gid; fresh } ->
+      Printf.sprintf "\"rule\":%s,\"gid\":%d,\"fresh\":%b" (Json.string rule)
+        gid fresh
     | Impl_matched { rule; gid }
     | Impl_applied { rule; gid } ->
       Printf.sprintf "\"rule\":%s,\"gid\":%d" (Json.string rule) gid

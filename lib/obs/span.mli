@@ -58,7 +58,7 @@ type event =
   | Group_created of { gid : int }
   | Groups_merged of { survivor : int; dead : int }
   | Trans_matched of { rule : string; gid : int; bindings : int }
-  | Trans_applied of { rule : string; gid : int }
+  | Trans_applied of { rule : string; gid : int; fresh : bool }
   | Trans_rejected of { rule : string; gid : int; reason : reason }
   | Impl_matched of { rule : string; gid : int }
   | Impl_applied of { rule : string; gid : int }

@@ -1,6 +1,5 @@
 module Descriptor = Prairie.Descriptor
 module Pattern = Prairie.Pattern
-module Binding = Prairie.Pattern.Binding
 module Trule = Prairie.Trule
 module Irule = Prairie.Irule
 module Compiled = Prairie.Compiled
@@ -14,26 +13,19 @@ type t = {
   dead_trans : string list;
 }
 
-let binding_of_denv denv = { Binding.streams = []; descs = denv }
-
 (* Code generation stages each rule's test and statement lists into
-   closures once, at translation time (the analog of P2V emitting C
-   code); the closures run on every rule invocation. *)
+   closures over the rule's slot array once, at translation time (the
+   analog of P2V emitting C code); the closures run on every rule
+   invocation. *)
 let trans_of_trule helpers (t : Trule.t) : Rule.trans_rule =
   let protected = Trule.input_descriptors t in
-  let pre = Compiled.stmts ~protected helpers t.Trule.pre_test in
-  let tst = Compiled.test helpers t.Trule.test in
-  let post = Compiled.stmts ~protected helpers t.Trule.post_test in
-  {
-    Rule.tr_name = t.Trule.name;
-    tr_lhs = t.Trule.lhs;
-    tr_rhs = t.Trule.rhs;
-    tr_cond =
-      (fun denv ->
-        let b = pre (binding_of_denv denv) in
-        if tst b then Some b.Binding.descs else None);
-    tr_appl = (fun denv -> (post (binding_of_denv denv)).Binding.descs);
-  }
+  Rule.trans_rule ~name:t.Trule.name ~lhs:t.Trule.lhs ~rhs:t.Trule.rhs
+    ~vars:(Compiled.action_vars [ t.Trule.test ] (t.Trule.pre_test @ t.Trule.post_test))
+    (fun slot ->
+      let pre = Compiled.stmts ~protected helpers slot t.Trule.pre_test in
+      let tst = Compiled.test helpers slot t.Trule.test in
+      let post = Compiled.stmts ~protected helpers slot t.Trule.post_test in
+      ((fun env -> pre env; tst env), post))
 
 (* Stream variables of an I-rule LHS in positional order. *)
 let positional_vars (r : Irule.t) =
@@ -46,87 +38,113 @@ let positional_vars (r : Irule.t) =
       subs
   | Pattern.Pvar _ -> invalid_arg "I-rule LHS must be an operator"
 
-let impl_of_irule helpers ~physical (r : Irule.t) : Rule.impl_rule =
-  let op_d = Irule.operator_descriptor r in
-  let alg_d = Irule.algorithm_descriptor r in
+(* An I-rule staged over its slot table: the operator descriptor first,
+   then the inputs' [Di] in positional order, then everything else. *)
+type staged_irule = {
+  pos_vars : int list;
+  slot : string -> int;
+  fresh : op:Descriptor.t -> inputs:Descriptor.t array -> Compiled.env;
+      (** the operator descriptor and the inputs' [Di] bound *)
+  tst : Compiled.env -> bool;
+  pre : Compiled.env -> unit;
+  post : Compiled.env -> unit;
+  alg : int;  (** the algorithm descriptor's slot *)
+}
+
+let stage_irule helpers (r : Irule.t) =
   let pos_vars = positional_vars r in
-  let redescs = Irule.redescriptored_inputs r in
+  let op_d = Irule.operator_descriptor r in
+  let slots =
+    Compiled.slots
+      ((op_d :: List.map Pattern.stream_desc_name pos_vars)
+      @ Pattern.tmpl_desc_vars r.Irule.rhs
+      @ Compiled.action_vars [ r.Irule.test ] (r.Irule.pre_opt @ r.Irule.post_opt))
+  in
+  let slot = Compiled.slot slots in
+  let n = Array.length slots in
+  let op_slot = slot op_d in
+  let input_slots =
+    Array.of_list (List.map (fun v -> slot (Pattern.stream_desc_name v)) pos_vars)
+  in
+  let fresh ~op ~inputs =
+    let env = Array.make n Descriptor.empty in
+    env.(op_slot) <- op;
+    Array.iteri (fun k d -> env.(input_slots.(k)) <- d) inputs;
+    env
+  in
   let protected = Irule.input_descriptors r in
-  let tst = Compiled.test helpers r.Irule.test in
-  let pre = Compiled.stmts ~protected helpers r.Irule.pre_opt in
-  let post = Compiled.stmts ~protected:[ op_d ] helpers r.Irule.post_opt in
-  let mk_binding ~op_arg ~req ~inputs =
-    let descs =
-      (op_d, Descriptor.merge ~base:op_arg ~overrides:req)
-      :: List.mapi
-           (fun k v -> (Pattern.stream_desc_name v, inputs.(k)))
-           pos_vars
-    in
-    binding_of_denv descs
+  {
+    pos_vars;
+    slot;
+    fresh;
+    tst = Compiled.test helpers slot r.Irule.test;
+    pre = Compiled.stmts ~protected helpers slot r.Irule.pre_opt;
+    post = Compiled.stmts ~protected:[ op_d ] helpers slot r.Irule.post_opt;
+    alg = slot (Irule.algorithm_descriptor r);
+  }
+
+let impl_of_irule helpers ~physical (r : Irule.t) : Rule.impl_rule =
+  let s = stage_irule helpers r in
+  (* (input position, slot of its re-descriptor variable) *)
+  let redescs =
+    List.concat
+      (List.mapi
+         (fun k v ->
+           match List.assoc_opt v (Irule.redescriptored_inputs r) with
+           | Some dvar -> [ (k, s.slot dvar) ]
+           | None -> [])
+         s.pos_vars)
+  in
+  let arity = List.length s.pos_vars in
+  let physical = Descriptor.String_set.of_list physical in
+  let env_of ~op_arg ~req ~inputs =
+    s.fresh ~op:(Descriptor.merge ~base:op_arg ~overrides:req) ~inputs
   in
   {
     Rule.ir_name = r.Irule.name;
     ir_op = Irule.operator r;
     ir_alg = Irule.algorithm r;
-    ir_arity = List.length pos_vars;
-    ir_cond =
-      (fun ~op_arg ~req ~inputs -> tst (mk_binding ~op_arg ~req ~inputs));
+    ir_arity = arity;
+    ir_cond = (fun ~op_arg ~req ~inputs -> s.tst (env_of ~op_arg ~req ~inputs));
     ir_input_reqs =
       (fun ~op_arg ~req ~inputs ->
-        let b = pre (mk_binding ~op_arg ~req ~inputs) in
-        Array.of_list
-          (List.map
-             (fun v ->
-               match List.assoc_opt v redescs with
-               | Some dvar ->
-                 Descriptor.restrict (Binding.desc b dvar) physical
-               | None -> Descriptor.empty)
-             pos_vars));
+        let env = env_of ~op_arg ~req ~inputs in
+        s.pre env;
+        let reqs = Array.make arity Descriptor.empty in
+        List.iter
+          (fun (k, d) -> reqs.(k) <- Descriptor.restrict_set env.(d) physical)
+          redescs;
+        reqs);
     ir_finalize =
       (fun ~op_arg ~req ~inputs ->
         (* pre-opt over the achieved input descriptors, then rebind the
            re-descriptored variables to the achieved descriptors (paper
            §2.4: post-opt runs after the inputs are optimized), then
            post-opt. *)
-        let b = pre (mk_binding ~op_arg ~req ~inputs) in
-        let b =
-          List.fold_left
-            (fun b (k, v) ->
-              match List.assoc_opt v redescs with
-              | Some dvar -> Binding.bind_desc b dvar inputs.(k)
-              | None -> b)
-            b
-            (List.mapi (fun k v -> (k, v)) pos_vars)
-        in
-        Binding.desc (post b) alg_d);
+        let env = env_of ~op_arg ~req ~inputs in
+        s.pre env;
+        List.iter (fun (k, d) -> env.(d) <- inputs.(k)) redescs;
+        s.post env;
+        env.(s.alg));
   }
 
 let enforcer_of_irule helpers ~enforced (r : Irule.t) : Rule.enforcer =
-  let op_d = Irule.operator_descriptor r in
-  let alg_d = Irule.algorithm_descriptor r in
-  let stream_v =
-    match positional_vars r with
-    | [ v ] -> v
-    | _ -> invalid_arg "enforcer-algorithm rules take a single stream input"
-  in
-  let protected = Irule.input_descriptors r in
-  let tst = Compiled.test helpers r.Irule.test in
-  let pre = Compiled.stmts ~protected helpers r.Irule.pre_opt in
-  let post = Compiled.stmts ~protected:[ op_d ] helpers r.Irule.post_opt in
+  let s = stage_irule helpers r in
+  if List.length s.pos_vars <> 1 then
+    invalid_arg "enforcer-algorithm rules take a single stream input";
   {
     Rule.en_name = r.Irule.name;
     en_alg = Irule.algorithm r;
-    en_applies = (fun ~req -> tst (binding_of_denv [ (op_d, req) ]));
+    en_applies = (fun ~req -> s.tst (s.fresh ~op:req ~inputs:[||]));
     en_relaxed = (fun ~req -> Descriptor.without req enforced);
     en_finalize =
       (fun ~req ~input ->
-        let descs =
-          [
-            (op_d, Descriptor.merge ~base:input ~overrides:req);
-            (Pattern.stream_desc_name stream_v, input);
-          ]
+        let env =
+          s.fresh ~op:(Descriptor.merge ~base:input ~overrides:req) ~inputs:[| input |]
         in
-        Binding.desc (post (pre (binding_of_denv descs))) alg_d);
+        s.pre env;
+        s.post env;
+        env.(s.alg));
   }
 
 let translate (ruleset : Prairie.Ruleset.t) =

@@ -2,10 +2,12 @@
 
     Where the paper's pre-processor emits C code for Volcano's [cond_code],
     [appl_code], ["do_any_good"] and ["derive_phy_prop"] functions (§3.2,
-    Table 4), this module stages each rule's Prairie statement lists into
-    closures over the rule's descriptor environment once, at translation
-    time ({!Prairie.Compiled}), producing the closures the
-    {!Prairie_volcano.Search} engine calls.  The other two Volcano helper
+    Table 4), this module numbers each rule's descriptor variables into a
+    slot table and stages its Prairie statement lists into closures over
+    the slot array once, at translation time ({!Prairie.Compiled}): every
+    name is resolved to an index before the search runs, and the closures
+    the {!Prairie_volcano.Search} engine calls read and write descriptors
+    by index.  The other two Volcano helper
     functions (["cost"], ["get_input_pv"]) are subsumed — the paper notes
     they are short-circuited by the per-rule property transformations. *)
 

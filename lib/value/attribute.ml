@@ -7,9 +7,11 @@ let equal a b =
   a == b || (String.equal a.owner b.owner && String.equal a.name b.name)
 
 let compare a b =
-  match String.compare a.owner b.owner with
-  | 0 -> String.compare a.name b.name
-  | c -> c
+  if a == b then 0
+  else
+    match String.compare a.owner b.owner with
+    | 0 -> String.compare a.name b.name
+    | c -> c
 
 let hash t = Hashtbl.hash (t.owner, t.name)
 let to_string t = if t.owner = "" then t.name else t.owner ^ "." ^ t.name

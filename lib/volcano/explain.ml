@@ -87,6 +87,7 @@ type rule_account = {
   mutable matched : int;  (* match events (>=1 binding each) *)
   mutable bindings : int;  (* total bindings over all matches *)
   mutable applied : int;
+  mutable fresh : int;  (* trans applications whose RHS was new to the memo *)
   mutable rej_test : int;
   mutable rej_pruned : int;
   mutable rej_budget : int;
@@ -102,6 +103,7 @@ let account map rule =
         matched = 0;
         bindings = 0;
         applied = 0;
+        fresh = 0;
         rej_test = 0;
         rej_pruned = 0;
         rej_budget = 0;
@@ -131,11 +133,15 @@ let rejection_note a =
   String.concat ", "
     (List.map (fun (n, label) -> Printf.sprintf "%d× %s" n label) parts)
 
-let pp_accounts ppf kind map =
+(* [dups] adds the fresh/duplicate split of the applications (trans
+   rules: an application that rebuilt an expression the memo already held
+   is a duplicate). *)
+let pp_accounts ?(dups = false) ppf kind map =
   if not (SMap.is_empty map) then begin
     Format.fprintf ppf "@,@[<v 2>%s rules:" kind;
-    Format.fprintf ppf "@,%-28s %8s %8s %8s  %s" "rule" "matched" "applied"
-      "rejected" "rejection reasons";
+    Format.fprintf ppf "@,%-28s %8s %8s" "rule" "matched" "applied";
+    if dups then Format.fprintf ppf " %8s %8s" "fresh" "dup";
+    Format.fprintf ppf " %8s  %s" "rejected" "rejection reasons";
     (* trans matches carry a binding count (one cond test per binding);
        impl matches are one test each — report the tested bindings so
        applied + rejected(test) adds up *)
@@ -145,8 +151,10 @@ let pp_accounts ppf kind map =
         let rejected =
           a.rej_test + a.rej_pruned + a.rej_budget + a.rej_no_input
         in
-        Format.fprintf ppf "@,%-28s %8d %8d %8d  %s" rule (tested a) a.applied
-          rejected
+        Format.fprintf ppf "@,%-28s %8d %8d" rule (tested a) a.applied;
+        if dups then
+          Format.fprintf ppf " %8d %8d" a.fresh (a.applied - a.fresh);
+        Format.fprintf ppf " %8d  %s" rejected
           (if rejected = 0 then "-" else rejection_note a))
       map;
     (* the debugging story: rules that matched but never produced a plan *)
@@ -180,8 +188,10 @@ let trace ppf (sink : Span.t) =
         let a = account trans rule in
         a.matched <- a.matched + 1;
         a.bindings <- a.bindings + bindings
-      | Span.Trans_applied { rule; _ } ->
-        (account trans rule).applied <- (account trans rule).applied + 1
+      | Span.Trans_applied { rule; fresh; _ } ->
+        let a = account trans rule in
+        a.applied <- a.applied + 1;
+        if fresh then a.fresh <- a.fresh + 1
       | Span.Trans_rejected { rule; reason; _ } ->
         record_rejection (account trans rule) reason
       | Span.Impl_matched { rule; _ } ->
@@ -212,7 +222,7 @@ let trace ppf (sink : Span.t) =
        the plan may be sub-optimal"
       groups
   | None -> ());
-  pp_accounts ppf "transformation" !trans;
+  pp_accounts ~dups:true ppf "transformation" !trans;
   pp_accounts ppf "implementation" !impl;
   (match !final_winner with
   | Some (alg, cost) ->

@@ -27,9 +27,11 @@ val trace : Format.formatter -> Prairie_obs.Span.t -> unit
     implementation rule matched, applied, and was rejected — with the
     rejection reasons (test failed / pruned by cost limit / budget
     exhausted / no input plan) — plus group, memo-hit, enforcer and
-    winner-change totals.  Rules that matched but never applied are
-    called out explicitly: this is the "why did rule X never fire"
-    answer.  Events dropped by the ring buffer are reported but cannot
+    winner-change totals.  A transformation rule's applications are split
+    into fresh ones (the RHS added an expression to the memo) and
+    duplicates (the memo already held it).  Rules that matched but never
+    applied are called out explicitly: this is the "why did rule X never
+    fire" answer.  Events dropped by the ring buffer are reported but cannot
     be accounted. *)
 
 val trace_to_string : Prairie_obs.Span.t -> string

@@ -1,21 +1,80 @@
 module Descriptor = Prairie.Descriptor
+module Pattern = Prairie.Pattern
 module Value = Prairie_value.Value
 module Order = Prairie_value.Order
 
-type denv = (string * Descriptor.t) list
+type env = Prairie.Compiled.env
 
-let denv_get env d =
-  match List.assoc_opt d env with Some x -> x | None -> Descriptor.empty
+type lhs_slots =
+  | Match_var of { stream : int; desc : int }
+  | Match_op of { op : string; desc : int; arity : int; subs : lhs_slots list }
 
-let denv_set env d v = (d, v) :: List.remove_assoc d env
+type rhs_slots =
+  | Build_var of int
+  | Build_op of string * int * rhs_slots list
 
 type trans_rule = {
   tr_name : string;
-  tr_lhs : Prairie.Pattern.t;
-  tr_rhs : Prairie.Pattern.tmpl;
-  tr_cond : denv -> denv option;
-  tr_appl : denv -> denv;
+  tr_lhs : Pattern.t;
+  tr_rhs : Pattern.tmpl;
+  tr_slots : Prairie.Compiled.slots;
+  tr_streams : int;
+  tr_match : lhs_slots;
+  tr_build : rhs_slots;
+  tr_cond : env -> bool;
+  tr_appl : env -> unit;
 }
+
+let trans_rule ?(vars = []) ~name ~lhs ~rhs stage =
+  (* one pass over LHS, RHS and the actions' names numbers every
+     descriptor variable; stream variables get their own numbering *)
+  let rec lhs_names (ds, ss) = function
+    | Pattern.Pvar i -> (Pattern.stream_desc_name i :: ds, i :: ss)
+    | Pattern.Pop (_, d, subs) -> List.fold_left lhs_names (d :: ds, ss) subs
+  in
+  let rec rhs_names acc = function
+    | Pattern.Tvar (_, None) -> acc
+    | Pattern.Tvar (_, Some d) -> d :: acc
+    | Pattern.Tnode (_, d, subs) -> List.fold_left rhs_names (d :: acc) subs
+  in
+  let ds, ss = lhs_names ([], []) lhs in
+  let slots = Prairie.Compiled.slots (List.rev_append (rhs_names ds rhs) vars) in
+  let slot = Prairie.Compiled.slot slots in
+  let streams = Array.of_list (List.sort_uniq Int.compare ss) in
+  let stream_slot i =
+    let rec find k =
+      if k = Array.length streams then
+        invalid_arg
+          (Printf.sprintf "trans rule %s: RHS uses unbound stream variable ?%d"
+             name i)
+      else if streams.(k) = i then k
+      else find (k + 1)
+    in
+    find 0
+  in
+  let rec lhs_slots = function
+    | Pattern.Pvar i ->
+      Match_var { stream = stream_slot i; desc = slot (Pattern.stream_desc_name i) }
+    | Pattern.Pop (op, d, subs) ->
+      Match_op
+        { op; desc = slot d; arity = List.length subs; subs = List.map lhs_slots subs }
+  in
+  let rec rhs_slots = function
+    | Pattern.Tvar (i, _) -> Build_var (stream_slot i)
+    | Pattern.Tnode (op, d, subs) -> Build_op (op, slot d, List.map rhs_slots subs)
+  in
+  let tr_cond, tr_appl = stage slot in
+  {
+    tr_name = name;
+    tr_lhs = lhs;
+    tr_rhs = rhs;
+    tr_slots = slots;
+    tr_streams = Array.length streams;
+    tr_match = lhs_slots lhs;
+    tr_build = rhs_slots rhs;
+    tr_cond;
+    tr_appl;
+  }
 
 type impl_rule = {
   ir_name : string;
@@ -92,20 +151,20 @@ let make_ruleset ?(trans = []) ?(impl = []) ?(enforcers = [])
   let numbered = List.mapi (fun i tr -> (i, tr)) trans in
   let wildcard =
     List.filter
-      (fun (_, tr) -> Prairie.Pattern.root_operator tr.tr_lhs = None)
+      (fun (_, tr) -> Pattern.root_operator tr.tr_lhs = None)
       numbered
   in
   let match_index = Hashtbl.create 16 in
   List.iter
     (fun (_, tr) ->
-      match Prairie.Pattern.root_operator tr.tr_lhs with
+      match Pattern.root_operator tr.tr_lhs with
       | None -> ()
       | Some op ->
         if not (Hashtbl.mem match_index op) then
           Hashtbl.add match_index op
             (List.filter
                (fun (_, tr') ->
-                 match Prairie.Pattern.root_operator tr'.tr_lhs with
+                 match Pattern.root_operator tr'.tr_lhs with
                  | None -> true
                  | Some op' -> String.equal op op')
                numbered))

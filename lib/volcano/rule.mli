@@ -5,16 +5,32 @@
     rules are code: condition and application functions.  Hand-coded rule
     sets supply OCaml closures (the analog of the C support functions the
     paper counts in §4.2); the P2V pre-processor generates the closures
-    from Prairie rules automatically. *)
+    from Prairie rules automatically.
 
-type denv = (string * Prairie.Descriptor.t) list
-(** Descriptor environments: descriptor-variable bindings produced by
-    pattern matching and extended by condition/application code. *)
+    Both kinds of trans rule are staged over a slot table ({!trans_rule}):
+    descriptor variable names are resolved to array indices once, when the
+    rule is built, so the search binds a match into a
+    {!Prairie.Compiled.env} array and the closures never look a name up. *)
 
-val denv_get : denv -> string -> Prairie.Descriptor.t
-(** Unbound variables read as the empty descriptor. *)
+type env = Prairie.Compiled.env
+(** A trans rule invocation's descriptors, one per slot of the rule's slot
+    table: matching writes the LHS descriptors into it, [tr_cond] and
+    [tr_appl] update it in place, and the RHS is built from it. *)
 
-val denv_set : denv -> string -> Prairie.Descriptor.t -> denv
+(** The LHS pattern with every name resolved: stream variables to stream
+    slots, descriptor variables to descriptor slots. *)
+type lhs_slots =
+  | Match_var of { stream : int; desc : int }
+      (** [?i]: binds stream slot [stream] to a group and slot [desc]
+          ([Di]) to the group's descriptor *)
+  | Match_op of { op : string; desc : int; arity : int; subs : lhs_slots list }
+      (** an operator node: binds slot [desc] to the lexpr's argument *)
+
+(** The RHS template with every name resolved. *)
+type rhs_slots =
+  | Build_var of int  (** the group bound to this stream slot *)
+  | Build_op of string * int * rhs_slots list
+      (** an operator node carrying the descriptor of this slot *)
 
 type trans_rule = {
   tr_name : string;
@@ -22,13 +38,32 @@ type trans_rule = {
       (** pattern over operators; stream variable [?i] binds group
           descriptors to [Di] *)
   tr_rhs : Prairie.Pattern.tmpl;
-  tr_cond : denv -> denv option;
-      (** cond_code: pre-test statements + test.  Returns the extended
-          environment on success. *)
-  tr_appl : denv -> denv;
+  tr_slots : Prairie.Compiled.slots;
+      (** the slot table: descriptor variable [tr_slots.(i)] is [env.(i)] *)
+  tr_streams : int;  (** the number of stream slots *)
+  tr_match : lhs_slots;  (** [tr_lhs] over slots *)
+  tr_build : rhs_slots;  (** [tr_rhs] over slots *)
+  tr_cond : env -> bool;
+      (** cond_code: pre-test statements (written into the array) + test *)
+  tr_appl : env -> unit;
       (** appl_code: post-test statements computing the remaining output
-          descriptors. *)
+          descriptors *)
 }
+
+val trans_rule :
+  ?vars:string list ->
+  name:string ->
+  lhs:Prairie.Pattern.t ->
+  rhs:Prairie.Pattern.tmpl ->
+  ((string -> int) -> (env -> bool) * (env -> unit)) ->
+  trans_rule
+(** Build a trans rule: number the descriptor variables of [lhs], [rhs]
+    and [vars] (names only the actions mention) into a slot table in one
+    pass, resolve the patterns against it, and stage the rule's code by
+    calling [stage] with the table's resolver once — the closures it
+    returns read and write slots by index.
+    @raise Invalid_argument when [rhs] uses a stream variable [lhs] does
+    not bind, or [stage] resolves a name the table lacks. *)
 
 type impl_rule = {
   ir_name : string;

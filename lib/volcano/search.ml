@@ -1,5 +1,4 @@
 module Descriptor = Prairie.Descriptor
-module Pattern = Prairie.Pattern
 module Span = Prairie_obs.Span
 
 type t = {
@@ -64,15 +63,24 @@ let restrict_req ctx d =
       Descriptor.Tbl.replace ctx.restrict_cache d r;
       r
 
-(* Matching environments: stream variables bind groups; descriptor
-   variables bind descriptors (group descriptors for [Di], lexpr arguments
-   for operator descriptor variables). *)
+(* Matching environments: the rule's stream slots bind groups, its
+   descriptor slots bind descriptors (group descriptors for [Di], lexpr
+   arguments for operator descriptor variables).  An environment is owned
+   by one partial match: matching writes into it in place and copies it
+   only where one partial match forks into several. *)
 type menv = {
-  streams : (int * Memo.gid) list;
-  descs : Rule.denv;
+  streams : Memo.gid array;
+  descs : Rule.env;
 }
 
-let empty_menv = { streams = []; descs = [] }
+let fresh_menv (tr : Rule.trans_rule) =
+  {
+    streams = Array.make tr.Rule.tr_streams (-1);
+    descs = Array.make (Array.length tr.Rule.tr_slots) Descriptor.empty;
+  }
+
+let copy_menv env =
+  { streams = Array.copy env.streams; descs = Array.copy env.descs }
 
 (* The trans rules worth trying against a lexpr, paired with their rule
    ids.  The match index drops only rules whose root operator differs from
@@ -83,16 +91,20 @@ let candidates ctx (le : Memo.lexpr) =
   | Memo.L_op op -> Rule.trans_rules_for ctx.rules (Some op)
   | Memo.L_file _ -> Rule.trans_rules_for ctx.rules None
 
-let gtree_of_tmpl (tmpl : Pattern.tmpl) streams descs =
+let gtree_of_tmpl (build : Rule.rhs_slots) env =
   let rec go = function
-    | Pattern.Tvar (i, _) -> (
-      match List.assoc_opt i streams with
-      | Some g -> Memo.Gleaf g
-      | None -> invalid_arg "trans rule RHS uses unbound stream variable")
-    | Pattern.Tnode (name, dvar, subs) ->
-      Memo.Gnode (name, Rule.denv_get descs dvar, List.map go subs)
+    | Rule.Build_var s -> Memo.Gleaf env.streams.(s)
+    | Rule.Build_op (name, d, subs) ->
+      Memo.Gnode (name, env.descs.(d), List.map go subs)
   in
-  go tmpl
+  go build
+
+(* Does a lexpr have the operator and arity of a pattern's root? *)
+let heads_match (pat : Rule.lhs_slots) (le : Memo.lexpr) =
+  match (pat, le.Memo.node) with
+  | Rule.Match_op { op; arity; _ }, Memo.L_op n ->
+    String.equal n op && Array.length le.Memo.inputs = arity
+  | Rule.Match_op _, Memo.L_file _ | Rule.Match_var _, _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Exploration                                                         *)
@@ -144,7 +156,14 @@ and apply_rule ctx parent g le ((tr_id, tr) : int * Rule.trans_rule) ~changed =
   if not (Memo.rule_tried ctx.memo le tr_id) then begin
     Memo.mark_rule_tried ctx.memo le tr_id;
     let msp = Span.enter_opt ctx.spans ~rule:tr.tr_name ~parent Span.Match in
-    let envs = match_lexpr ctx msp tr.tr_lhs le empty_menv in
+    let envs =
+      match tr.tr_match with
+      | Rule.Match_op { desc; subs; _ } when heads_match tr.tr_match le ->
+        match_lexpr ctx msp desc subs le (fresh_menv tr)
+      | Rule.Match_op _ -> []
+      | Rule.Match_var _ ->
+        invalid_arg "trans rule LHS must be rooted at an operator"
+    in
     Span.exit_opt ctx.spans msp;
     if envs <> [] then begin
       Stats.record_trans_match ctx.st tr.tr_name;
@@ -154,69 +173,62 @@ and apply_rule ctx parent g le ((tr_id, tr) : int * Rule.trans_rule) ~changed =
     end;
     List.iter
       (fun env ->
-        match tr.tr_cond env.descs with
-        | None ->
+        if not (tr.tr_cond env.descs) then
           Span.emit_opt ctx.spans ~span:parent (fun () ->
               Span.Trans_rejected
                 { rule = tr.tr_name; gid = g; reason = Span.Test_failed })
-        | Some descs ->
+        else begin
           let asp =
             Span.enter_opt ctx.spans ~rule:tr.tr_name ~parent Span.Apply
           in
-          let descs = tr.tr_appl descs in
+          tr.tr_appl env.descs;
           Stats.record_trans_applied ctx.st tr.tr_name;
-          Span.emit_opt ctx.spans ~span:asp (fun () ->
-              Span.Trans_applied { rule = tr.tr_name; gid = g });
           ctx.st.Stats.trans_applications <- ctx.st.Stats.trans_applications + 1;
-          let gtree = gtree_of_tmpl tr.tr_rhs env.streams descs in
+          let gtree = gtree_of_tmpl tr.tr_build env in
           let target = Memo.canonical ctx.memo g in
           let _, fresh =
             Memo.insert_gtree ctx.memo ~into:target ?span_parent:asp gtree
           in
           if fresh then changed := true;
-          Span.exit_opt ctx.spans asp)
+          Span.emit_opt ctx.spans ~span:asp (fun () ->
+              Span.Trans_applied { rule = tr.tr_name; gid = g; fresh });
+          Span.exit_opt ctx.spans asp
+        end)
       envs
   end
 
-(* All bindings of [pat] against a specific lexpr. *)
-and match_lexpr ctx parent (pat : Pattern.t) (le : Memo.lexpr) env : menv list =
-  match (pat, le.Memo.node) with
-  | Pattern.Pop (name, dvar, subs), Memo.L_op n
-    when String.equal n name && Array.length le.Memo.inputs = List.length subs
-    ->
-    let env = { env with descs = Rule.denv_set env.descs dvar le.Memo.arg } in
-    let rec fold_inputs i pats envs =
-      match pats with
-      | [] -> envs
-      | p :: rest ->
-        let g = le.Memo.inputs.(i) in
-        let envs' =
-          List.concat_map (fun e -> match_sub ctx parent p g e) envs
-        in
-        fold_inputs (i + 1) rest envs'
-    in
-    fold_inputs 0 subs [ env ]
-  | Pattern.Pop _, (Memo.L_op _ | Memo.L_file _) -> []
-  | Pattern.Pvar _, _ ->
-    invalid_arg "trans rule LHS must be rooted at an operator"
+(* All bindings of an operator pattern (descriptor slot [desc], input
+   patterns [subs]) against a lexpr whose head matches it, extending [env]
+   (which the call owns). *)
+and match_lexpr ctx parent desc subs (le : Memo.lexpr) env : menv list =
+  env.descs.(desc) <- le.Memo.arg;
+  let rec fold_inputs i pats envs =
+    match pats with
+    | [] -> envs
+    | p :: rest ->
+      let g = le.Memo.inputs.(i) in
+      let envs' = List.concat_map (fun e -> match_sub ctx parent p g e) envs in
+      fold_inputs (i + 1) rest envs'
+  in
+  fold_inputs 0 subs [ env ]
 
-(* All bindings of [pat] against any member of group [g]. *)
-and match_sub ctx parent (pat : Pattern.t) g env : menv list =
+(* All bindings of [pat] against any member of group [g], extending [env]
+   (which the call owns). *)
+and match_sub ctx parent (pat : Rule.lhs_slots) g env : menv list =
   let g = Memo.canonical ctx.memo g in
   match pat with
-  | Pattern.Pvar i ->
-    let desc = Memo.group_desc ctx.memo g in
-    [
-      {
-        streams = (i, g) :: env.streams;
-        descs = Rule.denv_set env.descs (Pattern.stream_desc_name i) desc;
-      };
-    ]
-  | Pattern.Pop _ ->
+  | Rule.Match_var { stream; desc } ->
+    env.streams.(stream) <- g;
+    env.descs.(desc) <- Memo.group_desc ctx.memo g;
+    [ env ]
+  | Rule.Match_op { desc; subs; _ } ->
     explore ctx parent g;
     let g = Memo.canonical ctx.memo g in
     List.concat_map
-      (fun le -> match_lexpr ctx parent pat le env)
+      (fun le ->
+        if heads_match pat le then
+          match_lexpr ctx parent desc subs le (copy_menv env)
+        else [])
       (Memo.lexprs ctx.memo g)
 
 let explore_group ctx ?span gid = explore ctx span gid

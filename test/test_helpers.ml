@@ -179,27 +179,79 @@ let codegen_tests =
              Float.abs (n.Prairie.Naive.cost -. r.Opt.cost)
              <= 1e-6 *. Float.max 1.0 (Float.abs n.Prairie.Naive.cost)));
     Alcotest.test_case "compile-time static checks fire" `Quick (fun () ->
+        let slot = Prairie.Compiled.slot (Prairie.Compiled.slots [ "D1"; "D2" ]) in
         check "unknown helper at compile time" true
           (try
-             let (_ : Prairie.Pattern.Binding.t -> V.t) =
-               Prairie.Compiled.expr H.builtins
+             let (_ : Prairie.Compiled.env -> V.t) =
+               Prairie.Compiled.expr H.builtins slot
                  (Prairie.Action.call "no_such_helper" [])
              in
              false
            with H.Unknown_helper _ -> true);
         check "protected assignment at compile time" true
           (try
-             let (_ : Prairie.Pattern.Binding.t -> Prairie.Pattern.Binding.t) =
-               Prairie.Compiled.stmts ~protected:[ "D1" ] H.builtins
+             let (_ : Prairie.Compiled.env -> unit) =
+               Prairie.Compiled.stmts ~protected:[ "D1" ] H.builtins slot
                  [ Prairie.Action.Assign_prop ("D1", "x", Prairie.Action.int 1) ]
              in
              false
-           with Prairie.Eval.Rule_error _ -> true));
+           with Prairie.Eval.Rule_error _ -> true);
+        check "descriptor without a slot at compile time" true
+          (try
+             let (_ : Prairie.Compiled.env -> V.t) =
+               Prairie.Compiled.expr H.builtins slot (Prairie.Action.prop "D9" "x")
+             in
+             false
+           with Invalid_argument _ -> true));
+  ]
+
+(* The attribute kernels against the set-based definitions they replaced:
+   random attribute lists over a small universe (so lists overlap and
+   repeat), sorted or not, and predicates over the same universe. *)
+let kernel_tests =
+  let module G = QCheck2.Gen in
+  let attr_gen =
+    G.map2 (fun o n -> attr (Printf.sprintf "R%d" o) (Printf.sprintf "a%d" n))
+      (G.int_bound 2) (G.int_bound 3)
+  in
+  let list_gen =
+    G.map2
+      (fun sorted l -> if sorted then List.sort_uniq A.compare l else l)
+      G.bool
+      (G.list_size (G.int_bound 6) attr_gen)
+  in
+  let pred_gen =
+    G.map
+      (fun atoms ->
+        P.of_conjuncts
+          (List.map (fun (a, b) -> P.Cmp (P.Eq, P.T_attr a, P.T_attr b)) atoms))
+      (G.list_size (G.int_bound 3) (G.pair attr_gen attr_gen))
+  in
+  let set = A.Set.of_list in
+  let old_union a b = List.sort_uniq A.compare (a @ b) in
+  let old_refs_only p al = A.Set.subset (P.attributes p) (set al) in
+  let old_refs_any p al =
+    not (A.Set.is_empty (A.Set.inter (P.attributes p) (set al)))
+  in
+  let old_subset a b = A.Set.subset (set a) (set b) in
+  let prop name gen f =
+    QCheck_alcotest.to_alcotest (QCheck2.Test.make ~name ~count:500 gen f)
+  in
+  [
+    prop "union_attrs equals the sorted set union" (G.pair list_gen list_gen)
+      (fun (a, b) -> F.union_attrs a b = old_union a b);
+    prop "pred_refs_only equals the set definition" (G.pair pred_gen list_gen)
+      (fun (p, al) -> F.pred_refs_only p al = old_refs_only p al);
+    prop "pred_refs_any equals the set definition" (G.pair pred_gen list_gen)
+      (fun (p, al) -> F.pred_refs_any p al = old_refs_any p al);
+    prop "attrs_subset equals the set definition" (G.pair list_gen list_gen)
+      (fun (a, b) -> F.attrs_subset a b = old_subset a b);
   ]
 
 let suites =
   [
     ("helpers.functions", fn_tests);
+    ("helpers.kernels", kernel_tests);
     ("helpers.environment", env_tests);
     ("helpers.cost_model", cost_tests);
     ("helpers.codegen", codegen_tests);

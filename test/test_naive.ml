@@ -115,6 +115,84 @@ let plan_tests =
           (Naive.plan_count ruleset ~required:D.empty two_way));
   ]
 
+(* Every access plan, enumerated by the test without the oracle's memo or
+   its one-plan-per-descriptor cut: each logical form, every applicable
+   I-rule, every combination of input plans.  Re-entrant sub-problems
+   yield nothing, as in the oracle. *)
+let exhaustive_costs ruleset ~required expr =
+  let helpers = ruleset.Prairie.Ruleset.helpers in
+  let rec cartesian = function
+    | [] -> [ [] ]
+    | choices :: rest ->
+      let tails = cartesian rest in
+      List.concat_map (fun c -> List.map (fun t -> c :: t) tails) choices
+  in
+  let rec all_plans in_progress expr =
+    if List.exists (Expr.equal expr) in_progress then []
+    else
+      List.concat_map
+        (implement (expr :: in_progress))
+        (Naive.logical_forms ruleset expr)
+  and implement in_progress = function
+    | (Expr.Stored _ | Expr.Node (Expr.Algorithm, _, _, _)) as e -> [ e ]
+    | Expr.Node (Expr.Operator, name, _, _) as e ->
+      List.concat_map
+        (fun rule ->
+          match Prairie.Eval.begin_irule helpers rule e with
+          | None -> []
+          | Some app -> (
+            match Prairie.Eval.input_requirements app with
+            | None -> []
+            | Some reqs ->
+              let per_input =
+                List.map
+                  (fun (i, sub) ->
+                    List.map (fun p -> (i, p)) (all_plans in_progress sub))
+                  reqs
+              in
+              List.map
+                (fun optimized_inputs ->
+                  Prairie.Eval.finish_irule helpers app ~optimized_inputs)
+                (cartesian per_input)))
+        (Prairie.Ruleset.irules_for ruleset name)
+  in
+  match
+    Prairie.Eval.pose expr
+      (D.merge ~base:(Expr.descriptor expr) ~overrides:required)
+  with
+  | None -> []
+  | Some expr -> List.map Expr.cost (all_plans [] expr)
+
+let exhaustive_tests =
+  let ordered a =
+    D.of_list [ ("tuple_order", V.Order (O.sorted_on a)) ]
+  in
+  let selected =
+    Rel.ret ~pred:(P.Cmp (P.Eq, P.T_attr (attr "R1" "a"), P.T_int 3)) catalog "R1"
+  in
+  let cases =
+    [
+      ("two-way join", D.empty, two_way);
+      ("two-way join, ordered on R1.b", ordered (attr "R1" "b"), two_way);
+      ("three-way join", D.empty, three_way);
+      ("indexed selection, ordered on R1.a", ordered (attr "R1" "a"), selected);
+    ]
+  in
+  List.map
+    (fun (name, required, q) ->
+      Alcotest.test_case ("best plan is the exhaustive minimum: " ^ name) `Quick
+        (fun () ->
+          let costs = exhaustive_costs ruleset ~required q in
+          check "some plan" true (costs <> []);
+          let minimum = List.fold_left Float.min infinity costs in
+          match Naive.best_plan ruleset ~required q with
+          | None -> Alcotest.fail "the oracle found no plan"
+          | Some best ->
+            Alcotest.(check (float 1e-9)) "cost" minimum best.Naive.cost;
+            check "fewer or as many plans kept" true
+              (Naive.plan_count ruleset ~required q <= List.length costs)))
+    cases
+
 (* A stored file is no stream: no algorithm changes what it delivers, and
    Volcano never puts an enforcer on a file group.  The oracle must accept
    a bare file as a plan only when its own descriptor meets the
@@ -164,5 +242,6 @@ let suites =
   [
     ("naive.logical", logical_tests);
     ("naive.plans", plan_tests);
+    ("naive.exhaustive", exhaustive_tests);
     ("naive.stored", stored_leaf_tests);
   ]

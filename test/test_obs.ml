@@ -118,7 +118,7 @@ let test_json_helpers () =
   let json event =
     Span.event_to_json { Span.seq = 0; at_ns = 0L; span = -1; event }
   in
-  let rule_json rule = json (Span.Trans_applied { rule; gid = 0 }) in
+  let rule_json rule = json (Span.Trans_applied { rule; gid = 0; fresh = true }) in
   check "escaping" true
     (contains (rule_json "a\\b\"c\nd") "\"a\\\\b\\\"c\\nd\"");
   check "control chars" true (contains (rule_json "\007") "\"\\u0007\"");
