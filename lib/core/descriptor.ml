@@ -2,30 +2,14 @@ module Value = Prairie_value.Value
 module String_map = Map.Make (String)
 module String_set = Set.Make (String)
 
-(* Descriptors are hash-consed: every distinct binding map is represented by
-   at most one live record per domain, carrying a precomputed
-   order-independent hash, a pool-unique id, and a lazily cached canonical
-   fingerprint.  [equal]/[hash] therefore cost O(1) on the memo hot paths
-   (the pointer-equality fast path covers every same-domain comparison)
-   instead of re-serializing the map per probe.
-
-   The pool is generation-scoped and domain-local.  Generation-scoped: a
-   strong hash table capped at [pool_capacity] entries that is reset
-   wholesale when full, rather than a weak set — weak arrays make every
-   intern pay GC bookkeeping (sweeping shows up prominently in optimizer
-   profiles), while a bounded strong table costs one probe.  Resetting a
-   generation never invalidates live descriptors: the pool is purely a
-   dedup cache, and [equal] falls back to structural comparison for the
-   (rare) pairs interned in different generations.  Domain-local: the plan
-   service optimizes on several domains at once, and a shared pool would
-   need a lock on every construction; descriptors that cross domains hit
-   the same structural fallback. *)
+(* A descriptor is an immutable binding map paired with an
+   order-independent hash of its bindings.  The hash is maintained
+   incrementally by [set]/[remove], so [hash] is O(1) and [equal] rejects
+   most unequal pairs with one int compare before walking the maps. *)
 
 type t = {
-  id : int;  (** unique within the interning domain's pool *)
   hash : int;  (** order-independent combination of binding hashes *)
   map : Value.t String_map.t;
-  mutable fp : string option;  (** cached canonical serialization *)
 }
 
 (* XOR-combined per-binding hashes: order-independent, so [set]/[remove]
@@ -33,7 +17,7 @@ type t = {
 
    [hash_param] with a deep meaningful-node budget: the default budget (10)
    stops inside long attribute lists, making every join descriptor's "attrs"
-   binding hash alike and defeating the hash pre-checks below.  The deeper
+   binding hash alike and defeating the hash pre-check in [equal].  The deeper
    walk is paid once per binding change, not per comparison.
 
    Equal values hash equal even at the float edge cases: [caml_hash]
@@ -47,59 +31,13 @@ let empty_hash = 0x6b84c5
 let map_hash m =
   String_map.fold (fun p v h -> h lxor binding_hash p v) m empty_hash
 
-module Pool = Hashtbl.Make (struct
-  type nonrec t = t
+let make map = { hash = map_hash map; map }
 
-  (* The cached-hash pre-check settles bucket mismatches with one int
-     compare; without it every probe walks two binding maps (and their
-     attribute lists) until the first difference, which dominated optimizer
-     profiles.  Sound because equal maps hash equal (see [binding_hash]). *)
-  let equal a b =
-    a == b || (a.hash = b.hash && String_map.equal Value.equal a.map b.map)
-
-  let hash (d : t) = d.hash
-end)
-
+(* All zero: nothing is pooled.  Kept for perfbench/, which reads it. *)
 type pool_stats = { size : int; hits : int; misses : int }
 
-type pool = {
-  set : t Pool.t;
-  mutable next_id : int;
-  mutable hits : int;
-  mutable misses : int;
-}
-
-(* Generation cap: large enough that a single optimization run never rolls
-   over (the biggest bench workloads intern a few tens of thousands of
-   distinct descriptors), small enough to bound a long-lived service
-   domain's memory. *)
-let pool_capacity = 1 lsl 17
-
-let pool_key =
-  Domain.DLS.new_key (fun () ->
-      { set = Pool.create 1024; next_id = 0; hits = 0; misses = 0 })
-
-let intern ?hash map =
-  let h = match hash with Some h -> h | None -> map_hash map in
-  let pool = Domain.DLS.get pool_key in
-  let candidate = { id = pool.next_id; hash = h; map; fp = None } in
-  match Pool.find_opt pool.set candidate with
-  | Some r ->
-    pool.hits <- pool.hits + 1;
-    r
-  | None ->
-    if Pool.length pool.set >= pool_capacity then Pool.reset pool.set;
-    Pool.add pool.set candidate candidate;
-    pool.next_id <- pool.next_id + 1;
-    pool.misses <- pool.misses + 1;
-    candidate
-
-let pool_stats () =
-  let p = Domain.DLS.get pool_key in
-  { size = Pool.length p.set; hits = p.hits; misses = p.misses }
-
-let id d = d.id
-let empty = intern String_map.empty
+let pool_stats () = { size = 0; hits = 0; misses = 0 }
+let empty = make String_map.empty
 let is_empty d = String_map.is_empty d.map
 
 let get d p =
@@ -125,28 +63,27 @@ let set d p v =
     match String_map.find_opt p d.map with
     | None -> d
     | Some old ->
-      intern
-        ~hash:(d.hash lxor binding_hash p old)
-        (String_map.remove p d.map)
+      { hash = d.hash lxor binding_hash p old; map = String_map.remove p d.map }
   else
     match String_map.find_opt p d.map with
     | Some old ->
-      intern
-        ~hash:(d.hash lxor binding_hash p old lxor binding_hash p v)
-        (String_map.add p v d.map)
+      {
+        hash = d.hash lxor binding_hash p old lxor binding_hash p v;
+        map = String_map.add p v d.map;
+      }
     | None ->
-      intern ~hash:(d.hash lxor binding_hash p v) (String_map.add p v d.map)
+      { hash = d.hash lxor binding_hash p v; map = String_map.add p v d.map }
 
 let remove d p =
   match String_map.find_opt p d.map with
   | None -> d
   | Some old ->
-    intern ~hash:(d.hash lxor binding_hash p old) (String_map.remove p d.map)
+    { hash = d.hash lxor binding_hash p old; map = String_map.remove p d.map }
 
 let mem d p = match find d p with Some _ -> true | None -> false
 
 let of_list bindings =
-  intern
+  make
     (List.fold_left
        (fun m (p, v) ->
          if is_no_constraint v then String_map.remove p m
@@ -158,22 +95,23 @@ let to_list d = String_map.bindings d.map
 let merge ~base ~overrides =
   if String_map.is_empty overrides.map then base
   else if String_map.is_empty base.map then overrides
-  else intern (String_map.union (fun _ _ v -> Some v) base.map overrides.map)
+  else make (String_map.union (fun _ _ v -> Some v) base.map overrides.map)
 
 (* [String_map.filter] preserves physical identity when nothing is dropped,
-   so the common "already restricted" case returns [d] without touching the
-   pool. *)
+   so the common "already restricted" case returns [d] itself. *)
 let restrict_set d props =
   let m = String_map.filter (fun p _ -> String_set.mem p props) d.map in
-  if m == d.map then d else intern m
+  if m == d.map then d else make m
 
 let without_set d props =
   let m = String_map.filter (fun p _ -> not (String_set.mem p props)) d.map in
-  if m == d.map then d else intern m
+  if m == d.map then d else make m
 
 let restrict d props = restrict_set d (String_set.of_list props)
 let without d props = without_set d (String_set.of_list props)
 
+(* The hash pre-check is sound because equal maps hash equal (see
+   [binding_hash]). *)
 let equal a b =
   a == b || (a.hash = b.hash && String_map.equal Value.equal a.map b.map)
 
@@ -183,16 +121,14 @@ let hash d = d.hash
 module Tbl = Hashtbl.Make (struct
   type nonrec t = t
 
-  let equal a b =
-    a == b || (a.hash = b.hash && String_map.equal Value.equal a.map b.map)
-
-  let hash (d : t) = d.hash
+  let equal = equal
+  let hash = hash
 end)
 
 (* Injective serialization for fingerprinting.  Strings are length-prefixed
    so concatenation cannot introduce collisions; floats are rendered as hex
    ("%h") so distinct bit patterns stay distinct where "%g" would round. *)
-let add_map_fingerprint buf m =
+let add_fingerprint buf d =
   let tagged c s =
     Buffer.add_char buf c;
     Buffer.add_string buf (string_of_int (String.length s));
@@ -227,22 +163,14 @@ let add_map_fingerprint buf m =
       Buffer.add_char buf '=';
       add_value v;
       Buffer.add_char buf ';')
-    m;
+    d.map;
   Buffer.add_char buf '}'
 
 let fingerprint d =
-  match d.fp with
-  | Some s -> s
-  | None ->
-    let buf = Buffer.create 64 in
-    add_map_fingerprint buf d.map;
-    let s = Buffer.contents buf in
-    (* A benign race when two domains fingerprint a shared descriptor:
-       both compute the same string and the one-word write is atomic. *)
-    d.fp <- Some s;
-    s
+  let buf = Buffer.create 64 in
+  add_fingerprint buf d;
+  Buffer.contents buf
 
-let add_fingerprint buf d = Buffer.add_string buf (fingerprint d)
 let get_int d p = Value.to_int (get d p)
 let get_float d p = Value.to_float (get d p)
 let get_order d p = Value.to_order (get d p)

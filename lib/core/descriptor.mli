@@ -6,26 +6,16 @@
     operator/algorithm arguments, physical properties and cost — the split is
     recovered mechanically by the P2V pre-processor.
 
-    Descriptors are hash-consed through a domain-local, generation-scoped
-    pool (a bounded strong table, reset wholesale when full): every
-    value carries a pool-unique {!id}, a precomputed order-independent
-    {!hash}, and a lazily cached {!fingerprint}, so the memo hot paths get
-    O(1) hashing and (within a domain) pointer-equality comparisons.
-    Observational semantics are unchanged from the uninterned
-    representation. *)
+    A descriptor is an immutable value that carries an order-independent
+    {!hash} of its bindings, updated incrementally by {!set} and {!remove},
+    so the memo hot paths hash in O(1).  Having no mutable state, a
+    descriptor may be shared freely between domains. *)
 
 type t
 
 val empty : t
 
 val is_empty : t -> bool
-
-val id : t -> int
-(** Pool-unique identity of this descriptor, assigned at interning time.
-    Unique only within the interning domain — descriptors that cross domains
-    (e.g. through the plan cache) may collide on [id], so persistent keys
-    must use the descriptor itself (via {!hash}/{!equal} or {!Tbl}), not the
-    raw id.  Ids are not stable across runs; never use them for ordering. *)
 
 val get : t -> string -> Prairie_value.Value.t
 (** [get d p] is the value of property [p], or [Null] when unset. *)
@@ -66,50 +56,37 @@ val restrict_set : t -> String_set.t -> t
 val without_set : t -> String_set.t -> t
 
 val equal : t -> t -> bool
-(** Pointer equality first (covers every pair interned by the same
-    generation of the same domain's pool), then the cached-hash pre-check,
-    then structural comparison of the binding maps.  The fallbacks make
-    equality sound for descriptors interned in {e different domains} (or
-    different pool generations): two such records are never physically
-    equal and may even collide on {!id}, but they compare equal exactly
-    when their bindings do. *)
+(** Pointer equality first, then the hash pre-check, then structural
+    comparison of the binding maps. *)
 
 val compare : t -> t -> int
-(** Structural comparison (not id-based): deterministic across runs and
-    domains. *)
+(** Structural comparison: deterministic across runs and domains. *)
 
 val hash : t -> int
-(** O(1): returns the hash precomputed at interning time.  The hash is a
-    pure function of the bindings, so equal descriptors hash equal no
-    matter which domain interned them. *)
+(** O(1): returns the precomputed hash, a pure function of the bindings,
+    so equal descriptors hash equal. *)
 
 module Tbl : Hashtbl.S with type key = t
-(** Hash tables keyed by descriptor, using the cached hash and the
-    pointer-fast-path equality.  This is the right structure for winner
-    tables and per-descriptor memo caches.  Safe to share across domains
-    (with external synchronization of the table itself): keys interned in
-    one domain are found by structurally equal probes interned in another,
-    because {!equal}/{!hash} never depend on pool identity. *)
+(** Hash tables keyed by descriptor, using {!hash} and {!equal}: the
+    structure for winner tables and per-descriptor memo caches. *)
 
 val add_fingerprint : Buffer.t -> t -> unit
 (** Append an injective canonical serialization of the bindings to a buffer
     (the building block of {!Prairie.Expr.fingerprint}).  Because "no
     constraint" values are normalized to absence (see {!set}), descriptors
     built along different rewriting paths serialize identically exactly when
-    they are {!equal}.  The serialization is computed once per descriptor
-    and cached. *)
+    they are {!equal}. *)
 
 val fingerprint : t -> string
-(** [add_fingerprint] into a fresh buffer, cached after the first call.
+(** [add_fingerprint] into a fresh buffer.
     [fingerprint a = fingerprint b] iff [equal a b]. *)
 
 type pool_stats = { size : int; hits : int; misses : int }
-(** [size] is the current number of live descriptors in this domain's pool;
-    [hits] counts interning requests answered by an existing descriptor,
-    [misses] those that created a new one. *)
 
 val pool_stats : unit -> pool_stats
-(** Statistics of the calling domain's interning pool. *)
+(** Always all zero: descriptors are not pooled.  Kept only because the
+    end-to-end benchmark (perfbench/) reads it; it goes with that
+    benchmark's next revision. *)
 
 (** {1 Typed accessors}
 

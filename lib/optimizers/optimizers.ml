@@ -90,26 +90,6 @@ let winner_metrics m ~ruleset st =
   Metrics.inc ~by:st.Prairie_volcano.Stats.winner_hits
     (m_winner_hits_total m ~ruleset)
 
-(* Gauges of the calling domain's descriptor interning pool (pool-worker
-   domains have their own pools, not visible from here). *)
-let pool_metrics m =
-  let s = Descriptor.pool_stats () in
-  let set name help v = Metrics.set (Metrics.gauge m ~help name) v in
-  set "prairie_descriptor_pool_size"
-    "Live interned descriptors (calling domain)"
-    (float_of_int s.Descriptor.size);
-  set "prairie_descriptor_pool_hits"
-    "Interning requests answered by an existing descriptor (lifetime)"
-    (float_of_int s.Descriptor.hits);
-  set "prairie_descriptor_pool_misses"
-    "Interning requests that allocated a new descriptor (lifetime)"
-    (float_of_int s.Descriptor.misses);
-  set "prairie_descriptor_pool_hit_rate"
-    "Lifetime interning hit rate of the calling domain's pool"
-    (let total = s.Descriptor.hits + s.Descriptor.misses in
-     if total = 0 then 0.0
-     else float_of_int s.Descriptor.hits /. float_of_int total)
-
 let cache_metrics m cache =
   let s = Prairie_service.Plan_cache.stats cache in
   let set name help v =
@@ -273,6 +253,5 @@ let serve ?group_budget ?jobs ?search_jobs:_ ?cache ?metrics ?slow_log t batch =
       (if requests = 0 then 0.0
        else float_of_int (requests - fresh) /. float_of_int requests);
     Metrics.observe (m_batch_seconds m ~ruleset:t.name) elapsed;
-    pool_metrics m;
     match cache with Some c -> cache_metrics m c | None -> ());
   served

@@ -67,7 +67,15 @@ let rec skip_trivia st =
     skip_trivia st
   | Some _ | None -> ()
 
+(* Digits starting at [start], read as an [int]; a literal beyond [max_int]
+   is a lexical error at [pos], where the literal begins. *)
+let int_literal st pos start =
+  match int_of_string_opt (String.sub st.src start (st.offset - start)) with
+  | Some n -> n
+  | None -> raise (Lex_error (pos, "integer literal out of range"))
+
 let lex_number st =
+  let pos = position st in
   let start = st.offset in
   while (match peek st with Some c -> is_digit c | None -> false) do
     advance st
@@ -84,7 +92,7 @@ let lex_number st =
     done;
     Token.FLOAT (float_of_string (String.sub st.src start (st.offset - start)))
   end
-  else Token.INT (int_of_string (String.sub st.src start (st.offset - start)))
+  else Token.INT (int_literal st pos start)
 
 let lex_ident st =
   let start = st.offset in
@@ -142,13 +150,14 @@ let next_token st : Token.t =
     | '/' -> advance st; Token.SLASH
     | '"' -> lex_string st
     | '?' ->
+      let pos = position st in
       advance st;
       let start = st.offset in
       while (match peek st with Some c -> is_digit c | None -> false) do
         advance st
       done;
       if st.offset = start then error st "expected digits after '?'"
-      else Token.STREAM_VAR (int_of_string (String.sub st.src start (st.offset - start)))
+      else Token.STREAM_VAR (int_literal st pos start)
     | '=' -> (
       advance st;
       match peek st with

@@ -63,9 +63,10 @@ let has_ty v ty =
     ->
     false
 
-(* Physical-equality fast paths throughout: descriptor interning makes
-   derived descriptors share value structure (whole values, attribute-list
-   tails, predicate trees), so [==] settles almost every comparison on the
+(* Physical-equality fast paths throughout: a derived descriptor shares
+   value structure with the one it came from ([Map.add] keeps every untouched
+   binding, and rule actions copy whole values, attribute-list tails and
+   predicate trees), so [==] settles almost every comparison on the
    optimizer hot paths without walking the structure. *)
 let rec attrs_equal x y =
   x == y

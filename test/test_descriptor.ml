@@ -42,6 +42,12 @@ let basic_tests =
     Alcotest.test_case "cost accessors" `Quick (fun () ->
         Alcotest.(check (float 0.0)) "default" 0.0 (D.cost D.empty);
         Alcotest.(check (float 0.0)) "set" 2.5 (D.cost (D.set_cost D.empty 2.5)));
+    Alcotest.test_case "pool_stats is all zero" `Quick (fun () ->
+        ignore (D.set (D.of_list [ ("n", V.Int 1) ]) "m" (V.Int 2));
+        let s = D.pool_stats () in
+        check_int "size" 0 s.D.size;
+        check_int "hits" 0 s.D.hits;
+        check_int "misses" 0 s.D.misses);
     Alcotest.test_case "typed accessors" `Quick (fun () ->
         let d = D.of_list [ ("attrs", V.Attrs [ a ]); ("o", V.Order (O.sorted_on a)) ] in
         check_int "attrs" 1 (List.length (D.get_attrs d "attrs"));
@@ -99,10 +105,10 @@ let property_based =
         = List.length (D.to_list d));
   ]
 
-(* Interning: hash-consed descriptors must be observationally identical to
-   the plain-map representation — same equality, ordering, fingerprints —
-   and equal descriptors must be interchangeable wherever one is used as a
-   hash-table key. *)
+(* Equal bindings make interchangeable descriptors: equality, ordering,
+   hash and fingerprint agree, however the bindings were built, and equal
+   descriptors are interchangeable wherever one is used as a hash-table
+   key. *)
 let shuffle l =
   List.map snd
     (List.sort
@@ -116,7 +122,7 @@ let interning_based =
         let eq = D.equal d1 d2 in
         eq = (D.compare d1 d2 = 0)
         && eq = String.equal (D.fingerprint d1) (D.fingerprint d2));
-    qtest "same bindings intern to the same descriptor" gen_desc (fun d ->
+    qtest "same bindings give the same descriptor" gen_desc (fun d ->
         let rebuilt = D.of_list (shuffle (D.to_list d)) in
         D.equal d rebuilt && D.hash d = D.hash rebuilt);
     qtest "equal descriptors are interchangeable Tbl keys"
@@ -169,16 +175,15 @@ let property_tests =
         Support.check_rejects "P001" (src "D3.z = 1;"));
   ]
 
-(* Cross-domain soundness: the interning pool lives in [Domain.DLS], so a
-   descriptor built in another domain is a distinct record whose pool id
-   may even collide with a local one — equality, hashing, ordering and
-   shared tables must all fall back to structure. *)
+(* Across domains: a descriptor built in another domain is a distinct
+   record, so equality, hashing, ordering and shared tables must all go by
+   the bindings. *)
 let cross_domain_tests =
   let bindings =
     [ ("attrs", V.Attrs [ a ]); ("n", V.Int 7); ("tag", V.Str "x") ]
   in
   [
-    Alcotest.test_case "two domains intern equal but distinct records" `Quick
+    Alcotest.test_case "two domains build equal but distinct records" `Quick
       (fun () ->
         let here = D.of_list bindings in
         let there = Domain.join (Domain.spawn (fun () -> D.of_list bindings)) in
@@ -193,7 +198,7 @@ let cross_domain_tests =
         let here = D.of_list bindings in
         let tbl = D.Tbl.create 8 in
         D.Tbl.replace tbl here "planned";
-        (* probe interned by a different domain's pool *)
+        (* probe built by a different domain *)
         let there = Domain.join (Domain.spawn (fun () -> D.of_list bindings)) in
         check "found by structural key" true
           (D.Tbl.find_opt tbl there = Some "planned");
@@ -202,8 +207,8 @@ let cross_domain_tests =
         let tbl2 = D.Tbl.create 8 in
         D.Tbl.replace tbl2 there "cached";
         check "reverse lookup" true (D.Tbl.find_opt tbl2 here = Some "cached");
-        (* derived descriptors built from the foreign record re-intern
-           locally and stay interchangeable *)
+        (* descriptors derived from the foreign record stay
+           interchangeable *)
         let d1 = D.set here "extra" (V.Int 1) in
         let d2 = D.set there "extra" (V.Int 1) in
         check "derived equal" true (D.equal d1 d2));

@@ -447,6 +447,18 @@ let test_serve_metrics () =
          "prairie_plan_cache_hit_rate";
        ])
 
+(* Descriptors are plain values: serving exports no descriptor-pool family. *)
+let test_serve_no_descriptor_pool () =
+  let m = Metrics.create () in
+  let o = Lazy.force opt in
+  ignore
+    (Opt.serve ~metrics:m o
+       [ Opt.request (W.Expressions.build W.Expressions.E1 catalog ~joins:1) ]);
+  let text = Metrics.to_prometheus m in
+  check "served" true (contains text "prairie_serve_requests_total");
+  check "no descriptor pool gauges" false
+    (contains text "prairie_descriptor_pool_")
+
 let test_pool_on_item () =
   let mu = Mutex.create () in
   let per_worker = Hashtbl.create 8 in
@@ -502,5 +514,7 @@ let suites =
         Alcotest.test_case "serve populates the registry" `Quick
           test_serve_metrics;
         Alcotest.test_case "pool on_item telemetry" `Quick test_pool_on_item;
+        Alcotest.test_case "no descriptor pool gauges" `Quick
+          test_serve_no_descriptor_pool;
       ] );
   ]

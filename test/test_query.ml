@@ -149,6 +149,28 @@ let compile_tests =
                    (P.Cmp (P.Lt, P.T_attr (A.make ~owner:"C1" ~name:"bC1"), P.T_int 50))
                    row)
                rows));
+    QCheck_alcotest.to_alcotest
+      (QCheck2.Test.make ~name:"long digit runs raise only Query.Error"
+         ~count:200 ~print:Fun.id
+         QCheck2.Gen.(
+           let digits = string_size ~gen:(char_range '0' '9') (1 -- 40) in
+           let template =
+             oneofl
+               [
+                 Printf.sprintf "select * from C1 where bC1 = %s";
+                 Printf.sprintf "select * from C1 where bC1 > -%s";
+                 Printf.sprintf "select C1.oid from C1 where oid <= %s.5";
+                 Printf.sprintf
+                   "select * from C1, C2 where C1.rC1 = C2.oid and bC2 != %s";
+                 Printf.sprintf "select * from C1 %s";
+                 Printf.sprintf "%s";
+               ]
+           in
+           map2 (fun t d -> t d) template digits)
+         (fun sql ->
+           match Q.compile_string catalog sql with
+           | _ -> true
+           | exception Q.Error _ -> true));
   ]
 
 let suites = [ ("query.parse", parse_tests); ("query.compile", compile_tests) ]
