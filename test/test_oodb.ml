@@ -5,6 +5,8 @@ module W = Prairie_workload
 module Opt = Prairie_optimizers.Optimizers
 module Plan = Prairie_volcano.Plan
 module Search = Prairie_volcano.Search
+module Stats = Prairie_volcano.Stats
+module Memo = Prairie_volcano.Memo
 module Naive = Prairie.Naive
 module D = Prairie.Descriptor
 
@@ -135,9 +137,137 @@ let structure_tests =
         Alcotest.(check (float 1e-6)) "same cost" pruned.Opt.cost full.Opt.cost);
   ]
 
+(* The paper's evaluation rows (Table 5, Figures 10-14), pinned exactly:
+   every count must be equal and every cost equal to the bit.  Figures
+   10-13 read catalog 505, the last of the harness's five catalogs, whose
+   groups and costs `bench/` prints; Table 5 and Figure 14 read catalog
+   101. *)
+
+let bits =
+  Alcotest.testable
+    (fun ppf f -> Fmt.pf ppf "%.17g" f)
+    (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
+
+let paper_run q ~joins ~seed =
+  let inst = W.Queries.instance q ~joins ~seed in
+  Opt.optimize (Opt.oodb_prairie inst.W.Queries.catalog) inst.W.Queries.expr
+
+let table5_rows =
+  (* query, trans matched, impl matched, trans applied, impl applied, cost *)
+  W.Queries.
+    [
+      (Q1, 3, 4, 3, 3, 142.90585937499998);
+      (Q2, 3, 4, 3, 3, 142.90585937499998);
+      (Q3, 8, 6, 8, 5, 561.70585937499993);
+      (Q4, 8, 6, 8, 5, 561.70585937499993);
+      (Q5, 9, 5, 9, 4, 118.60585937499999);
+      (Q6, 9, 5, 9, 5, 26.324999999999999);
+      (Q7, 15, 7, 15, 6, 119.05585937500001);
+      (Q8, 15, 7, 15, 7, 26.774999999999995);
+    ]
+
+let figure_rows =
+  (* query, joins, groups, lexprs, memo hits, cost *)
+  W.Queries.
+    [
+      ("fig10", [
+        (Q1, 1, 5, 6, 6, 101.01890625);
+        (Q1, 2, 9, 14, 27, 124.434921875);
+        (Q1, 3, 14, 28, 71, 165.13609374999999);
+        (Q1, 4, 20, 50, 146, 198.33726562499999);
+        (Q1, 5, 27, 82, 260, 235.66929687499999);
+        (Q1, 6, 35, 126, 421, 258.00078124999999);
+        (Q2, 1, 5, 6, 6, 101.01890625);
+        (Q2, 2, 9, 14, 27, 124.434921875);
+        (Q2, 3, 14, 28, 71, 165.13609374999999);
+        (Q2, 4, 20, 50, 146, 198.33726562499999);
+        (Q2, 5, 27, 82, 260, 235.66929687499999);
+        (Q2, 6, 35, 126, 421, 258.00078124999999);
+      ]);
+      ("fig11", [
+        (Q3, 1, 10, 18, 37, 478.1189062499999);
+        (Q3, 2, 25, 77, 217, 572.7849218749999);
+        (Q3, 3, 56, 264, 825, 684.7360937499999);
+        (Q3, 4, 119, 787, 2573, 789.1872656249999);
+        (Q4, 1, 10, 18, 37, 478.1189062499999);
+        (Q4, 2, 25, 77, 217, 572.7849218749999);
+        (Q4, 3, 56, 264, 825, 684.7360937499999);
+        (Q4, 4, 119, 787, 2573, 789.1872656249999);
+      ]);
+      ("fig12", [
+        (Q5, 1, 10, 21, 34, 76.018906250000001);
+        (Q5, 2, 26, 96, 226, 89.874921874999998);
+        (Q5, 3, 63, 393, 1249, 121.09609374999999);
+        (Q6, 1, 10, 21, 28, 17.09);
+        (Q6, 2, 26, 96, 213, 21.404999999999998);
+        (Q6, 3, 63, 393, 1142, 28.749999999999996);
+      ]);
+      ("fig13", [
+        (Q7, 1, 26, 82, 169, 76.318906250000012);
+        (Q7, 2, 114, 794, 2473, 90.324921875000001);
+        (Q7, 3, 464, 5487, 22504, 121.69609375);
+        (Q8, 1, 26, 82, 210, 17.389999999999997);
+        (Q8, 2, 114, 794, 3251, 21.854999999999993);
+        (Q8, 3, 464, 5487, 35372, 29.349999999999991);
+      ]);
+    ]
+
+let fig14_rows =
+  (* query, joins, groups, lexprs *)
+  W.Queries.
+    [
+      (Q1, 1, 5, 6); (Q1, 2, 9, 14); (Q1, 3, 14, 28); (Q1, 4, 20, 50);
+      (Q1, 5, 27, 82); (Q1, 6, 35, 126);
+      (Q3, 1, 10, 18); (Q3, 2, 25, 77); (Q3, 3, 56, 264); (Q3, 4, 119, 787);
+      (Q5, 1, 10, 21); (Q5, 2, 26, 96); (Q5, 3, 63, 403);
+      (Q7, 1, 27, 97); (Q7, 2, 116, 893); (Q7, 3, 470, 6413);
+    ]
+
+let paper_row_tests =
+  let table5 () =
+    List.iter
+      (fun (q, tm, im, ta, ia, cost) ->
+        let r = paper_run q ~joins:2 ~seed:101 in
+        let st = Search.stats r.Opt.search in
+        let at what = Printf.sprintf "%s %s" (W.Queries.name q) what in
+        check_int (at "trans matched") tm (Stats.trans_matched_count st);
+        check_int (at "impl matched") im (Stats.impl_matched_count st);
+        check_int (at "trans applied") ta (Stats.trans_applied_count st);
+        check_int (at "impl applied") ia (Stats.impl_applied_count st);
+        Alcotest.check bits (at "cost") cost r.Opt.cost)
+      table5_rows
+  in
+  let figure rows () =
+    List.iter
+      (fun (q, joins, groups, lexprs, hits, cost) ->
+        let r = paper_run q ~joins ~seed:505 in
+        let at what = Printf.sprintf "%s@%d %s" (W.Queries.name q) joins what in
+        check_int (at "groups") groups (Search.group_count r.Opt.search);
+        check_int (at "lexprs") lexprs (Memo.lexpr_count (Search.memo r.Opt.search));
+        check_int (at "memo hits") hits (Search.stats r.Opt.search).Stats.memo_hits;
+        Alcotest.check bits (at "cost") cost r.Opt.cost)
+      rows
+  in
+  let fig14 () =
+    List.iter
+      (fun (q, joins, groups, lexprs) ->
+        let r = paper_run q ~joins ~seed:101 in
+        let at what = Printf.sprintf "%s@%d %s" (W.Queries.name q) joins what in
+        check_int (at "groups") groups (Search.group_count r.Opt.search);
+        check_int (at "lexprs") lexprs (Memo.lexpr_count (Search.memo r.Opt.search)))
+      fig14_rows
+  in
+  (Alcotest.test_case "table5: Q1-Q8, 2 joins, catalog 101" `Quick table5
+  :: List.map
+       (fun (fig, rows) ->
+         Alcotest.test_case (fig ^ ": catalog 505") `Quick (figure rows))
+       figure_rows)
+  @ [ Alcotest.test_case "fig14: catalog 101" `Quick fig14 ]
+
 let suites =
   [
     ("oodb.equivalence", equivalence_tests);
     ("oodb.oracle", oracle_tests);
     ("oodb.structure", structure_tests);
+    ("oodb.paper_rows", paper_row_tests);
   ]
