@@ -237,7 +237,7 @@ let verify_cmd =
   in
   let check rules seed budget oracle_forms =
     Verify.verify_string
-      ~config:{ Verify.default_config with Verify.seed; budget; oracle_forms; rules }
+      ~config:{ Verify.seed; budget; oracle_forms; rules }
   in
   let rule_json (r : Verify.rule_report) =
     Printf.sprintf
@@ -640,12 +640,12 @@ let serve_cmd =
     summarize "warm" warm t_warm;
     Format.printf "  cache: %a@." Opt.Plan_cache.pp_stats cache;
     (match (metrics_file, metrics) with
-    | Some "-", Some m -> Metrics.output stdout `Prometheus m
+    | Some "-", Some m -> Metrics.output stdout m
     | Some path, Some m ->
       let oc = open_out path in
       Fun.protect
         ~finally:(fun () -> close_out oc)
-        (fun () -> Metrics.output oc `Prometheus m);
+        (fun () -> Metrics.output oc m);
       Printf.printf "  metrics written to %s\n" path
     | _ -> ());
     (match slow_log with

@@ -98,14 +98,11 @@ let gauge_value g =
   | Gauge r -> Mutex.protect g.lock (fun () -> !r)
   | _ -> assert false
 
-let log_buckets ?(start = 1e-5) ?(factor = 2.0) ?(count = 20) () =
-  if start <= 0.0 || factor <= 1.0 || count < 1 then
-    invalid_arg "Metrics.log_buckets";
-  List.init count (fun i -> start *. (factor ** float_of_int i))
+let log_buckets = List.init 20 (fun i -> 1e-5 *. (2.0 ** float_of_int i))
 
 let histogram t ?(help = "") ?(labels = []) ?buckets name =
   let bounds =
-    let bs = match buckets with Some bs -> bs | None -> log_buckets () in
+    let bs = match buckets with Some bs -> bs | None -> log_buckets in
     bs
     |> List.filter Float.is_finite
     |> List.sort_uniq Float.compare
@@ -315,58 +312,4 @@ let to_prometheus t =
     summary_quantiles;
   Buffer.contents buf
 
-let json_labels labels =
-  "{"
-  ^ String.concat ","
-      (List.map
-         (fun (k, v) -> Printf.sprintf "%s:%s" (Json.string k) (Json.string v))
-         labels)
-  ^ "}"
-
-let to_jsonl t =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun i ->
-      let line =
-        match i.kind with
-        | Counter r ->
-          Printf.sprintf "{\"name\":%s,\"type\":\"counter\",\"labels\":%s,\"value\":%d}"
-            (Json.string i.name) (json_labels i.labels)
-            (Mutex.protect i.lock (fun () -> !r))
-        | Gauge r ->
-          Printf.sprintf "{\"name\":%s,\"type\":\"gauge\",\"labels\":%s,\"value\":%s}"
-            (Json.string i.name) (json_labels i.labels)
-            (Json.float (Mutex.protect i.lock (fun () -> !r)))
-        | Histogram _ ->
-          let bs = buckets i in
-          let qfields =
-            String.concat ""
-              (List.map
-                 (fun (suffix, q) ->
-                   let v = quantile i q in
-                   Printf.sprintf ",\"%s\":%s" suffix
-                     (if Float.is_nan v then "null" else Json.float v))
-                 summary_quantiles)
-          in
-          Printf.sprintf
-            "{\"name\":%s,\"type\":\"histogram\",\"labels\":%s,\"count\":%d,\"sum\":%s%s,\"buckets\":[%s]}"
-            (Json.string i.name) (json_labels i.labels) (histogram_count i)
-            (Json.float (histogram_sum i))
-            qfields
-            (String.concat ","
-               (List.map
-                  (fun (ub, c) ->
-                    Printf.sprintf "{\"le\":%s,\"count\":%d}"
-                      (if Float.is_finite ub then Json.float ub
-                       else "\"+Inf\"")
-                      c)
-                  bs))
-      in
-      Buffer.add_string buf line;
-      Buffer.add_char buf '\n')
-    (ordered t);
-  Buffer.contents buf
-
-let output oc fmt t =
-  output_string oc
-    (match fmt with `Prometheus -> to_prometheus t | `Jsonl -> to_jsonl t)
+let output oc t = output_string oc (to_prometheus t)

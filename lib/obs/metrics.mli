@@ -9,9 +9,8 @@
     All mutation goes through the registry's mutex, so instruments can be
     updated from every domain of the plan service's pool.
 
-    Two exporters: {!to_prometheus} (Prometheus text exposition format,
-    with proper label-value and help escaping) and {!to_jsonl} (one JSON
-    object per instrument per line). *)
+    One exporter: {!to_prometheus} (Prometheus text exposition format,
+    with proper label-value and help escaping). *)
 
 type t
 (** The registry. *)
@@ -36,11 +35,10 @@ val gauge : t -> ?help:string -> ?labels:(string * string) list -> string -> gau
 val set : gauge -> float -> unit
 val gauge_value : gauge -> float
 
-val log_buckets : ?start:float -> ?factor:float -> ?count:int -> unit -> float list
-(** Exponential bucket upper bounds [start *. factor^i] for
-    [i = 0 .. count-1].  Defaults — [start:1e-5] (10µs), [factor:2.],
-    [count:20] (~5.2s) — cover optimizer latencies.  The implicit [+Inf]
-    bucket is always added by {!histogram}. *)
+val log_buckets : float list
+(** The default histogram bucket upper bounds, [1e-5 *. 2^i] for
+    [i = 0 .. 19]: 10µs to ~5.2s, covering optimizer latencies.  The
+    implicit [+Inf] bucket is always added by {!histogram}. *)
 
 val histogram :
   t ->
@@ -50,7 +48,7 @@ val histogram :
   string ->
   histogram
 (** Register (or look up) a histogram with the given finite bucket upper
-    bounds (default {!log_buckets}[ ()]; sorted, deduplicated; a [+Inf]
+    bounds (default {!log_buckets}; sorted, deduplicated; a [+Inf]
     bucket is appended).  An observation [v] lands in every bucket with
     [v <= upper_bound] (cumulative, Prometheus-style). *)
 
@@ -72,7 +70,7 @@ val quantile : histogram -> float -> float
     @raise Invalid_argument if [q] is outside [0., 1.]. *)
 
 val summary_quantiles : (string * float) list
-(** The quantile summaries both exporters emit:
+(** The quantile summaries {!to_prometheus} emits:
     [("p50", 0.5); ("p90", 0.9); ("p99", 0.99)]. *)
 
 val to_prometheus : t -> string
@@ -83,9 +81,5 @@ val to_prometheus : t -> string
     {!summary_quantiles} as derived gauges ([<name>_p50], [<name>_p90],
     [<name>_p99]) after the primary series. *)
 
-val to_jsonl : t -> string
-(** One JSON object per instrument per line, carrying its name, type,
-    labels and current value (histograms: count, sum, [p50]/[p90]/[p99]
-    estimates — [null] when empty — and cumulative buckets). *)
-
-val output : out_channel -> [ `Prometheus | `Jsonl ] -> t -> unit
+val output : out_channel -> t -> unit
+(** Write {!to_prometheus} to the channel. *)

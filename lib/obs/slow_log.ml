@@ -73,15 +73,6 @@ let entry_to_json e =
     (Json.float e.seconds) (Json.float e.cost) e.groups
     e.budget_hit
 
-let to_jsonl t =
-  let buf = Buffer.create 1024 in
-  List.iter
-    (fun e ->
-      Buffer.add_string buf (entry_to_json e);
-      Buffer.add_char buf '\n')
-    (entries t);
-  Buffer.contents buf
-
 (* single JSON document for the /tracez endpoint *)
 let to_json t =
   let es = entries t in

@@ -48,5 +48,4 @@ val entries : t -> entry list
 (** Retained entries, oldest first. *)
 
 val entry_to_json : entry -> string
-val to_jsonl : t -> string
 val to_json : t -> string

@@ -25,7 +25,6 @@ type phase =
   | Cost
   | Enforcer
   | Memo_insert
-  | Serve
 
 let phase_label = function
   | Optimize -> "optimize"
@@ -35,10 +34,8 @@ let phase_label = function
   | Cost -> "cost"
   | Enforcer -> "enforcer"
   | Memo_insert -> "memo_insert"
-  | Serve -> "serve"
 
-let all_phases =
-  [ Optimize; Explore; Match; Apply; Cost; Enforcer; Memo_insert; Serve ]
+let all_phases = [ Optimize; Explore; Match; Apply; Cost; Enforcer; Memo_insert ]
 
 type reason =
   | Test_failed
@@ -252,20 +249,6 @@ let emit t ?span event =
   Mutex.protect t.mutex (fun () ->
       let seq = next_seq t in
       push t (Instant { seq; at_ns = now_ns t; span; event }))
-
-(* disabled fast path: one Option check, nothing allocated *)
-let enter_opt t ?rule ~parent phase =
-  match t with
-  | None -> None
-  | Some sink -> Some (enter sink ?rule ?parent phase)
-
-let exit_opt t h =
-  match (t, h) with
-  | Some sink, Some h -> exit sink h
-  | _ -> ()
-
-let emit_opt t ~span ev =
-  match t with None -> () | Some sink -> emit sink ?span (ev ())
 
 let entries t =
   Mutex.protect t.mutex (fun () ->

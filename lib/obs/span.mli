@@ -29,7 +29,6 @@ type phase =
   | Cost  (** one implementation-rule costing, inputs included *)
   | Enforcer  (** enforcer insertion + relaxed re-optimization *)
   | Memo_insert  (** gtree/expression insertion into the memo *)
-  | Serve  (** service-level request handling *)
 
 val phase_label : phase -> string
 val all_phases : phase list
@@ -137,18 +136,6 @@ val exit : t -> handle -> unit
 val emit : t -> ?span:handle -> event -> unit
 (** Record one event as an {!instant} inside [span] (the innermost open
     span at the emission site; omitted when none is open). *)
-
-val enter_opt :
-  t option -> ?rule:string -> parent:handle option -> phase -> handle option
-(** Disabled fast path: a single Option check when the sink is [None].
-    [parent] is labelled (not optional) so instrumentation sites are
-    forced to thread it explicitly. *)
-
-val exit_opt : t option -> handle option -> unit
-
-val emit_opt : t option -> span:handle option -> (unit -> event) -> unit
-(** Same contract as {!enter_opt}: one Option check when the sink is
-    [None]; the event is built only when a sink is attached. *)
 
 val span_count : t -> int
 (** Spans completed over the sink's lifetime, dropped ones included. *)

@@ -40,12 +40,7 @@ let catalogue : D.catalogue =
 type config = {
   seed : int;  (** master seed; every case seed derives from it *)
   budget : int;  (** generated cases per T-rule (and oracle queries) *)
-  redexes_per_case : int;  (** rule applications checked per case *)
-  max_forms : int;  (** T-closure cap when hunting redexes *)
-  cycle_depth : int;  (** rewrite steps searched for a cycle back *)
   oracle_forms : int;  (** naive-closure cap for best-plan comparison *)
-  invariants : string list;  (** root properties a rewrite must preserve *)
-  max_shrink : int;  (** catalog-halving steps per counterexample *)
   rules : string list;
       (** restrict verification to these T-rules; [[]] means all rules plus
           the oracle phase (a non-empty filter skips the oracle, which is a
@@ -56,17 +51,27 @@ let default_config =
   {
     seed = 42;
     budget = 10;
-    redexes_per_case = 4;
-    max_forms = 150;
-    cycle_depth = 4;
     (* modest: the closure is computed before the size guard can skip it,
        and a pathological (growing) rule set makes that computation
        quadratic in the cap *)
     oracle_forms = 256;
-    invariants = [ "attributes"; "num_records"; "tuple_size" ];
-    max_shrink = 40;
     rules = [];
   }
+
+(* rule applications checked per case *)
+let redexes_per_case = 4
+
+(* T-closure cap when hunting redexes *)
+let max_forms = 150
+
+(* rewrite steps searched for a cycle back *)
+let cycle_depth = 4
+
+(* root properties a rewrite must preserve *)
+let invariants = [ "attributes"; "num_records"; "tuple_size" ]
+
+(* catalog-halving steps per counterexample *)
+let max_shrink = 40
 
 type rule_report = {
   rule : string;
@@ -170,11 +175,11 @@ let smallest_first set =
 
 (* All candidate redexes of a case: every subterm of the (bounded)
    T-closure of the generated roots. *)
-let candidates (config : config) rs roots =
+let candidates rs roots =
   let forms =
     List.concat_map
       (fun root ->
-        match Naive.logical_forms ~max_forms:config.max_forms rs root with
+        match Naive.logical_forms ~max_forms rs root with
         | forms -> forms
         | exception _ ->
           (* a crashing rule somewhere in the set aborts closure; direct
@@ -187,7 +192,7 @@ let candidates (config : config) rs roots =
 (* Breadth-first search for a rewrite path leading back to [target],
    applying T-rules at the root only.  Bounded by depth and node count;
    returns the rule-name path on success. *)
-let find_cycle (config : config) (rs : Ruleset.t) ~start ~target =
+let find_cycle (rs : Ruleset.t) ~start ~target =
   let q = Queue.create () in
   Queue.add (start, [], 0) q;
   let seen = ref (Expr_set.singleton start) in
@@ -196,7 +201,7 @@ let find_cycle (config : config) (rs : Ruleset.t) ~start ~target =
   while !found = None && (not (Queue.is_empty q)) && !explored < 200 do
     let e, path, depth = Queue.pop q in
     incr explored;
-    if depth < config.cycle_depth then
+    if depth < cycle_depth then
       List.iter
         (fun (r : Trule.t) ->
           if !found = None then
@@ -216,9 +221,9 @@ let find_cycle (config : config) (rs : Ruleset.t) ~start ~target =
 
 (* Does repeated self-application at the root keep strictly growing the
    expression?  [out] is the result of the first application to [redex]. *)
-let growth (config : config) (rs : Ruleset.t) (rule : Trule.t) redex out =
+let growth (rs : Ruleset.t) (rule : Trule.t) redex out =
   let rec go e k =
-    if k >= config.cycle_depth then Some (Expr.size redex, Expr.size e)
+    if k >= cycle_depth then Some (Expr.size redex, Expr.size e)
     else
       match Eval.apply_trule rs.Ruleset.helpers rule e with
       | Some e' when Expr.size e' > Expr.size e -> go e' (k + 1)
@@ -241,7 +246,7 @@ type failure =
 (* Run one generated case for one rule: same seed, same draws — only the
    catalog may be overridden (by shrinking), which does not disturb the
    draw sequence because no draw inspects catalog statistics. *)
-let eval_rule_case (config : config) factory ~rule_name ~seed ~catalog_override =
+let eval_rule_case factory ~rule_name ~seed ~catalog_override =
   let rng = Rng.create seed in
   let w0 = Generate.world rng in
   let w =
@@ -255,7 +260,7 @@ let eval_rule_case (config : config) factory ~rule_name ~seed ~catalog_override 
   | Some rule ->
     let ops = rs.Ruleset.operators in
     let root = Generate.of_pattern rng w ~ops rule.Trule.lhs in
-    let cands = candidates config rs [ root ] in
+    let cands = candidates rs [ root ] in
     let failures = ref [] in
     let applied = ref 0 in
     (* Root properties are compared on the generated expression's own
@@ -274,13 +279,13 @@ let eval_rule_case (config : config) factory ~rule_name ~seed ~catalog_override 
               let rhs = Descriptor.find (Expr.descriptor out) prop in
               if not (values_agree lhs rhs) then
                 failures := Invariant { prop; redex; lhs; rhs } :: !failures)
-            config.invariants
+            invariants
         | None -> ()
         | exception _ -> ())
       (smallest_first (subterms Expr_set.empty root));
     List.iter
       (fun redex ->
-        if !applied < config.redexes_per_case then
+        if !applied < redexes_per_case then
           match Eval.apply_trule rs.Ruleset.helpers rule redex with
           | None -> ()
           | exception e ->
@@ -288,13 +293,13 @@ let eval_rule_case (config : config) factory ~rule_name ~seed ~catalog_override 
             failures := Crash { redex; exn = Printexc.to_string e } :: !failures
           | Some out ->
             incr applied;
-            (match find_cycle config rs ~start:out ~target:redex with
+            (match find_cycle rs ~start:out ~target:redex with
             | Some path ->
               let rules = rule.Trule.name :: path in
               if not (all_tt rs rules) then
                 failures := Cycle { redex; rules } :: !failures
             | None -> ());
-            (match growth config rs rule redex out with
+            (match growth rs rule redex out with
             | Some (from_size, to_size) ->
               failures := Growth { redex; from_size; to_size } :: !failures
             | None -> ()))
@@ -310,15 +315,15 @@ let eval_rule_case (config : config) factory ~rule_name ~seed ~catalog_override 
    seed against each candidate catalog.  The expression itself was
    already minimized by checking the smallest applicable redexes
    first. *)
-let shrink (config : config) factory ~rule_name ~seed ~select catalog0 fail0 =
+let shrink factory ~rule_name ~seed ~select catalog0 fail0 =
   let rec go steps catalog fail =
-    if steps >= config.max_shrink then (catalog, fail, steps)
+    if steps >= max_shrink then (catalog, fail, steps)
     else
       match Generate.shrink_catalog catalog with
       | None -> (catalog, fail, steps)
       | Some catalog' -> (
         match
-          eval_rule_case config factory ~rule_name ~seed
+          eval_rule_case factory ~rule_name ~seed
             ~catalog_override:(Some catalog')
         with
         | exception _ -> (catalog, fail, steps)
@@ -375,7 +380,7 @@ let failure_diagnostic (config : config) ~rule_name ~seed ~index ~steps catalog 
       ~hint:(repro_hint config ~seed ~index ~steps)
       (Printf.sprintf
          "self-application grows the expression from %d to %d nodes within %d steps on %s"
-         from_size to_size config.cycle_depth (witness catalog redex))
+         from_size to_size cycle_depth (witness catalog redex))
 
 (* ------------------------------------------------------------------ *)
 (* Per-rule verification                                               *)
@@ -390,7 +395,7 @@ let check_rule (config : config) factory ~rule_name =
   let shrink_steps = ref 0 in
   for index = 0 to config.budget - 1 do
     let seed = case_seed config rule_name index in
-    match eval_rule_case config factory ~rule_name ~seed ~catalog_override:None with
+    match eval_rule_case factory ~rule_name ~seed ~catalog_override:None with
     | exception e ->
       incr cases;
       if not (Hashtbl.mem reported "P200") then begin
@@ -418,7 +423,7 @@ let check_rule (config : config) factory ~rule_name =
                    already minimal, catalog statistics are irrelevant *)
                 (w.Generate.catalog, fail, 0)
               | Crash _ | Invariant _ ->
-                shrink config factory ~rule_name ~seed
+                shrink factory ~rule_name ~seed
                   ~select:(same_kind fail) w.Generate.catalog fail
             in
             shrink_steps := !shrink_steps + steps;
@@ -526,7 +531,7 @@ let check_oracle (config : config) factory =
           incr counterexamples;
           (* shrink the catalog while the divergence persists *)
           let rec go steps catalog div =
-            if steps >= config.max_shrink then (catalog, div, steps)
+            if steps >= max_shrink then (catalog, div, steps)
             else
               match Generate.shrink_catalog catalog with
               | None -> (catalog, div, steps)

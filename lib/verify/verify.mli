@@ -38,12 +38,7 @@ val catalogue : Prairie.Diagnostic.catalogue
 type config = {
   seed : int;  (** master seed; every case seed derives from it *)
   budget : int;  (** generated cases per T-rule (and oracle queries) *)
-  redexes_per_case : int;  (** rule applications checked per case *)
-  max_forms : int;  (** T-closure cap when hunting redexes *)
-  cycle_depth : int;  (** rewrite steps searched for a cycle back *)
   oracle_forms : int;  (** naive-closure cap for best-plan comparison *)
-  invariants : string list;  (** root properties a rewrite must preserve *)
-  max_shrink : int;  (** catalog-halving steps per counterexample *)
   rules : string list;
       (** restrict verification to these T-rules; [[]] means all rules plus
           the oracle phase (a non-empty filter skips the oracle, which is a
@@ -51,7 +46,11 @@ type config = {
 }
 
 val default_config : config
-(** seed 42, budget 10, invariants [attributes]/[num_records]/[tuple_size]. *)
+(** seed 42, budget 10, oracle_forms 256, all rules.  Fixed, not
+    configurable: 4 rule applications per case, a T-closure of at most 150
+    forms when hunting redexes, cycles searched 4 rewrites deep, the
+    invariants [attributes]/[num_records]/[tuple_size], and at most 40
+    catalog-halving steps per counterexample. *)
 
 type rule_report = {
   rule : string;  (** T-rule name, or ["<oracle>"] for the P220 phase *)

@@ -42,7 +42,9 @@ let optimize_in ctx g0 ~required =
   let sink = Search.spans ctx in
   (* the whole bottom-up run is one root span; saturation produces
      [Explore] children, the DP phase a single [Cost] child *)
-  let root = Span.enter_opt sink ~parent:None Span.Optimize in
+  let root =
+    match sink with None -> None | Some s -> Some (Span.enter s Span.Optimize)
+  in
   (* 1. saturate: explore until no group or expression appears *)
   let rec saturate () =
     let before = (Memo.group_count memo, Memo.lexpr_count memo) in
@@ -95,7 +97,11 @@ let optimize_in ctx g0 ~required =
   done;
   (* 3. dynamic programming in dependency order; within a group, smaller
      requirement vectors first so enforcers find their relaxed plans *)
-  let dp_span = Span.enter_opt sink ~parent:root Span.Cost in
+  let dp_span =
+    match sink with
+    | None -> None
+    | Some s -> Some (Span.enter s ?parent:root Span.Cost)
+  in
   let table : Plan.t option Tbl.t = Tbl.create 64 in
   let plans_costed = ref 0 in
   let reqs_of g =
@@ -206,8 +212,11 @@ let optimize_in ctx g0 ~required =
           Tbl.replace table (g, req) (Option.map fst !best))
         (reqs_of g))
     groups;
-  Span.exit_opt sink dp_span;
-  Span.exit_opt sink root;
+  (match (sink, dp_span, root) with
+  | Some s, Some dp, Some r ->
+    Span.exit s dp;
+    Span.exit s r
+  | _ -> ());
   {
     plan =
       (match Tbl.find_opt table (g0, required) with

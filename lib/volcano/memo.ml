@@ -193,7 +193,9 @@ let fresh_group t ~span desc =
   t.next_gid <- t.next_gid + 1;
   Hashtbl.replace t.groups g.g_id g;
   t.stats.Stats.groups_created <- t.stats.Stats.groups_created + 1;
-  Span.emit_opt t.spans ~span (fun () -> Span.Group_created { gid = g.g_id });
+  (match t.spans with
+  | None -> ()
+  | Some sink -> Span.emit sink ?span (Span.Group_created { gid = g.g_id }));
   g
 
 (* Post-merge repair worklist (FIFO): merges to perform plus members whose
@@ -257,8 +259,9 @@ let merge_one t ~span q x y =
     gs.exploring <- gs.exploring || gd.exploring;
     gs.w_epoch <- gs.w_epoch + 1;
     t.stats.Stats.groups_merged <- t.stats.Stats.groups_merged + 1;
-    Span.emit_opt t.spans ~span (fun () ->
-        Span.Groups_merged { survivor; dead });
+    (match t.spans with
+    | None -> ()
+    | Some sink -> Span.emit sink ?span (Span.Groups_merged { survivor; dead }));
     (* Rewrite the input slots of everything that referenced the dead
        group; their registrations move to the survivor. *)
     (match Hashtbl.find_opt t.uses dead with

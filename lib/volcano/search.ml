@@ -27,11 +27,12 @@ let create ?(pruning = true) ?group_budget ?spans rules =
     spans;
   }
 
-(* Instrumentation: [Span.enter_opt]/[Span.exit_opt]/[Span.emit_opt] are one
-   Option check each when no sink is attached, and events are built only
-   inside the [Some] branch.  Parent handles are threaded explicitly
-   through the mutual recursion below — never stored in the context — and
-   every event is emitted under the innermost span open at its site. *)
+(* Instrumentation: every site is one match on [spans] whose [None] branch
+   builds nothing — no event, no closure, no [Some rule] — so an untraced
+   search allocates nothing for it.  Parent handles are threaded
+   explicitly through the mutual recursion below — never stored in the
+   context — and every event is emitted under the innermost span open at
+   its site. *)
 
 let budget_exhausted t ~span =
   match t.group_budget with
@@ -40,8 +41,10 @@ let budget_exhausted t ~span =
     let hit = Memo.group_count t.memo >= budget in
     if hit && not t.budget_hit then begin
       t.budget_hit <- true;
-      Span.emit_opt t.spans ~span (fun () ->
-          Span.Budget_hit { groups = Memo.group_count t.memo })
+      match t.spans with
+      | None -> ()
+      | Some sink ->
+        Span.emit sink ?span (Span.Budget_hit { groups = Memo.group_count t.memo })
     end;
     hit
 
@@ -124,7 +127,11 @@ let rec explore ctx parent gid =
   let g = Memo.canonical ctx.memo gid in
   if Memo.is_explored ctx.memo g || Memo.is_exploring ctx.memo g then ()
   else begin
-    let sp = Span.enter_opt ctx.spans ~parent Span.Explore in
+    let sp =
+      match ctx.spans with
+      | None -> None
+      | Some sink -> Some (Span.enter sink ?parent Span.Explore)
+    in
     Memo.set_exploring ctx.memo g true;
     let seen = Hashtbl.create 32 in
     let changed = ref true in
@@ -146,7 +153,7 @@ let rec explore ctx parent gid =
     let g = Memo.canonical ctx.memo g in
     Memo.set_exploring ctx.memo g false;
     Memo.set_explored ctx.memo g true;
-    Span.exit_opt ctx.spans sp
+    match (ctx.spans, sp) with Some sink, Some h -> Span.exit sink h | _ -> ()
   end
 
 and apply_trans_rules ctx parent g le ~changed =
@@ -155,7 +162,11 @@ and apply_trans_rules ctx parent g le ~changed =
 and apply_rule ctx parent g le ((tr_id, tr) : int * Rule.trans_rule) ~changed =
   if not (Memo.rule_tried ctx.memo le tr_id) then begin
     Memo.mark_rule_tried ctx.memo le tr_id;
-    let msp = Span.enter_opt ctx.spans ~rule:tr.tr_name ~parent Span.Match in
+    let msp =
+      match ctx.spans with
+      | None -> None
+      | Some sink -> Some (Span.enter sink ~rule:tr.tr_name ?parent Span.Match)
+    in
     let envs =
       match tr.tr_match with
       | Rule.Match_op { desc; subs; _ } when heads_match tr.tr_match le ->
@@ -164,22 +175,31 @@ and apply_rule ctx parent g le ((tr_id, tr) : int * Rule.trans_rule) ~changed =
       | Rule.Match_var _ ->
         invalid_arg "trans rule LHS must be rooted at an operator"
     in
-    Span.exit_opt ctx.spans msp;
+    (match (ctx.spans, msp) with Some sink, Some h -> Span.exit sink h | _ -> ());
     if envs <> [] then begin
       Stats.record_trans_match ctx.st tr.tr_name;
-      Span.emit_opt ctx.spans ~span:parent (fun () ->
-          Span.Trans_matched
-            { rule = tr.tr_name; gid = g; bindings = List.length envs })
+      match ctx.spans with
+      | None -> ()
+      | Some sink ->
+        Span.emit sink ?span:parent
+          (Span.Trans_matched
+             { rule = tr.tr_name; gid = g; bindings = List.length envs })
     end;
     List.iter
       (fun env ->
-        if not (tr.tr_cond env.descs) then
-          Span.emit_opt ctx.spans ~span:parent (fun () ->
-              Span.Trans_rejected
-                { rule = tr.tr_name; gid = g; reason = Span.Test_failed })
+        if not (tr.tr_cond env.descs) then begin
+          match ctx.spans with
+          | None -> ()
+          | Some sink ->
+            Span.emit sink ?span:parent
+              (Span.Trans_rejected
+                 { rule = tr.tr_name; gid = g; reason = Span.Test_failed })
+        end
         else begin
           let asp =
-            Span.enter_opt ctx.spans ~rule:tr.tr_name ~parent Span.Apply
+            match ctx.spans with
+            | None -> None
+            | Some sink -> Some (Span.enter sink ~rule:tr.tr_name ?parent Span.Apply)
           in
           tr.tr_appl env.descs;
           Stats.record_trans_applied ctx.st tr.tr_name;
@@ -190,9 +210,12 @@ and apply_rule ctx parent g le ((tr_id, tr) : int * Rule.trans_rule) ~changed =
             Memo.insert_gtree ctx.memo ~into:target ?span_parent:asp gtree
           in
           if fresh then changed := true;
-          Span.emit_opt ctx.spans ~span:asp (fun () ->
-              Span.Trans_applied { rule = tr.tr_name; gid = g; fresh });
-          Span.exit_opt ctx.spans asp
+          match (ctx.spans, asp) with
+          | Some sink, Some h ->
+            Span.emit sink ~span:h
+              (Span.Trans_applied { rule = tr.tr_name; gid = g; fresh });
+            Span.exit sink h
+          | _ -> ()
         end)
       envs
   end
@@ -242,12 +265,16 @@ let rec optimize_group_at ctx gid ~req ~limit ~parent : Plan.t option =
   match Memo.find_winner ctx.memo g req with
   | Some { plan = Some p; cost; _ } ->
     ctx.st.Stats.memo_hits <- ctx.st.Stats.memo_hits + 1;
-    Span.emit_opt ctx.spans ~span:parent (fun () -> Span.Memo_hit { gid = g });
+    (match ctx.spans with
+    | None -> ()
+    | Some sink -> Span.emit sink ?span:parent (Span.Memo_hit { gid = g }));
     if (not ctx.pruning) || cost <= limit then Some p else None
   | Some { plan = None; searched_limit; _ }
     when (not ctx.pruning) || limit <= searched_limit ->
     ctx.st.Stats.memo_hits <- ctx.st.Stats.memo_hits + 1;
-    Span.emit_opt ctx.spans ~span:parent (fun () -> Span.Memo_hit { gid = g });
+    (match ctx.spans with
+    | None -> ()
+    | Some sink -> Span.emit sink ?span:parent (Span.Memo_hit { gid = g }));
     None
   | Some _ | None -> search_group ctx g ~req ~limit ~parent
 
@@ -265,17 +292,20 @@ and search_group ctx g ~req ~limit ~parent =
       match !best with
       | Some (_, c) when c <= cost -> ()
       | prev ->
-        Span.emit_opt ctx.spans ~span (fun () ->
-            Span.Winner_changed
-              {
-                gid = g;
-                alg =
-                  (match plan with
-                  | Plan.Alg (a, _, _) -> a
-                  | Plan.Leaf (n, _) -> n);
-                old_cost = Option.map snd prev;
-                new_cost = cost;
-              });
+        (match ctx.spans with
+        | None -> ()
+        | Some sink ->
+          Span.emit sink ?span
+            (Span.Winner_changed
+               {
+                 gid = g;
+                 alg =
+                   (match plan with
+                   | Plan.Alg (a, _, _) -> a
+                   | Plan.Leaf (n, _) -> n);
+                 old_cost = Option.map snd prev;
+                 new_cost = cost;
+               }));
         best := Some (plan, cost)
   in
   let members = Memo.lexprs ctx.memo g in
@@ -295,8 +325,10 @@ and search_group ctx g ~req ~limit ~parent =
           let relaxed = restrict_req ctx (en.Rule.en_relaxed ~req) in
           if not (Descriptor.equal relaxed req) then begin
             let esp =
-              Span.enter_opt ctx.spans ~rule:en.Rule.en_alg ~parent
-                Span.Enforcer
+              match ctx.spans with
+              | None -> None
+              | Some sink ->
+                Some (Span.enter sink ~rule:en.Rule.en_alg ?parent Span.Enforcer)
             in
             (match
                optimize_group_at ctx g ~req:relaxed ~limit:(budget ())
@@ -309,12 +341,17 @@ and search_group ctx g ~req ~limit ~parent =
               in
               ctx.st.Stats.enforcer_firings <-
                 ctx.st.Stats.enforcer_firings + 1;
-              Span.emit_opt ctx.spans ~span:esp (fun () ->
-                  Span.Enforcer_inserted { alg = en.Rule.en_alg; gid = g });
+              (match ctx.spans with
+              | None -> ()
+              | Some sink ->
+                Span.emit sink ?span:esp
+                  (Span.Enforcer_inserted { alg = en.Rule.en_alg; gid = g }));
               consider ~span:esp
                 (Plan.Alg (en.Rule.en_alg, desc, [ sub ]))
                 (Descriptor.cost desc));
-            Span.exit_opt ctx.spans esp
+            match (ctx.spans, esp) with
+            | Some sink, Some h -> Span.exit sink h
+            | _ -> ()
           end
         end)
       ctx.rules.Rule.rs_enforcers;
@@ -342,27 +379,34 @@ and cost_lexpr ctx parent g le ~req ~budget ~consider =
       (fun (ir : Rule.impl_rule) ->
         if ir.Rule.ir_arity = Array.length le.Memo.inputs then begin
           let csp =
-            Span.enter_opt ctx.spans ~rule:ir.Rule.ir_name ~parent Span.Cost
+            match ctx.spans with
+            | None -> None
+            | Some sink ->
+              let h = Span.enter sink ~rule:ir.Rule.ir_name ?parent Span.Cost in
+              Span.emit sink ~span:h
+                (Span.Impl_matched { rule = ir.Rule.ir_name; gid = g });
+              Some h
           in
           Stats.record_impl_match ctx.st ir.Rule.ir_name;
-          Span.emit_opt ctx.spans ~span:csp (fun () ->
-              Span.Impl_matched { rule = ir.Rule.ir_name; gid = g });
           let input_descs =
             Array.map (Memo.group_desc ctx.memo) le.Memo.inputs
           in
           if not (ir.Rule.ir_cond ~op_arg:le.Memo.arg ~req ~inputs:input_descs)
-          then
-            Span.emit_opt ctx.spans ~span:csp (fun () ->
-                Span.Impl_rejected
-                  {
-                    rule = ir.Rule.ir_name;
-                    gid = g;
-                    reason = Span.Test_failed;
-                  })
+          then begin
+            match ctx.spans with
+            | None -> ()
+            | Some sink ->
+              Span.emit sink ?span:csp
+                (Span.Impl_rejected
+                   { rule = ir.Rule.ir_name; gid = g; reason = Span.Test_failed })
+          end
           else begin
             Stats.record_impl_applied ctx.st ir.Rule.ir_name;
-            Span.emit_opt ctx.spans ~span:csp (fun () ->
-                Span.Impl_applied { rule = ir.Rule.ir_name; gid = g });
+            (match ctx.spans with
+            | None -> ()
+            | Some sink ->
+              Span.emit sink ?span:csp
+                (Span.Impl_applied { rule = ir.Rule.ir_name; gid = g }));
             let reqs =
               ir.Rule.ir_input_reqs ~op_arg:le.Memo.arg ~req ~inputs:input_descs
             in
@@ -378,13 +422,16 @@ and cost_lexpr ctx parent g le ~req ~budget ~consider =
               in
               (if ctx.pruning && sub_limit < 0.0 then begin
                  ctx.st.Stats.pruned <- ctx.st.Stats.pruned + 1;
-                 Span.emit_opt ctx.spans ~span:csp (fun () ->
-                     Span.Impl_rejected
-                       {
-                         rule = ir.Rule.ir_name;
-                         gid = g;
-                         reason = Span.Pruned sub_limit;
-                       });
+                 (match ctx.spans with
+                 | None -> ()
+                 | Some sink ->
+                   Span.emit sink ?span:csp
+                     (Span.Impl_rejected
+                        {
+                          rule = ir.Rule.ir_name;
+                          gid = g;
+                          reason = Span.Pruned sub_limit;
+                        }));
                  ok := false
                end
                else
@@ -395,15 +442,18 @@ and cost_lexpr ctx parent g le ~req ~budget ~consider =
                  | None ->
                    if ctx.pruning then
                      ctx.st.Stats.pruned <- ctx.st.Stats.pruned + 1;
-                   Span.emit_opt ctx.spans ~span:csp (fun () ->
-                       Span.Impl_rejected
-                         {
-                           rule = ir.Rule.ir_name;
-                           gid = g;
-                           reason =
-                             (if ctx.pruning then Span.Pruned sub_limit
-                              else Span.No_input_plan);
-                         });
+                   (match ctx.spans with
+                   | None -> ()
+                   | Some sink ->
+                     Span.emit sink ?span:csp
+                       (Span.Impl_rejected
+                          {
+                            rule = ir.Rule.ir_name;
+                            gid = g;
+                            reason =
+                              (if ctx.pruning then Span.Pruned sub_limit
+                               else Span.No_input_plan);
+                          }));
                    ok := false
                  | Some p ->
                    plans.(!i) <- Some p;
@@ -428,7 +478,9 @@ and cost_lexpr ctx parent g le ~req ~budget ~consider =
                 (Descriptor.cost desc)
             end
           end;
-          Span.exit_opt ctx.spans csp
+          match (ctx.spans, csp) with
+          | Some sink, Some h -> Span.exit sink h
+          | _ -> ()
         end)
       (Rule.impl_rules_for ctx.rules op)
 
@@ -436,13 +488,13 @@ let optimize_group ctx ?span gid ~req ~limit =
   optimize_group_at ctx gid ~req ~limit ~parent:span
 
 let optimize ?(required = Descriptor.empty) ctx expr =
-  let root = Span.enter_opt ctx.spans ~parent:None Span.Optimize in
-  let g =
-    match root with
-    | None -> Memo.insert_expr ctx.memo expr
-    | Some h -> Memo.insert_expr ctx.memo ~span_parent:h expr
+  let root =
+    match ctx.spans with
+    | None -> None
+    | Some sink -> Some (Span.enter sink Span.Optimize)
   in
+  let g = Memo.insert_expr ctx.memo ?span_parent:root expr in
   let req = restrict_req ctx required in
   let r = optimize_group_at ctx g ~req ~limit:infinity_limit ~parent:root in
-  Span.exit_opt ctx.spans root;
+  (match (ctx.spans, root) with Some sink, Some h -> Span.exit sink h | _ -> ());
   r

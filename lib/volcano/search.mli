@@ -37,8 +37,7 @@ val create :
     recorded inside the innermost open span (render with
     {!Explain.trace}; export with {!Prairie_obs.Span.to_chrome} or
     {!Prairie_obs.Span.to_jsonl}).  When absent — the default — each
-    site costs a single [Option] check, so the instrumented engine
-    stays within noise of the uninstrumented one.
+    site is one match on the sink that builds and allocates nothing.
 
     [group_budget] is the heuristic the paper's conclusion calls for
     ("extensibility must be judiciously coupled with user heuristics to
