@@ -28,6 +28,7 @@ let default_catalog () =
   W.Catalogs.make (W.Catalogs.default_spec ~classes:4 ~indexed:true ~seed:1)
 
 module Diag = Prairie.Diagnostic
+module Json = Prairie_util.Json
 
 (* Every subcommand reads a rule file this way: a file that cannot be read
    is one P000 error. *)
@@ -126,7 +127,7 @@ let checker_cmd name ~doc ~diagnostics ?footer ?(json_head = fun _ -> "")
         in
         Printf.sprintf
           "{\"file\":%s%s,\"diagnostics\":[%s],\"errors\":%d,\"warnings\":%d%s}"
-          (Diag.json_string path) head
+          (Json.string path) head
           (String.concat "," (List.map Diag.to_json ds))
           e w tail
       in
@@ -161,7 +162,7 @@ let lint_cmd =
 
 let analyze_cmd =
   let module Analysis = Prairie_analysis.Analysis in
-  let json_strings ss = String.concat "," (List.map Diag.json_string ss) in
+  let json_strings ss = String.concat "," (List.map Json.string ss) in
   let roots_arg =
     Arg.(
       value
@@ -186,7 +187,7 @@ let analyze_cmd =
         (List.length r.Analysis.dead_rules)
         (List.length r.Analysis.unreachable_rules))
     ~json_head:(fun r ->
-      Printf.sprintf ",\"ruleset\":%s" (Diag.json_string r.Analysis.ruleset))
+      Printf.sprintf ",\"ruleset\":%s" (Json.string r.Analysis.ruleset))
     ~json_tail:(fun r ->
       Printf.sprintf
         ",\"reachable\":[%s],\"dead_rules\":[%s],\"unreachable_rules\":[%s],\
@@ -243,7 +244,7 @@ let verify_cmd =
     Printf.sprintf
       "{\"rule\":%s,\"cases\":%d,\"redexes\":%d,\"counterexamples\":%d,\
        \"shrink_steps\":%d}"
-      (Diag.json_string r.Verify.rule) r.Verify.cases r.Verify.redexes
+      (Json.string r.Verify.rule) r.Verify.cases r.Verify.redexes
       r.Verify.counterexamples r.Verify.shrink_steps
   in
   checker_cmd "verify"
@@ -263,7 +264,7 @@ let verify_cmd =
         r.Verify.counterexamples r.Verify.shrink_steps r.Verify.seed)
     ~json_head:(fun r ->
       Printf.sprintf ",\"ruleset\":%s,\"seed\":%d"
-        (Diag.json_string r.Verify.ruleset) r.Verify.seed)
+        (Json.string r.Verify.ruleset) r.Verify.seed)
     ~json_tail:(fun r ->
       Printf.sprintf
         ",\"rules_checked\":%d,\"cases_generated\":%d,\"counterexamples\":%d,\

@@ -23,12 +23,9 @@
 
     Findings share the P-code namespace, the [// lint:allow Pxxx] pragma
     mechanism and the stable {!Prairie.Diagnostic.compare} report order
-    with the linter and the verifier.
-
-    The analysis is also an optimizer input: [Translate] uses the same
-    constant folding to drop dead rules before building the Volcano rule
-    set, whose match index ([rs_match_index]) then prunes exploration to
-    rules whose LHS root can match — see [docs/ANALYZE.md]. *)
+    with the linter and the verifier.  The analysis only reports: a dead
+    rule stays in the Volcano rule set, where its test rejects every
+    binding — see [docs/ANALYZE.md]. *)
 
 val catalogue : Prairie.Diagnostic.catalogue
 (** Every code the analyzer can emit ([P000] plus P3xx), with default

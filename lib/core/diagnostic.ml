@@ -1,3 +1,5 @@
+module Json = Prairie_util.Json
+
 type severity =
   | Error
   | Warning
@@ -118,37 +120,19 @@ let to_string d =
 
 let pp ppf d = Format.pp_print_string ppf (to_string d)
 
-let json_string s =
-  let buf = Buffer.create (String.length s + 2) in
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"';
-  Buffer.contents buf
-
 let to_json d =
   let fields =
     [
-      Some (Printf.sprintf "\"code\":%s" (json_string d.code));
+      Some (Printf.sprintf "\"code\":%s" (Json.string d.code));
       Some
         (Printf.sprintf "\"severity\":%s"
-           (json_string (severity_to_string d.severity)));
-      Option.map (fun r -> Printf.sprintf "\"rule\":%s" (json_string r)) d.rule;
+           (Json.string (severity_to_string d.severity)));
+      Option.map (fun r -> Printf.sprintf "\"rule\":%s" (Json.string r)) d.rule;
       Option.map
         (fun s -> Printf.sprintf "\"line\":%d,\"column\":%d" s.line s.column)
         d.span;
-      Some (Printf.sprintf "\"message\":%s" (json_string d.message));
-      Option.map (fun h -> Printf.sprintf "\"hint\":%s" (json_string h)) d.hint;
+      Some (Printf.sprintf "\"message\":%s" (Json.string d.message));
+      Option.map (fun h -> Printf.sprintf "\"hint\":%s" (Json.string h)) d.hint;
       (match d.related with
       | [] -> None
       | rs ->
@@ -158,7 +142,7 @@ let to_json d =
                 (List.map
                    (fun (r, s) ->
                      Printf.sprintf "{\"rule\":%s,\"line\":%d,\"column\":%d}"
-                       (json_string r) s.line s.column)
+                       (Json.string r) s.line s.column)
                    rs))));
     ]
   in

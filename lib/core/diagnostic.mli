@@ -101,7 +101,3 @@ val pp : Format.formatter -> t -> unit
 val to_json : t -> string
 (** One JSON object; fields [code], [severity], [message] always present,
     [rule], [line]/[column], [hint], [related] when known. *)
-
-val json_string : string -> string
-(** A JSON string literal, quotes included: the escaping {!to_json} uses,
-    shared with the checker report envelope of [prairiec]. *)

@@ -43,9 +43,9 @@ and compile_alg db alg d inputs =
   | "Project_alg" ->
     Iterator.project (input 0) ~attrs:(Descriptor.get_attrs d "projected_attributes")
   | "Nested_loops" -> Iterator.nested_loops (input 0) (input 1) ~pred:(jpred d)
-  | "Hash_join" -> Iterator.hash_join (input 0) (input 1) ~pred:(jpred d)
+  | "Hash_join" | "Pointer_join" ->
+    Iterator.hash_join (input 0) (input 1) ~pred:(jpred d)
   | "Merge_join" -> Iterator.merge_join (input 0) (input 1) ~pred:(jpred d)
-  | "Pointer_join" -> Iterator.pointer_join (input 0) (input 1) ~pred:(jpred d)
   | "Merge_sort" -> Iterator.sort (input 0) ~order:(order_attrs d)
   | "Mat_deref" ->
     Iterator.mat_deref db (input 0) ~attr:(single_attr d "mat_attribute" alg)

@@ -183,7 +183,7 @@ let key_of schema attrs tuple =
     (fun a -> match Tuple.get schema tuple a with Some v -> v | None -> Value.Null)
     attrs
 
-let hash_probe_join ~preserve_outer_order:_ outer inner ~pred =
+let hash_join outer inner ~pred =
   let schema = Tuple.concat_schema outer.schema inner.schema in
   lazy_array schema (fun () ->
       let keys = join_keys outer.schema inner.schema pred in
@@ -205,12 +205,6 @@ let hash_probe_join ~preserve_outer_order:_ outer inner ~pred =
             (List.rev (Hashtbl.find_all table k)))
         (materialize outer);
       Array.of_list (List.rev !out))
-
-let hash_join left right ~pred =
-  hash_probe_join ~preserve_outer_order:false left right ~pred
-
-let pointer_join outer inner ~pred =
-  hash_probe_join ~preserve_outer_order:true outer inner ~pred
 
 let merge_join left right ~pred =
   let schema = Tuple.concat_schema left.schema right.schema in

@@ -35,14 +35,13 @@ val nested_loops : t -> t -> pred:Prairie_value.Predicate.t -> t
 
 val hash_join : t -> t -> pred:Prairie_value.Predicate.t -> t
 (** Builds a hash table on the right input over the predicate's equality
-    pairs; residual conjuncts are applied as a post-filter. *)
+    pairs and probes it once per left (outer) tuple, so the output keeps
+    the outer order; residual conjuncts are applied as a post-filter.
+    [Pointer_join] plans run on it too. *)
 
 val merge_join : t -> t -> pred:Prairie_value.Predicate.t -> t
 (** Requires both inputs sorted on their sides of the equality pairs (the
     optimizer guarantees this via SORT / enforcers). *)
-
-val pointer_join : t -> t -> pred:Prairie_value.Predicate.t -> t
-(** Hash probe per outer tuple; preserves the outer order. *)
 
 val sort : t -> order:Prairie_value.Attribute.t list -> t
 

@@ -2,6 +2,8 @@
    the most recent searches whose wall time met the threshold.  It is
    shared across serve workers, so every entry point locks. *)
 
+module Json = Prairie_util.Json
+
 type entry = {
   seq : int;
   at : float;  (* Unix.gettimeofday at completion *)

@@ -47,5 +47,4 @@ val dropped : t -> int
 val entries : t -> entry list
 (** Retained entries, oldest first. *)
 
-val entry_to_json : entry -> string
 val to_json : t -> string

@@ -17,6 +17,8 @@
    nested spans, and an event emitted under a span lies strictly inside
    it. *)
 
+module Json = Prairie_util.Json
+
 type phase =
   | Optimize
   | Explore
@@ -35,12 +37,9 @@ let phase_label = function
   | Enforcer -> "enforcer"
   | Memo_insert -> "memo_insert"
 
-let all_phases = [ Optimize; Explore; Match; Apply; Cost; Enforcer; Memo_insert ]
-
 type reason =
   | Test_failed
   | Pruned of float
-  | Budget_exhausted
   | No_input_plan
 
 type event =
@@ -79,7 +78,6 @@ let kind = function
 let reason_label = function
   | Test_failed -> "test_failed"
   | Pruned _ -> "pruned"
-  | Budget_exhausted -> "budget_exhausted"
   | No_input_plan -> "no_input_plan"
 
 type handle = {
@@ -289,7 +287,7 @@ let profile t =
 (* ---------------- JSON lines ---------------- *)
 
 let reason_fields = function
-  | Test_failed | Budget_exhausted | No_input_plan -> ""
+  | Test_failed | No_input_plan -> ""
   | Pruned limit -> Printf.sprintf ",\"limit\":%s" (Json.float limit)
 
 let event_to_json { seq; span; event; _ } =

@@ -31,7 +31,6 @@ type phase =
   | Memo_insert  (** gtree/expression insertion into the memo *)
 
 val phase_label : phase -> string
-val all_phases : phase list
 
 (** {1 Events}
 
@@ -48,7 +47,6 @@ type reason =
   | Pruned of float
       (** branch-and-bound: the remaining cost limit (annotation) made the
           alternative not worth completing *)
-  | Budget_exhausted  (** the group budget capped exploration *)
   | No_input_plan
       (** an input group has no plan under the requested properties
           (with pruning off, i.e. not a cost-limit artifact) *)
@@ -76,9 +74,6 @@ type event =
 val kind : event -> string
 (** Stable lowercase tag, e.g. ["trans_applied"] — the ["event"] field of
     the JSON encoding. *)
-
-val reason_label : reason -> string
-(** ["test_failed"], ["pruned"], ["budget_exhausted"], ["no_input_plan"]. *)
 
 (** {1 The sink} *)
 

@@ -410,17 +410,27 @@ let merge (ruleset : Prairie.Ruleset.t) =
       (fun (r : Irule.t) -> not (List.mem r.Irule.name enforcer_rule_names))
       ruleset.Prairie.Ruleset.irules
   in
-  (* 2. Strip enforcer-operators from T-rules. *)
+  (* 2. Strip enforcer-operators from T-rules.  A rule whose LHS was only
+        enforcer-operators over a stream variable is dropped: the memo
+        holds no enforcer-operator nodes, so nothing could match it. *)
   let trules =
-    List.map
+    List.filter_map
       (fun (t : Trule.t) ->
         (* stripping warnings carry the T-rule they fired in *)
         let warn ~code m = warn ~rule:t.Trule.name ~code m in
-        {
-          t with
-          Trule.lhs = strip_pat ~is_enf ~warn t.Trule.lhs;
-          Trule.rhs = strip_tmpl ~is_enf ~warn ~root:true t.Trule.rhs;
-        })
+        match strip_pat ~is_enf ~warn t.Trule.lhs with
+        | Pattern.Pvar _ ->
+          warn ~code:"P107"
+            "the LHS is only an enforcer-operator over a stream variable; \
+             nothing in the memo can match it, so the rule is dropped";
+          None
+        | lhs ->
+          Some
+            {
+              t with
+              Trule.lhs;
+              Trule.rhs = strip_tmpl ~is_enf ~warn ~root:true t.Trule.rhs;
+            })
       ruleset.Prairie.Ruleset.trules
   in
   (* 3. Rename rules.  A self-rename is dropped.  A rename whose introduced

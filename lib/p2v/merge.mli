@@ -37,7 +37,7 @@ type result = {
       (** (T-rule, I-rule) pairs that were merged; a renaming that was kept
           contributes none *)
   warnings : Prairie.Diagnostic.t list;
-      (** translation findings (codes P101–P106), deduplicated and in the
+      (** translation findings (codes P101–P107), deduplicated and in the
           stable {!Prairie.Diagnostic.compare} order *)
 }
 

@@ -10,7 +10,6 @@ type t = {
   merge : Merge.result;
   classification : Classify.classification;
   volcano : Rule.ruleset;
-  dead_trans : string list;
 }
 
 (* Code generation stages each rule's test and statement lists into
@@ -152,18 +151,7 @@ let translate (ruleset : Prairie.Ruleset.t) =
   let classification = Classify.classify ruleset in
   let helpers = ruleset.Prairie.Ruleset.helpers in
   let physical = classification.Classify.physical in
-  (* A T-rule whose test constant-folds to FALSE can never fire; dropping
-     it here — before codegen — keeps the indexed and un-indexed search
-     paths in exact agreement (neither ever sees the rule, so neither
-     records a match for it). *)
-  let live_trules, dead_trules =
-    List.partition
-      (fun (t : Trule.t) ->
-        Prairie.Action.fold_const t.Trule.test
-        <> Some (Prairie_value.Value.Bool false))
-      merge.Merge.trans_trules
-  in
-  let trans = List.map (trans_of_trule helpers) live_trules in
+  let trans = List.map (trans_of_trule helpers) merge.Merge.trans_trules in
   let impl =
     List.map (impl_of_irule helpers ~physical) merge.Merge.impl_irules
   in
@@ -180,12 +168,7 @@ let translate (ruleset : Prairie.Ruleset.t) =
     Rule.make_ruleset ~trans ~impl ~enforcers ~physical
       (ruleset.Prairie.Ruleset.name ^ "-p2v")
   in
-  {
-    merge;
-    classification;
-    volcano;
-    dead_trans = List.map (fun (t : Trule.t) -> t.Trule.name) dead_trules;
-  }
+  { merge; classification; volcano }
 
 let prepare_query t expr =
   let infos = t.merge.Merge.enforcer_infos in

@@ -9,17 +9,16 @@
     the {!Prairie_volcano.Search} engine calls read and write descriptors
     by index.  The other two Volcano helper
     functions (["cost"], ["get_input_pv"]) are subsumed — the paper notes
-    they are short-circuited by the per-rule property transformations. *)
+    they are short-circuited by the per-rule property transformations.
+
+    Every T-rule {!Merge} keeps becomes a trans rule, one whose test
+    constant-folds to [FALSE] (analyze's P301) included: the search
+    matches it and its test rejects every binding. *)
 
 type t = {
   merge : Merge.result;
   classification : Classify.classification;
   volcano : Prairie_volcano.Rule.ruleset;
-  dead_trans : string list;
-      (** T-rules whose test constant-folds to [FALSE], dropped before
-          code generation (flagged P301 by {!Prairie_analysis}); the
-          Volcano rule set never sees them, so indexed and un-indexed
-          search agree exactly *)
 }
 
 val translate : Prairie.Ruleset.t -> t

@@ -35,15 +35,15 @@ let topological_order memo =
   List.iter visit (Memo.groups memo);
   List.rev !order
 
-let optimize_in ctx g0 ~required =
+let optimize ?(required = Descriptor.empty) ?spans rules expr =
+  let ctx = Search.create ?spans rules in
   let memo = Search.memo ctx in
-  let rules = Search.ruleset ctx in
+  let g0 = Memo.insert_expr memo expr in
   let required = Search.restrict_req ctx required in
-  let sink = Search.spans ctx in
   (* the whole bottom-up run is one root span; saturation produces
      [Explore] children, the DP phase a single [Cost] child *)
   let root =
-    match sink with None -> None | Some s -> Some (Span.enter s Span.Optimize)
+    match spans with None -> None | Some s -> Some (Span.enter s Span.Optimize)
   in
   (* 1. saturate: explore until no group or expression appears *)
   let rec saturate () =
@@ -98,7 +98,7 @@ let optimize_in ctx g0 ~required =
   (* 3. dynamic programming in dependency order; within a group, smaller
      requirement vectors first so enforcers find their relaxed plans *)
   let dp_span =
-    match sink with
+    match spans with
     | None -> None
     | Some s -> Some (Span.enter s ?parent:root Span.Cost)
   in
@@ -212,7 +212,7 @@ let optimize_in ctx g0 ~required =
           Tbl.replace table (g, req) (Option.map fst !best))
         (reqs_of g))
     groups;
-  (match (sink, dp_span, root) with
+  (match (spans, dp_span, root) with
   | Some s, Some dp, Some r ->
     Span.exit s dp;
     Span.exit s r
@@ -226,8 +226,3 @@ let optimize_in ctx g0 ~required =
     requirements_considered = Tbl.length interesting;
     plans_costed = !plans_costed;
   }
-
-let optimize ?(required = Descriptor.empty) ?spans rules expr =
-  let ctx = Search.create ?spans rules in
-  let g0 = Memo.insert_expr (Search.memo ctx) expr in
-  optimize_in ctx g0 ~required

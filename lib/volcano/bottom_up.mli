@@ -39,9 +39,3 @@ val optimize :
     receives the exploration-phase events (group creation/merges, trans
     rule matches/applications/rejections); the DP phase keeps its own
     bookkeeping and does not emit per-plan events. *)
-
-val optimize_in :
-  Search.t -> Memo.gid -> required:Prairie.Descriptor.t -> result
-(** Run over an existing search context's memo (the context is used for
-    its rule set and exploration machinery; its winner table is left
-    untouched — the DP keeps its own). *)

@@ -90,7 +90,6 @@ type rule_account = {
   mutable fresh : int;  (* trans applications whose RHS was new to the memo *)
   mutable rej_test : int;
   mutable rej_pruned : int;
-  mutable rej_budget : int;
   mutable rej_no_input : int;
 }
 
@@ -106,7 +105,6 @@ let account map rule =
         fresh = 0;
         rej_test = 0;
         rej_pruned = 0;
-        rej_budget = 0;
         rej_no_input = 0;
       }
     in
@@ -116,7 +114,6 @@ let account map rule =
 let record_rejection a = function
   | Span.Test_failed -> a.rej_test <- a.rej_test + 1
   | Span.Pruned _ -> a.rej_pruned <- a.rej_pruned + 1
-  | Span.Budget_exhausted -> a.rej_budget <- a.rej_budget + 1
   | Span.No_input_plan -> a.rej_no_input <- a.rej_no_input + 1
 
 let rejection_note a =
@@ -126,7 +123,6 @@ let rejection_note a =
       [
         (a.rej_test, "test failed");
         (a.rej_pruned, "pruned by cost limit");
-        (a.rej_budget, "budget exhausted");
         (a.rej_no_input, "no input plan");
       ]
   in
@@ -149,7 +145,7 @@ let pp_accounts ?(dups = false) ppf kind map =
     SMap.iter
       (fun rule a ->
         let rejected =
-          a.rej_test + a.rej_pruned + a.rej_budget + a.rej_no_input
+          a.rej_test + a.rej_pruned + a.rej_no_input
         in
         Format.fprintf ppf "@,%-28s %8d %8d" rule (tested a) a.applied;
         if dups then

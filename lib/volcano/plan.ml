@@ -29,13 +29,6 @@ let rec to_expr = function
   | Alg (name, d, inputs) ->
     Expr.Node (Expr.Algorithm, name, d, List.map to_expr inputs)
 
-let rec of_expr = function
-  | Expr.Stored (name, d) -> Leaf (name, d)
-  | Expr.Node (Expr.Algorithm, name, d, inputs) ->
-    Alg (name, d, List.map of_expr inputs)
-  | Expr.Node (Expr.Operator, name, _, _) ->
-    invalid_arg ("Plan.of_expr: operator node " ^ name ^ " in access plan")
-
 let rec equal a b =
   match (a, b) with
   | Leaf (n1, d1), Leaf (n2, d2) ->

@@ -25,10 +25,6 @@ val to_expr : t -> Prairie.Expr.t
 (** Convert to a Prairie access plan (for execution or comparison with the
     naive oracle). *)
 
-val of_expr : Prairie.Expr.t -> t
-(** Inverse of {!to_expr}.
-    @raise Invalid_argument if the expression contains operator nodes. *)
-
 val equal : t -> t -> bool
 
 val pp : Format.formatter -> t -> unit

@@ -5,9 +5,11 @@ module Order = Prairie_value.Order
 
 type env = Prairie.Compiled.env
 
-type lhs_slots =
+type match_op = { op : string; desc : int; arity : int; subs : lhs_slots list }
+
+and lhs_slots =
   | Match_var of { stream : int; desc : int }
-  | Match_op of { op : string; desc : int; arity : int; subs : lhs_slots list }
+  | Match_op of match_op
 
 type rhs_slots =
   | Build_var of int
@@ -15,11 +17,9 @@ type rhs_slots =
 
 type trans_rule = {
   tr_name : string;
-  tr_lhs : Pattern.t;
-  tr_rhs : Pattern.tmpl;
   tr_slots : Prairie.Compiled.slots;
   tr_streams : int;
-  tr_match : lhs_slots;
+  tr_match : match_op;
   tr_build : rhs_slots;
   tr_cond : env -> bool;
   tr_appl : env -> unit;
@@ -52,12 +52,19 @@ let trans_rule ?(vars = []) ~name ~lhs ~rhs stage =
     in
     find 0
   in
-  let rec lhs_slots = function
+  let rec match_op op d subs =
+    { op; desc = slot d; arity = List.length subs; subs = List.map lhs_slots subs }
+  and lhs_slots = function
     | Pattern.Pvar i ->
       Match_var { stream = stream_slot i; desc = slot (Pattern.stream_desc_name i) }
-    | Pattern.Pop (op, d, subs) ->
-      Match_op
-        { op; desc = slot d; arity = List.length subs; subs = List.map lhs_slots subs }
+    | Pattern.Pop (op, d, subs) -> Match_op (match_op op d subs)
+  in
+  let tr_match =
+    match lhs with
+    | Pattern.Pop (op, d, subs) -> match_op op d subs
+    | Pattern.Pvar i ->
+      invalid_arg
+        (Printf.sprintf "trans rule %s: LHS is the bare stream variable ?%d" name i)
   in
   let rec rhs_slots = function
     | Pattern.Tvar (i, _) -> Build_var (stream_slot i)
@@ -66,11 +73,9 @@ let trans_rule ?(vars = []) ~name ~lhs ~rhs stage =
   let tr_cond, tr_appl = stage slot in
   {
     tr_name = name;
-    tr_lhs = lhs;
-    tr_rhs = rhs;
     tr_slots = slots;
     tr_streams = Array.length streams;
-    tr_match = lhs_slots lhs;
+    tr_match;
     tr_build = rhs_slots rhs;
     tr_cond;
     tr_appl;
@@ -118,10 +123,8 @@ type ruleset = {
       (** impl rules grouped by operator, in [rs_impl] order *)
   rs_match_index : (string, (int * trans_rule) list) Hashtbl.t;
       (** trans rules by LHS root operator, paired with their [rs_trans]
-          position (the memo's tried-table rule id); wildcard-rooted rules
-          appear in every bucket.  Read through {!trans_rules_for}. *)
-  rs_match_wildcard : (int * trans_rule) list;
-      (** trans rules whose LHS root is a bare stream variable *)
+          position (the memo's tried-table rule id).  Read through
+          {!trans_rules_for}. *)
 }
 
 let default_satisfies ~required ~actual =
@@ -134,41 +137,19 @@ let default_satisfies ~required ~actual =
       | _ -> Value.equal req_v (Descriptor.get actual p))
     (Descriptor.to_list required)
 
+(* Group [xs] by [key]; grouping over the reversed list keeps each bucket
+   in [xs] order. *)
+let group_by key xs =
+  let tbl = Hashtbl.create 16 in
+  List.iter
+    (fun x ->
+      let prev = Option.value ~default:[] (Hashtbl.find_opt tbl (key x)) in
+      Hashtbl.replace tbl (key x) (x :: prev))
+    (List.rev xs);
+  tbl
+
 let make_ruleset ?(trans = []) ?(impl = []) ?(enforcers = [])
     ?(physical = [ "tuple_order" ]) name =
-  let impl_index = Hashtbl.create 16 in
-  (* reversed-accumulator grouping keeps each bucket in [impl] order *)
-  List.iter
-    (fun r ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt impl_index r.ir_op) in
-      Hashtbl.replace impl_index r.ir_op (r :: prev))
-    (List.rev impl);
-  (* The match index pairs each trans rule with its [trans] position — the
-     rule id of the memo's tried table, so indexed and un-indexed search
-     share one id space.  Wildcard-rooted rules go into every bucket (and
-     the wildcard list) so the indexed path sees exactly the rules whose
-     LHS root could match a given node. *)
-  let numbered = List.mapi (fun i tr -> (i, tr)) trans in
-  let wildcard =
-    List.filter
-      (fun (_, tr) -> Pattern.root_operator tr.tr_lhs = None)
-      numbered
-  in
-  let match_index = Hashtbl.create 16 in
-  List.iter
-    (fun (_, tr) ->
-      match Pattern.root_operator tr.tr_lhs with
-      | None -> ()
-      | Some op ->
-        if not (Hashtbl.mem match_index op) then
-          Hashtbl.add match_index op
-            (List.filter
-               (fun (_, tr') ->
-                 match Pattern.root_operator tr'.tr_lhs with
-                 | None -> true
-                 | Some op' -> String.equal op op')
-               numbered))
-    numbered;
   {
     rs_name = name;
     rs_trans = trans;
@@ -176,20 +157,19 @@ let make_ruleset ?(trans = []) ?(impl = []) ?(enforcers = [])
     rs_enforcers = enforcers;
     rs_physical = physical;
     rs_physical_set = Descriptor.String_set.of_list physical;
-    rs_impl_index = impl_index;
-    rs_match_index = match_index;
-    rs_match_wildcard = wildcard;
+    rs_impl_index = group_by (fun r -> r.ir_op) impl;
+    (* each trans rule with its [trans] position: the rule id of the
+       memo's tried table *)
+    rs_match_index =
+      group_by
+        (fun (_, tr) -> tr.tr_match.op)
+        (List.mapi (fun i tr -> (i, tr)) trans);
   }
 
 let impl_rules_for rs op =
   Option.value ~default:[] (Hashtbl.find_opt rs.rs_impl_index op)
 
 let trans_rules_for rs op =
-  match op with
-  | None -> rs.rs_match_wildcard
-  | Some op -> (
-    match Hashtbl.find_opt rs.rs_match_index op with
-    | Some rules -> rules
-    | None -> rs.rs_match_wildcard)
+  Option.value ~default:[] (Hashtbl.find_opt rs.rs_match_index op)
 
 let restrict_physical rs d = Descriptor.restrict_set d rs.rs_physical_set

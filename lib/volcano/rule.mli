@@ -10,21 +10,27 @@
     Both kinds of trans rule are staged over a slot table ({!trans_rule}):
     descriptor variable names are resolved to array indices once, when the
     rule is built, so the search binds a match into a
-    {!Prairie.Compiled.env} array and the closures never look a name up. *)
+    {!Prairie.Compiled.env} array and the closures never look a name up.
+    A trans rule's LHS is rooted at an operator by construction: the memo
+    holds operator trees, and a bare stream variable is refused when the
+    rule is built. *)
 
 type env = Prairie.Compiled.env
 (** A trans rule invocation's descriptors, one per slot of the rule's slot
     table: matching writes the LHS descriptors into it, [tr_cond] and
     [tr_appl] update it in place, and the RHS is built from it. *)
 
-(** The LHS pattern with every name resolved: stream variables to stream
-    slots, descriptor variables to descriptor slots. *)
-type lhs_slots =
+(** An LHS operator node with every name resolved: it binds slot [desc]
+    to the lexpr's argument. *)
+type match_op = { op : string; desc : int; arity : int; subs : lhs_slots list }
+
+(** An LHS input position: stream variables resolve to stream slots,
+    descriptor variables to descriptor slots. *)
+and lhs_slots =
   | Match_var of { stream : int; desc : int }
       (** [?i]: binds stream slot [stream] to a group and slot [desc]
           ([Di]) to the group's descriptor *)
-  | Match_op of { op : string; desc : int; arity : int; subs : lhs_slots list }
-      (** an operator node: binds slot [desc] to the lexpr's argument *)
+  | Match_op of match_op
 
 (** The RHS template with every name resolved. *)
 type rhs_slots =
@@ -34,15 +40,13 @@ type rhs_slots =
 
 type trans_rule = {
   tr_name : string;
-  tr_lhs : Prairie.Pattern.t;
-      (** pattern over operators; stream variable [?i] binds group
-          descriptors to [Di] *)
-  tr_rhs : Prairie.Pattern.tmpl;
   tr_slots : Prairie.Compiled.slots;
       (** the slot table: descriptor variable [tr_slots.(i)] is [env.(i)] *)
   tr_streams : int;  (** the number of stream slots *)
-  tr_match : lhs_slots;  (** [tr_lhs] over slots *)
-  tr_build : rhs_slots;  (** [tr_rhs] over slots *)
+  tr_match : match_op;
+      (** the LHS over slots; its root is an operator, so the match index
+          files every rule under one operator *)
+  tr_build : rhs_slots;  (** the RHS over slots *)
   tr_cond : env -> bool;
       (** cond_code: pre-test statements (written into the array) + test *)
   tr_appl : env -> unit;
@@ -62,7 +66,8 @@ val trans_rule :
     pass, resolve the patterns against it, and stage the rule's code by
     calling [stage] with the table's resolver once — the closures it
     returns read and write slots by index.
-    @raise Invalid_argument when [rhs] uses a stream variable [lhs] does
+    @raise Invalid_argument when [lhs] is a bare stream variable (nothing
+    in the memo could match it), [rhs] uses a stream variable [lhs] does
     not bind, or [stage] resolves a name the table lacks. *)
 
 type impl_rule = {
@@ -123,12 +128,8 @@ type ruleset = {
   rs_match_index : (string, (int * trans_rule) list) Hashtbl.t;
       (** trans rules grouped by LHS root operator, each paired with its
           [rs_trans] position — the rule id of the memo's tried table.  Buckets
-          preserve [rs_trans] order and include wildcard-rooted rules.
-          Built once by {!make_ruleset}; {!trans_rules_for} reads it. *)
-  rs_match_wildcard : (int * trans_rule) list;
-      (** trans rules whose LHS root is a bare stream variable (they match
-          any node — including the stored-file case, where the engine
-          rejects them with the same [Invalid_argument] either way) *)
+          preserve [rs_trans] order.  Built once by {!make_ruleset};
+          {!trans_rules_for} reads it. *)
 }
 
 val default_satisfies :
@@ -149,11 +150,9 @@ val make_ruleset :
 val impl_rules_for : ruleset -> string -> impl_rule list
 (** O(1) lookup of the impl rules for an operator, in [rs_impl] order. *)
 
-val trans_rules_for : ruleset -> string option -> (int * trans_rule) list
-(** O(1) lookup of the trans rules whose LHS root could match a node:
-    [Some op] for an operator node (that operator's bucket, or just the
-    wildcard rules when no rule is rooted there), [None] for a stored
-    file (wildcard rules only).  Rules a bucket omits are exactly those
+val trans_rules_for : ruleset -> string -> (int * trans_rule) list
+(** O(1) lookup of the trans rules rooted at an operator, in [rs_trans]
+    order ([[]] when none is).  Rules a bucket omits are exactly those
     whose match would return no bindings — skipping them leaves matches,
     applications, stats, traces and plans untouched. *)
 

@@ -88,11 +88,12 @@ let copy_menv env =
 (* The trans rules worth trying against a lexpr, paired with their rule
    ids.  The match index drops only rules whose root operator differs from
    the lexpr's — matches that would return no bindings and record
-   nothing. *)
+   nothing.  Every rule is rooted at an operator, so none matches a
+   stored file. *)
 let candidates ctx (le : Memo.lexpr) =
   match le.Memo.node with
-  | Memo.L_op op -> Rule.trans_rules_for ctx.rules (Some op)
-  | Memo.L_file _ -> Rule.trans_rules_for ctx.rules None
+  | Memo.L_op op -> Rule.trans_rules_for ctx.rules op
+  | Memo.L_file _ -> []
 
 let gtree_of_tmpl (build : Rule.rhs_slots) env =
   let rec go = function
@@ -102,12 +103,11 @@ let gtree_of_tmpl (build : Rule.rhs_slots) env =
   in
   go build
 
-(* Does a lexpr have the operator and arity of a pattern's root? *)
-let heads_match (pat : Rule.lhs_slots) (le : Memo.lexpr) =
-  match (pat, le.Memo.node) with
-  | Rule.Match_op { op; arity; _ }, Memo.L_op n ->
-    String.equal n op && Array.length le.Memo.inputs = arity
-  | Rule.Match_op _, Memo.L_file _ | Rule.Match_var _, _ -> false
+(* Does a lexpr have the operator and arity of a pattern node? *)
+let heads_match (pat : Rule.match_op) (le : Memo.lexpr) =
+  match le.Memo.node with
+  | Memo.L_op n -> String.equal n pat.op && Array.length le.Memo.inputs = pat.arity
+  | Memo.L_file _ -> false
 
 (* ------------------------------------------------------------------ *)
 (* Exploration                                                         *)
@@ -168,12 +168,9 @@ and apply_rule ctx parent g le ((tr_id, tr) : int * Rule.trans_rule) ~changed =
       | Some sink -> Some (Span.enter sink ~rule:tr.tr_name ?parent Span.Match)
     in
     let envs =
-      match tr.tr_match with
-      | Rule.Match_op { desc; subs; _ } when heads_match tr.tr_match le ->
-        match_lexpr ctx msp desc subs le (fresh_menv tr)
-      | Rule.Match_op _ -> []
-      | Rule.Match_var _ ->
-        invalid_arg "trans rule LHS must be rooted at an operator"
+      if heads_match tr.tr_match le then
+        match_lexpr ctx msp tr.tr_match le (fresh_menv tr)
+      else []
     in
     (match (ctx.spans, msp) with Some sink, Some h -> Span.exit sink h | _ -> ());
     if envs <> [] then begin
@@ -220,11 +217,11 @@ and apply_rule ctx parent g le ((tr_id, tr) : int * Rule.trans_rule) ~changed =
       envs
   end
 
-(* All bindings of an operator pattern (descriptor slot [desc], input
-   patterns [subs]) against a lexpr whose head matches it, extending [env]
-   (which the call owns). *)
-and match_lexpr ctx parent desc subs (le : Memo.lexpr) env : menv list =
-  env.descs.(desc) <- le.Memo.arg;
+(* All bindings of an operator pattern against a lexpr whose head matches
+   it, extending [env] (which the call owns). *)
+and match_lexpr ctx parent (pat : Rule.match_op) (le : Memo.lexpr) env :
+    menv list =
+  env.descs.(pat.desc) <- le.Memo.arg;
   let rec fold_inputs i pats envs =
     match pats with
     | [] -> envs
@@ -233,7 +230,7 @@ and match_lexpr ctx parent desc subs (le : Memo.lexpr) env : menv list =
       let envs' = List.concat_map (fun e -> match_sub ctx parent p g e) envs in
       fold_inputs (i + 1) rest envs'
   in
-  fold_inputs 0 subs [ env ]
+  fold_inputs 0 pat.subs [ env ]
 
 (* All bindings of [pat] against any member of group [g], extending [env]
    (which the call owns). *)
@@ -244,13 +241,12 @@ and match_sub ctx parent (pat : Rule.lhs_slots) g env : menv list =
     env.streams.(stream) <- g;
     env.descs.(desc) <- Memo.group_desc ctx.memo g;
     [ env ]
-  | Rule.Match_op { desc; subs; _ } ->
+  | Rule.Match_op op ->
     explore ctx parent g;
     let g = Memo.canonical ctx.memo g in
     List.concat_map
       (fun le ->
-        if heads_match pat le then
-          match_lexpr ctx parent desc subs le (copy_menv env)
+        if heads_match op le then match_lexpr ctx parent op le (copy_menv env)
         else [])
       (Memo.lexprs ctx.memo g)
 

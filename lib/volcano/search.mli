@@ -22,11 +22,12 @@ val create :
     enables branch-and-bound cost limits; disabling it is the
     [ablation-bounding] experiment.
 
-    Each lexpr only tries the trans rules whose LHS root operator can
-    match it (the rule set's [rs_match_index]).  The skipped (lexpr,
-    rule) pairs are exactly those whose match would bind nothing, so the
-    search is byte-identical to a full scan of [rs_trans]
-    (property-tested in the test suite).
+    An operator lexpr only tries the trans rules rooted at its operator
+    (the rule set's [rs_match_index]); a stored file tries none, since
+    every trans rule is operator-rooted.  The skipped (lexpr, rule) pairs
+    are exactly those whose match would bind nothing, so the search is
+    byte-identical to a full scan of [rs_trans] (property-tested in the
+    test suite).
 
     [spans] attaches the observability sink: the search is bracketed by
     an [Optimize] root span with nested [Explore]/[Match]/[Apply]/[Cost]/

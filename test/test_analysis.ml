@@ -131,10 +131,11 @@ let reachability_tests =
           "only t2 unreachable" [ "t2" ] r.Analysis.unreachable_rules);
   ]
 
-(* A P301-dead rule must also be the one Translate prunes. *)
+(* A P301-dead rule stays in the Volcano set: the search matches it, and
+   its test rejects every binding. *)
 let dead_rule_tests =
   [
-    Alcotest.test_case "P301 dead rules match Translate's pruning" `Quick
+    Alcotest.test_case "a P301 dead rule is matched, never applied" `Quick
       (fun () ->
         let src =
           {|ruleset t; operator A(1); operator B(1); algorithm X(1);
@@ -154,19 +155,22 @@ let dead_rule_tests =
           Dsl.Elaborate.elaborate ~helpers:Prairie.Helper_env.builtins
             (Dsl.Parser.parse src)
         in
-        let tr = Prairie_p2v.Translate.translate rs in
+        let module V = Prairie_volcano in
+        let module E = Prairie.Expr in
+        let volcano = (Prairie_p2v.Translate.translate rs).Prairie_p2v.Translate.volcano in
         Alcotest.(check (list string))
-          "translate" [ "dead" ] tr.Prairie_p2v.Translate.dead_trans;
-        check "volcano set keeps the live rule" true
-          (List.exists
-             (fun (t : Prairie_volcano.Rule.trans_rule) ->
-               String.equal t.Prairie_volcano.Rule.tr_name "live")
-             tr.Prairie_p2v.Translate.volcano.Prairie_volcano.Rule.rs_trans);
-        check "volcano set drops the dead rule" false
-          (List.exists
-             (fun (t : Prairie_volcano.Rule.trans_rule) ->
-               String.equal t.Prairie_volcano.Rule.tr_name "dead")
-             tr.Prairie_p2v.Translate.volcano.Prairie_volcano.Rule.rs_trans));
+          "volcano set keeps both rules" [ "live"; "dead" ]
+          (List.map
+             (fun (t : V.Rule.trans_rule) -> t.V.Rule.tr_name)
+             volcano.V.Rule.rs_trans);
+        let d = Prairie.Descriptor.of_list [ ("num_records", Prairie_value.Value.Int 10) ] in
+        let ctx = V.Search.create volcano in
+        ignore (V.Search.optimize ctx (E.Node (E.Operator, "A", d, [ E.Stored ("R", d) ])));
+        let stats = V.Search.stats ctx in
+        Alcotest.(check (list string))
+          "both matched" [ "dead"; "live" ] (V.Stats.trans_matched_names stats);
+        Alcotest.(check (list string))
+          "only the live rule applied" [ "live" ] (V.Stats.trans_applied_names stats));
   ]
 
 (* The P008/P320 boundary: exact-shape duplicates are lint's P008 and NOT

@@ -104,7 +104,7 @@ let iterator_tests =
         check_int "three" 3 (count mj));
     Alcotest.test_case "pointer join preserves outer order" `Quick (fun () ->
         let pj =
-          Iterator.pointer_join (Iterator.scan r_table ~pred:P.True)
+          Iterator.hash_join (Iterator.scan r_table ~pred:P.True)
             (Iterator.scan s_table ~pred:P.True) ~pred:join_pred
         in
         let rows = Iterator.materialize pj in

@@ -153,15 +153,13 @@ let untried_pairs ctx =
       else
         List.fold_left
           (fun n (le : Memo.lexpr) ->
-            let root =
-              match le.Memo.node with
-              | Memo.L_op op -> Some op
-              | Memo.L_file _ -> None
-            in
-            List.fold_left
-              (fun n (id, _) -> if Memo.rule_tried memo le id then n else n + 1)
-              n
-              (Rule.trans_rules_for rs root))
+            match le.Memo.node with
+            | Memo.L_file _ -> n
+            | Memo.L_op op ->
+              List.fold_left
+                (fun n (id, _) -> if Memo.rule_tried memo le id then n else n + 1)
+                n
+                (Rule.trans_rules_for rs op))
           n (Memo.lexprs memo g))
     0 (Memo.groups memo)
 
@@ -176,15 +174,28 @@ let exploration_saturates_ordered seed =
   in
   exploration_saturates ~required seed
 
-(* The un-indexed reference: an index that sends every lookup to the full
-   [rs_trans] list, in order, with each rule's id — exactly the rules a
-   search without the index would try. *)
-let full_scan (rs : Prairie_volcano.Rule.ruleset) =
-  {
-    rs with
-    Prairie_volcano.Rule.rs_match_index = Hashtbl.create 1;
-    rs_match_wildcard = List.mapi (fun i tr -> (i, tr)) rs.rs_trans;
-  }
+(* The un-indexed reference: an index whose bucket for every operator the
+   rule set names is the full [rs_trans] list, in order, with each rule's
+   id — exactly the rules a search without the index would try.  An
+   operator the rule set never names roots no rule, so its empty bucket
+   is the full scan's answer too. *)
+let full_scan (rs : Rule.ruleset) =
+  let numbered = List.mapi (fun i tr -> (i, tr)) rs.Rule.rs_trans in
+  let index = Hashtbl.create 16 in
+  let add op = Hashtbl.replace index op numbered in
+  let rec add_build = function
+    | Rule.Build_var _ -> ()
+    | Rule.Build_op (op, _, subs) ->
+      add op;
+      List.iter add_build subs
+  in
+  List.iter
+    (fun (tr : Rule.trans_rule) ->
+      add tr.Rule.tr_match.Rule.op;
+      add_build tr.Rule.tr_build)
+    rs.Rule.rs_trans;
+  List.iter (fun (ir : Rule.impl_rule) -> add ir.Rule.ir_op) rs.Rule.rs_impl;
+  { rs with Rule.rs_match_index = index }
 
 (* The match index's contract: indexed exploration skips exactly the
    (lexpr, rule) pairs whose match would bind nothing, so every
@@ -345,16 +356,15 @@ let knob_tests =
           [ (W.Queries.Q1, 2); (W.Queries.Q3, 1); (W.Queries.Q5, 2) ]);
     Alcotest.test_case "the match index never drops a rule" `Quick (fun () ->
         (* every trans rule must be reachable through the index under its
-           own LHS root: the bucket for an operator-rooted rule, the
-           wildcard list (served for both stored files and operators with
-           no bucket) for a variable-rooted one — with its rs_trans
-           position intact, since that id keys the memo's tried table *)
+           own LHS root operator, with its rs_trans position intact, since
+           that id keys the memo's tried table *)
         List.iter
           (fun rs ->
             List.iteri
               (fun i (tr : Rule.trans_rule) ->
-                let root = Prairie.Pattern.root_operator tr.Rule.tr_lhs in
-                let candidates = Rule.trans_rules_for rs root in
+                let candidates =
+                  Rule.trans_rules_for rs tr.Rule.tr_match.Rule.op
+                in
                 check
                   (rs.Rule.rs_name ^ "/" ^ tr.Rule.tr_name ^ " indexed")
                   true

@@ -224,8 +224,10 @@ let script_gen =
     in
     list_size (1 -- 4) (tree 3))
 
-let phase_of_int i =
-  List.nth Span.all_phases (i mod List.length Span.all_phases)
+let all_phases =
+  Span.[ Optimize; Explore; Match; Apply; Cost; Enforcer; Memo_insert ]
+
+let phase_of_int i = List.nth all_phases (i mod List.length all_phases)
 
 let run_script t forest =
   let rec go parent (Node (p, kids)) =

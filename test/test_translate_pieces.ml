@@ -112,6 +112,15 @@ let trans_tests =
         Alcotest.(check (list string))
           "LHS, RHS and action names" [ "D1"; "D2"; "D3"; "D4"; "D5"; "D6"; "D7" ] names;
         Alcotest.(check int) "three stream slots" 3 tr.Rule.tr_streams);
+    Alcotest.test_case "a variable-rooted LHS is rejected when built" `Quick
+      (fun () ->
+        Alcotest.check_raises "no operator to match"
+          (Invalid_argument "trans rule bare: LHS is the bare stream variable ?1")
+          (fun () ->
+            ignore
+              (Rule.trans_rule ~name:"bare" ~lhs:(Prairie.Pattern.Pvar 1)
+                 ~rhs:(Prairie.Pattern.Tvar (1, None))
+                 (fun _ -> ((fun _ -> true), fun _ -> ())))));
   ]
 
 let impl_tests =
@@ -213,19 +222,21 @@ let staged_apply (tr : Rule.trans_rule) expr =
       streams.(stream) <- e;
       env.(desc) <- Prairie.Expr.descriptor e;
       true
-    | ( Rule.Match_op { op; desc; arity; subs },
-        Prairie.Expr.Node (Prairie.Expr.Operator, n, d, inputs) )
-      when String.equal n op && List.length inputs = arity ->
-      env.(desc) <- d;
-      List.for_all2 bind subs inputs
-    | Rule.Match_op _, _ -> false
+    | Rule.Match_op op, _ -> bind_op op e
+  and bind_op (pat : Rule.match_op) e =
+    match e with
+    | Prairie.Expr.Node (Prairie.Expr.Operator, n, d, inputs)
+      when String.equal n pat.Rule.op && List.length inputs = pat.Rule.arity ->
+      env.(pat.Rule.desc) <- d;
+      List.for_all2 bind pat.Rule.subs inputs
+    | _ -> false
   in
   let rec build = function
     | Rule.Build_var s -> streams.(s)
     | Rule.Build_op (op, d, subs) ->
       Prairie.Expr.Node (Prairie.Expr.Operator, op, env.(d), List.map build subs)
   in
-  if bind tr.Rule.tr_match expr && tr.Rule.tr_cond env then begin
+  if bind_op tr.Rule.tr_match expr && tr.Rule.tr_cond env then begin
     tr.Rule.tr_appl env;
     Some (build tr.Rule.tr_build)
   end
