@@ -53,12 +53,13 @@ let () =
 
   (* cross-check: a different optimizer configuration may pick a different
      plan; the result multiset must be identical *)
-  let alt = Opt.optimize ~pruning:false (Opt.oodb_volcano catalog) inst.W.Queries.expr in
+  let alt = Opt.optimize (Opt.oodb_volcano catalog) inst.W.Queries.expr in
   let alt_plan = Option.get alt.Opt.plan in
   let c1 = E.Compile.canonical_result (schema, rows) in
   let c2 = E.Compile.canonical_result (E.Compile.execute_plan db alt_plan) in
   Format.printf "@.alternative plan: %a@." Plan.pp alt_plan;
   Format.printf "results identical across plans: %b@." (c1 = c2);
+  if c1 <> c2 then exit 1;
 
   (* and against the slowest-but-obviously-correct plan: force nested
      evaluation by executing the unoptimized semantics via the oracle's
@@ -72,5 +73,6 @@ let () =
     let c3 =
       E.Compile.canonical_result (E.Compile.execute db oracle.Prairie.Naive.plan)
     in
-    Format.printf "oracle plan agrees too: %b@." (c1 = c3)
+    Format.printf "oracle plan agrees too: %b@." (c1 = c3);
+    if c1 <> c3 then exit 1
   | None -> print_endline "oracle found no plan"

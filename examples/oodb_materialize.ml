@@ -52,8 +52,10 @@ let () =
   let inst = W.Queries.instance W.Queries.Q7 ~joins:2 ~seed:42 in
   let p = Opt.optimize (Opt.oodb_prairie inst.W.Queries.catalog) inst.W.Queries.expr in
   let v = Opt.optimize (Opt.oodb_volcano inst.W.Queries.catalog) inst.W.Queries.expr in
+  let agree = Float.abs (p.Opt.cost -. v.Opt.cost) < 1e-9 in
   Format.printf "  Prairie cost %.4f, Volcano cost %.4f, search spaces %d vs %d -> %s@."
     p.Opt.cost v.Opt.cost
     (Search.group_count p.Opt.search)
     (Search.group_count v.Opt.search)
-    (if Float.abs (p.Opt.cost -. v.Opt.cost) < 1e-9 then "identical" else "MISMATCH")
+    (if agree then "identical" else "MISMATCH");
+  if not agree then exit 1

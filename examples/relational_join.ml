@@ -62,10 +62,12 @@ let () =
   (match Prairie.Naive.best_plan ruleset ~required prepared with
   | Some oracle ->
     let volcano = Opt.optimize (Opt.relational catalog) q in
+    let agree =
+      Float.abs (oracle.Prairie.Naive.cost -. volcano.Opt.cost) < 1e-6
+    in
     Format.printf
       "@.oracle check (scenario 2): exhaustive %.2f vs Volcano %.2f -> %s@."
       oracle.Prairie.Naive.cost volcano.Opt.cost
-      (if Float.abs (oracle.Prairie.Naive.cost -. volcano.Opt.cost) < 1e-6 then
-         "identical"
-       else "MISMATCH")
+      (if agree then "identical" else "MISMATCH");
+    if not agree then exit 1
   | None -> print_endline "oracle found no plan")

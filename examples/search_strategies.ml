@@ -48,8 +48,9 @@ let () =
 
   (match (td.Opt.plan, bu.Bottom_up.plan) with
   | Some p1, Some p2 ->
-    Format.printf "@.strategies agree on cost: %b@.@."
-      (Float.abs (Plan.cost p1 -. Plan.cost p2) < 1e-9);
+    let agree = Float.abs (Plan.cost p1 -. Plan.cost p2) < 1e-9 in
+    Format.printf "@.strategies agree on cost: %b@.@." agree;
+    if not agree then exit 1;
     Format.printf "the plan:@.%a" Explain.pp p2
   | _ -> ());
 

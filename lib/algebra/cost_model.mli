@@ -13,9 +13,6 @@ val page_size : int
 val cpu_per_tuple : float
 (** CPU surcharge, in page units, per tuple handled. *)
 
-val deref_cost : float
-(** Cost of dereferencing one inter-object pointer (MAT, Pointer_join). *)
-
 val pages : card:int -> tuple_size:int -> float
 (** Pages occupied by [card] tuples of [tuple_size] bytes; at least 1. *)
 
@@ -34,8 +31,6 @@ val merge_join :
 
 val hash_join :
   left_cost:float -> right_cost:float -> left_card:int -> right_card:int -> float
-
-val pointer_deref_cost : float
 
 val pointer_join :
   outer_cost:float -> inner_cost:float -> outer_card:int -> float

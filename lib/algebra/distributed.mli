@@ -24,10 +24,6 @@ val ruleset : Prairie_catalog.Catalog.t -> Prairie.Ruleset.t
 (** The elaborated [rules/distributed.prairie], with the helper functions
     bound to [catalog]'s statistics: 5 T-rules and 6 I-rules. *)
 
-val site_of : sites:(string * string) list -> string -> string
-(** [sites] maps each stored file to its home site.  Files without an entry
-    live at ["site0"]. *)
-
 val ret :
   ?pred:Prairie_value.Predicate.t ->
   sites:(string * string) list ->

@@ -13,11 +13,6 @@
     same expression built directly — which is what the memo's duplicate
     detection needs. *)
 
-val file_descriptor : Prairie_catalog.Catalog.t -> string -> Prairie.Descriptor.t
-(** Leaf annotations: [attributes] (sorted), [num_records], [tuple_size],
-    [indexes] (the indexed attributes), [file_name].
-    @raise Not_found on unknown files. *)
-
 val file : Prairie_catalog.Catalog.t -> string -> Prairie.Expr.t
 
 val ret :

@@ -17,49 +17,5 @@
 
 val ruleset : Prairie_catalog.Catalog.t -> Prairie.Ruleset.t
 (** The elaborated [rules/open_oodb.prairie], with the helper functions
-    bound to [catalog]'s statistics. *)
-
-(** {1 Query constructors} — re-exports of {!Init}. *)
-
-val ret :
-  ?pred:Prairie_value.Predicate.t ->
-  Prairie_catalog.Catalog.t ->
-  string ->
-  Prairie.Expr.t
-
-val join :
-  Prairie_catalog.Catalog.t ->
-  pred:Prairie_value.Predicate.t ->
-  Prairie.Expr.t ->
-  Prairie.Expr.t ->
-  Prairie.Expr.t
-
-val select :
-  Prairie_catalog.Catalog.t ->
-  pred:Prairie_value.Predicate.t ->
-  Prairie.Expr.t ->
-  Prairie.Expr.t
-
-val project :
-  Prairie_catalog.Catalog.t ->
-  attrs:Prairie_value.Attribute.t list ->
-  Prairie.Expr.t ->
-  Prairie.Expr.t
-
-val mat :
-  Prairie_catalog.Catalog.t ->
-  attr:Prairie_value.Attribute.t ->
-  Prairie.Expr.t ->
-  Prairie.Expr.t
-
-val unnest :
-  Prairie_catalog.Catalog.t ->
-  attr:Prairie_value.Attribute.t ->
-  Prairie.Expr.t ->
-  Prairie.Expr.t
-
-val sort :
-  Prairie_catalog.Catalog.t ->
-  order:Prairie_value.Order.t ->
-  Prairie.Expr.t ->
-  Prairie.Expr.t
+    bound to [catalog]'s statistics.  Queries over it are built with
+    {!Init}. *)

@@ -24,10 +24,6 @@ val mem : t -> string -> bool
 val files : t -> Stored_file.t list
 (** All stored files, sorted by name. *)
 
-val owner_of : t -> Prairie_value.Attribute.t -> Stored_file.t option
-(** The stored file owning an attribute, resolved through the attribute's
-    owner field. *)
-
 val distinct_of : t -> Prairie_value.Attribute.t -> int
 (** Distinct-value count of an attribute; a default of 10 is assumed for
     attributes not described in the catalog. *)

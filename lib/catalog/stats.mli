@@ -6,9 +6,6 @@
     functions ([cardinality], [selectivity]) that rule actions call to
     annotate descriptors. *)
 
-val default_page_size : int
-(** 4096 bytes. *)
-
 val selectivity : Catalog.t -> Prairie_value.Predicate.t -> float
 (** Estimated fraction of tuples satisfying a selection predicate.
     Always in [\[0, 1\]]. *)
@@ -28,4 +25,4 @@ val join_cardinality :
 (** Output cardinality of a join. *)
 
 val pages : cardinality:int -> tuple_size:int -> int
-(** Pages occupied by a stream of given size under {!default_page_size}. *)
+(** Pages occupied by a stream of given size in 4096-byte pages. *)

@@ -55,8 +55,6 @@ val find_column : t -> string -> column option
 
 val has_index_on : t -> Prairie_value.Attribute.t -> bool
 
-val index_on : t -> Prairie_value.Attribute.t -> index option
-
 val pages : page_size:int -> t -> int
 (** Number of disk pages occupied: [ceil (cardinality * tuple_size / page_size)],
     at least 1. *)

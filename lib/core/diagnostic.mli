@@ -71,8 +71,6 @@ val is_warning : t -> bool
 val errors : t list -> t list
 val warnings : t list -> t list
 
-val severity_to_string : severity -> string
-
 val compare : t -> t -> int
 (** Total order: span, then severity, code, rule, message — the stable
     report order. *)

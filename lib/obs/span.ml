@@ -40,7 +40,6 @@ let phase_label = function
 type reason =
   | Test_failed
   | Pruned of float
-  | No_input_plan
 
 type event =
   | Group_created of { gid : int }
@@ -78,7 +77,6 @@ let kind = function
 let reason_label = function
   | Test_failed -> "test_failed"
   | Pruned _ -> "pruned"
-  | No_input_plan -> "no_input_plan"
 
 type handle = {
   h_id : int;
@@ -287,7 +285,7 @@ let profile t =
 (* ---------------- JSON lines ---------------- *)
 
 let reason_fields = function
-  | Test_failed | No_input_plan -> ""
+  | Test_failed -> ""
   | Pruned limit -> Printf.sprintf ",\"limit\":%s" (Json.float limit)
 
 let event_to_json { seq; span; event; _ } =

@@ -22,7 +22,7 @@
     bumped by 1 ns). *)
 
 type phase =
-  | Optimize  (** a whole [Search.optimize] / [Bottom_up.optimize] run *)
+  | Optimize  (** a whole [Search.optimize] run *)
   | Explore  (** worklist fixpoint over one group *)
   | Match  (** T-rule pattern match against one lexpr *)
   | Apply  (** T-rule condition + template build + memo insertion *)
@@ -45,11 +45,10 @@ val phase_label : phase -> string
 type reason =
   | Test_failed  (** the rule's condition code rejected the binding *)
   | Pruned of float
-      (** branch-and-bound: the remaining cost limit (annotation) made the
-          alternative not worth completing *)
-  | No_input_plan
-      (** an input group has no plan under the requested properties
-          (with pruning off, i.e. not a cost-limit artifact) *)
+      (** branch-and-bound: an input found no plan within the remaining
+          cost limit (the annotation), or none was left to spend.  An
+          input with no plan at all is reported the same way, with an
+          infinite limit. *)
 
 type event =
   | Group_created of { gid : int }

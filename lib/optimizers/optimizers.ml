@@ -111,11 +111,11 @@ let timed f =
   let v = f () in
   (v, Unix.gettimeofday () -. t0)
 
-let optimize ?pruning ?group_budget ?search_jobs:_ ?(required = Descriptor.empty)
-    ?spans t expr =
+let optimize ?group_budget ?search_jobs:_ ?(required = Descriptor.empty) ?spans
+    t expr =
   let expr, req0 = t.prepare expr in
   let required = Descriptor.merge ~base:req0 ~overrides:required in
-  let search = Search.create ?pruning ?group_budget ?spans t.volcano in
+  let search = Search.create ?group_budget ?spans t.volcano in
   let plan = Search.optimize ~required search expr in
   let cost = match plan with Some p -> Plan.cost p | None -> infinity in
   { plan; cost; search }

@@ -32,7 +32,6 @@ val relational_ruleset : Prairie_catalog.Catalog.t -> Prairie.Ruleset.t
 val oodb_ruleset : Prairie_catalog.Catalog.t -> Prairie.Ruleset.t
 
 val optimize :
-  ?pruning:bool ->
   ?group_budget:int ->
   ?search_jobs:int ->
   ?required:Prairie.Descriptor.t ->

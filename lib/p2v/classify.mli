@@ -23,9 +23,4 @@ val classify : Prairie.Ruleset.t -> classification
     Null-rule pre-opt sections (property propagation, paper Eq. 6) also
     count as physical. *)
 
-val classify_irules :
-  schema:Prairie.Property.schema -> Prairie.Irule.t list -> classification
-(** Classification driven by an explicit I-rule list (used after rule
-    merging, when the rule set has been rewritten). *)
-
 val pp : Format.formatter -> classification -> unit

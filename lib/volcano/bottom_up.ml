@@ -1,5 +1,4 @@
 module Descriptor = Prairie.Descriptor
-module Span = Prairie_obs.Span
 
 type result = {
   plan : Plan.t option;
@@ -35,22 +34,15 @@ let topological_order memo =
   List.iter visit (Memo.groups memo);
   List.rev !order
 
-let optimize ?(required = Descriptor.empty) ?spans rules expr =
-  let ctx = Search.create ?spans rules in
+let optimize ?(required = Descriptor.empty) rules expr =
+  let ctx = Search.create rules in
   let memo = Search.memo ctx in
   let g0 = Memo.insert_expr memo expr in
   let required = Search.restrict_req ctx required in
-  (* the whole bottom-up run is one root span; saturation produces
-     [Explore] children, the DP phase a single [Cost] child *)
-  let root =
-    match spans with None -> None | Some s -> Some (Span.enter s Span.Optimize)
-  in
   (* 1. saturate: explore until no group or expression appears *)
   let rec saturate () =
     let before = (Memo.group_count memo, Memo.lexpr_count memo) in
-    List.iter
-      (fun g -> Search.explore_group ctx ?span:root g)
-      (Memo.groups memo);
+    List.iter (fun g -> Search.explore_group ctx g) (Memo.groups memo);
     if (Memo.group_count memo, Memo.lexpr_count memo) <> before then saturate ()
   in
   saturate ();
@@ -97,11 +89,6 @@ let optimize ?(required = Descriptor.empty) ?spans rules expr =
   done;
   (* 3. dynamic programming in dependency order; within a group, smaller
      requirement vectors first so enforcers find their relaxed plans *)
-  let dp_span =
-    match spans with
-    | None -> None
-    | Some s -> Some (Span.enter s ?parent:root Span.Cost)
-  in
   let table : Plan.t option Tbl.t = Tbl.create 64 in
   let plans_costed = ref 0 in
   let reqs_of g =
@@ -212,11 +199,6 @@ let optimize ?(required = Descriptor.empty) ?spans rules expr =
           Tbl.replace table (g, req) (Option.map fst !best))
         (reqs_of g))
     groups;
-  (match (spans, dp_span, root) with
-  | Some s, Some dp, Some r ->
-    Span.exit s dp;
-    Span.exit s r
-  | _ -> ());
   {
     plan =
       (match Tbl.find_opt table (g0, required) with

@@ -27,15 +27,5 @@ type result = {
   plans_costed : int;
 }
 
-val optimize :
-  ?required:Prairie.Descriptor.t ->
-  ?spans:Prairie_obs.Span.t ->
-  Rule.ruleset ->
-  Prairie.Expr.t ->
-  result
-(** Run the full bottom-up optimization from a fresh memo.  [spans]
-    wraps the run in an [Optimize] root span with [Explore] children from
-    the saturation phase and one [Cost] child covering the DP phase.  It
-    receives the exploration-phase events (group creation/merges, trans
-    rule matches/applications/rejections); the DP phase keeps its own
-    bookkeeping and does not emit per-plan events. *)
+val optimize : ?required:Prairie.Descriptor.t -> Rule.ruleset -> Prairie.Expr.t -> result
+(** Run the full bottom-up optimization from a fresh memo. *)

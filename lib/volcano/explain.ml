@@ -90,7 +90,6 @@ type rule_account = {
   mutable fresh : int;  (* trans applications whose RHS was new to the memo *)
   mutable rej_test : int;
   mutable rej_pruned : int;
-  mutable rej_no_input : int;
 }
 
 let account map rule =
@@ -105,7 +104,6 @@ let account map rule =
         fresh = 0;
         rej_test = 0;
         rej_pruned = 0;
-        rej_no_input = 0;
       }
     in
     map := SMap.add rule a !map;
@@ -114,7 +112,6 @@ let account map rule =
 let record_rejection a = function
   | Span.Test_failed -> a.rej_test <- a.rej_test + 1
   | Span.Pruned _ -> a.rej_pruned <- a.rej_pruned + 1
-  | Span.No_input_plan -> a.rej_no_input <- a.rej_no_input + 1
 
 let rejection_note a =
   let parts =
@@ -123,7 +120,6 @@ let rejection_note a =
       [
         (a.rej_test, "test failed");
         (a.rej_pruned, "pruned by cost limit");
-        (a.rej_no_input, "no input plan");
       ]
   in
   String.concat ", "
@@ -144,9 +140,7 @@ let pp_accounts ?(dups = false) ppf kind map =
     let tested a = if a.bindings > 0 then a.bindings else a.matched in
     SMap.iter
       (fun rule a ->
-        let rejected =
-          a.rej_test + a.rej_pruned + a.rej_no_input
-        in
+        let rejected = a.rej_test + a.rej_pruned in
         Format.fprintf ppf "@,%-28s %8d %8d" rule (tested a) a.applied;
         if dups then
           Format.fprintf ppf " %8d %8d" a.fresh (a.applied - a.fresh);
@@ -226,8 +220,6 @@ let trace ppf (sink : Span.t) =
   | None -> Format.fprintf ppf "@,no winner was ever recorded");
   Format.fprintf ppf "@]"
 
-let trace_to_string sink = Format.asprintf "%a" trace sink
-
 (* ------------------------------------------------------------------ *)
 (* Span profile rendering: where did the time go, per phase and rule   *)
 (* ------------------------------------------------------------------ *)
@@ -264,5 +256,3 @@ let profile ppf (sink : Span.t) =
       rows
   end;
   Format.fprintf ppf "@]"
-
-let profile_to_string sink = Format.asprintf "%a" profile sink

@@ -25,16 +25,13 @@ val trace : Format.formatter -> Prairie_obs.Span.t -> unit
 (** The per-rule account of the events a sink recorded (see
     {!Search.create}[ ~spans]): how often each transformation and
     implementation rule matched, applied, and was rejected — with the
-    rejection reasons (test failed / pruned by cost limit / budget
-    exhausted / no input plan) — plus group, memo-hit, enforcer and
+    rejection reasons (test failed / pruned by cost limit) — plus group, memo-hit, enforcer and
     winner-change totals.  A transformation rule's applications are split
     into fresh ones (the RHS added an expression to the memo) and
     duplicates (the memo already held it).  Rules that matched but never
     applied are called out explicitly: this is the "why did rule X never
     fire" answer.  Events dropped by the ring buffer are reported but cannot
     be accounted. *)
-
-val trace_to_string : Prairie_obs.Span.t -> string
 
 val profile : Format.formatter -> Prairie_obs.Span.t -> unit
 (** The per-(phase, rule) time-attribution table of a span sink (see
@@ -45,5 +42,3 @@ val profile : Format.formatter -> Prairie_obs.Span.t -> unit
     (events share the ring, see {!trace}); the rooted total is the
     summed duration of parentless spans — within clock resolution of
     the wall time the caller measured around the search. *)
-
-val profile_to_string : Prairie_obs.Span.t -> string

@@ -109,7 +109,7 @@ type t = {
   spans : Span.t option;
 }
 
-let create ?(stats = Stats.create ()) ?spans () =
+let create ?spans () =
   {
     parents = Hashtbl.create 64;
     groups = Hashtbl.create 64;
@@ -120,7 +120,7 @@ let create ?(stats = Stats.create ()) ?spans () =
     dead_lexprs = Hashtbl.create 64;
     tried = Hashtbl.create 256;
     winners = Wtbl.create 512;
-    stats;
+    stats = Stats.create ();
     spans;
   }
 
@@ -352,9 +352,6 @@ let insert_lexpr t ~span ?into node arg inputs =
     done;
     t.stats.Stats.lexprs_created <- t.stats.Stats.lexprs_created + 1;
     (canonical t grp.g_id, true)
-
-let insert_file t name desc =
-  fst (insert_lexpr t ~span:None (L_file name) desc [||])
 
 let rec insert_expr_rec t ~span (e : Expr.t) =
   match e with

@@ -37,8 +37,9 @@ type gtree =
 
 type t
 
-val create : ?stats:Stats.t -> ?spans:Prairie_obs.Span.t -> unit -> t
-(** [spans] receives [Memo_insert] timing spans around tree insertions,
+val create : ?spans:Prairie_obs.Span.t -> unit -> t
+(** A fresh memo with its own {!Stats.t} (read it with {!stats}).
+    [spans] receives [Memo_insert] timing spans around tree insertions,
     with the [Group_created] / [Groups_merged] events inside them.  When
     absent (the default) the only per-site cost is one [Option] check. *)
 
@@ -54,13 +55,12 @@ val lexprs : t -> gid -> lexpr list
 (** Current members of the group, newest first.  O(1): returns the stored
     member list without copying. *)
 
-val insert_file : t -> string -> Prairie.Descriptor.t -> gid
-(** Group holding a stored-file leaf (idempotent per file name+descriptor). *)
-
 val insert_expr : t -> ?span_parent:Prairie_obs.Span.handle -> Prairie.Expr.t -> gid
 (** Insert an initial operator tree bottom-up; group descriptors are taken
-    from node descriptors.  [span_parent] nests the [Memo_insert] span
-    (when a sink is attached) under the caller's span.
+    from node descriptors.  Duplicates are found as for any lexpr, so a
+    stored file lands in one group per file name and descriptor.
+    [span_parent] nests the [Memo_insert] span (when a sink is attached)
+    under the caller's span.
     @raise Invalid_argument on algorithm nodes. *)
 
 val insert_gtree :

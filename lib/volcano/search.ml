@@ -7,21 +7,19 @@ type t = {
   restrict_cache : Descriptor.t Descriptor.Tbl.t;
       (** memoized [Rule.restrict_physical] — the projection runs once per
           distinct descriptor instead of once per optimize call *)
-  st : Stats.t;
-  pruning : bool;
+  st : Stats.t;  (** [Memo.stats memo] *)
   group_budget : int option;
   mutable budget_hit : bool;
   spans : Span.t option;
 }
 
-let create ?(pruning = true) ?group_budget ?spans rules =
-  let st = Stats.create () in
+let create ?group_budget ?spans rules =
+  let memo = Memo.create ?spans () in
   {
-    memo = Memo.create ~stats:st ?spans ();
+    memo;
     rules;
     restrict_cache = Descriptor.Tbl.create 64;
-    st;
-    pruning;
+    st = Memo.stats memo;
     group_budget;
     budget_hit = false;
     spans;
@@ -250,8 +248,7 @@ and match_sub ctx parent (pat : Rule.lhs_slots) g env : menv list =
         else [])
       (Memo.lexprs ctx.memo g)
 
-let explore_group ctx ?span gid = explore ctx span gid
-let infinity_limit = infinity
+let explore_group ctx gid = explore ctx None gid
 
 (* FindBestPlan *)
 let rec optimize_group_at ctx gid ~req ~limit ~parent : Plan.t option =
@@ -264,9 +261,8 @@ let rec optimize_group_at ctx gid ~req ~limit ~parent : Plan.t option =
     (match ctx.spans with
     | None -> ()
     | Some sink -> Span.emit sink ?span:parent (Span.Memo_hit { gid = g }));
-    if (not ctx.pruning) || cost <= limit then Some p else None
-  | Some { plan = None; searched_limit; _ }
-    when (not ctx.pruning) || limit <= searched_limit ->
+    if cost <= limit then Some p else None
+  | Some { plan = None; searched_limit; _ } when limit <= searched_limit ->
     ctx.st.Stats.memo_hits <- ctx.st.Stats.memo_hits + 1;
     (match ctx.spans with
     | None -> ()
@@ -279,8 +275,7 @@ and search_group ctx g ~req ~limit ~parent =
   let g = Memo.canonical ctx.memo g in
   let best : (Plan.t * float) option ref = ref None in
   let budget () =
-    if not ctx.pruning then infinity_limit
-    else match !best with None -> limit | Some (_, c) -> Float.min limit c
+    match !best with None -> limit | Some (_, c) -> Float.min limit c
   in
   let consider ~span plan cost =
     if Rule.default_satisfies ~required:req ~actual:(Plan.descriptor plan)
@@ -358,9 +353,9 @@ and search_group ctx g ~req ~limit ~parent =
       { Memo.plan = Some plan; cost; searched_limit = limit }
   | None ->
     Memo.set_winner ctx.memo g req
-      { Memo.plan = None; cost = infinity_limit; searched_limit = limit });
+      { Memo.plan = None; cost = infinity; searched_limit = limit });
   match !best with
-  | Some (plan, cost) when (not ctx.pruning) || cost <= limit -> Some plan
+  | Some (plan, cost) when cost <= limit -> Some plan
   | Some _ | None -> None
 
 and cost_lexpr ctx parent g le ~req ~budget ~consider =
@@ -413,10 +408,8 @@ and cost_lexpr ctx parent g le ~req ~budget ~consider =
             let ok = ref true in
             let i = ref 0 in
             while !ok && !i < n do
-              let sub_limit =
-                if ctx.pruning then budget () -. !spent else infinity_limit
-              in
-              (if ctx.pruning && sub_limit < 0.0 then begin
+              let sub_limit = budget () -. !spent in
+              (if sub_limit < 0.0 then begin
                  ctx.st.Stats.pruned <- ctx.st.Stats.pruned + 1;
                  (match ctx.spans with
                  | None -> ()
@@ -436,8 +429,7 @@ and cost_lexpr ctx parent g le ~req ~budget ~consider =
                      ~limit:sub_limit ~parent:csp
                  with
                  | None ->
-                   if ctx.pruning then
-                     ctx.st.Stats.pruned <- ctx.st.Stats.pruned + 1;
+                   ctx.st.Stats.pruned <- ctx.st.Stats.pruned + 1;
                    (match ctx.spans with
                    | None -> ()
                    | Some sink ->
@@ -446,9 +438,7 @@ and cost_lexpr ctx parent g le ~req ~budget ~consider =
                           {
                             rule = ir.Rule.ir_name;
                             gid = g;
-                            reason =
-                              (if ctx.pruning then Span.Pruned sub_limit
-                               else Span.No_input_plan);
+                            reason = Span.Pruned sub_limit;
                           }));
                    ok := false
                  | Some p ->
@@ -480,8 +470,8 @@ and cost_lexpr ctx parent g le ~req ~budget ~consider =
         end)
       (Rule.impl_rules_for ctx.rules op)
 
-let optimize_group ctx ?span gid ~req ~limit =
-  optimize_group_at ctx gid ~req ~limit ~parent:span
+let optimize_group ctx gid ~req ~limit =
+  optimize_group_at ctx gid ~req ~limit ~parent:None
 
 let optimize ?(required = Descriptor.empty) ctx expr =
   let root =
@@ -491,6 +481,6 @@ let optimize ?(required = Descriptor.empty) ctx expr =
   in
   let g = Memo.insert_expr ctx.memo ?span_parent:root expr in
   let req = restrict_req ctx required in
-  let r = optimize_group_at ctx g ~req ~limit:infinity_limit ~parent:root in
+  let r = optimize_group_at ctx g ~req ~limit:infinity ~parent:root in
   (match (ctx.spans, root) with Some sink, Some h -> Span.exit sink h | _ -> ());
   r

@@ -13,14 +13,14 @@
 type t
 
 val create :
-  ?pruning:bool ->
   ?group_budget:int ->
   ?spans:Prairie_obs.Span.t ->
   Rule.ruleset ->
   t
-(** A fresh search context with an empty memo.  [pruning] (default [true])
-    enables branch-and-bound cost limits; disabling it is the
-    [ablation-bounding] experiment.
+(** A fresh search context with an empty memo.  The search is always
+    branch-and-bound; {!Bottom_up.optimize} is the exhaustive DP over the
+    same rules and memo, and the test suite checks that the two find plans
+    of equal cost.
 
     An operator lexpr only tries the trans rules rooted at its operator
     (the rule set's [rs_match_index]); a stored file tries none, since
@@ -71,18 +71,15 @@ val optimize :
 
 val optimize_group :
   t ->
-  ?span:Prairie_obs.Span.handle ->
   Memo.gid ->
   req:Prairie.Descriptor.t ->
   limit:float ->
   Plan.t option
-(** The recursive entry point, exposed for tests and the bottom-up
-    strategy.  [req] is restricted to the rule set's physical
-    properties.  Under [pruning], plans costing more than [limit] are
-    not returned.  [span] is the parent handle new spans nest under
-    when a sink is attached. *)
+(** The recursive entry point, exposed for tests of the cost limit.
+    [req] is restricted to the rule set's physical properties.  Plans
+    costing more than [limit] are not returned. *)
 
-val explore_group : t -> ?span:Prairie_obs.Span.handle -> Memo.gid -> unit
+val explore_group : t -> Memo.gid -> unit
 (** Saturate one group with transformation-rule applications (recursively
     exploring input groups needed by multi-level patterns).  Exposed for
     the bottom-up strategy, which explores eagerly instead of on demand. *)

@@ -13,7 +13,9 @@ type t = {
   mutable enforcer_firings : int;
   mutable memo_hits : int;
   mutable optimize_calls : int;
-  mutable pruned : int;  (** sub-searches abandoned by the cost limit *)
+  mutable pruned : int;
+      (** sub-searches abandoned by the cost limit (an input with no plan
+          at all counts too) *)
   mutable winner_probes : int;  (** winner-table lookups *)
   mutable winner_hits : int;  (** winner-table lookups answered *)
   trans_matched : (string, unit) Hashtbl.t;

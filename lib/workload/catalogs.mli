@@ -38,8 +38,6 @@ val make_rng : Prairie_util.Rng.t -> spec -> Prairie_catalog.Catalog.t
 val class_name : int -> string
 (** [class_name i] is ["Ci"] (1-based). *)
 
-val detail_name : int -> string
-
 val oid : int -> Prairie_value.Attribute.t
 val b_attr : int -> Prairie_value.Attribute.t
 val ref_attr : int -> Prairie_value.Attribute.t
@@ -66,9 +64,6 @@ val make_star : spec -> Prairie_catalog.Catalog.t
 (** [spec.classes] counts the satellites; the hub is created on top.
     Satellites have [bSi] selection attributes (indexed when the spec says
     so); the hub has [hSi] references to each satellite. *)
-
-val make_star_rng : Prairie_util.Rng.t -> spec -> Prairie_catalog.Catalog.t
-(** {!make_star} from a caller-supplied generator; see {!make_rng}. *)
 
 val hub_name : string
 val satellite_name : int -> string

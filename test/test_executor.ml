@@ -152,18 +152,20 @@ let plan_equivalence q joins seed =
   let inst = W.Queries.instance q ~joins ~seed in
   let cat = inst.W.Queries.catalog in
   let db = E.Data_gen.database ~seed:(seed * 7) cat in
-  let outcomes =
+  let prairie = Opt.oodb_prairie cat in
+  let expr, required = prairie.Opt.prepare inst.W.Queries.expr in
+  let plans =
     [
-      Opt.optimize (Opt.oodb_prairie cat) inst.W.Queries.expr;
-      Opt.optimize (Opt.oodb_volcano cat) inst.W.Queries.expr;
-      Opt.optimize ~pruning:false (Opt.oodb_prairie cat) inst.W.Queries.expr;
+      (Opt.optimize prairie inst.W.Queries.expr).Opt.plan;
+      (Opt.optimize (Opt.oodb_volcano cat) inst.W.Queries.expr).Opt.plan;
+      (Prairie_volcano.Bottom_up.optimize ~required prairie.Opt.volcano expr)
+        .Prairie_volcano.Bottom_up.plan;
     ]
   in
   let results =
     List.filter_map
-      (fun (o : Opt.outcome) ->
-        Option.map (fun p -> E.Compile.canonical_result (E.Compile.execute_plan db p)) o.Opt.plan)
-      outcomes
+      (Option.map (fun p -> E.Compile.canonical_result (E.Compile.execute_plan db p)))
+      plans
   in
   match results with
   | [] -> false

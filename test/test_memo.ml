@@ -13,8 +13,8 @@ let basic_tests =
   [
     Alcotest.test_case "file insertion is idempotent" `Quick (fun () ->
         let m = Memo.create () in
-        let g1 = Memo.insert_file m "R" (d "r") in
-        let g2 = Memo.insert_file m "R" (d "r") in
+        let g1 = Memo.insert_expr m (Expr.stored ~desc:(d "r") "R") in
+        let g2 = Memo.insert_expr m (Expr.stored ~desc:(d "r") "R") in
         check_int "same group" g1 g2;
         check_int "one group" 1 (Memo.group_count m));
     Alcotest.test_case "expression insertion is bottom-up and deduplicated"
@@ -37,7 +37,7 @@ let basic_tests =
     Alcotest.test_case "gtree insertion into a group adds a member" `Quick
       (fun () ->
         let m = Memo.create () in
-        let gf = Memo.insert_file m "F" (d "f") in
+        let gf = Memo.insert_expr m (Expr.stored ~desc:(d "f") "F") in
         let g = Memo.insert_expr m (Expr.operator "RET" (d "ret") [ Expr.stored ~desc:(d "f") "F" ]) in
         let _, fresh =
           Memo.insert_gtree m ~into:g (Memo.Gnode ("RET2", d "ret2", [ Memo.Gleaf gf ]))
@@ -65,7 +65,7 @@ let merge_tests =
         let m = Memo.create () in
         (* Two distinct root groups, then prove them equal by inserting the
            same lexpr into both. *)
-        let gf = Memo.insert_file m "F" (d "f") in
+        let gf = Memo.insert_expr m (Expr.stored ~desc:(d "f") "F") in
         let a = Memo.insert_expr m (Expr.operator "A" (d "a") [ Expr.stored ~desc:(d "f") "F" ]) in
         let b = Memo.insert_expr m (Expr.operator "B" (d "b") [ Expr.stored ~desc:(d "f") "F" ]) in
         check "distinct" true (Memo.canonical m a <> Memo.canonical m b);
@@ -79,7 +79,7 @@ let merge_tests =
         check_int "members" 3 (List.length (Memo.lexprs m a)));
     Alcotest.test_case "winners survive by canonical group" `Quick (fun () ->
         let m = Memo.create () in
-        let g = Memo.insert_file m "F" (d "f") in
+        let g = Memo.insert_expr m (Expr.stored ~desc:(d "f") "F") in
         let req = D.empty in
         Memo.set_winner m g req { Memo.plan = None; cost = infinity; searched_limit = 1.0 };
         check "found" true (Memo.find_winner m g req <> None);

@@ -317,7 +317,7 @@ let test_trace_event_order () =
 let test_explain_trace_render () =
   let sink = Span.create () in
   ignore (Opt.optimize ~spans:sink (Lazy.force opt) (two_join_expr ()));
-  let s = Explain.trace_to_string sink in
+  let s = Format.asprintf "%a" Explain.trace sink in
   check "summary line" true (contains s "search trace:");
   check "totals line" true (contains s "groups created");
   check "trans table" true (contains s "transformation rules:");
@@ -333,7 +333,7 @@ let test_explain_trace_render () =
   Span.emit t
     (Span.Trans_rejected
        { rule = "r-dead"; gid = 0; reason = Span.Test_failed });
-  let s = Explain.trace_to_string t in
+  let s = Format.asprintf "%a" Explain.trace t in
   check "never-applied callout" true
     (contains s "r-dead matched 2 times but never applied");
   check "rejection reason" true (contains s "test failed");

@@ -129,12 +129,17 @@ let structure_tests =
         and g7 = groups W.Queries.Q7 in
         check "E1 < E2" true (g1 < g3);
         check "E2 < E4" true (g3 < g7));
-    Alcotest.test_case "pruning ablation agrees but prunes" `Quick (fun () ->
+    Alcotest.test_case "pruning agrees with bottom-up but prunes" `Quick
+      (fun () ->
         let inst = W.Queries.instance W.Queries.Q7 ~joins:2 ~seed:5 in
-        let cat = inst.W.Queries.catalog in
-        let pruned = Opt.optimize ~pruning:true (Opt.oodb_prairie cat) inst.W.Queries.expr in
-        let full = Opt.optimize ~pruning:false (Opt.oodb_prairie cat) inst.W.Queries.expr in
-        Alcotest.(check (float 1e-6)) "same cost" pruned.Opt.cost full.Opt.cost);
+        let opt = Opt.oodb_prairie inst.W.Queries.catalog in
+        let pruned = Opt.optimize opt inst.W.Queries.expr in
+        let expr, required = opt.Opt.prepare inst.W.Queries.expr in
+        let full = Prairie_volcano.Bottom_up.optimize ~required opt.Opt.volcano expr in
+        (match full.Prairie_volcano.Bottom_up.plan with
+        | Some p -> Alcotest.(check (float 1e-6)) "same cost" pruned.Opt.cost (Plan.cost p)
+        | None -> Alcotest.fail "bottom-up found no plan");
+        check "the search pruned" true ((Search.stats pruned.Opt.search).Stats.pruned > 0));
   ]
 
 (* The paper's evaluation rows (Table 5, Figures 10-14), pinned exactly:

@@ -1,6 +1,7 @@
 (* The Volcano search engine, checked against the naive oracle. *)
 
 module Search = Prairie_volcano.Search
+module Bottom_up = Prairie_volcano.Bottom_up
 module Plan = Prairie_volcano.Plan
 module Stats = Prairie_volcano.Stats
 module Naive = Prairie.Naive
@@ -46,8 +47,8 @@ let random_setup seed =
 let volcano_of catalog =
   (Prairie_p2v.Translate.translate (Rel.ruleset catalog)).Prairie_p2v.Translate.volcano
 
-let optimize ?pruning ?(required = D.empty) catalog q =
-  let ctx = Search.create ?pruning (volcano_of catalog) in
+let optimize ?(required = D.empty) catalog q =
+  let ctx = Search.create (volcano_of catalog) in
   (Search.optimize ~required ctx q, ctx)
 
 let basic_tests =
@@ -129,14 +130,20 @@ let oracle_agreement_ordered seed =
   | None, None -> true
   | Some _, None | None, Some _ -> false
 
+(* Branch-and-bound against the unpruned reference: the bottom-up DP over
+   the same rules, with and without a required order. *)
 let pruning_equivalence seed =
   let catalog, q = random_setup seed in
-  let with_p, _ = optimize ~pruning:true catalog q in
-  let without_p, _ = optimize ~pruning:false catalog q in
-  match (with_p, without_p) with
-  | Some a, Some b -> Float.abs (Plan.cost a -. Plan.cost b) < 1e-9
-  | None, None -> true
-  | Some _, None | None, Some _ -> false
+  let agree required =
+    let pruned, _ = optimize ~required catalog q in
+    let full = (Bottom_up.optimize ~required (volcano_of catalog) q).Bottom_up.plan in
+    match (pruned, full) with
+    | Some a, Some b -> Float.abs (Plan.cost a -. Plan.cost b) < 1e-9
+    | None, None -> true
+    | Some _, None | None, Some _ -> false
+  in
+  agree D.empty
+  && agree (D.of_list [ ("tuple_order", V.Order (O.sorted_on (attr "R1" "b"))) ])
 
 (* Exploration's contract: at its fixpoint, every member of every explored
    group has tried every trans rule whose LHS root could match it (the
@@ -255,8 +262,8 @@ let property_tests =
       match_index_equivalence_ordered;
   ]
 
-(* Deterministic coverage for the two search knobs: the group-budget
-   degradation path and the pruning toggle. *)
+(* Deterministic coverage for the group-budget degradation path, and for
+   branch-and-bound against the bottom-up DP on fixed inputs. *)
 
 module W = Prairie_workload
 module Opt = Prairie_optimizers.Optimizers
@@ -298,13 +305,13 @@ let knob_tests =
         let degraded = Opt.optimize ~group_budget:20 opt inst.W.Queries.expr in
         check "optimum <= degraded" true
           (best.Opt.cost <= degraded.Opt.cost +. 1e-9));
-    Alcotest.test_case "pruning:false matches pruning:true (relational)" `Quick
+    Alcotest.test_case "branch-and-bound matches bottom-up (relational)" `Quick
       (fun () ->
         List.iter
           (fun seed ->
             let catalog, q = random_setup seed in
-            let on, _ = optimize ~pruning:true catalog q in
-            let off, _ = optimize ~pruning:false catalog q in
+            let on, _ = optimize catalog q in
+            let off = (Bottom_up.optimize (volcano_of catalog) q).Bottom_up.plan in
             match (on, off) with
             | Some a, Some b -> checkf "same best cost" (Plan.cost a) (Plan.cost b)
             | None, None -> ()
@@ -380,15 +387,17 @@ let knob_tests =
                  .W.Queries.catalog)
               .Opt.volcano;
           ]);
-    Alcotest.test_case "pruning:false matches pruning:true (OODB Q1/Q3)" `Quick
+    Alcotest.test_case "branch-and-bound matches bottom-up (OODB Q1/Q3)" `Quick
       (fun () ->
         List.iter
           (fun (q, joins) ->
             let inst = W.Queries.instance q ~joins ~seed:101 in
             let opt = Opt.oodb_prairie inst.W.Queries.catalog in
-            let on = Opt.optimize ~pruning:true opt inst.W.Queries.expr in
-            let off = Opt.optimize ~pruning:false opt inst.W.Queries.expr in
-            checkf "same best cost" on.Opt.cost off.Opt.cost)
+            let on = Opt.optimize opt inst.W.Queries.expr in
+            let expr, required = opt.Opt.prepare inst.W.Queries.expr in
+            match (Bottom_up.optimize ~required opt.Opt.volcano expr).Bottom_up.plan with
+            | Some off -> checkf "same best cost" on.Opt.cost (Plan.cost off)
+            | None -> Alcotest.fail "bottom-up found no plan")
           [ (W.Queries.Q1, 2); (W.Queries.Q3, 1) ]);
   ]
 

@@ -312,7 +312,7 @@ let test_profile_total_close_to_wall () =
   check "rooted total within 30% of wall" true
     (Float.abs (rooted -. wall_ns) < 0.30 *. wall_ns);
   (* the rendered profile mentions the hot rules *)
-  let s = Explain.profile_to_string sink in
+  let s = Format.asprintf "%a" Explain.profile sink in
   check "profile has header" true (contains s "span profile:");
   check "profile has phase column" true (contains s "apply");
   check "profile attributes rules" true (contains s "join")

@@ -95,7 +95,7 @@ let tests =
           E.Compile.canonical_result (E.Compile.execute_plan db (Option.get o.Opt.plan))
         in
         let a = run (Opt.optimize (Opt.oodb_prairie catalog) q) in
-        let b = run (Opt.optimize ~pruning:false (Opt.oodb_volcano catalog) q) in
+        let b = run (Opt.optimize (Opt.oodb_volcano catalog) q) in
         check "same result" true (a = b));
   ]
 
