@@ -334,16 +334,10 @@ let workload_query qn joins seed ruleset_path =
       prerr_endline msg;
       Error "could not load the rule set"
     | Ok rs ->
-      let tr = P2v.Translate.translate rs in
+      let opt = Opt.of_ruleset rs.Prairie.Ruleset.name rs in
       Format.printf "query %s (%d joins, seed %d): %a@." (W.Queries.name q)
         joins seed Prairie.Expr.pp inst.W.Queries.expr;
-      Ok
-        ( inst.W.Queries.expr,
-          {
-            Opt.name = rs.Prairie.Ruleset.name;
-            volcano = tr.P2v.Translate.volcano;
-            prepare = P2v.Translate.prepare_query tr;
-          } ))
+      Ok (inst.W.Queries.expr, opt))
 
 let print_plan = function
   | Some plan ->
@@ -403,8 +397,9 @@ let trace_cmd =
       & info [ "capacity" ] ~docv:"K"
           ~doc:
             "Ring-buffer capacity over spans and events: older entries \
-             beyond K are dropped (the per-rule time aggregates stay \
-             exact).")
+             beyond K are dropped from the timeline that $(b,--out) dumps. \
+             The per-rule account and the per-rule time aggregates stay \
+             exact.")
   in
   let budget_arg =
     Arg.(
@@ -441,7 +436,7 @@ let trace_cmd =
         let r = Opt.optimize ?group_budget ~spans:sink opt expr in
         let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
         print_plan r.Opt.plan;
-        Format.printf "@.%a@." Explain.trace sink;
+        Format.printf "@.%a@." Explain.trace r.Opt.search;
         Format.printf "@.%a@." Explain.profile sink;
         let rooted_ms = Int64.to_float (Span.root_total_ns sink) /. 1e6 in
         Format.printf

@@ -43,24 +43,16 @@ module F = struct
       (List.sort_uniq Predicate.compare
          (Predicate.conjuncts p @ Predicate.conjuncts q))
 
-  let side_join_order pred side_attrs pick =
+  let join_order pred side_attrs =
     let attrs =
       List.filter_map
         (fun (a, b) ->
-          let a_in = List.exists (Attribute.equal a) side_attrs in
-          let b_in = List.exists (Attribute.equal b) side_attrs in
-          pick a b a_in b_in)
+          if mem_attr a side_attrs then Some a
+          else if mem_attr b side_attrs then Some b
+          else None)
         (Predicate.equality_pairs pred)
     in
     Order.sorted (List.sort_uniq Attribute.compare attrs)
-
-  let lhs_join_order pred left_attrs =
-    side_join_order pred left_attrs (fun a b a_in b_in ->
-        if a_in then Some a else if b_in then Some b else None)
-
-  let rhs_join_order pred right_attrs =
-    side_join_order pred right_attrs (fun a b a_in b_in ->
-        if a_in then Some a else if b_in then Some b else None)
 
   let is_ref_join catalog pred =
     List.exists
@@ -156,6 +148,14 @@ let a3 name f = function
 let a4 name f = function
   | [ x; y; z; w ] -> f x y z w
   | args -> err name (Printf.sprintf "expected 4 arguments, got %d" (List.length args))
+
+(* The rule files name the join-order helper after the input it orders;
+   both names compute the same [F.join_order]. *)
+let join_order name =
+  ( name,
+    a2 name (fun p attrs ->
+        Value.Order
+          (F.join_order (get_pred name p) (get_attrs name attrs))) )
 
 let env catalog =
   let open Value in
@@ -269,18 +269,8 @@ let env catalog =
                  (Cost_model.sort_agg
                     ~input_cost:(get_float "cost_sort_agg" c)
                     ~input_card:(get_int "cost_sort_agg" n))) );
-         ( "lhs_join_order",
-           a2 "lhs_join_order" (fun p attrs ->
-               Order
-                 (F.lhs_join_order
-                    (get_pred "lhs_join_order" p)
-                    (get_attrs "lhs_join_order" attrs))) );
-         ( "rhs_join_order",
-           a2 "rhs_join_order" (fun p attrs ->
-               Order
-                 (F.rhs_join_order
-                    (get_pred "rhs_join_order" p)
-                    (get_attrs "rhs_join_order" attrs))) );
+         join_order "lhs_join_order";
+         join_order "rhs_join_order";
          ( "indexed_selection",
            a2 "indexed_selection" (fun p idx ->
                Bool

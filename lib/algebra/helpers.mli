@@ -39,17 +39,14 @@ module F : sig
       predicates merged along different rewriting paths compare equal.
       What the [and_pred] helper computes. *)
 
-  val lhs_join_order :
+  val join_order :
     Prairie_value.Predicate.t ->
     Prairie_value.Attribute.t list ->
     Prairie_value.Order.t
-  (** Sort order on the left input that enables a merge join: the
-      equality-pair attributes belonging to the left attribute set. *)
-
-  val rhs_join_order :
-    Prairie_value.Predicate.t ->
-    Prairie_value.Attribute.t list ->
-    Prairie_value.Order.t
+  (** Sort order on one join input that enables a merge join: the
+      equality-pair attributes belonging to that input's attribute set.
+      The rule files call it as [lhs_join_order] on the left input's
+      attributes and [rhs_join_order] on the right's. *)
 
   val is_ref_join : Prairie_catalog.Catalog.t -> Prairie_value.Predicate.t -> bool
   (** Does some equality pair follow an inter-object reference (a ref
@@ -101,8 +98,8 @@ val env : Prairie_catalog.Catalog.t -> Prairie.Helper_env.t
     [unnest_cardinality], [mat_added_attrs], [mat_added_size],
     [unnest_fanout].
 
-    Orders and indexes: [lhs_join_order], [rhs_join_order],
-    [indexed_selection], [index_order].
+    Orders and indexes: [lhs_join_order] and [rhs_join_order] (both
+    {!F.join_order}), [indexed_selection], [index_order].
 
     Costs (delegating to {!Cost_model}): [cost_file_scan],
     [cost_index_scan], [cost_merge_join], [cost_hash_join],

@@ -131,15 +131,6 @@ let rec instantiate ~kind tmpl (b : Binding.t) =
       (kind, name, Binding.desc b dvar,
        List.map (fun s -> instantiate ~kind s b) subs)
 
-let rec rename_ops f = function
-  | Pvar _ as p -> p
-  | Pop (name, dvar, subs) -> Pop (f name, dvar, List.map (rename_ops f) subs)
-
-let rec rename_ops_tmpl f = function
-  | Tvar _ as t -> t
-  | Tnode (name, dvar, subs) ->
-    Tnode (f name, dvar, List.map (rename_ops_tmpl f) subs)
-
 let rec equal a b =
   match (a, b) with
   | Pvar i, Pvar j -> Int.equal i j

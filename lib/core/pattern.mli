@@ -92,11 +92,6 @@ val instantiate :
 
     @raise Invalid_argument on stream variables unbound in the binding. *)
 
-val rename_ops : (string -> string) -> t -> t
-(** Rename operator names (used by P2V rule merging). *)
-
-val rename_ops_tmpl : (string -> string) -> tmpl -> tmpl
-
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 val pp_tmpl : Format.formatter -> tmpl -> unit

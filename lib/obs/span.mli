@@ -37,9 +37,11 @@ val phase_label : phase -> string
     The vocabulary mirrors the Volcano engine: groups appearing and
     merging in the memo, transformation/implementation rules being
     matched, applied, or rejected {e with a reason}, enforcer insertions,
-    memo hits, and winner changes with the old and new cost — enough to
-    answer "why was this plan chosen" and "why did rule X never fire"
-    (see [Explain.trace] in [prairie_volcano]). *)
+    memo hits, and winner changes with the old and new cost: the
+    timeline of a search, to export with {!to_jsonl} or {!to_chrome}.
+    The exact per-rule counts ("why did rule X never fire") are the
+    search's own statistics, not a replay of this ring (see [Stats] and
+    [Explain.trace] in [prairie_volcano]). *)
 
 (** Why a matched rule did not produce a plan. *)
 type reason =

@@ -16,7 +16,8 @@ type outcome = {
   search : Search.t;
 }
 
-let of_translation name tr =
+let of_ruleset name rs =
+  let tr = Prairie_p2v.Translate.translate rs in
   {
     name;
     volcano = tr.Prairie_p2v.Translate.volcano;
@@ -26,9 +27,7 @@ let of_translation name tr =
 let relational_ruleset = Prairie_algebra.Relational.ruleset
 let oodb_ruleset = Prairie_algebra.Oodb.ruleset
 
-let oodb_prairie catalog =
-  of_translation "oodb-prairie"
-    (Prairie_p2v.Translate.translate (oodb_ruleset catalog))
+let oodb_prairie catalog = of_ruleset "oodb-prairie" (oodb_ruleset catalog)
 
 let oodb_volcano catalog =
   {
@@ -37,9 +36,7 @@ let oodb_volcano catalog =
     prepare = Prairie_algebra.Oodb_volcano.prepare_query;
   }
 
-let relational catalog =
-  of_translation "relational"
-    (Prairie_p2v.Translate.translate (relational_ruleset catalog))
+let relational catalog = of_ruleset "relational" (relational_ruleset catalog)
 
 (* ---------------- telemetry helpers ---------------- *)
 

@@ -18,6 +18,11 @@ type outcome = {
   search : Prairie_volcano.Search.t;  (** memo and statistics *)
 }
 
+val of_ruleset : string -> Prairie.Ruleset.t -> t
+(** [of_ruleset name rs] runs a Prairie rule set through P2V: the
+    optimizer called [name] searches the Volcano rules P2V generates and
+    prepares queries as P2V's translation does. *)
+
 val oodb_prairie : Prairie_catalog.Catalog.t -> t
 (** The Open OODB rule set written in Prairie and run through P2V
     ("Prairie" in the paper's Figures 10–13). *)
@@ -56,8 +61,9 @@ val optimize :
 
 (** {1 The parallel plan service}
 
-    Batch optimization over a pool of OCaml 5 domains with a shared
-    fingerprint-keyed plan cache.  Each worker owns a private [Search.t]
+    Batch optimization on OCaml 5 domains ({!Pool.map} spawns them per
+    batch and joins them before returning) with a shared fingerprint-keyed
+    plan cache.  Each worker owns a private [Search.t]
     (the memo never crosses domains); the {!Prairie_service.Plan_cache.t}
     is the only shared structure.  Within one batch, requests with equal
     fingerprints are optimized once. *)

@@ -68,13 +68,19 @@ let rec skip_trivia st =
   | Some _ | None -> ()
 
 (* Digits starting at [start], read as an [int]; a literal beyond [max_int]
-   is a lexical error at [pos], where the literal begins. *)
-let int_literal st pos start =
-  match int_of_string_opt (String.sub st.src start (st.offset - start)) with
+   is a lexical error at [pos], where the literal begins.  The one
+   exception is [-min_int] ([max_int + 1]) right after a unary minus
+   ([negated]): it reads as [min_int], which that minus maps to itself, so
+   [-4611686018427387904] denotes [min_int] on 64-bit. *)
+let int_literal ?(negated = false) st pos start =
+  let digits = String.sub st.src start (st.offset - start) in
+  match int_of_string_opt digits with
   | Some n -> n
+  | None when negated && int_of_string_opt ("-" ^ digits) = Some min_int ->
+    min_int
   | None -> raise (Lex_error (pos, "integer literal out of range"))
 
-let lex_number st =
+let lex_number ~negated st =
   let pos = position st in
   let start = st.offset in
   while (match peek st with Some c -> is_digit c | None -> false) do
@@ -92,7 +98,7 @@ let lex_number st =
     done;
     Token.FLOAT (float_of_string (String.sub st.src start (st.offset - start)))
   end
-  else Token.INT (int_literal st pos start)
+  else Token.INT (int_literal ~negated st pos start)
 
 let lex_ident st =
   let start = st.offset in
@@ -131,7 +137,7 @@ let lex_string st =
   go ();
   Token.STRING (Buffer.contents buf)
 
-let next_token st : Token.t =
+let next_token ~negated st : Token.t =
   match peek st with
   | None -> Token.EOF
   | Some c -> (
@@ -204,16 +210,29 @@ let next_token st : Token.t =
         advance st;
         Token.OR
       | _ -> error st "expected '||'")
-    | c when is_digit c -> lex_number st
+    | c when is_digit c -> lex_number ~negated st
     | c when is_ident_start c -> lex_ident st
     | c -> error st (Printf.sprintf "unexpected character %C" c))
+
+(* Can a minus after this token be binary?  Only after an operand. *)
+let ends_operand = function
+  | Token.INT _ | FLOAT _ | STRING _ | STREAM_VAR _ | IDENT _ | RPAREN
+  | KW_TRUE | KW_FALSE | KW_DONT_CARE | KW_TRUE_PRED | KW_NULL ->
+    true
+  | _ -> false
+
+(* [acc] (newest first) ends with a unary minus. *)
+let after_unary_minus = function
+  | { token = Token.MINUS; _ } :: { token; _ } :: _ -> not (ends_operand token)
+  | [ { token = Token.MINUS; _ } ] -> true
+  | _ -> false
 
 let tokenize src =
   let st = { src; offset = 0; line = 1; col = 1 } in
   let rec go acc =
     skip_trivia st;
     let pos = position st in
-    let token = next_token st in
+    let token = next_token ~negated:(after_unary_minus acc) st in
     let acc = { token; pos } :: acc in
     match token with Token.EOF -> List.rev acc | _ -> go acc
   in

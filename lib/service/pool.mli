@@ -1,4 +1,7 @@
-(** A fixed pool of OCaml 5 domains mapping a function over a batch.
+(** A parallel map of a function over a batch on OCaml 5 domains.
+
+    There is no standing pool: each {!map} call spawns its worker domains
+    and joins them all before it returns.
 
     The threading model of the plan service: each batch item is processed
     entirely within one domain, so per-item state (a fresh [Search.t] with
@@ -14,8 +17,10 @@ val default_jobs : unit -> int
 val map :
   ?jobs:int -> ?on_item:(worker:int -> unit) -> ('a -> 'b) -> 'a list -> 'b list
 (** Order-preserving parallel map with [jobs] workers (default
-    {!default_jobs}; the calling domain counts as one worker, so [jobs:1]
-    — or a batch of one — degenerates to [List.map] with no domain spawned).
+    {!default_jobs}, capped at the batch size).  The calling domain counts
+    as one worker: a call spawns [jobs - 1] domains and joins them before
+    it returns, and [jobs:1] — or a batch of one — degenerates to
+    [List.map] with no domain spawned.
     If [f] raises, remaining items are abandoned, all workers are joined,
     and the first exception observed is re-raised in the caller.
 

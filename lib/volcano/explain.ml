@@ -81,45 +81,13 @@ let summary plan =
 (* Trace rendering: the per-rule account of a recorded search          *)
 (* ------------------------------------------------------------------ *)
 
-module SMap = Map.Make (String)
-
-type rule_account = {
-  mutable matched : int;  (* match events (>=1 binding each) *)
-  mutable bindings : int;  (* total bindings over all matches *)
-  mutable applied : int;
-  mutable fresh : int;  (* trans applications whose RHS was new to the memo *)
-  mutable rej_test : int;
-  mutable rej_pruned : int;
-}
-
-let account map rule =
-  match SMap.find_opt rule !map with
-  | Some a -> a
-  | None ->
-    let a =
-      {
-        matched = 0;
-        bindings = 0;
-        applied = 0;
-        fresh = 0;
-        rej_test = 0;
-        rej_pruned = 0;
-      }
-    in
-    map := SMap.add rule a !map;
-    a
-
-let record_rejection a = function
-  | Span.Test_failed -> a.rej_test <- a.rej_test + 1
-  | Span.Pruned _ -> a.rej_pruned <- a.rej_pruned + 1
-
-let rejection_note a =
+let rejection_note (a : Stats.account) =
   let parts =
     List.filter
       (fun (n, _) -> n > 0)
       [
-        (a.rej_test, "test failed");
-        (a.rej_pruned, "pruned by cost limit");
+        (a.rejected_test, "test failed");
+        (a.rejected_pruned, "pruned by cost limit");
       ]
   in
   String.concat ", "
@@ -128,8 +96,8 @@ let rejection_note a =
 (* [dups] adds the fresh/duplicate split of the applications (trans
    rules: an application that rebuilt an expression the memo already held
    is a duplicate). *)
-let pp_accounts ?(dups = false) ppf kind map =
-  if not (SMap.is_empty map) then begin
+let pp_accounts ?(dups = false) ppf kind accounts =
+  if accounts <> [] then begin
     Format.fprintf ppf "@,@[<v 2>%s rules:" kind;
     Format.fprintf ppf "@,%-28s %8s %8s" "rule" "matched" "applied";
     if dups then Format.fprintf ppf " %8s %8s" "fresh" "dup";
@@ -137,87 +105,54 @@ let pp_accounts ?(dups = false) ppf kind map =
     (* trans matches carry a binding count (one cond test per binding);
        impl matches are one test each — report the tested bindings so
        applied + rejected(test) adds up *)
-    let tested a = if a.bindings > 0 then a.bindings else a.matched in
-    SMap.iter
-      (fun rule a ->
-        let rejected = a.rej_test + a.rej_pruned in
+    let tested (a : Stats.account) =
+      if a.bindings > 0 then a.bindings else a.matched
+    in
+    List.iter
+      (fun (rule, (a : Stats.account)) ->
+        let rejected = a.rejected_test + a.rejected_pruned in
         Format.fprintf ppf "@,%-28s %8d %8d" rule (tested a) a.applied;
         if dups then
           Format.fprintf ppf " %8d %8d" a.fresh (a.applied - a.fresh);
         Format.fprintf ppf " %8d  %s" rejected
           (if rejected = 0 then "-" else rejection_note a))
-      map;
+      accounts;
     (* the debugging story: rules that matched but never produced a plan *)
-    SMap.iter
-      (fun rule a ->
+    List.iter
+      (fun (rule, (a : Stats.account)) ->
         if a.matched > 0 && a.applied = 0 then
           Format.fprintf ppf
             "@,%s matched %d time%s but never applied: %s" rule (tested a)
             (if tested a = 1 then "" else "s")
             (rejection_note a))
-      map;
+      accounts;
     Format.fprintf ppf "@]"
   end
 
-let trace ppf (sink : Span.t) =
-  let trans = ref SMap.empty and impl = ref SMap.empty in
-  let groups_created = ref 0
-  and merges = ref 0
-  and memo_hits = ref 0
-  and enforcers = ref 0
-  and winner_changes = ref 0
-  and budget = ref None in
-  let final_winner : (string * float) option ref = ref None in
-  let events = Span.events sink in
-  List.iter
-    (fun (i : Span.instant) ->
-      match i.Span.event with
-      | Span.Group_created _ -> incr groups_created
-      | Span.Groups_merged _ -> incr merges
-      | Span.Trans_matched { rule; bindings; _ } ->
-        let a = account trans rule in
-        a.matched <- a.matched + 1;
-        a.bindings <- a.bindings + bindings
-      | Span.Trans_applied { rule; fresh; _ } ->
-        let a = account trans rule in
-        a.applied <- a.applied + 1;
-        if fresh then a.fresh <- a.fresh + 1
-      | Span.Trans_rejected { rule; reason; _ } ->
-        record_rejection (account trans rule) reason
-      | Span.Impl_matched { rule; _ } ->
-        let a = account impl rule in
-        a.matched <- a.matched + 1
-      | Span.Impl_applied { rule; _ } ->
-        (account impl rule).applied <- (account impl rule).applied + 1
-      | Span.Impl_rejected { rule; reason; _ } ->
-        record_rejection (account impl rule) reason
-      | Span.Enforcer_inserted _ -> incr enforcers
-      | Span.Memo_hit _ -> incr memo_hits
-      | Span.Winner_changed { alg; new_cost; _ } ->
-        incr winner_changes;
-        final_winner := Some (alg, new_cost)
-      | Span.Budget_hit { groups } -> budget := Some groups)
-    events;
-  let emitted = Span.event_count sink in
-  Format.fprintf ppf "@[<v>search trace: %d events (%d dropped)" emitted
-    (emitted - List.length events);
+let trace ppf search =
+  let st = Search.stats search in
+  Format.fprintf ppf "@[<v>search trace:";
+  (match Search.spans search with
+  | Some sink ->
+    (* the ring holds spans and events together *)
+    let emitted = Span.event_count sink in
+    let retained = Span.length sink - List.length (Span.records sink) in
+    Format.fprintf ppf " %d events (%d dropped)" emitted (emitted - retained)
+  | None -> Format.fprintf ppf " no span sink");
   Format.fprintf ppf
     "@,%d groups created, %d merged, %d memo hits, %d enforcer insertions, \
      %d winner changes"
-    !groups_created !merges !memo_hits !enforcers !winner_changes;
-  (match !budget with
+    st.Stats.groups_created st.Stats.groups_merged st.Stats.memo_hits
+    st.Stats.enforcer_firings st.Stats.winner_changes;
+  (match Search.budget_hit_at search with
   | Some groups ->
     Format.fprintf ppf
       "@,group budget exhausted at %d groups: exploration was capped and \
        the plan may be sub-optimal"
       groups
   | None -> ());
-  pp_accounts ~dups:true ppf "transformation" !trans;
-  pp_accounts ppf "implementation" !impl;
-  (match !final_winner with
-  | Some (alg, cost) ->
-    Format.fprintf ppf "@,last winner: %s at cost %.2f" alg cost
-  | None -> Format.fprintf ppf "@,no winner was ever recorded");
+  pp_accounts ~dups:true ppf "transformation" (Stats.trans_accounts st);
+  pp_accounts ppf "implementation" (Stats.impl_accounts st);
   Format.fprintf ppf "@]"
 
 (* ------------------------------------------------------------------ *)

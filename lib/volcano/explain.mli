@@ -21,17 +21,17 @@ val to_string : Plan.t -> string
 val summary : Plan.t -> string
 (** One line: total cost, result cardinality, algorithms used. *)
 
-val trace : Format.formatter -> Prairie_obs.Span.t -> unit
-(** The per-rule account of the events a sink recorded (see
-    {!Search.create}[ ~spans]): how often each transformation and
-    implementation rule matched, applied, and was rejected — with the
-    rejection reasons (test failed / pruned by cost limit) — plus group, memo-hit, enforcer and
-    winner-change totals.  A transformation rule's applications are split
-    into fresh ones (the RHS added an expression to the memo) and
-    duplicates (the memo already held it).  Rules that matched but never
-    applied are called out explicitly: this is the "why did rule X never
-    fire" answer.  Events dropped by the ring buffer are reported but cannot
-    be accounted. *)
+val trace : Format.formatter -> Search.t -> unit
+(** The per-rule account of a search, read from its {!Stats.t}: how
+    often each transformation and implementation rule matched, applied,
+    and was rejected — with the rejection reasons (test failed / pruned by
+    cost limit) — plus group, memo-hit, enforcer and winner-change totals.
+    A transformation rule's applications are split into fresh ones (the
+    RHS added an expression to the memo) and duplicates (the memo already
+    held it).  Rules that matched but never applied are called out
+    explicitly: this is the "why did rule X never fire" answer.  The
+    account is exact whatever the span sink's capacity; the header counts
+    the events the sink (if any) recorded and dropped. *)
 
 val profile : Format.formatter -> Prairie_obs.Span.t -> unit
 (** The per-(phase, rule) time-attribution table of a span sink (see
@@ -39,6 +39,6 @@ val profile : Format.formatter -> Prairie_obs.Span.t -> unit
     (self excludes nested spans), share of the rooted total, and minor
     allocation kilowords, sorted by self time.  Aggregates are exact
     even when the ring dropped spans, and the header counts spans only
-    (events share the ring, see {!trace}); the rooted total is the
+    (events share the ring); the rooted total is the
     summed duration of parentless spans — within clock resolution of
     the wall time the caller measured around the search. *)

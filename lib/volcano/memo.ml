@@ -396,25 +396,3 @@ let insert_gtree t ?into ?span_parent tree =
     Fun.protect
       ~finally:(fun () -> Span.exit sink h)
       (fun () -> insert_gtree_rec t ~span:(Some h) ?into tree)
-
-let pp_lnode ppf = function
-  | L_op name -> Format.pp_print_string ppf name
-  | L_file name -> Format.fprintf ppf "file:%s" name
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>memo: %d groups, %d lexprs" (group_count t)
-    (lexpr_count t);
-  List.iter
-    (fun gid ->
-      let g = Hashtbl.find t.groups gid in
-      Format.fprintf ppf "@,@[<v 2>group %d%s:" gid
-        (if g.explored then " (explored)" else "");
-      List.iter
-        (fun le ->
-          Format.fprintf ppf "@,%a(%s)" pp_lnode le.node
-            (String.concat ", "
-               (List.map string_of_int (Array.to_list le.inputs))))
-        g.members;
-      Format.fprintf ppf "@]")
-    (groups t);
-  Format.fprintf ppf "@]"

@@ -110,5 +110,3 @@ val find_winner : t -> gid -> Prairie.Descriptor.t -> winner option
 
 val set_winner : t -> gid -> Prairie.Descriptor.t -> winner -> unit
 val clear_winners : t -> unit
-
-val pp : Format.formatter -> t -> unit

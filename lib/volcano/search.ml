@@ -9,7 +9,8 @@ type t = {
           distinct descriptor instead of once per optimize call *)
   st : Stats.t;  (** [Memo.stats memo] *)
   group_budget : int option;
-  mutable budget_hit : bool;
+  mutable budget_hit_at : int option;
+      (** the memo's group count when the budget first capped exploration *)
   spans : Span.t option;
 }
 
@@ -21,7 +22,7 @@ let create ?group_budget ?spans rules =
     restrict_cache = Descriptor.Tbl.create 64;
     st = Memo.stats memo;
     group_budget;
-    budget_hit = false;
+    budget_hit_at = None;
     spans;
   }
 
@@ -36,17 +37,18 @@ let budget_exhausted t ~span =
   match t.group_budget with
   | None -> false
   | Some budget ->
-    let hit = Memo.group_count t.memo >= budget in
-    if hit && not t.budget_hit then begin
-      t.budget_hit <- true;
+    let groups = Memo.group_count t.memo in
+    let hit = groups >= budget in
+    if hit && Option.is_none t.budget_hit_at then begin
+      t.budget_hit_at <- Some groups;
       match t.spans with
       | None -> ()
-      | Some sink ->
-        Span.emit sink ?span (Span.Budget_hit { groups = Memo.group_count t.memo })
+      | Some sink -> Span.emit sink ?span (Span.Budget_hit { groups })
     end;
     hit
 
-let budget_was_hit t = t.budget_hit
+let budget_hit_at t = t.budget_hit_at
+let budget_was_hit t = Option.is_some t.budget_hit_at
 
 let ruleset t = t.rules
 let memo t = t.memo
@@ -172,47 +174,53 @@ and apply_rule ctx parent g le ((tr_id, tr) : int * Rule.trans_rule) ~changed =
     in
     (match (ctx.spans, msp) with Some sink, Some h -> Span.exit sink h | _ -> ());
     if envs <> [] then begin
-      Stats.record_trans_match ctx.st tr.tr_name;
-      match ctx.spans with
+      let bindings = List.length envs in
+      let acct = Stats.trans_account ctx.st tr.tr_name in
+      acct.matched <- acct.matched + 1;
+      acct.bindings <- acct.bindings + bindings;
+      (match ctx.spans with
       | None -> ()
       | Some sink ->
         Span.emit sink ?span:parent
-          (Span.Trans_matched
-             { rule = tr.tr_name; gid = g; bindings = List.length envs })
-    end;
-    List.iter
-      (fun env ->
-        if not (tr.tr_cond env.descs) then begin
-          match ctx.spans with
-          | None -> ()
-          | Some sink ->
-            Span.emit sink ?span:parent
-              (Span.Trans_rejected
-                 { rule = tr.tr_name; gid = g; reason = Span.Test_failed })
-        end
-        else begin
-          let asp =
+          (Span.Trans_matched { rule = tr.tr_name; gid = g; bindings }));
+      List.iter
+        (fun env ->
+          if not (tr.tr_cond env.descs) then begin
+            acct.rejected_test <- acct.rejected_test + 1;
             match ctx.spans with
-            | None -> None
-            | Some sink -> Some (Span.enter sink ~rule:tr.tr_name ?parent Span.Apply)
-          in
-          tr.tr_appl env.descs;
-          Stats.record_trans_applied ctx.st tr.tr_name;
-          ctx.st.Stats.trans_applications <- ctx.st.Stats.trans_applications + 1;
-          let gtree = gtree_of_tmpl tr.tr_build env in
-          let target = Memo.canonical ctx.memo g in
-          let _, fresh =
-            Memo.insert_gtree ctx.memo ~into:target ?span_parent:asp gtree
-          in
-          if fresh then changed := true;
-          match (ctx.spans, asp) with
-          | Some sink, Some h ->
-            Span.emit sink ~span:h
-              (Span.Trans_applied { rule = tr.tr_name; gid = g; fresh });
-            Span.exit sink h
-          | _ -> ()
-        end)
-      envs
+            | None -> ()
+            | Some sink ->
+              Span.emit sink ?span:parent
+                (Span.Trans_rejected
+                   { rule = tr.tr_name; gid = g; reason = Span.Test_failed })
+          end
+          else begin
+            let asp =
+              match ctx.spans with
+              | None -> None
+              | Some sink ->
+                Some (Span.enter sink ~rule:tr.tr_name ?parent Span.Apply)
+            in
+            tr.tr_appl env.descs;
+            let gtree = gtree_of_tmpl tr.tr_build env in
+            let target = Memo.canonical ctx.memo g in
+            let _, fresh =
+              Memo.insert_gtree ctx.memo ~into:target ?span_parent:asp gtree
+            in
+            acct.applied <- acct.applied + 1;
+            if fresh then begin
+              acct.fresh <- acct.fresh + 1;
+              changed := true
+            end;
+            match (ctx.spans, asp) with
+            | Some sink, Some h ->
+              Span.emit sink ~span:h
+                (Span.Trans_applied { rule = tr.tr_name; gid = g; fresh });
+              Span.exit sink h
+            | _ -> ()
+          end)
+        envs
+    end
   end
 
 (* All bindings of an operator pattern against a lexpr whose head matches
@@ -297,6 +305,7 @@ and search_group ctx g ~req ~limit ~parent =
                  old_cost = Option.map snd prev;
                  new_cost = cost;
                }));
+        ctx.st.Stats.winner_changes <- ctx.st.Stats.winner_changes + 1;
         best := Some (plan, cost)
   in
   let members = Memo.lexprs ctx.memo g in
@@ -378,12 +387,14 @@ and cost_lexpr ctx parent g le ~req ~budget ~consider =
                 (Span.Impl_matched { rule = ir.Rule.ir_name; gid = g });
               Some h
           in
-          Stats.record_impl_match ctx.st ir.Rule.ir_name;
+          let acct = Stats.impl_account ctx.st ir.Rule.ir_name in
+          acct.matched <- acct.matched + 1;
           let input_descs =
             Array.map (Memo.group_desc ctx.memo) le.Memo.inputs
           in
           if not (ir.Rule.ir_cond ~op_arg:le.Memo.arg ~req ~inputs:input_descs)
           then begin
+            acct.rejected_test <- acct.rejected_test + 1;
             match ctx.spans with
             | None -> ()
             | Some sink ->
@@ -392,7 +403,7 @@ and cost_lexpr ctx parent g le ~req ~budget ~consider =
                    { rule = ir.Rule.ir_name; gid = g; reason = Span.Test_failed })
           end
           else begin
-            Stats.record_impl_applied ctx.st ir.Rule.ir_name;
+            acct.applied <- acct.applied + 1;
             (match ctx.spans with
             | None -> ()
             | Some sink ->
@@ -409,41 +420,30 @@ and cost_lexpr ctx parent g le ~req ~budget ~consider =
             let i = ref 0 in
             while !ok && !i < n do
               let sub_limit = budget () -. !spent in
-              (if sub_limit < 0.0 then begin
-                 ctx.st.Stats.pruned <- ctx.st.Stats.pruned + 1;
-                 (match ctx.spans with
-                 | None -> ()
-                 | Some sink ->
-                   Span.emit sink ?span:csp
-                     (Span.Impl_rejected
-                        {
-                          rule = ir.Rule.ir_name;
-                          gid = g;
-                          reason = Span.Pruned sub_limit;
-                        }));
-                 ok := false
-               end
-               else
-                 match
+              (* no limit left to spend prunes without searching *)
+              (match
+                 if sub_limit < 0.0 then None
+                 else
                    optimize_group_at ctx le.Memo.inputs.(!i) ~req:reqs.(!i)
                      ~limit:sub_limit ~parent:csp
-                 with
-                 | None ->
-                   ctx.st.Stats.pruned <- ctx.st.Stats.pruned + 1;
-                   (match ctx.spans with
-                   | None -> ()
-                   | Some sink ->
-                     Span.emit sink ?span:csp
-                       (Span.Impl_rejected
-                          {
-                            rule = ir.Rule.ir_name;
-                            gid = g;
-                            reason = Span.Pruned sub_limit;
-                          }));
-                   ok := false
-                 | Some p ->
-                   plans.(!i) <- Some p;
-                   spent := !spent +. Plan.cost p);
+               with
+              | None ->
+                ctx.st.Stats.pruned <- ctx.st.Stats.pruned + 1;
+                acct.rejected_pruned <- acct.rejected_pruned + 1;
+                (match ctx.spans with
+                | None -> ()
+                | Some sink ->
+                  Span.emit sink ?span:csp
+                    (Span.Impl_rejected
+                       {
+                         rule = ir.Rule.ir_name;
+                         gid = g;
+                         reason = Span.Pruned sub_limit;
+                       }));
+                ok := false
+              | Some p ->
+                plans.(!i) <- Some p;
+                spent := !spent +. Plan.cost p);
               incr i
             done;
             if !ok then begin

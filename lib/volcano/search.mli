@@ -29,16 +29,20 @@ val create :
     byte-identical to a full scan of [rs_trans] (property-tested in the
     test suite).
 
+    Every search fills its {!Stats.t}, sink or no sink: the counters and
+    the per-rule accounts (matches, bindings, applications, fresh RHSs,
+    rejections by test and by cost limit) that {!Explain.trace} renders.
+
     [spans] attaches the observability sink: the search is bracketed by
     an [Optimize] root span with nested [Explore]/[Match]/[Apply]/[Cost]/
     [Enforcer]/[Memo_insert] children carrying rule-name attribution
     (render with {!Explain.profile}), and every search event — group
     creation/merges, rule matches, applications and rejections with
     reasons, enforcer insertions, memo hits and winner changes — is
-    recorded inside the innermost open span (render with
-    {!Explain.trace}; export with {!Prairie_obs.Span.to_chrome} or
-    {!Prairie_obs.Span.to_jsonl}).  When absent — the default — each
-    site is one match on the sink that builds and allocates nothing.
+    recorded inside the innermost open span, as a timeline to export
+    with {!Prairie_obs.Span.to_chrome} or {!Prairie_obs.Span.to_jsonl}.
+    When absent — the default — each site is one match on the sink that
+    builds and allocates nothing.
 
     [group_budget] is the heuristic the paper's conclusion calls for
     ("extensibility must be judiciously coupled with user heuristics to
@@ -50,6 +54,9 @@ val create :
 
 val budget_was_hit : t -> bool
 (** Did the group budget cap exploration at any point? *)
+
+val budget_hit_at : t -> int option
+(** The memo's group count when the budget first capped exploration. *)
 
 val ruleset : t -> Rule.ruleset
 val memo : t -> Memo.t

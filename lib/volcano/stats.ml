@@ -1,9 +1,17 @@
+type account = {
+  mutable matched : int;
+  mutable bindings : int;
+  mutable applied : int;
+  mutable fresh : int;
+  mutable rejected_test : int;
+  mutable rejected_pruned : int;
+}
+
 type t = {
   mutable groups_created : int;
   mutable groups_merged : int;
   mutable lexprs_created : int;
   mutable lexpr_duplicates : int;
-  mutable trans_applications : int;
   mutable impl_firings : int;
   mutable enforcer_firings : int;
   mutable memo_hits : int;
@@ -11,10 +19,9 @@ type t = {
   mutable pruned : int;
   mutable winner_probes : int;
   mutable winner_hits : int;
-  trans_matched : (string, unit) Hashtbl.t;
-  impl_matched : (string, unit) Hashtbl.t;
-  trans_applied : (string, unit) Hashtbl.t;
-  impl_applied : (string, unit) Hashtbl.t;
+  mutable winner_changes : int;
+  trans : (string, account) Hashtbl.t;
+  impl : (string, account) Hashtbl.t;
 }
 
 let create () =
@@ -23,7 +30,6 @@ let create () =
     groups_merged = 0;
     lexprs_created = 0;
     lexpr_duplicates = 0;
-    trans_applications = 0;
     impl_firings = 0;
     enforcer_firings = 0;
     memo_hits = 0;
@@ -31,45 +37,49 @@ let create () =
     pruned = 0;
     winner_probes = 0;
     winner_hits = 0;
-    trans_matched = Hashtbl.create 32;
-    impl_matched = Hashtbl.create 32;
-    trans_applied = Hashtbl.create 32;
-    impl_applied = Hashtbl.create 32;
+    winner_changes = 0;
+    trans = Hashtbl.create 32;
+    impl = Hashtbl.create 32;
   }
 
-let reset t =
-  t.groups_created <- 0;
-  t.groups_merged <- 0;
-  t.lexprs_created <- 0;
-  t.lexpr_duplicates <- 0;
-  t.trans_applications <- 0;
-  t.impl_firings <- 0;
-  t.enforcer_firings <- 0;
-  t.memo_hits <- 0;
-  t.optimize_calls <- 0;
-  t.pruned <- 0;
-  t.winner_probes <- 0;
-  t.winner_hits <- 0;
-  Hashtbl.reset t.trans_matched;
-  Hashtbl.reset t.impl_matched;
-  Hashtbl.reset t.trans_applied;
-  Hashtbl.reset t.impl_applied
+(* [Hashtbl.find] rather than [find_opt]: a hit, the common case, then
+   allocates nothing *)
+let account tbl name =
+  match Hashtbl.find tbl name with
+  | a -> a
+  | exception Not_found ->
+    let a =
+      {
+        matched = 0;
+        bindings = 0;
+        applied = 0;
+        fresh = 0;
+        rejected_test = 0;
+        rejected_pruned = 0;
+      }
+    in
+    Hashtbl.add tbl name a;
+    a
 
-let record_trans_match t name = Hashtbl.replace t.trans_matched name ()
-let record_impl_match t name = Hashtbl.replace t.impl_matched name ()
-let record_trans_applied t name = Hashtbl.replace t.trans_applied name ()
-let record_impl_applied t name = Hashtbl.replace t.impl_applied name ()
-let trans_matched_count t = Hashtbl.length t.trans_matched
-let impl_matched_count t = Hashtbl.length t.impl_matched
-let trans_applied_count t = Hashtbl.length t.trans_applied
-let impl_applied_count t = Hashtbl.length t.impl_applied
+let trans_account t name = account t.trans name
+let impl_account t name = account t.impl name
 
-let names set = List.sort String.compare (Hashtbl.fold (fun k () acc -> k :: acc) set [])
+let count p tbl = Hashtbl.fold (fun _ a n -> if p a then n + 1 else n) tbl 0
+let was_matched a = a.matched > 0
+let was_applied a = a.applied > 0
+let trans_matched_count t = count was_matched t.trans
+let impl_matched_count t = count was_matched t.impl
+let trans_applied_count t = count was_applied t.trans
+let impl_applied_count t = count was_applied t.impl
+let trans_applications t = Hashtbl.fold (fun _ a n -> n + a.applied) t.trans 0
 
-let trans_matched_names t = names t.trans_matched
-let impl_matched_names t = names t.impl_matched
-let trans_applied_names t = names t.trans_applied
-let impl_applied_names t = names t.impl_applied
+let accounts tbl =
+  List.sort
+    (fun (a, _) (b, _) -> String.compare a b)
+    (Hashtbl.fold (fun name a acc -> (name, a) :: acc) tbl [])
+
+let trans_accounts t = accounts t.trans
+let impl_accounts t = accounts t.impl
 
 let pp ppf t =
   Format.fprintf ppf
@@ -79,6 +89,6 @@ let pp ppf t =
      enforcer firings: %d@,memo hits: %d@,optimize calls: %d@,pruned: %d@,\
      winner probes: %d (hits %d)@]"
     t.groups_created t.groups_merged t.lexprs_created t.lexpr_duplicates
-    t.trans_applications (trans_matched_count t) t.impl_firings
+    (trans_applications t) (trans_matched_count t) t.impl_firings
     (impl_matched_count t) t.enforcer_firings t.memo_hits t.optimize_calls
     t.pruned t.winner_probes t.winner_hits

@@ -1,14 +1,32 @@
 (** Search statistics.
 
     Counters the experiments report: equivalence classes (Figure 14),
-    distinct rules matched (Table 5) and raw search effort. *)
+    distinct rules matched (Table 5) and raw search effort, and the
+    per-rule account {!Explain.trace} renders.  Every count is exact and
+    kept whether or not a span sink is attached. *)
+
+(** What one rule did over a search. *)
+type account = {
+  mutable matched : int;
+      (** firings that matched: a trans rule's LHS bound at least once
+          against a lexpr, an impl rule's operator and arity matched one *)
+  mutable bindings : int;
+      (** trans rules: bindings over all matches (one condition test
+          each); impl rules: 0, a match is one test *)
+  mutable applied : int;  (** condition tests that passed *)
+  mutable fresh : int;
+      (** trans rules: applications whose RHS was new to the memo *)
+  mutable rejected_test : int;  (** condition tests that failed *)
+  mutable rejected_pruned : int;
+      (** impl rules: applications abandoned because an input found no
+          plan within the cost limit *)
+}
 
 type t = {
   mutable groups_created : int;
   mutable groups_merged : int;
   mutable lexprs_created : int;
   mutable lexpr_duplicates : int;  (** dedup hits during exploration *)
-  mutable trans_applications : int;  (** successful trans-rule firings *)
   mutable impl_firings : int;  (** impl-rule plans costed *)
   mutable enforcer_firings : int;
   mutable memo_hits : int;
@@ -18,40 +36,32 @@ type t = {
           at all counts too) *)
   mutable winner_probes : int;  (** winner-table lookups *)
   mutable winner_hits : int;  (** winner-table lookups answered *)
-  trans_matched : (string, unit) Hashtbl.t;
-      (** distinct trans rules whose LHS matched *)
-  impl_matched : (string, unit) Hashtbl.t;
-      (** distinct impl rules whose operator matched *)
-  trans_applied : (string, unit) Hashtbl.t;
-      (** distinct trans rules whose condition passed at least once *)
-  impl_applied : (string, unit) Hashtbl.t;
-      (** distinct impl rules whose condition passed at least once *)
+  mutable winner_changes : int;
+      (** times a group's best plan under a requirement improved *)
+  trans : (string, account) Hashtbl.t;  (** trans-rule accounts by name *)
+  impl : (string, account) Hashtbl.t;  (** impl-rule accounts by name *)
 }
 
 val create : unit -> t
 
-val reset : t -> unit
+val trans_account : t -> string -> account
+(** The named trans rule's account, added (all zero) on first use. *)
 
-val record_trans_match : t -> string -> unit
-
-val record_impl_match : t -> string -> unit
+val impl_account : t -> string -> account
 
 val trans_matched_count : t -> int
-(** Number of distinct trans_rules matched — the Table 5 metric. *)
+(** Number of distinct trans rules matched — the Table 5 metric. *)
 
 val impl_matched_count : t -> int
-
-val record_trans_applied : t -> string -> unit
-val record_impl_applied : t -> string -> unit
 val trans_applied_count : t -> int
 val impl_applied_count : t -> int
 
-(** The recorded rule names, sorted (the sets themselves are Hashtbl-backed
-    so recording stays O(1) under rule sets with many distinct rules). *)
+val trans_applications : t -> int
+(** Successful trans-rule firings: the sum of the applied counts. *)
 
-val trans_matched_names : t -> string list
-val impl_matched_names : t -> string list
-val trans_applied_names : t -> string list
-val impl_applied_names : t -> string list
+val trans_accounts : t -> (string * account) list
+(** Every trans-rule account, sorted by rule name. *)
+
+val impl_accounts : t -> (string * account) list
 
 val pp : Format.formatter -> t -> unit

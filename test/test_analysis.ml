@@ -167,10 +167,19 @@ let dead_rule_tests =
         let ctx = V.Search.create volcano in
         ignore (V.Search.optimize ctx (E.Node (E.Operator, "A", d, [ E.Stored ("R", d) ])));
         let stats = V.Search.stats ctx in
+        let accounts = V.Stats.trans_accounts stats in
         Alcotest.(check (list string))
-          "both matched" [ "dead"; "live" ] (V.Stats.trans_matched_names stats);
+          "both matched" [ "dead"; "live" ]
+          (List.filter_map
+             (fun (name, (a : V.Stats.account)) ->
+               if a.matched > 0 then Some name else None)
+             accounts);
         Alcotest.(check (list string))
-          "only the live rule applied" [ "live" ] (V.Stats.trans_applied_names stats));
+          "only the live rule applied" [ "live" ]
+          (List.filter_map
+             (fun (name, (a : V.Stats.account)) ->
+               if a.applied > 0 then Some name else None)
+             accounts));
   ]
 
 (* The P008/P320 boundary: exact-shape duplicates are lint's P008 and NOT

@@ -93,8 +93,8 @@ let basic_tests =
         ignore (Search.optimize ctx inst.W.Queries.expr);
         let st = Search.stats ctx in
         check "nested loops considered" true
-          (List.mem "join_nested_loops"
-             (Prairie_volcano.Stats.impl_matched_names st)));
+          (List.mem_assoc "join_nested_loops"
+             (Prairie_volcano.Stats.impl_accounts st)));
   ]
 
 let suites = [ ("combine", basic_tests) ]

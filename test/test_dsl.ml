@@ -44,6 +44,24 @@ let lexer_tests =
              ignore (Dsl.Lexer.tokenize "a $ b");
              false
            with Dsl.Lexer.Lex_error (p, _) -> p.Dsl.Lexer.line = 1));
+    Alcotest.test_case "min_int only after a unary minus" `Quick (fun () ->
+        (* 64-bit: min_int = -4611686018427387904 *)
+        check "negated magnitude" true
+          (tokens "x = -4611686018427387904"
+          = Token.[ IDENT "x"; ASSIGN; MINUS; INT min_int; EOF ]);
+        let out_of_range src column =
+          match Dsl.Lexer.tokenize src with
+          | _ -> false
+          | exception Dsl.Lexer.Lex_error (p, msg) ->
+            p.Dsl.Lexer.column = column
+            && msg = "integer literal out of range"
+        in
+        check "one past min_int" true
+          (out_of_range "x = -4611686018427387905" 6);
+        check "magnitude without the minus" true
+          (out_of_range "x = 4611686018427387904" 5);
+        check "magnitude after a binary minus" true
+          (out_of_range "x = 1 - 4611686018427387904" 9));
     Alcotest.test_case "unterminated comment rejected" `Quick (fun () ->
         check "raises" true
           (try

@@ -47,11 +47,11 @@ let fn_tests =
         let pred = eq (attr "C1" "r") (attr "C2" "oid") in
         check "lhs" true
           (O.equal
-             (F.lhs_join_order pred [ attr "C1" "r"; attr "C1" "oid" ])
+             (F.join_order pred [ attr "C1" "r"; attr "C1" "oid" ])
              (O.sorted_on (attr "C1" "r")));
         check "rhs" true
           (O.equal
-             (F.rhs_join_order pred [ attr "C2" "oid"; attr "C2" "x" ])
+             (F.join_order pred [ attr "C2" "oid"; attr "C2" "x" ])
              (O.sorted_on (attr "C2" "oid"))));
     Alcotest.test_case "is_ref_join follows catalog references" `Quick (fun () ->
         check "ref join" true (F.is_ref_join catalog (eq (attr "C1" "r") (attr "C2" "oid")));

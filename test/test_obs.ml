@@ -7,6 +7,7 @@ module Span = Prairie_obs.Span
 module Metrics = Prairie_obs.Metrics
 module Opt = Prairie_optimizers.Optimizers
 module Search = Prairie_volcano.Search
+module Stats = Prairie_volcano.Stats
 module Explain = Prairie_volcano.Explain
 module Plan = Prairie_volcano.Plan
 module Pool = Prairie_service.Pool
@@ -316,28 +317,83 @@ let test_trace_event_order () =
 
 let test_explain_trace_render () =
   let sink = Span.create () in
-  ignore (Opt.optimize ~spans:sink (Lazy.force opt) (two_join_expr ()));
-  let s = Format.asprintf "%a" Explain.trace sink in
+  let r = Opt.optimize ~spans:sink (Lazy.force opt) (two_join_expr ()) in
+  let s = Format.asprintf "%a" Explain.trace r.Opt.search in
   check "summary line" true (contains s "search trace:");
   check "totals line" true (contains s "groups created");
   check "trans table" true (contains s "transformation rules:");
   check "impl table" true (contains s "implementation rules:");
-  check "winner line" true (contains s "last winner:");
-  (* a synthetic trace exercises the never-applied callout deterministically *)
-  let t = Span.create () in
-  Span.emit t (Span.Group_created { gid = 0 });
-  Span.emit t (Span.Trans_matched { rule = "r-dead"; gid = 0; bindings = 2 });
-  Span.emit t
-    (Span.Trans_rejected
-       { rule = "r-dead"; gid = 0; reason = Span.Test_failed });
-  Span.emit t
-    (Span.Trans_rejected
-       { rule = "r-dead"; gid = 0; reason = Span.Test_failed });
-  let s = Format.asprintf "%a" Explain.trace t in
+  check "no last-winner line" false (contains s "last winner");
+  (* the never-applied callout, on a search where the index scan's test
+     rejects every selection *)
+  let inst = W.Queries.instance W.Queries.Q5 ~joins:2 ~seed:42 in
+  let r = Opt.optimize (Opt.oodb_prairie inst.W.Queries.catalog) inst.W.Queries.expr in
+  let s = Format.asprintf "%a" Explain.trace r.Opt.search in
   check "never-applied callout" true
-    (contains s "r-dead matched 2 times but never applied");
-  check "rejection reason" true (contains s "test failed");
-  check "no-winner note" true (contains s "no winner was ever recorded")
+    (contains s
+       "ret_index_scan matched 6 times but never applied: 6× test failed");
+  check "no sink, no event count" true (contains s "search trace: no span sink")
+
+(* The account after the header line: the totals and both rule tables. *)
+let account_block search =
+  let s = Format.asprintf "%a" Explain.trace search in
+  String.sub s (String.index s '\n') (String.length s - String.index s '\n')
+
+(* The account is the search's [Stats]: an unwrapped ring replays to the
+   same per-rule counts, and a wrapped one renders the same account. *)
+let test_wrapped_account () =
+  let expr = W.Expressions.build W.Expressions.E2 catalog ~joins:2 in
+  let run capacity =
+    let sink = Span.create ~capacity () in
+    ((Opt.optimize ~spans:sink (Lazy.force opt) expr).Opt.search, sink)
+  in
+  let full, full_sink = run 65536 in
+  let wrapped, wrapped_sink = run 64 in
+  checki "nothing dropped" 0 (Span.dropped full_sink);
+  check "the small ring wrapped" true (Span.dropped wrapped_sink > 0);
+  Alcotest.(check string) "same account" (account_block full)
+    (account_block wrapped);
+  let st = Search.stats wrapped in
+  check "totals from Stats" true
+    (contains (account_block wrapped)
+       (Printf.sprintf
+          "%d groups created, %d merged, %d memo hits, %d enforcer \
+           insertions, %d winner changes"
+          st.Stats.groups_created st.Stats.groups_merged st.Stats.memo_hits
+          st.Stats.enforcer_firings st.Stats.winner_changes));
+  let events = payloads full_sink in
+  let count p = List.length (List.filter p events) in
+  checki "winner changes"
+    (count (function Span.Winner_changed _ -> true | _ -> false))
+    st.Stats.winner_changes;
+  checki "groups created"
+    (count (function Span.Group_created _ -> true | _ -> false))
+    st.Stats.groups_created;
+  List.iter
+    (fun (rule, (a : Stats.account)) ->
+      checki (rule ^ " matched") a.matched
+        (count (function Span.Trans_matched m -> m.rule = rule | _ -> false));
+      checki (rule ^ " applied") a.applied
+        (count (function Span.Trans_applied e -> e.rule = rule | _ -> false));
+      checki (rule ^ " fresh") a.fresh
+        (count (function
+          | Span.Trans_applied e -> e.rule = rule && e.fresh
+          | _ -> false));
+      checki (rule ^ " rejected") a.rejected_test
+        (count (function Span.Trans_rejected e -> e.rule = rule | _ -> false)))
+    (Stats.trans_accounts st);
+  List.iter
+    (fun (rule, (a : Stats.account)) ->
+      checki (rule ^ " matched") a.matched
+        (count (function Span.Impl_matched m -> m.rule = rule | _ -> false));
+      checki (rule ^ " applied") a.applied
+        (count (function Span.Impl_applied e -> e.rule = rule | _ -> false));
+      checki (rule ^ " pruned") a.rejected_pruned
+        (count (function
+          | Span.Impl_rejected { rule = r; reason = Span.Pruned _; _ } ->
+            r = rule
+          | _ -> false)))
+    (Stats.impl_accounts st)
 
 let test_trace_budget_and_memo_hits () =
   let sink = Span.create () in
@@ -499,6 +555,8 @@ let suites =
           test_trace_event_order;
         Alcotest.test_case "explain renders the account" `Quick
           test_explain_trace_render;
+        Alcotest.test_case "a wrapped sink's account is Stats" `Quick
+          test_wrapped_account;
         Alcotest.test_case "budget-hit event" `Quick
           test_trace_budget_and_memo_hits;
         prop_trace_is_pure;

@@ -85,10 +85,6 @@ let meta_tests =
         in
         check_int "two nodes" 2 (List.length (Pattern.tmpl_nodes t));
         check "order" true (List.hd (Pattern.tmpl_nodes t) = ("A", "DA")));
-    Alcotest.test_case "rename_ops" `Quick (fun () ->
-        let pat = Pattern.Pop ("JOIN", "D", [ Pattern.Pvar 1; Pattern.Pvar 2 ]) in
-        let renamed = Pattern.rename_ops (fun s -> if s = "JOIN" then "JOPR" else s) pat in
-        check "renamed" true (Pattern.root_operator renamed = Some "JOPR"));
   ]
 
 let instantiate_tests =

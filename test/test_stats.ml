@@ -1,21 +1,28 @@
 (* Search.Stats: the counters behind Table 5 and the bench sections.
-   Regression tests for [reset] (every field, scalar and set-valued) and
-   for the [pp] rendering the service console prints. *)
+   Regression tests for the per-rule accounts, the distinct-rule counts
+   derived from them, and the [pp] rendering the service console
+   prints. *)
 
 module Stats = Prairie_volcano.Stats
 
 let checki = Alcotest.(check int)
 let checks = Alcotest.(check string)
 
-(* A value with every field distinct and non-zero, so a missed field in
-   [reset] cannot hide behind a zero or a twin. *)
+(* Bump one rule's account as the search does for [matched] firings of
+   which [applied] passed the condition. *)
+let fire (a : Stats.account) ~matched ~applied =
+  a.matched <- a.matched + matched;
+  a.applied <- a.applied + applied;
+  a.rejected_test <- a.rejected_test + matched - applied
+
+(* A value with every counter distinct and non-zero, so a field printed in
+   the wrong place cannot hide behind a zero or a twin. *)
 let populated () =
   let t = Stats.create () in
   t.Stats.groups_created <- 1;
   t.Stats.groups_merged <- 2;
   t.Stats.lexprs_created <- 3;
   t.Stats.lexpr_duplicates <- 4;
-  t.Stats.trans_applications <- 5;
   t.Stats.impl_firings <- 6;
   t.Stats.enforcer_firings <- 7;
   t.Stats.memo_hits <- 8;
@@ -23,55 +30,41 @@ let populated () =
   t.Stats.pruned <- 10;
   t.Stats.winner_probes <- 11;
   t.Stats.winner_hits <- 12;
-  Stats.record_trans_match t "t1";
-  Stats.record_trans_match t "t2";
-  Stats.record_impl_match t "i1";
-  Stats.record_trans_applied t "t1";
-  Stats.record_impl_applied t "i1";
+  fire (Stats.trans_account t "t1") ~matched:4 ~applied:3;
+  fire (Stats.trans_account t "t2") ~matched:2 ~applied:2;
+  fire (Stats.impl_account t "i1") ~matched:1 ~applied:1;
   t
-
-let test_reset_scalars () =
-  let t = populated () in
-  Stats.reset t;
-  checki "groups_created" 0 t.Stats.groups_created;
-  checki "groups_merged" 0 t.Stats.groups_merged;
-  checki "lexprs_created" 0 t.Stats.lexprs_created;
-  checki "lexpr_duplicates" 0 t.Stats.lexpr_duplicates;
-  checki "trans_applications" 0 t.Stats.trans_applications;
-  checki "impl_firings" 0 t.Stats.impl_firings;
-  checki "enforcer_firings" 0 t.Stats.enforcer_firings;
-  checki "memo_hits" 0 t.Stats.memo_hits;
-  checki "optimize_calls" 0 t.Stats.optimize_calls;
-  checki "pruned" 0 t.Stats.pruned;
-  checki "winner_probes" 0 t.Stats.winner_probes;
-  checki "winner_hits" 0 t.Stats.winner_hits
-
-let test_reset_rule_sets () =
-  let t = populated () in
-  checki "trans matched before" 2 (Stats.trans_matched_count t);
-  Stats.reset t;
-  checki "trans_matched" 0 (Stats.trans_matched_count t);
-  checki "impl_matched" 0 (Stats.impl_matched_count t);
-  checki "trans_applied" 0 (Stats.trans_applied_count t);
-  checki "impl_applied" 0 (Stats.impl_applied_count t);
-  Alcotest.(check (list string)) "names gone" [] (Stats.trans_matched_names t);
-  (* the value is reusable after reset *)
-  Stats.record_trans_match t "t9";
-  checki "records again" 1 (Stats.trans_matched_count t);
-  Alcotest.(check (list string)) "fresh names" [ "t9" ]
-    (Stats.trans_matched_names t)
 
 let test_rule_sets_distinct () =
   let t = Stats.create () in
-  Stats.record_trans_match t "r";
-  Stats.record_trans_match t "r";
-  Stats.record_trans_match t "r";
-  checki "set semantics, not a counter" 1 (Stats.trans_matched_count t);
-  (* the four sets are independent *)
+  for _ = 1 to 3 do
+    fire (Stats.trans_account t "r") ~matched:1 ~applied:0
+  done;
+  checki "distinct rules, not firings" 1 (Stats.trans_matched_count t);
+  checki "the account counts firings" 3
+    (List.assoc "r" (Stats.trans_accounts t)).Stats.matched;
+  (* the trans and impl tables are independent *)
   checki "impl untouched" 0 (Stats.impl_matched_count t);
-  checki "applied untouched" 0 (Stats.trans_applied_count t);
-  Stats.record_impl_match t "r";
-  checki "same name in two sets" 1 (Stats.impl_matched_count t)
+  checki "never applied" 0 (Stats.trans_applied_count t);
+  checki "no applications" 0 (Stats.trans_applications t);
+  fire (Stats.impl_account t "r") ~matched:1 ~applied:1;
+  checki "same name in both tables" 1 (Stats.impl_matched_count t);
+  checki "impl applied" 1 (Stats.impl_applied_count t);
+  checki "trans still unapplied" 0 (Stats.trans_applied_count t)
+
+let test_accounts () =
+  let t = populated () in
+  fire (Stats.trans_account t "t0") ~matched:1 ~applied:0;
+  Alcotest.(check (list string)) "sorted by name" [ "t0"; "t1"; "t2" ]
+    (List.map fst (Stats.trans_accounts t));
+  checki "one account per rule" 3 (Hashtbl.length t.Stats.trans);
+  checki "applications are the applied sum" 5 (Stats.trans_applications t);
+  checki "t1 rejections" 1
+    (List.assoc "t1" (Stats.trans_accounts t)).Stats.rejected_test;
+  checki "matched" 3 (Stats.trans_matched_count t);
+  checki "applied" 2 (Stats.trans_applied_count t);
+  Alcotest.(check (list string)) "impl" [ "i1" ]
+    (List.map fst (Stats.impl_accounts t))
 
 (* The exact rendering: the bench tables and the service console parse by
    eye, so the shape is part of the interface. *)
@@ -88,7 +81,7 @@ let test_pp_stability () =
      pruned: 10\n\
      winner probes: 11 (hits 12)"
     (Format.asprintf "%a" Stats.pp t);
-  Stats.reset t;
+  let t = Stats.create () in
   checks "pp of a fresh value"
     "groups: 0 (merged 0)\n\
      logical expressions: 0 (dups 0)\n\
@@ -105,11 +98,8 @@ let suites =
   [
     ( "stats",
       [
-        Alcotest.test_case "reset clears every scalar" `Quick
-          test_reset_scalars;
-        Alcotest.test_case "reset clears the rule sets" `Quick
-          test_reset_rule_sets;
         Alcotest.test_case "rule sets are sets" `Quick test_rule_sets_distinct;
+        Alcotest.test_case "per-rule accounts" `Quick test_accounts;
         Alcotest.test_case "pp output is stable" `Quick test_pp_stability;
       ] );
   ]
