@@ -43,8 +43,9 @@ let table1 () =
   S.subheader "Open OODB algebra (Sec. 4.3)";
   let cat = W.Catalogs.make (W.Catalogs.default_spec ~classes:2 ~indexed:true ~seed:1) in
   let rs = Prairie_algebra.Oodb.ruleset cat in
-  Printf.printf "  operators:  %s\n" (String.concat ", " rs.Prairie.Ruleset.operators);
-  Printf.printf "  algorithms: %s\n" (String.concat ", " rs.Prairie.Ruleset.algorithms)
+  let names decls = String.concat ", " (List.map fst decls) in
+  Printf.printf "  operators:  %s\n" (names rs.Prairie.Ruleset.operators);
+  Printf.printf "  algorithms: %s\n" (names rs.Prairie.Ruleset.algorithms)
 
 (* ------------------------------------------------------------------ *)
 (* Table 2: descriptor properties                                       *)

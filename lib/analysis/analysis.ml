@@ -531,7 +531,7 @@ let check_spec ?(config = default_config) (spec : Ast.spec) =
           in
           List.filter
             (fun op -> not (List.mem op enforcer_ops))
-            ruleset.Ruleset.operators
+            (List.map fst ruleset.Ruleset.operators)
         | roots -> roots
       in
       let reach_ds, reachable, unreachable =

@@ -38,12 +38,3 @@ let is_set_valued t attr =
   match column_of t attr with
   | Some c -> c.Stored_file.set_valued
   | None -> false
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>";
-  List.iteri
-    (fun i f ->
-      if i > 0 then Format.fprintf ppf "@,";
-      Stored_file.pp ppf f)
-    (files t);
-  Format.fprintf ppf "@]"

@@ -34,5 +34,3 @@ val ref_target : t -> Prairie_value.Attribute.t -> string option
 (** For an OODB reference attribute, the class it points to. *)
 
 val is_set_valued : t -> Prairie_value.Attribute.t -> bool
-
-val pp : Format.formatter -> t -> unit

@@ -45,21 +45,3 @@ let has_index_on t attr = Option.is_some (index_on t attr)
 
 let pages ~page_size t =
   max 1 ((t.cardinality * t.tuple_size + page_size - 1) / page_size)
-
-let pp ppf t =
-  let kind = match t.kind with Relation -> "relation" | Class -> "class" in
-  Format.fprintf ppf "@[<v 2>%s %s (|%s| = %d, %d B/tuple)" kind t.name t.name
-    t.cardinality t.tuple_size;
-  List.iter
-    (fun c ->
-      Format.fprintf ppf "@,%a (distinct %d)%s%s" Attribute.pp c.attr
-        c.distinct
-        (match c.ref_to with Some tgt -> " -> " ^ tgt | None -> "")
-        (if c.set_valued then " set-valued" else ""))
-    t.columns;
-  List.iter
-    (fun ix ->
-      Format.fprintf ppf "@,index %s on %a%s" ix.index_name Attribute.pp ix.on
-        (if ix.unique then " unique" else ""))
-    t.indexes;
-  Format.fprintf ppf "@]"

@@ -58,5 +58,3 @@ val has_index_on : t -> Prairie_value.Attribute.t -> bool
 val pages : page_size:int -> t -> int
 (** Number of disk pages occupied: [ceil (cardinality * tuple_size / page_size)],
     at least 1. *)
-
-val pp : Format.formatter -> t -> unit

@@ -115,42 +115,3 @@ let rec fold_const = function
       in
       try Some (f va vb) with Value.Type_error _ | Division_by_zero -> None)
     | _ -> None)
-
-let binop_to_string = function
-  | Add -> "+"
-  | Sub -> "-"
-  | Mul -> "*"
-  | Div -> "/"
-  | And -> "&&"
-  | Or -> "||"
-  | Cmp c -> Predicate.comparison_to_string c
-
-let rec pp_expr ppf = function
-  | Const v -> Value.pp ppf v
-  | Desc d -> Format.pp_print_string ppf d
-  | Prop (d, p) -> Format.fprintf ppf "%s.%s" d p
-  | Call (name, args) ->
-    Format.fprintf ppf "%s(" name;
-    List.iteri
-      (fun i a ->
-        if i > 0 then Format.fprintf ppf ", ";
-        pp_expr ppf a)
-      args;
-    Format.fprintf ppf ")"
-  | Binop (op, a, b) ->
-    Format.fprintf ppf "(%a %s %a)" pp_expr a (binop_to_string op) pp_expr b
-  | Unop (Not, a) -> Format.fprintf ppf "!(%a)" pp_expr a
-  | Unop (Neg, a) -> Format.fprintf ppf "-(%a)" pp_expr a
-
-let pp_stmt ppf = function
-  | Assign_desc (d, e) -> Format.fprintf ppf "%s = %a;" d pp_expr e
-  | Assign_prop (d, p, e) -> Format.fprintf ppf "%s.%s = %a;" d p pp_expr e
-
-let pp_stmts ppf stmts =
-  Format.fprintf ppf "@[<v>";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Format.fprintf ppf "@,";
-      pp_stmt ppf s)
-    stmts;
-  Format.fprintf ppf "@]"

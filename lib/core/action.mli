@@ -69,7 +69,3 @@ val substitute_desc : (string -> string) -> stmt -> stmt
 (** Rename descriptor variables (used by rule merging). *)
 
 val substitute_desc_expr : (string -> string) -> expr -> expr
-
-val pp_expr : Format.formatter -> expr -> unit
-val pp_stmt : Format.formatter -> stmt -> unit
-val pp_stmts : Format.formatter -> stmt list -> unit

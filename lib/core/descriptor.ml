@@ -179,12 +179,3 @@ let get_attrs d p = Value.to_attrs (get d p)
 
 let cost d = match find d "cost" with Some v -> Value.to_float v | None -> 0.0
 let set_cost d c = set d "cost" (Value.Float c)
-
-let pp ppf d =
-  Format.fprintf ppf "@[<hv 1>{";
-  List.iteri
-    (fun i (p, v) ->
-      if i > 0 then Format.fprintf ppf ";@ ";
-      Format.fprintf ppf "%s = %a" p Value.pp v)
-    (to_list d);
-  Format.fprintf ppf "}@]"

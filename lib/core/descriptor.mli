@@ -104,5 +104,3 @@ val cost : t -> float
 (** The ["cost"] property, 0 when unset. *)
 
 val set_cost : t -> float -> t
-
-val pp : Format.formatter -> t -> unit

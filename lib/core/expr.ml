@@ -130,12 +130,4 @@ let rec pp ppf = function
       xs;
     Format.fprintf ppf ")"
 
-let rec pp_verbose ppf = function
-  | Stored (name, d) -> Format.fprintf ppf "@[<v 2>%s : %a@]" name Descriptor.pp d
-  | Node (kind, name, d, xs) ->
-    let tag = match kind with Operator -> "op" | Algorithm -> "alg" in
-    Format.fprintf ppf "@[<v 2>%s[%s] : %a" name tag Descriptor.pp d;
-    List.iter (fun x -> Format.fprintf ppf "@,%a" pp_verbose x) xs;
-    Format.fprintf ppf "@]"
-
 let to_string t = Format.asprintf "%a" pp t

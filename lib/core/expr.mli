@@ -77,7 +77,4 @@ val fingerprint : ?required:Descriptor.t -> t -> string
 val pp : Format.formatter -> t -> unit
 (** Compact one-line rendering, e.g. [SORT(JOIN(RET(R1), RET(R2)))]. *)
 
-val pp_verbose : Format.formatter -> t -> unit
-(** Multi-line tree rendering including descriptors. *)
-
 val to_string : t -> string

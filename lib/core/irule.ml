@@ -48,13 +48,3 @@ let input_descriptors t = Pattern.desc_vars t.lhs
 let output_descriptors t =
   let inputs = input_descriptors t in
   List.filter (fun d -> not (List.mem d inputs)) (Pattern.tmpl_desc_vars t.rhs)
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v 2>I-rule %s:@,%a ==> %a" t.name Pattern.pp t.lhs
-    Pattern.pp_tmpl t.rhs;
-  Format.fprintf ppf "@,test: %a" Action.pp_expr t.test;
-  if t.pre_opt <> [] then
-    Format.fprintf ppf "@,pre-opt: %a" Action.pp_stmts t.pre_opt;
-  if t.post_opt <> [] then
-    Format.fprintf ppf "@,post-opt: %a" Action.pp_stmts t.post_opt;
-  Format.fprintf ppf "@]"

@@ -58,5 +58,3 @@ val redescriptored_inputs : t -> (int * string) list
 val input_descriptors : t -> string list
 
 val output_descriptors : t -> string list
-
-val pp : Format.formatter -> t -> unit

@@ -137,26 +137,3 @@ let rec equal a b =
   | Pop (n1, d1, xs1), Pop (n2, d2, xs2) ->
     String.equal n1 n2 && String.equal d1 d2 && List.equal equal xs1 xs2
   | Pvar _, Pop _ | Pop _, Pvar _ -> false
-
-let rec pp ppf = function
-  | Pvar i -> Format.fprintf ppf "?%d" i
-  | Pop (name, dvar, subs) ->
-    Format.fprintf ppf "%s(" name;
-    List.iteri
-      (fun i s ->
-        if i > 0 then Format.fprintf ppf ", ";
-        pp ppf s)
-      subs;
-    Format.fprintf ppf "):%s" dvar
-
-let rec pp_tmpl ppf = function
-  | Tvar (i, None) -> Format.fprintf ppf "?%d" i
-  | Tvar (i, Some d) -> Format.fprintf ppf "?%d:%s" i d
-  | Tnode (name, dvar, subs) ->
-    Format.fprintf ppf "%s(" name;
-    List.iteri
-      (fun i s ->
-        if i > 0 then Format.fprintf ppf ", ";
-        pp_tmpl ppf s)
-      subs;
-    Format.fprintf ppf "):%s" dvar

@@ -93,5 +93,3 @@ val instantiate :
     @raise Invalid_argument on stream variables unbound in the binding. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-val pp_tmpl : Format.formatter -> tmpl -> unit

@@ -29,6 +29,3 @@ let cost_properties schema =
   List.filter_map
     (fun p -> if p.ty = Value.T_cost then Some p.name else None)
     schema
-
-let pp ppf p =
-  Format.fprintf ppf "%s : %s" p.name (Value.ty_to_string p.ty)

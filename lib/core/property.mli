@@ -29,5 +29,3 @@ val mem : schema -> string -> bool
 
 val cost_properties : schema -> string list
 (** Names of the [COST]-typed properties — classified as cost by P2V. *)
-
-val pp : Format.formatter -> t -> unit

@@ -1,29 +1,22 @@
 type t = {
   name : string;
   properties : Property.schema;
-  operators : string list;
-  algorithms : string list;
+  operators : (string * int) list;
+  algorithms : (string * int) list;
   trules : Trule.t list;
   irules : Irule.t list;
   helpers : Helper_env.t;
 }
 
-let dedup_sorted xs = List.sort_uniq String.compare xs
+let by_name xs = List.sort_uniq compare xs
 
 let make ?(properties = []) ?(operators = []) ?(algorithms = []) ?(trules = [])
     ?(irules = []) ?(helpers = Helper_env.builtins) name =
-  let inferred_ops =
-    List.concat_map
-      (fun (r : Trule.t) -> List.map fst (Pattern.ops r.lhs @ Pattern.tmpl_ops r.rhs))
-      trules
-    @ List.map Irule.operator irules
-  in
-  let inferred_algs = List.map Irule.algorithm irules in
   {
     name;
     properties;
-    operators = dedup_sorted (operators @ inferred_ops);
-    algorithms = dedup_sorted (algorithms @ inferred_algs);
+    operators = by_name operators;
+    algorithms = by_name algorithms;
     trules;
     irules;
     helpers;
@@ -85,9 +78,20 @@ let combine ~name a b =
       (fun x y -> x = y)
       a.irules b.irules
   in
+  let declarations kind xs ys =
+    let all = by_name (xs @ ys) in
+    List.iter
+      (fun (n, arity) ->
+        if List.exists (fun (m, a) -> String.equal m n && a <> arity) all then
+          invalid_arg
+            (Printf.sprintf
+               "Ruleset.combine: %s %s declared with different arities" kind n))
+      all;
+    all
+  in
   make ~properties
-    ~operators:(dedup_sorted (a.operators @ b.operators))
-    ~algorithms:(dedup_sorted (a.algorithms @ b.algorithms))
+    ~operators:(declarations "operator" a.operators b.operators)
+    ~algorithms:(declarations "algorithm" a.algorithms b.algorithms)
     ~trules ~irules
     ~helpers:(Helper_env.merge a.helpers b.helpers)
     name
@@ -104,12 +108,3 @@ let spec_size t =
         0 t.irules
   in
   trule_count t + irule_count t + stmt_count + List.length t.properties
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v 2>ruleset %s (%d T-rules, %d I-rules)" t.name
-    (trule_count t) (irule_count t);
-  Format.fprintf ppf "@,operators: %s" (String.concat ", " t.operators);
-  Format.fprintf ppf "@,algorithms: %s" (String.concat ", " t.algorithms);
-  List.iter (fun r -> Format.fprintf ppf "@,%a" Trule.pp r) t.trules;
-  List.iter (fun r -> Format.fprintf ppf "@,%a" Irule.pp r) t.irules;
-  Format.fprintf ppf "@]"

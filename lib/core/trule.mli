@@ -33,5 +33,3 @@ val input_descriptors : t -> string list
 
 val output_descriptors : t -> string list
 (** Descriptor variables of the RHS that must be computed by the actions. *)
-
-val pp : Format.formatter -> t -> unit

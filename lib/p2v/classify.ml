@@ -39,11 +39,3 @@ let classify_irules ~schema irules =
 let classify (ruleset : Prairie.Ruleset.t) =
   classify_irules ~schema:ruleset.Prairie.Ruleset.properties
     ruleset.Prairie.Ruleset.irules
-
-let pp ppf c =
-  Format.fprintf ppf
-    "@[<v>cost properties: %s@,physical properties: %s@,\
-     operator/algorithm arguments: %s@]"
-    (String.concat ", " c.cost)
-    (String.concat ", " c.physical)
-    (String.concat ", " c.argument)

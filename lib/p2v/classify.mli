@@ -22,5 +22,3 @@ val classify : Prairie.Ruleset.t -> classification
 (** Classify the declared properties of a rule set.  Properties assigned in
     Null-rule pre-opt sections (property propagation, paper Eq. 6) also
     count as physical. *)
-
-val pp : Format.formatter -> classification -> unit

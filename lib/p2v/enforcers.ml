@@ -57,9 +57,3 @@ let detect (ruleset : Prairie.Ruleset.t) =
 
 let is_enforcer_operator infos op =
   List.exists (fun i -> String.equal i.operator op) infos
-
-let pp ppf i =
-  Format.fprintf ppf
-    "enforcer-operator %s (enforces %s; enforcer-algorithms: %s)" i.operator
-    (String.concat ", " i.enforced_properties)
-    (String.concat ", " (List.map Irule.algorithm i.algorithm_rules))

@@ -22,5 +22,3 @@ val detect : Prairie.Ruleset.t -> info list
 (** All enforcer-operators of the rule set, in declaration order. *)
 
 val is_enforcer_operator : info list -> string -> bool
-
-val pp : Format.formatter -> info -> unit

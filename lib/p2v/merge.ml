@@ -516,23 +516,3 @@ let enforcer_count r =
   List.fold_left
     (fun n (i : Enforcers.info) -> n + List.length i.Enforcers.algorithm_rules)
     0 r.enforcer_infos
-
-let pp ppf r =
-  Format.fprintf ppf
-    "@[<v>merge: %d T-rules -> %d trans_rules; %d I-rules -> %d impl_rules + \
-     %d enforcers"
-    (Prairie.Ruleset.trule_count r.source)
-    (trans_rule_count r)
-    (Prairie.Ruleset.irule_count r.source)
-    (impl_rule_count r) (enforcer_count r);
-  List.iter
-    (fun i -> Format.fprintf ppf "@,%a" Enforcers.pp i)
-    r.enforcer_infos;
-  List.iter
-    (fun (t, i) -> Format.fprintf ppf "@,composed %s with %s" t i)
-    r.composed;
-  if r.dropped_operators <> [] then
-    Format.fprintf ppf "@,operators dropped: %s"
-      (String.concat ", " r.dropped_operators);
-  List.iter (fun w -> Format.fprintf ppf "@,%a" Diagnostic.pp w) r.warnings;
-  Format.fprintf ppf "@]"

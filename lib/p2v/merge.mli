@@ -47,5 +47,3 @@ val merge : Prairie.Ruleset.t -> result
 val trans_rule_count : result -> int
 val impl_rule_count : result -> int
 val enforcer_count : result -> int
-
-val pp : Format.formatter -> result -> unit

@@ -190,14 +190,14 @@ let irule_shape (r : Ast.rule_body) =
     let dup v = List.length (List.filter (Int.equal v) vars) > 1 in
     let tvar = function Pattern.Tvar (i, _) -> Some i | Pattern.Tnode _ -> None in
     match List.find_opt (function Pattern.Pop _ -> true | Pattern.Pvar _ -> false) subs with
-    | Some p -> Some (Printf.sprintf "LHS input %s is not a stream variable" (show Pattern.pp p))
+    | Some p -> Some (Printf.sprintf "LHS input %s is not a stream variable" (show Render.pattern p))
     | None when List.exists dup vars ->
       Some (Printf.sprintf "LHS binds stream variable ?%d more than once" (List.find dup vars))
     | None when List.map tvar tsubs = List.map Option.some vars -> None
     | None ->
       Some
         (Printf.sprintf "RHS %s does not apply %s to the LHS stream variables %s, in order"
-           (show Pattern.pp_tmpl r.Ast.rb_rhs) alg
+           (show Render.template r.Ast.rb_rhs) alg
            (String.concat ", " (List.map (Printf.sprintf "?%d") vars))))
   | _ -> Some "LHS must be an operator and its RHS an algorithm"
 

@@ -24,8 +24,8 @@ let build ?helpers (spec : Ast.spec) =
       (Ast.irules spec)
   in
   Ruleset.make ~properties
-    ~operators:(List.map fst (Ast.operators spec))
-    ~algorithms:(Prairie.Irule.null_algorithm :: List.map fst (Ast.algorithms spec))
+    ~operators:(Ast.operators spec)
+    ~algorithms:((Prairie.Irule.null_algorithm, 1) :: Ast.algorithms spec)
     ~trules ~irules ?helpers spec.Ast.ruleset_name
 
 let elaborate ~helpers spec =

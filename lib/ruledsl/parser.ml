@@ -110,9 +110,18 @@ and parse_unary st =
   | Token.BANG ->
     advance st;
     Action.Unop (Action.Not, parse_unary st)
-  | Token.MINUS ->
+  | Token.MINUS -> (
     advance st;
-    Action.Unop (Action.Neg, parse_unary st)
+    (* a minus directly on a numeric literal is part of the literal, so a
+       negative constant reads back as the constant Render printed *)
+    match peek st with
+    | Token.INT i ->
+      advance st;
+      Action.Const (Value.Int (-i))
+    | Token.FLOAT f ->
+      advance st;
+      Action.Const (Value.Float (-.f))
+    | _ -> Action.Unop (Action.Neg, parse_unary st))
   | _ -> parse_primary st
 
 and parse_primary st =

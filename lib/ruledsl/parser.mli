@@ -20,9 +20,13 @@
                   ("==", "!=", "<", "<=", ">", ">="), "+", "-", "*", "/",
                   unary "!" and "-", calls IDENT "(" args ")", descriptor
                   properties IDENT "." IDENT, bare descriptors IDENT, and
-                  the literals INT, FLOAT, STRING, TRUE, FALSE, DONT_CARE,
-                  TRUE_PRED.
+                  the literals INT, "-" INT, FLOAT, "-" FLOAT, STRING,
+                  TRUE, FALSE, DONT_CARE, TRUE_PRED, NULL.
     v}
+
+    A unary minus directly on a numeric literal is part of the literal:
+    [-5] is the constant [-5], and [-4611686018427387904] is [min_int].
+    A minus on anything else ([-(5)], [-x]) is the negation operator.
 
     In a T-rule, [pre]/[post] are the pre-test and post-test statement
     lists; in an I-rule they are pre-opt and post-opt. *)

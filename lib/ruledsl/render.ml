@@ -18,22 +18,57 @@ let binop_to_string = function
   | Action.Cmp Predicate.Gt -> ">"
   | Action.Cmp Predicate.Ge -> ">="
 
+(* A float as a literal the lexer reads back exactly: 17 significant
+   digits, always with a decimal point and never with an exponent (the
+   language has none), so [1e+20] prints as [100000000000000000000.0]. *)
+let float_literal f =
+  let s = Printf.sprintf "%.17g" f in
+  match String.index_opt s 'e' with
+  | None -> if String.contains s '.' then s else s ^ ".0"
+  | Some i ->
+    let sign, mantissa =
+      if s.[0] = '-' then ("-", String.sub s 1 (i - 1)) else ("", String.sub s 0 i)
+    in
+    let digits = String.concat "" (String.split_on_char '.' mantissa) in
+    let n = String.length digits in
+    (* the value is 0.[digits] * 10^point *)
+    let point = int_of_string (String.sub s (i + 1) (String.length s - i - 1)) + 1 in
+    if point <= 0 then sign ^ "0." ^ String.make (-point) '0' ^ digits
+    else if point >= n then sign ^ digits ^ String.make (point - n) '0' ^ ".0"
+    else sign ^ String.sub digits 0 point ^ "." ^ String.sub digits point (n - point)
+
+(* A string as a literal the lexer reads back exactly.  The lexer knows
+   three escapes, a backslash before a double quote, a backslash or n,
+   and takes every other byte as written; OCaml's %S would escape a tab,
+   which the lexer reads back as the letter t. *)
+let string_literal s =
+  let b = Buffer.create (String.length s + 2) in
+  Buffer.add_char b '"';
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.add_char b '"';
+  Buffer.contents b
+
 let rec expr ppf = function
   | Action.Const (Value.Bool true) -> Format.pp_print_string ppf "TRUE"
   | Action.Const (Value.Bool false) -> Format.pp_print_string ppf "FALSE"
   | Action.Const (Value.Int i) -> Format.pp_print_int ppf i
-  | Action.Const (Value.Float f) ->
-    let s = Printf.sprintf "%.17g" f in
-    let s = if String.contains s '.' || String.contains s 'e' then s else s ^ ".0" in
-    Format.pp_print_string ppf s
-  | Action.Const (Value.Str s) -> Format.fprintf ppf "%S" s
+  | Action.Const (Value.Float f) when Float.is_finite f ->
+    Format.pp_print_string ppf (float_literal f)
+  | Action.Const (Value.Str s) -> Format.pp_print_string ppf (string_literal s)
   | Action.Const (Value.Order Order.Any) -> Format.pp_print_string ppf "DONT_CARE"
   | Action.Const (Value.Pred Predicate.True) ->
     Format.pp_print_string ppf "TRUE_PRED"
   | Action.Const Value.Null -> Format.pp_print_string ppf "NULL"
   | Action.Const v ->
-    (* other literals have no surface syntax; printing a stand-in would
-       change what the rule means *)
+    (* other literals (a non-finite float, a sorted order, ...) have no
+       surface syntax; printing a stand-in would change what the rule
+       means *)
     invalid_arg
       ("Render.expr: constant without surface syntax: " ^ Value.to_repr v)
   | Action.Desc d -> Format.pp_print_string ppf d
@@ -85,34 +120,6 @@ let stmts name ppf = function
     List.iter (fun s -> Format.fprintf ppf "@,%a" stmt s) ss;
     Format.fprintf ppf "@]@,}"
 
-let arity_of_op (rs : Prairie.Ruleset.t) name =
-  (* operators appear in rule patterns; recover arity from any occurrence *)
-  let rec from_pat = function
-    | Pattern.Pvar _ -> None
-    | Pattern.Pop (n, _, subs) ->
-      if String.equal n name then Some (List.length subs)
-      else List.find_map from_pat subs
-  in
-  let rec from_tmpl = function
-    | Pattern.Tvar _ -> None
-    | Pattern.Tnode (n, _, subs) ->
-      if String.equal n name then Some (List.length subs)
-      else List.find_map from_tmpl subs
-  in
-  let of_trule (r : Prairie.Trule.t) =
-    match from_pat r.Prairie.Trule.lhs with
-    | Some a -> Some a
-    | None -> from_tmpl r.Prairie.Trule.rhs
-  in
-  let of_irule (r : Prairie.Irule.t) =
-    match from_pat r.Prairie.Irule.lhs with
-    | Some a -> Some a
-    | None -> from_tmpl r.Prairie.Irule.rhs
-  in
-  match List.find_map of_trule rs.Prairie.Ruleset.trules with
-  | Some a -> Some a
-  | None -> List.find_map of_irule rs.Prairie.Ruleset.irules
-
 let ruleset ppf (rs : Prairie.Ruleset.t) =
   Format.fprintf ppf "@[<v>ruleset %s;@," rs.Prairie.Ruleset.name;
   List.iter
@@ -122,18 +129,12 @@ let ruleset ppf (rs : Prairie.Ruleset.t) =
     rs.Prairie.Ruleset.properties;
   Format.fprintf ppf "@,";
   List.iter
-    (fun op ->
-      if not (List.mem op rs.Prairie.Ruleset.algorithms) then
-        match arity_of_op rs op with
-        | Some a -> Format.fprintf ppf "@,operator %s(%d);" op a
-        | None -> ())
+    (fun (op, a) -> Format.fprintf ppf "@,operator %s(%d);" op a)
     rs.Prairie.Ruleset.operators;
   List.iter
-    (fun alg ->
+    (fun (alg, a) ->
       if not (String.equal alg Prairie.Irule.null_algorithm) then
-        match arity_of_op rs alg with
-        | Some a -> Format.fprintf ppf "@,algorithm %s(%d);" alg a
-        | None -> ())
+        Format.fprintf ppf "@,algorithm %s(%d);" alg a)
     rs.Prairie.Ruleset.algorithms;
   List.iter
     (fun (r : Prairie.Trule.t) ->

@@ -3,8 +3,6 @@ module Expr = Prairie.Expr
 module Descriptor = Prairie.Descriptor
 module Ruleset = Prairie.Ruleset
 module Trule = Prairie.Trule
-module Irule = Prairie.Irule
-module Pattern = Prairie.Pattern
 module Action = Prairie.Action
 module Eval = Prairie.Eval
 module Naive = Prairie.Naive
@@ -132,32 +130,6 @@ let all_tt (rs : Ruleset.t) names =
 (* Case generation                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Operator arities are not recorded in Ruleset.t; recover them from the
-   patterns and templates that mention each declared operator. *)
-let op_arities (rs : Ruleset.t) =
-  let tbl = Hashtbl.create 8 in
-  let rec pat = function
-    | Pattern.Pvar _ -> ()
-    | Pattern.Pop (name, _, subs) ->
-      if not (Hashtbl.mem tbl name) then Hashtbl.add tbl name (List.length subs);
-      List.iter pat subs
-  in
-  let rec tmpl = function
-    | Pattern.Tvar _ -> ()
-    | Pattern.Tnode (name, _, subs) ->
-      if not (Hashtbl.mem tbl name) then Hashtbl.add tbl name (List.length subs);
-      List.iter tmpl subs
-  in
-  List.iter
-    (fun (r : Trule.t) ->
-      pat r.Trule.lhs;
-      tmpl r.Trule.rhs)
-    rs.Ruleset.trules;
-  List.iter (fun (r : Irule.t) -> pat r.Irule.lhs) rs.Ruleset.irules;
-  List.filter_map
-    (fun op -> Option.map (fun a -> (op, a)) (Hashtbl.find_opt tbl op))
-    rs.Ruleset.operators
-
 let subterms acc e =
   let rec go acc e =
     let acc = Expr_set.add e acc in
@@ -243,10 +215,11 @@ type failure =
   | Cycle of { redex : Expr.t; rules : string list }
   | Growth of { redex : Expr.t; from_size : int; to_size : int }
 
-(* Run one generated case for one rule: same seed, same draws — only the
-   catalog may be overridden (by shrinking), which does not disturb the
-   draw sequence because no draw inspects catalog statistics. *)
-let eval_rule_case factory ~rule_name ~seed ~catalog_override =
+(* The generator, world and rule set of one case: same seed, same draws —
+   only the catalog may be overridden (by shrinking), which does not
+   disturb the draw sequence because no draw inspects catalog
+   statistics. *)
+let case_world factory ~seed ~catalog_override =
   let rng = Rng.create seed in
   let w0 = Generate.world rng in
   let w =
@@ -254,11 +227,14 @@ let eval_rule_case factory ~rule_name ~seed ~catalog_override =
     | None -> w0
     | Some c -> Generate.with_catalog w0 c
   in
-  let rs = factory w.Generate.catalog in
+  (rng, w, factory w.Generate.catalog)
+
+let eval_rule_case factory ~rule_name ~seed ~catalog_override =
+  let rng, w, rs = case_world factory ~seed ~catalog_override in
   match Ruleset.find_trule rs rule_name with
   | None -> (w, [], 0)
   | Some rule ->
-    let ops = rs.Ruleset.operators in
+    let ops = List.map fst rs.Ruleset.operators in
     let root = Generate.of_pattern rng w ~ops rule.Trule.lhs in
     let cands = candidates rs [ root ] in
     let failures = ref [] in
@@ -310,27 +286,22 @@ let eval_rule_case factory ~rule_name ~seed ~catalog_override =
 (* Shrinking                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Halve catalog cardinalities while the same kind of failure persists;
-   the witness expression regenerates deterministically from the case
-   seed against each candidate catalog.  The expression itself was
-   already minimized by checking the smallest applicable redexes
-   first. *)
-let shrink factory ~rule_name ~seed ~select catalog0 fail0 =
+(* Halve catalog cardinalities while [still_fails] finds the failure on
+   the smaller catalog; the witness expression regenerates
+   deterministically from the case seed against each candidate catalog.
+   The expression itself was already minimized by checking the smallest
+   applicable redexes first. *)
+let shrink ~still_fails catalog0 fail0 =
   let rec go steps catalog fail =
     if steps >= max_shrink then (catalog, fail, steps)
     else
       match Generate.shrink_catalog catalog with
       | None -> (catalog, fail, steps)
       | Some catalog' -> (
-        match
-          eval_rule_case factory ~rule_name ~seed
-            ~catalog_override:(Some catalog')
-        with
+        match still_fails catalog' with
         | exception _ -> (catalog, fail, steps)
-        | _, failures, _ -> (
-          match List.find_opt select failures with
-          | Some fail' -> go (steps + 1) catalog' fail'
-          | None -> (catalog, fail, steps)))
+        | Some fail' -> go (steps + 1) catalog' fail'
+        | None -> (catalog, fail, steps))
   in
   go 0 catalog0 fail0
 
@@ -423,8 +394,14 @@ let check_rule (config : config) factory ~rule_name =
                    already minimal, catalog statistics are irrelevant *)
                 (w.Generate.catalog, fail, 0)
               | Crash _ | Invariant _ ->
-                shrink factory ~rule_name ~seed
-                  ~select:(same_kind fail) w.Generate.catalog fail
+                let still_fails catalog =
+                  let _, failures, _ =
+                    eval_rule_case factory ~rule_name ~seed
+                      ~catalog_override:(Some catalog)
+                  in
+                  List.find_opt (same_kind fail) failures
+                in
+                shrink ~still_fails w.Generate.catalog fail
             in
             shrink_steps := !shrink_steps + steps;
             diags :=
@@ -467,21 +444,13 @@ let oracle_rule = "<oracle>"
    (the naive best would not be authoritative), [`Agree] when both
    optimizers produce the same best cost, [`Diverged d] otherwise. *)
 let eval_oracle_case (config : config) factory ~seed ~catalog_override =
-  let rng = Rng.create seed in
-  let w0 = Generate.world rng in
-  let w =
-    match catalog_override with
-    | None -> w0
-    | Some c -> Generate.with_catalog w0 c
-  in
-  let rs = factory w.Generate.catalog in
-  let ops = rs.Ruleset.operators in
+  let rng, w, rs = case_world factory ~seed ~catalog_override in
+  let ops = List.map fst rs.Ruleset.operators in
   let query =
     if List.mem "RET" ops && List.mem "JOIN" ops then Generate.expr rng w ~ops
     else
-      let arities = op_arities rs in
       let depth = Rng.in_range rng 1 3 in
-      Generate.of_vocabulary rng w ~ops:arities ~depth
+      Generate.of_vocabulary rng w ~ops:rs.Ruleset.operators ~depth
   in
   let forms = Naive.logical_forms ~max_forms:config.oracle_forms rs query in
   if List.length forms >= config.oracle_forms then (w, `Skipped)
@@ -529,22 +498,15 @@ let check_oracle (config : config) factory =
           incr queries;
           found := true;
           incr counterexamples;
-          (* shrink the catalog while the divergence persists *)
-          let rec go steps catalog div =
-            if steps >= max_shrink then (catalog, div, steps)
-            else
-              match Generate.shrink_catalog catalog with
-              | None -> (catalog, div, steps)
-              | Some catalog' -> (
-                match
-                  eval_oracle_case config factory ~seed
-                    ~catalog_override:(Some catalog')
-                with
-                | exception _ -> (catalog, div, steps)
-                | _, `Diverged div' -> go (steps + 1) catalog' div'
-                | _, (`Agree | `Skipped) -> (catalog, div, steps))
+          let still_fails catalog =
+            match
+              eval_oracle_case config factory ~seed
+                ~catalog_override:(Some catalog)
+            with
+            | _, `Diverged div' -> Some div'
+            | _, (`Agree | `Skipped) -> None
           in
-          let catalog, div, steps = go 0 w.Generate.catalog div in
+          let catalog, div, steps = shrink ~still_fails w.Generate.catalog div in
           shrink_steps := !shrink_steps + steps;
           diags :=
             D.error ~code:"P220"

@@ -40,11 +40,11 @@ let basic_tests =
         check "trules at most sum" true
           (Ruleset.trule_count c
           <= Ruleset.trule_count oodb + Ruleset.trule_count rel);
-        check "has OODB ops" true (List.mem "MAT" c.Ruleset.operators);
-        check "has relational-only op" true (List.mem "JOPR" c.Ruleset.operators);
+        check "has OODB ops" true (List.mem_assoc "MAT" c.Ruleset.operators);
+        check "has relational-only op" true (List.mem_assoc "JOPR" c.Ruleset.operators);
         check "has both algorithm families" true
-          (List.mem "Hash_join" c.Ruleset.algorithms
-          && List.mem "Nested_loops" c.Ruleset.algorithms));
+          (List.mem_assoc "Hash_join" c.Ruleset.algorithms
+          && List.mem_assoc "Nested_loops" c.Ruleset.algorithms));
     Alcotest.test_case "duplicate rules deduplicate, conflicts reject" `Quick
       (fun () ->
         let oodb = Oodb.ruleset catalog in
@@ -61,7 +61,17 @@ let basic_tests =
           (try
              ignore (Ruleset.combine ~name:"x" oodb clash);
              false
-           with Invalid_argument _ -> true));
+           with Invalid_argument _ -> true);
+        (* so must an operation declared with two arities *)
+        let join arity = Ruleset.make ~operators:[ ("JOIN", arity) ] "j" in
+        check "arity clash raises" true
+          (try
+             ignore (Ruleset.combine ~name:"x" (join 2) (join 3));
+             false
+           with Invalid_argument _ -> true);
+        check "one arity is one declaration" true
+          ((Ruleset.combine ~name:"x" (join 2) (join 2)).Ruleset.operators
+          = [ ("JOIN", 2) ]));
     Alcotest.test_case "combining never makes plans worse" `Quick (fun () ->
         (* the combined optimizer has every algorithm of both sets, so its
            optimum can only improve *)

@@ -142,7 +142,28 @@ let elaborate_tests =
     Alcotest.test_case "minimal spec elaborates and validates" `Quick (fun () ->
         let rs = Dsl.Elaborate.load_string ~helpers minimal_spec in
         check_int "irules" 1 (Prairie.Ruleset.irule_count rs);
-        check "File_scan declared" true (List.mem "File_scan" rs.Prairie.Ruleset.algorithms));
+        check "File_scan declared" true (List.mem_assoc "File_scan" rs.Prairie.Ruleset.algorithms));
+    Alcotest.test_case "declarations no rule uses are kept and rendered" `Quick
+      (fun () ->
+        let src =
+          {|ruleset t; operator A(1); algorithm X(1); algorithm Unused(2);
+            irule r: A(?1) : D2 ==> X(?1) : D3 post { D3 = D2; }|}
+        in
+        let rs = Dsl.Elaborate.load_string ~helpers src in
+        check "Unused declared" true
+          (List.mem ("Unused", 2) rs.Prairie.Ruleset.algorithms);
+        let text = Dsl.Render.ruleset_to_string rs in
+        let again = Dsl.Elaborate.load_string ~helpers text in
+        check "rendered" true
+          (List.mem "algorithm Unused(2);" (String.split_on_char '\n' text));
+        check "same operators" true
+          (again.Prairie.Ruleset.operators = rs.Prairie.Ruleset.operators);
+        check "same algorithms" true
+          (again.Prairie.Ruleset.algorithms = rs.Prairie.Ruleset.algorithms));
+    Alcotest.test_case "a mistyped negative literal is P017" `Quick (fun () ->
+        Support.check_rejects ~helpers "P017"
+          {|ruleset t; property n : INT; operator A(1); algorithm X(1);
+            irule r: A(?1) : D2 ==> X(?1) : D3 post { D3 = D2; D3.n = -1.5; }|});
     Alcotest.test_case "unknown property type rejected" `Quick (fun () ->
         Support.check_rejects ~helpers "P018" "ruleset t; property p : BLOB;");
     Alcotest.test_case "arity mismatch rejected" `Quick (fun () ->
@@ -298,6 +319,24 @@ let shipped_files_tests =
           Alcotest.(check string)
             "path and line:col" "rules/x.prairie:3:1: parse error: expected ;, found operator"
             msg);
+    Alcotest.test_case "rendered shipped files re-elaborate to the same rule set"
+      `Quick (fun () ->
+        List.iter
+          (fun (path, spec) ->
+            let rs = Dsl.Elaborate.elaborate ~helpers spec in
+            let again =
+              Dsl.Elaborate.load_string ~helpers (Dsl.Render.ruleset_to_string rs)
+            in
+            let same what eq = check (path ^ ": same " ^ what) true eq in
+            same "name" (again.Prairie.Ruleset.name = rs.Prairie.Ruleset.name);
+            same "properties"
+              (again.Prairie.Ruleset.properties = rs.Prairie.Ruleset.properties);
+            same "operators" (again.Prairie.Ruleset.operators = rs.Prairie.Ruleset.operators);
+            same "algorithms"
+              (again.Prairie.Ruleset.algorithms = rs.Prairie.Ruleset.algorithms);
+            same "T-rules" (again.Prairie.Ruleset.trules = rs.Prairie.Ruleset.trules);
+            same "I-rules" (again.Prairie.Ruleset.irules = rs.Prairie.Ruleset.irules))
+          Prairie_algebra.Shipped.files);
     Alcotest.test_case "shipped OODB file P2V-compacts to the paper's counts"
       `Quick (fun () ->
         let rs = Prairie_algebra.Oodb.ruleset Catalog.empty in
@@ -330,12 +369,19 @@ let gen_action_expr =
         let leaf =
           oneof
             [
-              map (fun i -> Action.Const (V.Int i)) (0 -- 50);
+              map (fun i -> Action.Const (V.Int i))
+                (oneof [ 0 -- 50; neg_int; oneofl [ min_int; max_int ] ]);
+              (* finite floats of either sign and every magnitude, including
+                 the ones %g would print with an exponent *)
+              map2
+                (fun m e -> Action.Const (V.Float (Float.ldexp m e)))
+                (float_range (-1.) 1.) (int_range (-1074) 1023);
               map (fun b -> Action.Const (V.Bool b)) bool;
               return (Action.Const (V.Order Prairie_value.Order.Any));
               return (Action.Const (V.Pred Prairie_value.Predicate.True));
               return (Action.Const V.Null);
-              map (fun s -> Action.Const (V.Str s)) (oneofl [ "x"; "hello" ]);
+              map (fun s -> Action.Const (V.Str s))
+                (oneof [ oneofl [ "x"; "hello"; "a\tb\"c\\d\ne" ]; string_size (0 -- 8) ]);
               map2 (fun d p -> Action.Prop (d, p)) dvar prop;
             ]
         in
@@ -364,17 +410,43 @@ let roundtrip_property_tests =
   [
     Alcotest.test_case "constants without surface syntax do not render" `Quick
       (fun () ->
+        let module V = Prairie_value.Value in
         let sorted =
-          Prairie.Action.Const
-            (Prairie_value.Value.Order
-               (Prairie_value.Order.sorted_on
-                  (Prairie_value.Attribute.make ~owner:"R" ~name:"a")))
+          V.Order
+            (Prairie_value.Order.sorted_on
+               (Prairie_value.Attribute.make ~owner:"R" ~name:"a"))
         in
-        check "raises" true
-          (try
-             ignore (Format.asprintf "%a" Dsl.Render.expr sorted);
-             false
-           with Invalid_argument _ -> true));
+        List.iter
+          (fun v ->
+            check (V.to_repr v ^ " raises") true
+              (try
+                 ignore (Format.asprintf "%a" Dsl.Render.expr (Prairie.Action.Const v));
+                 false
+               with Invalid_argument _ -> true))
+          [ sorted; V.Float infinity; V.Float neg_infinity; V.Float nan ]);
+    Alcotest.test_case "negative literals are constants and round-trip" `Quick
+      (fun () ->
+        let module V = Prairie_value.Value in
+        List.iter
+          (fun (text, v) ->
+            let e = Prairie.Action.Const v in
+            check (text ^ " parses to a constant") true (parse_expr_via_rule text = e);
+            Alcotest.(check string)
+              (text ^ " renders back") text
+              (Format.asprintf "%a" Dsl.Render.expr e))
+          [
+            ("-5", V.Int (-5));
+            ("-1.5", V.Float (-1.5));
+            ("-4611686018427387904", V.Int min_int);
+            ("100000000000000000000.0", V.Float 1e20);
+            ("-0.000000059604644775390625", V.Float (-.Float.ldexp 1. (-24)));
+          ];
+        (* a minus on anything but a literal stays an operator *)
+        check "-(5)" true
+          (parse_expr_via_rule "-(5)"
+          = Prairie.Action.(Unop (Neg, Const (Prairie_value.Value.Int 5))));
+        check "-x" true
+          (parse_expr_via_rule "-x" = Prairie.Action.(Unop (Neg, Desc "x"))));
     Alcotest.test_case "NULL parses to the null constant and renders back"
       `Quick (fun () ->
         let e = parse_expr_via_rule "is_null(NULL)" in

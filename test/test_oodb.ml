@@ -150,7 +150,7 @@ let structure_tests =
 
 let bits =
   Alcotest.testable
-    (fun ppf f -> Fmt.pf ppf "%.17g" f)
+    (fun ppf f -> Format.fprintf ppf "%.17g" f)
     (fun a b -> Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b))
 
 let paper_run q ~joins ~seed =

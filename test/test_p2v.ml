@@ -120,9 +120,15 @@ let merge_tests =
           (List.length (Irule.redescriptored_inputs merged));
         (* composed names join their parts with '+', not an identifier *)
         let merged = { merged with Irule.name = "merged" } in
+        let declared =
+          List.filter (fun (n, _) ->
+              List.mem n [ Irule.operator merged; Irule.algorithm merged ])
+        in
         Alcotest.(check (list string)) "valid I-rule" []
           (Support.rule_text_errors
              (Prairie.Ruleset.make ~properties:rel.Prairie.Ruleset.properties
+                ~operators:(declared rel.Prairie.Ruleset.operators)
+                ~algorithms:(declared rel.Prairie.Ruleset.algorithms)
                 ~irules:[ merged ] ~helpers:rel.Prairie.Ruleset.helpers "merged")));
     Alcotest.test_case "an uncomposed rename attaches its requirements" `Quick
       (fun () ->

@@ -90,16 +90,6 @@ let irule_tests =
 
 let ruleset_tests =
   [
-    Alcotest.test_case "operators and algorithms are inferred" `Quick (fun () ->
-        let ir =
-          Irule.make ~name:"i"
-            ~lhs:(pop "RET" "D2" [ v 1 ])
-            ~rhs:(tn "Scan" "D3" [ tv 1 ])
-            ()
-        in
-        let rs = Ruleset.make ~irules:[ ir ] "t" in
-        check "op" true (List.mem "RET" rs.Ruleset.operators);
-        check "alg" true (List.mem "Scan" rs.Ruleset.algorithms));
     Alcotest.test_case "unimplementable operator flagged" `Quick (fun () ->
         rejects "P009" "operator B(1); trule t: A(?1) : D2 ==> B(?1) : D3 post { D3 = D2; }");
     Alcotest.test_case "unregistered helper flagged" `Quick (fun () ->

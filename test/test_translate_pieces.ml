@@ -258,7 +258,7 @@ let staged_tests =
                    spec
                in
                let helpers = rs.Prairie.Ruleset.helpers in
-               let ops = rs.Prairie.Ruleset.operators in
+               let ops = List.map fst rs.Prairie.Ruleset.operators in
                List.for_all
                  (fun (t : Prairie.Trule.t) ->
                    let expr = W.Generate.of_pattern rng w ~ops t.Prairie.Trule.lhs in
